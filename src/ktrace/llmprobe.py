@@ -99,7 +99,6 @@ class LogitPair:
     l1: float
     token0: str
     token1: str
-    top_k: Tuple[Tuple[str, float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -174,13 +173,11 @@ def resolve_logit_pair(top_logprobs: Dict[str, float]) -> LogitPair:
             f"unresolvable logits: token(s) {missing} absent from returned top-k "
             f"({sorted(top_logprobs)[:10]}...)"
         )
-    top_k = tuple(sorted(top_logprobs.items(), key=lambda kv: (-kv[1], kv[0])))
     return LogitPair(
         l0=resolved["0"][1],
         l1=resolved["1"][1],
         token0=resolved["0"][0],
         token1=resolved["1"][0],
-        top_k=top_k,
     )
 
 

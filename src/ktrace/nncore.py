@@ -5,6 +5,13 @@ stack embedding -> single-layer GRU -> affine + sigmoid readout, trained with
 a masked binary cross-entropy on next-step targets. All backward passes are
 hand-written for this stack and verified against central finite differences
 in the test suite; there is no generic autodiff here on purpose.
+
+The GRU runs as one fused kernel: the nine gate tensors are packed per call
+into W (d_in, 3h), U_zr (h, 2h), u_h and b, and each step gathers its input
+projection from the token table ``embedding @ W + b``. Training and
+validation (``net_loss``, ``net_loss_and_grads``) read out only each step's
+target skill, so they never build a (B, T, K) tensor; inference
+(``net_forward``, ``readout``) keeps the full readout over all skills.
 """
 
 from __future__ import annotations
@@ -21,13 +28,10 @@ PROB_CLAMP = 1e-12  # applied inside the BCE logarithms only
 
 
 def sigmoid(x: Array) -> Array:
-    """Numerically stable logistic function."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Numerically stable logistic function, without masks: exp(min(x, 0))
+    over 1 + exp(-|x|). ``exp`` never sees a positive argument, and each
+    sign gets exactly the terms of its textbook form."""
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +199,26 @@ def embed_lookup_backward(indices: Array, d_out: Array, n_rows: int) -> Array:
 # GRU
 
 
+def _pack(p: GruParams) -> Tuple[Array, Array, Array, Array]:
+    """Fuse the nine gate tensors into the kernel's layout, gate order z|r|h:
+    W (d_in, 3h), U_zr (h, 2h), u_h (h, h) and b (3h,)."""
+    w = np.concatenate([p.w_z, p.w_r, p.w_h], axis=1)
+    u_zr = np.concatenate([p.u_z, p.u_r], axis=1)
+    b = np.concatenate([p.b_z, p.b_r, p.b_h])
+    return w, u_zr, p.u_h, b
+
+
+def input_table(embedding: Array, p: GruParams) -> Array:
+    """Per-token input projection ``embedding @ W + b``, shape (n_tokens, 3h).
+
+    Row i is what step t computes from x_t when token i is its input, so a
+    row gather replaces the input matmul inside the recurrence. A row never
+    depends on which batch or sequence length asks for it.
+    """
+    w, _, _, b = _pack(p)
+    return embedding @ w + b
+
+
 @dataclass
 class GruTape:
     """Forward intermediates for one batch, recorded for the backward pass."""
@@ -208,17 +232,27 @@ class GruTape:
     squeezed: bool = False
 
 
-def gru_forward(x: Array, p: GruParams, h0: Array | None = None) -> Tuple[Array, GruTape]:
+def gru_forward(
+    x: Array,
+    p: GruParams,
+    h0: Array | None = None,
+    tokens: Array | None = None,
+    table: Array | None = None,
+) -> Tuple[Array, GruTape]:
     """Run the GRU recurrence over a (B, T, d_in) batch.
 
     A 2-D (T, d_in) input is treated as a single sequence and the hidden
-    states come back as (T, d_h). Non-finite intermediates raise immediately,
-    naming the offending step.
+    states come back as (T, d_h). When ``tokens`` (B, T) and its
+    ``input_table`` are given, ``x`` must be ``embedding[tokens]`` and each
+    step gathers its input projection from the table instead of multiplying.
+    Non-finite hidden states raise, naming the first offending step.
     """
     x = np.asarray(x, dtype=np.float64)
     squeezed = x.ndim == 2
     if squeezed:
         x = x[None]
+        if tokens is not None:
+            tokens = np.asarray(tokens)[None]
     b, t_len, d_in = x.shape
     d_h = p.d_h
     if d_in != p.d_in:
@@ -228,23 +262,29 @@ def gru_forward(x: Array, p: GruParams, h0: Array | None = None) -> Tuple[Array,
     else:
         h0 = np.broadcast_to(np.asarray(h0, dtype=np.float64), (b, d_h)).copy()
 
-    z = np.empty((b, t_len, d_h))
-    r = np.empty((b, t_len, d_h))
-    hcand = np.empty((b, t_len, d_h))
+    w, u_zr, u_h, bias = _pack(p)
+    gates = np.empty((b, t_len, 3 * d_h))  # z | r | candidate
     h = np.empty((b, t_len, d_h))
     h_prev = h0
     for t in range(t_len):
-        xt = x[:, t]
-        zt = sigmoid(xt @ p.w_z + h_prev @ p.u_z + p.b_z)
-        rt = sigmoid(xt @ p.w_r + h_prev @ p.u_r + p.b_r)
-        ct = np.tanh(xt @ p.w_h + (rt * h_prev) @ p.u_h + p.b_h)
-        ht = (1.0 - zt) * h_prev + zt * ct
-        if not np.isfinite(ht).all():
-            raise FloatingPointError(f"non-finite GRU hidden state at step {t}")
-        z[:, t], r[:, t], hcand[:, t], h[:, t] = zt, rt, ct, ht
-        h_prev = ht
+        a = table[tokens[:, t]] if tokens is not None else x[:, t] @ w + bias
+        zr = sigmoid(a[:, : 2 * d_h] + h_prev @ u_zr)
+        zt, rt = zr[:, :d_h], zr[:, d_h:]
+        ct = np.tanh(a[:, 2 * d_h :] + (rt * h_prev) @ u_h)
+        h_prev = h_prev + zt * (ct - h_prev)
+        gates[:, t, : 2 * d_h] = zr
+        gates[:, t, 2 * d_h :] = ct
+        h[:, t] = h_prev
 
-    tape = GruTape(x=x, h0=h0, z=z, r=r, hcand=hcand, h=h, squeezed=squeezed)
+    finite = np.isfinite(h).all(axis=(0, 2))
+    if not finite.all():
+        raise FloatingPointError(
+            f"non-finite GRU hidden state at step {int(np.argmin(finite))}"
+        )
+    tape = GruTape(
+        x=x, h0=h0, z=gates[..., :d_h], r=gates[..., d_h : 2 * d_h],
+        hcand=gates[..., 2 * d_h :], h=h, squeezed=squeezed,
+    )
     return (h[0] if squeezed else h), tape
 
 
@@ -253,50 +293,50 @@ def gru_backward(p: GruParams, tape: GruTape, dh: Array) -> Tuple[Dict[str, Arra
 
     ``dh`` holds dL/dh_t for every step (same shape as the forward hidden
     states). Returns (parameter grads keyed like GruParams.flat(), dL/dx,
-    dL/dh0).
+    dL/dh0). Gradients accumulate in the packed layout of ``_pack``: three
+    weight-gradient matmuls per step.
     """
     dh = np.asarray(dh, dtype=np.float64)
     if tape.squeezed and dh.ndim == 2:
         dh = dh[None]
     b, t_len, d_h = tape.h.shape
+    h2 = 2 * d_h
 
-    grads = {name: np.zeros_like(arr) for name, arr in p.flat().items()}
-    dx = np.zeros_like(tape.x)
+    w, u_zr, u_h, _ = _pack(p)
+    d_w = np.zeros_like(w)
+    d_uzr = np.zeros_like(u_zr)
+    d_uh = np.zeros_like(u_h)
+    d_b = np.zeros(3 * d_h)
+    dx = np.empty_like(tape.x)
+    da = np.empty((b, 3 * d_h))  # pre-activation grads, gate order z | r | h
     carry = np.zeros((b, d_h))
 
     for t in range(t_len - 1, -1, -1):
-        xt = tape.x[:, t]
         h_prev = tape.h[:, t - 1] if t > 0 else tape.h0
         zt, rt, ct = tape.z[:, t], tape.r[:, t], tape.hcand[:, t]
 
         dht = dh[:, t] + carry
         dct = dht * zt
-        dzt = dht * (ct - h_prev)
-        dh_prev = dht * (1.0 - zt)
+        np.multiply(dct, 1.0 - ct * ct, out=da[:, h2:])
+        drh = da[:, h2:] @ u_h.T
+        rh = rt * h_prev
+        np.multiply(dct * (ct - h_prev), 1.0 - zt, out=da[:, :d_h])
+        np.multiply(drh * rh, 1.0 - rt, out=da[:, d_h:h2])
 
-        da_h = dct * (1.0 - ct * ct)
-        grads["w_h"] += xt.T @ da_h
-        grads["u_h"] += (rt * h_prev).T @ da_h
-        grads["b_h"] += da_h.sum(axis=0)
-        drh = da_h @ p.u_h.T
-        drt = drh * h_prev
-        dh_prev += drh * rt
+        d_w += tape.x[:, t].T @ da
+        d_uzr += h_prev.T @ da[:, :h2]
+        d_uh += rh.T @ da[:, h2:]
+        d_b += da.sum(axis=0)
+        dx[:, t] = da @ w.T
+        carry = (dht - dct) + drh * rt + da[:, :h2] @ u_zr.T
 
-        da_z = dzt * zt * (1.0 - zt)
-        grads["w_z"] += xt.T @ da_z
-        grads["u_z"] += h_prev.T @ da_z
-        grads["b_z"] += da_z.sum(axis=0)
-        dh_prev += da_z @ p.u_z.T
-
-        da_r = drt * rt * (1.0 - rt)
-        grads["w_r"] += xt.T @ da_r
-        grads["u_r"] += h_prev.T @ da_r
-        grads["b_r"] += da_r.sum(axis=0)
-        dh_prev += da_r @ p.u_r.T
-
-        dx[:, t] = da_z @ p.w_z.T + da_r @ p.w_r.T + da_h @ p.w_h.T
-        carry = dh_prev
-
+    w_z, w_r, w_h = np.split(d_w, 3, axis=1)
+    u_z, u_r = np.split(d_uzr, 2, axis=1)
+    b_z, b_r, b_h = np.split(d_b, 3)
+    grads = {
+        "w_z": w_z, "w_r": w_r, "w_h": w_h, "u_z": u_z, "u_r": u_r, "u_h": d_uh,
+        "b_z": b_z, "b_r": b_r, "b_h": b_h,
+    }
     if tape.squeezed:
         dx = dx[0]
     return grads, dx, carry
@@ -363,20 +403,32 @@ class NetTape:
     probs: Array
 
 
-def net_forward(net: DktNet, x_idx: Array) -> Tuple[Array, NetTape]:
-    """Token indices (B, T) -> per-skill probabilities (B, T, n_out)."""
+def _hidden(net: DktNet, x_idx: Array) -> Tuple[Array, Array, Array, GruTape]:
+    """Embedding gather plus GRU, with input projections from the token table."""
     x_idx = np.asarray(x_idx)
     x_emb = embed_lookup(x_idx, net.embedding)
-    h, gru_tape = gru_forward(x_emb, net.gru)
+    table = input_table(net.embedding, net.gru)
+    h, gru_tape = gru_forward(x_emb, net.gru, tokens=x_idx, table=table)
+    return x_idx, x_emb, h, gru_tape
+
+
+def net_forward(net: DktNet, x_idx: Array) -> Tuple[Array, NetTape]:
+    """Token indices (B, T) -> per-skill probabilities (B, T, n_out)."""
+    x_idx, x_emb, h, gru_tape = _hidden(net, x_idx)
     probs = readout(h, net.w_out, net.b_out)
     return probs, NetTape(x_idx=x_idx, x_emb=x_emb, gru=gru_tape, h=h, probs=probs)
 
 
+def _target_probs(net: DktNet, h: Array, s_next: Array) -> Array:
+    """Readout at each cell's target skill only: sigmoid(h . w_out[:, s] + b_out[s]).
+    Equals ``readout(h, ...)`` gathered at ``s_next``, without the (B, T, K) tensor."""
+    logits = np.einsum("...d,...d->...", h, net.w_out.T[s_next])
+    return sigmoid(logits + net.b_out[s_next])
+
+
 def net_loss(net: DktNet, x_idx: Array, s_next: Array, y_next: Array, w: Array) -> float:
-    probs, _ = net_forward(net, x_idx)
-    b, t_len = np.asarray(x_idx).shape
-    sel = probs[np.arange(b)[:, None], np.arange(t_len)[None, :], s_next]
-    return masked_bce(sel, y_next, w)
+    _, _, h, _ = _hidden(net, x_idx)
+    return masked_bce(_target_probs(net, h, np.asarray(s_next)), y_next, w)
 
 
 def net_loss_and_grads(
@@ -385,36 +437,48 @@ def net_loss_and_grads(
     """Loss plus analytic gradients for every parameter tensor.
 
     The BCE/sigmoid pair is fused in the backward pass (d logit = w*(p-y)/N),
-    which is both exact and stable at saturated probabilities.
+    which is both exact and stable at saturated probabilities. Only the
+    target skill's logit is read out, so the readout gradient is a
+    scatter-add into the target columns of ``w_out``/``b_out``.
     """
-    probs, tape = net_forward(net, x_idx)
-    x_idx = tape.x_idx
-    b, t_len = x_idx.shape
-    bi = np.arange(b)[:, None]
-    ti = np.arange(t_len)[None, :]
+    x_idx, _, h, gru_tape = _hidden(net, x_idx)
     s_next = np.asarray(s_next)
     y_arr = np.asarray(y_next, dtype=np.float64)
     w_arr = np.asarray(w, dtype=np.float64)
 
-    sel = probs[bi, ti, s_next]
+    sel = _target_probs(net, h, s_next)
     loss = masked_bce(sel, y_arr, w_arr)
+    d_logit = np.where(w_arr > 0, (sel - y_arr) / w_arr.sum(), 0.0)
 
-    total = w_arr.sum()
-    d_logit_sel = np.where(w_arr > 0, (sel - y_arr) / total, 0.0)
-    d_logits = np.zeros_like(probs)
-    d_logits[bi, ti, s_next] = d_logit_sel
-
-    h_flat = tape.h.reshape(-1, net.d_h)
-    d_flat = d_logits.reshape(-1, net.n_out)
     grads: Dict[str, Array] = {
-        "w_out": h_flat.T @ d_flat,
-        "b_out": d_flat.sum(axis=0),
+        "w_out": _scatter_columns(h, d_logit, s_next, net.n_out),
+        "b_out": np.bincount(s_next.ravel(), weights=d_logit.ravel(), minlength=net.n_out),
     }
-    dh = d_logits @ net.w_out.T
-    gru_grads, dx_emb, _ = gru_backward(net.gru, tape.gru, dh)
+    dh = net.w_out.T[s_next]
+    dh *= d_logit[..., None]
+    gru_grads, dx_emb, _ = gru_backward(net.gru, gru_tape, dh)
     grads.update(gru_grads)
     grads["embedding"] = embed_lookup_backward(x_idx, dx_emb, net.n_tokens)
     return loss, grads
+
+
+def _scatter_columns(h: Array, d_logit: Array, s_next: Array, n_out: int) -> Array:
+    """dL/dw_out: column s sums d_logit * h over the cells whose target is s.
+
+    Cells with a zero gradient are dropped, the rest are grouped by target
+    skill, and each group reduces with one matrix-vector product.
+    """
+    d_h = h.shape[-1]
+    h_flat = h.reshape(-1, d_h)
+    d_flat = d_logit.ravel()
+    s_flat = s_next.ravel()
+    cells = np.flatnonzero(d_flat)
+    cells = cells[np.argsort(s_flat[cells], kind="stable")]
+    skills, starts = np.unique(s_flat[cells], return_index=True)
+    grad = np.zeros((d_h, n_out))
+    for skill, rows in zip(skills, np.split(cells, starts[1:])):
+        grad[:, skill] = d_flat[rows] @ h_flat[rows]
+    return grad
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ktrace.nncore import (
     masked_bce_backward,
     net_loss,
     net_loss_and_grads,
+    net_forward,
     readout,
     zero_net,
 )
@@ -389,3 +391,86 @@ def test_forward_outputs_finite_for_seeded_init():
     assert np.isfinite(probs).all()
     assert np.isfinite(tape.h).all()
     assert probs.min() > 0.0 and probs.max() < 1.0
+
+
+# ---------------------------------------------------------------------------
+# fused kernel pins
+
+
+def test_sigmoid_equals_boolean_mask_formula():
+    def mask_sigmoid(x):
+        out = np.empty_like(x, dtype=np.float64)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    edges = np.array([0.0, -0.0, 37.0, -37.0, 745.0, -745.0, np.inf, -np.inf])
+    normals = np.random.default_rng(19).normal(size=100_000)
+    for x in (edges, normals, normals.reshape(100, 1000) * 40.0):
+        np.testing.assert_array_equal(nncore.sigmoid(x), mask_sigmoid(x))
+
+
+def test_gru_token_table_matches_input_matmul():
+    rng = np.random.default_rng(20)
+    net = init_net(10, 3, 4, 5, seed=24)
+    tokens = rng.integers(0, 10, size=(3, 7))
+    x = net.embedding[tokens]
+    table = nncore.input_table(net.embedding, net.gru)
+    h_table, _ = gru_forward(x, net.gru, tokens=tokens, table=table)
+    h_plain, _ = gru_forward(x, net.gru)
+    np.testing.assert_allclose(h_table, h_plain, atol=1e-14, rtol=0)
+
+
+def test_target_skill_readout_matches_dense_reference():
+    rng = np.random.default_rng(21)
+    k = 6
+    net = init_net(2 * k, 3, 5, k, seed=25)
+    b, t_len = 3, 8
+    x_idx = rng.integers(0, 2 * k, size=(b, t_len))
+    s_next = rng.integers(0, k, size=(b, t_len))
+    y_next = rng.integers(0, 2, size=(b, t_len)).astype(float)
+    w = np.zeros((b, t_len))
+    for i, length in enumerate((8, 5, 2)):
+        w[i, : length - 1] = 1.0
+        x_idx[i, length:] = 0  # padding remapped to token 0, as build_batch does
+        s_next[i, length - 1 :] = 0
+
+    # dense reference: full (B, T, K) readout and gradient
+    probs, tape = net_forward(net, x_idx)
+    bi, ti = np.arange(b)[:, None], np.arange(t_len)[None, :]
+    sel = probs[bi, ti, s_next]
+    ref_loss = masked_bce(sel, y_next, w)
+    d_logits = np.zeros_like(probs)
+    d_logits[bi, ti, s_next] = np.where(w > 0, (sel - y_next) / w.sum(), 0.0)
+    ref = {
+        "w_out": tape.h.reshape(-1, net.d_h).T @ d_logits.reshape(-1, k),
+        "b_out": d_logits.reshape(-1, k).sum(axis=0),
+    }
+    gru_grads, dx, _ = gru_backward(net.gru, tape.gru, d_logits @ net.w_out.T)
+    ref.update(gru_grads)
+    ref["embedding"] = embed_lookup_backward(x_idx, dx, net.n_tokens)
+
+    loss, grads = net_loss_and_grads(net, x_idx, s_next, y_next, w)
+    assert abs(loss - ref_loss) < 1e-12
+    assert abs(net_loss(net, x_idx, s_next, y_next, w) - ref_loss) < 1e-12
+    assert grads.keys() == ref.keys() == net.flat().keys()
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, ref[name], atol=1e-12, rtol=0, err_msg=name)
+
+
+def test_training_step_never_allocates_a_dense_readout():
+    rng = np.random.default_rng(22)
+    k, b, t_len = 500, 8, 40
+    net = init_net(2 * k, 8, 16, k, seed=26)
+    x_idx, s_next, y_next, w = random_batch(rng, b, t_len, k)
+    dense_bytes = b * t_len * k * np.dtype(np.float64).itemsize
+    for step in (net_loss, net_loss_and_grads):
+        tracemalloc.start()
+        try:
+            step(net, x_idx, s_next, y_next, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes, (step.__name__, peak, dense_bytes)
