@@ -608,11 +608,24 @@ def cmd_gradcheck(_cfg: Optional[RunConfig]) -> int:
     y_next = rng.integers(0, 2, size=(b, t)).astype(float)
     w = np.ones((b, t))
     w[:, -1] = 0.0
+    # ragged rows, not sorted by length, one with a hole: the GRU skips
+    # every cell past a row's last target
+    w_ragged = np.zeros((3, t))
+    for row, length in enumerate((3, 6, 2)):
+        w_ragged[row, : length - 1] = 1.0
+    w_ragged[1, 2] = 0.0
+    x_ragged = rng.integers(0, 2 * k, size=(3, t))
+    s_ragged = rng.integers(0, k, size=(3, t))
+    y_ragged = rng.integers(0, 2, size=(3, t)).astype(float)
     t0 = time.perf_counter()
-    err = nncore.grad_check(net, x_idx, s_next, y_next, w, eps=1e-5)
+    err = max(
+        nncore.grad_check(net, x_idx, s_next, y_next, w, eps=1e-5),
+        nncore.grad_check(net, x_ragged, s_ragged, y_ragged, w_ragged, eps=1e-5),
+    )
     wall = time.perf_counter() - t0
     print(
-        f"gradient check (embed+GRU+readout+masked BCE, d_in=3, d_h=4, K=5, T=6, B=2): "
+        f"gradient check (embed+GRU+readout+masked BCE, d_in=3, d_h=4, K=5, T=6; "
+        f"a full B=2 batch and a ragged B=3 batch of lengths 3, 6, 2): "
         f"max relative error {err:.3e} in {wall:.2f}s"
     )
     if err >= 1e-4:

@@ -6,6 +6,13 @@ and emits a probability for every skill at every step; the training target at
 position t is the correctness of the next interaction, selected at the next
 interaction's skill column. Loss positions without a next step are masked
 out.
+
+Training, validation and inference share one window rule: a sequence is cut
+into consecutive ``max_t`` windows and the hidden state restarts at zero at
+each window. Training and validation drop trailing 1-step windows (they hold
+no target); inference keeps them, and predicts a window's first step from
+the previous window's last row. Inference runs windows sorted by length in
+batches, skipping padded cells, and reads out only the skills it reports.
 """
 
 from __future__ import annotations
@@ -92,11 +99,17 @@ class EncodedBatch:
         return out.astype(np.float64)
 
 
+def _window_spans(n_steps: int, max_t: int) -> Tuple[Array, Array]:
+    """Start and length of each non-overlapping consecutive window of a
+    sequence; the hidden state is not carried across windows."""
+    starts = np.arange(0, n_steps, max_t, dtype=np.int64)
+    return starts, np.minimum(n_steps - starts, max_t)
+
+
 def _windows(steps: Sequence[Tuple[int, int, int]], max_t: int) -> List[Sequence[Tuple[int, int, int]]]:
-    # non-overlapping consecutive windows; hidden state is not carried across
-    chunks = [steps[i : i + max_t] for i in range(0, len(steps), max_t)]
     # a trailing window of length 1 holds no next-step target
-    return [c for c in chunks if len(c) >= 2]
+    starts, lengths = _window_spans(len(steps), max_t)
+    return [steps[a : a + n] for a, n in zip(starts, lengths) if n >= 2]
 
 
 def build_batch(
@@ -294,18 +307,45 @@ def train(
 # inference
 
 
+def _model_setting(model: DktModel, name: str) -> int:
+    """A training setting of the model, or its TrainConfig default."""
+    return int(model.config.get(name, getattr(TrainConfig(), name)))
+
+
+def _encode_steps(steps: Sequence[Tuple[int, int, int]], k: int) -> Tuple[Array, Array]:
+    """Skill and token arrays of a step list, checked like ``encode_step``."""
+    arr = np.asarray(steps, dtype=np.int64).reshape(-1, 3)
+    skills, labels = arr[:, 0], arr[:, 2]
+    bad = np.flatnonzero((skills < 0) | (skills >= k) | ((labels != 0) & (labels != 1)))
+    if bad.size:
+        encode_step(int(skills[bad[0]]), int(labels[bad[0]]), k)  # raises
+    return skills, skills + labels * k
+
+
+def _window_cells(starts: Array, lengths: Array) -> Tuple[Array, Array]:
+    """Flat step index of every cell of a window batch, and its live mask.
+
+    Row b covers steps ``starts[b] .. starts[b] + lengths[b] - 1``. Dead
+    (padded) cells point at the row's first step: any valid index will do,
+    because no result is read from them.
+    """
+    cols = np.arange(int(lengths.max()))
+    live = cols[None, :] < lengths[:, None]
+    return np.where(live, starts[:, None] + cols[None, :], starts[:, None]), live
+
+
 def mastery_trajectory(model: DktModel, sequence: StudentSequence) -> MasteryTrajectory:
-    """Full T x K probability matrix; row t is computed from steps 0..t only
-    (the recurrence is causal, so truncating the input reproduces a prefix of
-    the rows bit-identically)."""
+    """Full T x K probability matrix under the inference window rule: the
+    hidden state restarts every ``max_t`` steps. Row t is computed from the
+    steps of its window up to t only (the recurrence is causal, so
+    truncating the input reproduces a prefix of the rows bit-identically)."""
     if len(sequence) < 1:
         raise ValueError("sequence must have at least one step")
-    tokens = np.array(
-        [[encode_step(s, y, model.k) for s, _, y in sequence.steps]], dtype=np.int64
-    )
-    probs, _ = nncore.net_forward(model.net, tokens)
+    _, tokens = _encode_steps(sequence.steps, model.k)
+    cells, live = _window_cells(*_window_spans(len(tokens), _model_setting(model, "max_t")))
+    probs, _ = nncore.net_forward(model.net, tokens[cells])
     return MasteryTrajectory(
-        user_id=sequence.user_id, p=probs[0], steps=list(sequence.steps)
+        user_id=sequence.user_id, p=probs[live], steps=list(sequence.steps)
     )
 
 
@@ -328,19 +368,50 @@ def predict_records(
 ) -> Tuple[List[PredictionRecord], List[PredictionRecord]]:
     """Next-step prediction rows and mastery-path rows for a sequence set.
 
-    Both come from one forward pass per student over the full sequence: the
-    prediction for target position t reads row t-1 at the target skill, the
-    mastery path reads row t at the practiced skill. Saturated sigmoid
-    outputs (exact 0.0/1.0 in float64) are nudged back inside (0, 1).
+    Every sequence is cut into ``max_t`` windows (the training window rule,
+    trailing 1-step windows kept). The windows are sorted by length and run
+    in batches of the training batch size, each cell reading out only the
+    two skills it reports: the mastery row for step t is the cell of step t
+    at its practiced skill, and the prediction row for step t >= 1 is the
+    cell of step t-1 at step t's skill, which for a window's first step is
+    the previous window's last cell. Saturated sigmoid outputs (exact
+    0.0/1.0 in float64) are nudged back inside (0, 1).
     """
+    if not sequences:
+        return [], []
+    max_t = _model_setting(model, "max_t")
+    batch_size = _model_setting(model, "batch_size")
+    sizes = np.array([len(seq) for seq in sequences], dtype=np.int64)
+    if (sizes < 1).any():
+        raise ValueError("sequence must have at least one step")
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    skills, tokens = _encode_steps(
+        [step for seq in sequences for step in seq.steps], model.k
+    )
+    next_skills = np.append(skills[1:], 0)
+    next_skills[offsets[1:] - 1] = 0  # a sequence's last step has no next step
 
-    def emitted(p: float) -> float:
-        return min(max(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
+    spans = [_window_spans(n, max_t) for n in sizes]
+    starts = np.concatenate([off + st for off, (st, _) in zip(offsets, spans)])
+    lengths = np.concatenate([n for _, n in spans])
+    order = np.argsort(-lengths, kind="stable")
+
+    p_mastery = np.empty(len(skills))
+    p_next = np.empty(len(skills))  # p_next[i]: prediction for step i + 1
+    for lo in range(0, len(order), batch_size):
+        rows = order[lo : lo + batch_size]
+        cells, live = _window_cells(starts[rows], lengths[rows])
+        at_skill, at_next = nncore.net_target_probs(
+            model.net, tokens[cells], lengths[rows], skills[cells], next_skills[cells]
+        )
+        p_mastery[cells[live]] = at_skill[live]
+        p_next[cells[live]] = at_next[live]
+    p_mastery = np.clip(p_mastery, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    p_next = np.clip(p_next, PROB_FLOOR, 1.0 - PROB_FLOOR)
 
     predictions: List[PredictionRecord] = []
     mastery: List[PredictionRecord] = []
-    for seq in sequences:
-        traj = mastery_trajectory(model, seq)
+    for seq, off in zip(sequences, offsets):
         for t, (skill, _, y) in enumerate(seq.steps):
             if t >= 1:
                 predictions.append(
@@ -349,7 +420,7 @@ def predict_records(
                         step=t,
                         skill=skill,
                         y_true=y,
-                        p=emitted(float(traj.p[t - 1, skill])),
+                        p=float(p_next[off + t - 1]),
                         model_tag=tag,
                     )
                 )
@@ -359,7 +430,7 @@ def predict_records(
                     step=t,
                     skill=skill,
                     y_true=y,
-                    p=emitted(float(traj.p[t, skill])),
+                    p=float(p_mastery[off + t]),
                     model_tag=tag,
                 )
             )

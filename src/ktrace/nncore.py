@@ -8,10 +8,14 @@ in the test suite; there is no generic autodiff here on purpose.
 
 The GRU runs as one fused kernel: the nine gate tensors are packed per call
 into W (d_in, 3h), U_zr (h, 2h), u_h and b, and each step gathers its input
-projection from the token table ``embedding @ W + b``. Training and
-validation (``net_loss``, ``net_loss_and_grads``) read out only each step's
-target skill, so they never build a (B, T, K) tensor; inference
-(``net_forward``, ``readout``) keeps the full readout over all skills.
+projection from the token table ``embedding @ W + b``. Given row lengths in
+non-increasing order, the kernel runs step t on the live prefix of rows only
+and leaves padded cells at zero. Training and validation (``net_loss``,
+``net_loss_and_grads``) sort the rows by the span of their targets, skip the
+cells past it, and read out only each step's target skill, so they never
+build a (B, T, K) tensor. Batched inference (``net_target_probs``) reads out
+the same way; ``net_forward`` and ``readout`` keep the full readout over all
+skills for trajectories and heatmaps.
 """
 
 from __future__ import annotations
@@ -187,11 +191,20 @@ def embed_lookup(indices: Array, table: Array) -> Array:
 
 
 def embed_lookup_backward(indices: Array, d_out: Array, n_rows: int) -> Array:
-    """Gradient of embed_lookup w.r.t. the table: one-hot row accumulation."""
+    """Gradient of embed_lookup w.r.t. the table: one-hot row accumulation.
+
+    All-zero gradient rows (padded cells) are dropped, the rest are grouped
+    by index with a stable sort, and each group is summed in one reduction.
+    """
     idx = np.asarray(indices).ravel()
     d_emb = d_out.shape[-1]
+    d_flat = d_out.reshape(-1, d_emb)
+    cells = np.flatnonzero(d_flat.any(axis=1))
+    cells = cells[np.argsort(idx[cells], kind="stable")]
     grad = np.zeros((n_rows, d_emb))
-    np.add.at(grad, idx, d_out.reshape(-1, d_emb))
+    if cells.size:
+        rows, starts = np.unique(idx[cells], return_index=True)
+        grad[rows] = np.add.reduceat(d_flat[cells], starts, axis=0)
     return grad
 
 
@@ -229,7 +242,26 @@ class GruTape:
     r: Array       # (B, T, d_h)
     hcand: Array   # (B, T, d_h)
     h: Array       # (B, T, d_h)
+    live: Array    # (T,) rows [:live[t]] are computed at step t
     squeezed: bool = False
+
+
+def _live_rows(lengths: Array | None, b: int, t_len: int) -> Array:
+    """Rows live at each step: ``live[t]`` counts the rows longer than t.
+
+    ``lengths`` must be non-increasing, so the live rows at step t are the
+    prefix ``[:live[t]]``. ``None`` means every row runs all T steps.
+    """
+    if lengths is None:
+        return np.full(t_len, b, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64).reshape(-1)
+    if lengths.shape != (b,):
+        raise ValueError(f"lengths has shape {lengths.shape}; expected ({b},)")
+    if (np.diff(lengths) > 0).any():
+        raise ValueError("lengths must be sorted in non-increasing order")
+    if b and (lengths[-1] < 0 or lengths[0] > t_len):
+        raise ValueError(f"lengths must lie in [0, {t_len}]")
+    return (lengths[None, :] > np.arange(t_len)[:, None]).sum(axis=1)
 
 
 def gru_forward(
@@ -238,6 +270,7 @@ def gru_forward(
     h0: Array | None = None,
     tokens: Array | None = None,
     table: Array | None = None,
+    lengths: Array | None = None,
 ) -> Tuple[Array, GruTape]:
     """Run the GRU recurrence over a (B, T, d_in) batch.
 
@@ -245,7 +278,10 @@ def gru_forward(
     states come back as (T, d_h). When ``tokens`` (B, T) and its
     ``input_table`` are given, ``x`` must be ``embedding[tokens]`` and each
     step gathers its input projection from the table instead of multiplying.
-    Non-finite hidden states raise, naming the first offending step.
+    With ``lengths`` (B,), sorted non-increasing, step t runs only the rows
+    still live (``_live_rows``); a row's cells past its length are dead and
+    stay exactly zero in h and in every gate. Non-finite hidden states
+    raise, naming the first offending step.
     """
     x = np.asarray(x, dtype=np.float64)
     squeezed = x.ndim == 2
@@ -261,20 +297,25 @@ def gru_forward(
         h0 = np.zeros((b, d_h))
     else:
         h0 = np.broadcast_to(np.asarray(h0, dtype=np.float64), (b, d_h)).copy()
+    live = _live_rows(lengths, b, t_len)
 
     w, u_zr, u_h, bias = _pack(p)
-    gates = np.empty((b, t_len, 3 * d_h))  # z | r | candidate
-    h = np.empty((b, t_len, d_h))
+    gates = np.zeros((b, t_len, 3 * d_h))  # z | r | candidate
+    h = np.zeros((b, t_len, d_h))
     h_prev = h0
     for t in range(t_len):
-        a = table[tokens[:, t]] if tokens is not None else x[:, t] @ w + bias
+        n = live[t]
+        if n == 0:
+            break
+        h_prev = h_prev[:n]
+        a = table[tokens[:n, t]] if tokens is not None else x[:n, t] @ w + bias
         zr = sigmoid(a[:, : 2 * d_h] + h_prev @ u_zr)
         zt, rt = zr[:, :d_h], zr[:, d_h:]
         ct = np.tanh(a[:, 2 * d_h :] + (rt * h_prev) @ u_h)
         h_prev = h_prev + zt * (ct - h_prev)
-        gates[:, t, : 2 * d_h] = zr
-        gates[:, t, 2 * d_h :] = ct
-        h[:, t] = h_prev
+        gates[:n, t, : 2 * d_h] = zr
+        gates[:n, t, 2 * d_h :] = ct
+        h[:n, t] = h_prev
 
     finite = np.isfinite(h).all(axis=(0, 2))
     if not finite.all():
@@ -283,7 +324,7 @@ def gru_forward(
         )
     tape = GruTape(
         x=x, h0=h0, z=gates[..., :d_h], r=gates[..., d_h : 2 * d_h],
-        hcand=gates[..., 2 * d_h :], h=h, squeezed=squeezed,
+        hcand=gates[..., 2 * d_h :], h=h, live=live, squeezed=squeezed,
     )
     return (h[0] if squeezed else h), tape
 
@@ -292,9 +333,10 @@ def gru_backward(p: GruParams, tape: GruTape, dh: Array) -> Tuple[Dict[str, Arra
     """Backpropagate through time.
 
     ``dh`` holds dL/dh_t for every step (same shape as the forward hidden
-    states). Returns (parameter grads keyed like GruParams.flat(), dL/dx,
+    states); its entries at dead cells are ignored, and dL/dx there is
+    zero. Returns (parameter grads keyed like GruParams.flat(), dL/dx,
     dL/dh0). Gradients accumulate in the packed layout of ``_pack``: three
-    weight-gradient matmuls per step.
+    weight-gradient matmuls per step, over the step's live rows only.
     """
     dh = np.asarray(dh, dtype=np.float64)
     if tape.squeezed and dh.ndim == 2:
@@ -307,15 +349,19 @@ def gru_backward(p: GruParams, tape: GruTape, dh: Array) -> Tuple[Dict[str, Arra
     d_uzr = np.zeros_like(u_zr)
     d_uh = np.zeros_like(u_h)
     d_b = np.zeros(3 * d_h)
-    dx = np.empty_like(tape.x)
-    da = np.empty((b, 3 * d_h))  # pre-activation grads, gate order z | r | h
-    carry = np.zeros((b, d_h))
+    dx = np.zeros_like(tape.x)
+    da_buf = np.empty((b, 3 * d_h))  # pre-activation grads, gate order z | r | h
+    carry = np.zeros((b, d_h))  # rows past a step's live prefix stay zero
 
     for t in range(t_len - 1, -1, -1):
-        h_prev = tape.h[:, t - 1] if t > 0 else tape.h0
-        zt, rt, ct = tape.z[:, t], tape.r[:, t], tape.hcand[:, t]
+        n = tape.live[t]
+        if n == 0:
+            continue
+        h_prev = tape.h[:n, t - 1] if t > 0 else tape.h0[:n]
+        zt, rt, ct = tape.z[:n, t], tape.r[:n, t], tape.hcand[:n, t]
+        da = da_buf[:n]
 
-        dht = dh[:, t] + carry
+        dht = dh[:n, t] + carry[:n]
         dct = dht * zt
         np.multiply(dct, 1.0 - ct * ct, out=da[:, h2:])
         drh = da[:, h2:] @ u_h.T
@@ -323,12 +369,12 @@ def gru_backward(p: GruParams, tape: GruTape, dh: Array) -> Tuple[Dict[str, Arra
         np.multiply(dct * (ct - h_prev), 1.0 - zt, out=da[:, :d_h])
         np.multiply(drh * rh, 1.0 - rt, out=da[:, d_h:h2])
 
-        d_w += tape.x[:, t].T @ da
+        d_w += tape.x[:n, t].T @ da
         d_uzr += h_prev.T @ da[:, :h2]
         d_uh += rh.T @ da[:, h2:]
         d_b += da.sum(axis=0)
-        dx[:, t] = da @ w.T
-        carry = (dht - dct) + drh * rt + da[:, :h2] @ u_zr.T
+        dx[:n, t] = da @ w.T
+        carry[:n] = (dht - dct) + drh * rt + da[:, :h2] @ u_zr.T
 
     w_z, w_r, w_h = np.split(d_w, 3, axis=1)
     u_z, u_r = np.split(d_uzr, 2, axis=1)
@@ -403,12 +449,15 @@ class NetTape:
     probs: Array
 
 
-def _hidden(net: DktNet, x_idx: Array) -> Tuple[Array, Array, Array, GruTape]:
-    """Embedding gather plus GRU, with input projections from the token table."""
+def _hidden(
+    net: DktNet, x_idx: Array, lengths: Array | None = None
+) -> Tuple[Array, Array, Array, GruTape]:
+    """Embedding gather plus GRU, with input projections from the token table.
+    ``lengths`` (non-increasing) skips each row's cells past its length."""
     x_idx = np.asarray(x_idx)
     x_emb = embed_lookup(x_idx, net.embedding)
     table = input_table(net.embedding, net.gru)
-    h, gru_tape = gru_forward(x_emb, net.gru, tokens=x_idx, table=table)
+    h, gru_tape = gru_forward(x_emb, net.gru, tokens=x_idx, table=table, lengths=lengths)
     return x_idx, x_emb, h, gru_tape
 
 
@@ -426,9 +475,42 @@ def _target_probs(net: DktNet, h: Array, s_next: Array) -> Array:
     return sigmoid(logits + net.b_out[s_next])
 
 
+def net_target_probs(
+    net: DktNet, x_idx: Array, lengths: Array | None, *targets: Array
+) -> Tuple[Array, ...]:
+    """Inference readout at chosen skills only: one (B, T) probability array
+    per (B, T) skill map in ``targets``, from a single GRU pass. ``lengths``
+    is as in ``gru_forward``; cells past a row's length are not computed."""
+    _, _, h, _ = _hidden(net, x_idx, lengths)
+    return tuple(_target_probs(net, h, np.asarray(s)) for s in targets)
+
+
+def _by_target_span(
+    x_idx: Array, s_next: Array, y_next: Array, w: Array
+) -> Tuple[Array, Array, Array, Array, Array]:
+    """Rows stably sorted by live span, longest first, plus the spans.
+
+    A row's span is 1 + its last index with w > 0 (0 when it has none).
+    Cells past the span carry no target and receive exactly zero gradient,
+    so the GRU may skip them; sorting makes the live rows of every step a
+    prefix, as ``gru_forward`` requires. Any mask works, holes included.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    has_target = w > 0
+    span = np.where(
+        has_target.any(axis=1), w.shape[1] - np.argmax(has_target[:, ::-1], axis=1), 0
+    )
+    order = np.argsort(-span, kind="stable")
+    return (
+        np.asarray(x_idx)[order], np.asarray(s_next)[order],
+        np.asarray(y_next, dtype=np.float64)[order], w[order], span[order],
+    )
+
+
 def net_loss(net: DktNet, x_idx: Array, s_next: Array, y_next: Array, w: Array) -> float:
-    _, _, h, _ = _hidden(net, x_idx)
-    return masked_bce(_target_probs(net, h, np.asarray(s_next)), y_next, w)
+    x_idx, s_next, y_next, w, span = _by_target_span(x_idx, s_next, y_next, w)
+    _, _, h, _ = _hidden(net, x_idx, span)
+    return masked_bce(_target_probs(net, h, s_next), y_next, w)
 
 
 def net_loss_and_grads(
@@ -439,12 +521,11 @@ def net_loss_and_grads(
     The BCE/sigmoid pair is fused in the backward pass (d logit = w*(p-y)/N),
     which is both exact and stable at saturated probabilities. Only the
     target skill's logit is read out, so the readout gradient is a
-    scatter-add into the target columns of ``w_out``/``b_out``.
+    scatter-add into the target columns of ``w_out``/``b_out``. The GRU
+    runs each row only up to its last target (``_by_target_span``).
     """
-    x_idx, _, h, gru_tape = _hidden(net, x_idx)
-    s_next = np.asarray(s_next)
-    y_arr = np.asarray(y_next, dtype=np.float64)
-    w_arr = np.asarray(w, dtype=np.float64)
+    x_idx, s_next, y_arr, w_arr, span = _by_target_span(x_idx, s_next, y_next, w)
+    x_idx, _, h, gru_tape = _hidden(net, x_idx, span)
 
     sel = _target_probs(net, h, s_next)
     loss = masked_bce(sel, y_arr, w_arr)

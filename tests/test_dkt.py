@@ -271,6 +271,52 @@ def test_predict_records_counts_and_alignment():
             assert rec.p == traj.p[rec.step, rec.skill]
 
 
+def test_predict_records_long_student_matches_windowed_batch():
+    """One window rule: inference restarts the state every max_t steps, as
+    build_batch does for training and validation."""
+    k, max_t = 4, 4
+    model = DktModel.init(k, TrainConfig(embedding_dim=5, hidden_dim=6, max_t=max_t, seed=3))
+    rng = np.random.default_rng(31)
+    steps = [(int(rng.integers(0, k)), int(rng.integers(0, 2))) for _ in range(11)]
+    student = seq("long", steps)
+    batch = build_batch([student], k, max_t=max_t)  # windows of 4, 4, 3
+    assert batch.lengths.tolist() == [4, 4, 3]
+    probs, _ = nncore.net_forward(model.net, batch.lookup_tokens())
+    rows = np.concatenate([probs[i, :n] for i, n in enumerate(batch.lengths)])
+
+    preds, mastery = predict_records(model, [student], tag="dkt")
+    skills = [s for s, _ in steps]
+    for rec in mastery:
+        assert abs(rec.p - rows[rec.step, rec.skill]) < 1e-12
+    for rec in preds:  # step t reads row t-1, across window boundaries too
+        assert abs(rec.p - rows[rec.step - 1, skills[rec.step]]) < 1e-12
+    np.testing.assert_allclose(
+        mastery_trajectory(model, student).p, rows, atol=1e-12, rtol=0
+    )
+
+
+def test_predict_records_batched_matches_per_student_trajectories():
+    k = 5
+    cfg = TrainConfig(embedding_dim=6, hidden_dim=7, batch_size=2, max_t=4, seed=8)
+    model = DktModel.init(k, cfg)
+    rng = np.random.default_rng(32)
+    sequences = [
+        seq(f"u{i}", [(int(rng.integers(0, k)), int(rng.integers(0, 2))) for _ in range(n)])
+        for i, n in enumerate((3, 9, 2, 6, 1, 2, 5))  # 9 -> windows 4, 4, 1
+    ]
+    preds, mastery = predict_records(model, sequences, tag="dkt")
+    expected_preds, expected_mastery = [], []
+    for student in sequences:
+        traj = mastery_trajectory(model, student)
+        for t, (skill, _, y) in enumerate(student.steps):
+            if t >= 1:
+                expected_preds.append((student.user_id, t, skill, y, traj.p[t - 1, skill]))
+            expected_mastery.append((student.user_id, t, skill, y, traj.p[t, skill]))
+    for got, want in ((preds, expected_preds), (mastery, expected_mastery)):
+        assert [(r.user_id, r.step, r.skill, r.y_true) for r in got] == [w[:4] for w in want]
+        np.testing.assert_allclose([r.p for r in got], [w[4] for w in want], atol=1e-12, rtol=0)
+
+
 # ---------------------------------------------------------------------------
 # training
 

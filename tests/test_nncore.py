@@ -423,6 +423,27 @@ def test_gru_token_table_matches_input_matmul():
     np.testing.assert_allclose(h_table, h_plain, atol=1e-14, rtol=0)
 
 
+def dense_loss_and_grads(net, x_idx, s_next, y_next, w):
+    """Reference loss and gradients from the full (B, T, K) readout over
+    every cell, padded ones included."""
+    k = net.n_out
+    b, t_len = x_idx.shape
+    probs, tape = net_forward(net, x_idx)
+    bi, ti = np.arange(b)[:, None], np.arange(t_len)[None, :]
+    sel = probs[bi, ti, s_next]
+    ref_loss = masked_bce(sel, y_next, w)
+    d_logits = np.zeros_like(probs)
+    d_logits[bi, ti, s_next] = np.where(w > 0, (sel - y_next) / w.sum(), 0.0)
+    ref = {
+        "w_out": tape.h.reshape(-1, net.d_h).T @ d_logits.reshape(-1, k),
+        "b_out": d_logits.reshape(-1, k).sum(axis=0),
+    }
+    gru_grads, dx, _ = gru_backward(net.gru, tape.gru, d_logits @ net.w_out.T)
+    ref.update(gru_grads)
+    ref["embedding"] = embed_lookup_backward(x_idx, dx, net.n_tokens)
+    return ref_loss, ref
+
+
 def test_target_skill_readout_matches_dense_reference():
     rng = np.random.default_rng(21)
     k = 6
@@ -437,21 +458,7 @@ def test_target_skill_readout_matches_dense_reference():
         x_idx[i, length:] = 0  # padding remapped to token 0, as build_batch does
         s_next[i, length - 1 :] = 0
 
-    # dense reference: full (B, T, K) readout and gradient
-    probs, tape = net_forward(net, x_idx)
-    bi, ti = np.arange(b)[:, None], np.arange(t_len)[None, :]
-    sel = probs[bi, ti, s_next]
-    ref_loss = masked_bce(sel, y_next, w)
-    d_logits = np.zeros_like(probs)
-    d_logits[bi, ti, s_next] = np.where(w > 0, (sel - y_next) / w.sum(), 0.0)
-    ref = {
-        "w_out": tape.h.reshape(-1, net.d_h).T @ d_logits.reshape(-1, k),
-        "b_out": d_logits.reshape(-1, k).sum(axis=0),
-    }
-    gru_grads, dx, _ = gru_backward(net.gru, tape.gru, d_logits @ net.w_out.T)
-    ref.update(gru_grads)
-    ref["embedding"] = embed_lookup_backward(x_idx, dx, net.n_tokens)
-
+    ref_loss, ref = dense_loss_and_grads(net, x_idx, s_next, y_next, w)
     loss, grads = net_loss_and_grads(net, x_idx, s_next, y_next, w)
     assert abs(loss - ref_loss) < 1e-12
     assert abs(net_loss(net, x_idx, s_next, y_next, w) - ref_loss) < 1e-12
@@ -474,3 +481,73 @@ def test_training_step_never_allocates_a_dense_readout():
         finally:
             tracemalloc.stop()
         assert peak < dense_bytes, (step.__name__, peak, dense_bytes)
+
+
+# ---------------------------------------------------------------------------
+# packed GRU: padded cells skipped
+
+
+def test_embed_lookup_backward_matches_add_at():
+    rng = np.random.default_rng(23)
+    n_rows, d_emb = 12, 5
+    idx = rng.integers(0, 8, size=(6, 9))  # duplicates; rows 8..11 never used
+    d_out = rng.normal(size=(6, 9, d_emb))
+    d_out[2, 4:] = 0.0  # padded cells
+    d_out[:, 7] = 0.0
+    expected = np.zeros((n_rows, d_emb))
+    np.add.at(expected, idx.ravel(), d_out.reshape(-1, d_emb))
+    got = embed_lookup_backward(idx, d_out, n_rows)
+    np.testing.assert_allclose(got, expected, atol=1e-12, rtol=0)
+    assert not got[8:].any()
+    assert not embed_lookup_backward(idx, np.zeros_like(d_out), n_rows).any()
+
+
+def test_gru_lengths_skip_dead_cells():
+    rng = np.random.default_rng(24)
+    p = random_gru(rng, 3, 4)
+    lengths = np.array([6, 4, 4, 1, 0])
+    x = rng.normal(size=(5, 6, 3))
+    coef = rng.normal(size=(5, 6, 4))
+    live = np.arange(6)[None, :] < lengths[:, None]
+
+    h, tape = gru_forward(x, p, lengths=lengths)
+    grads, dx, dh0 = gru_backward(p, tape, coef)
+    assert not h[~live].any() and not dx[~live].any() and not dh0[4].any()
+    for i, n in enumerate(lengths[:4]):
+        h_row, _ = gru_forward(x[i, :n], p)
+        np.testing.assert_allclose(h[i, :n], h_row, atol=1e-14, rtol=0)
+    # dense reference: every cell computed, dead cells given zero gradient
+    _, dense_tape = gru_forward(x, p)
+    ref, ref_dx, _ = gru_backward(p, dense_tape, np.where(live[..., None], coef, 0.0))
+    np.testing.assert_allclose(dx, np.where(live[..., None], ref_dx, 0.0), atol=1e-12, rtol=0)
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, ref[name], atol=1e-12, rtol=0, err_msg=name)
+
+    with pytest.raises(ValueError, match="non-increasing"):
+        gru_forward(x, p, lengths=np.array([2, 6, 4, 1, 0]))
+
+
+def test_packed_loss_matches_dense_reference_on_unsorted_rows_with_holes():
+    rng = np.random.default_rng(25)
+    k = 6
+    net = init_net(2 * k, 3, 5, k, seed=27)
+    b, t_len = 4, 9
+    x_idx = rng.integers(0, 2 * k, size=(b, t_len))
+    s_next = rng.integers(0, k, size=(b, t_len))
+    y_next = rng.integers(0, 2, size=(b, t_len)).astype(float)
+    w = np.zeros((b, t_len))
+    for i, length in enumerate((2, 4, 7, 9)):  # increasing length order
+        w[i, : length - 1] = 1.0
+        x_idx[i, length:] = 0
+        s_next[i, length - 1 :] = 0
+    w[2, 1:3] = 0.0  # interior holes
+    w[3, 0] = 0.0
+    w[3, 5] = 0.0
+
+    ref_loss, ref = dense_loss_and_grads(net, x_idx, s_next, y_next, w)
+    loss, grads = net_loss_and_grads(net, x_idx, s_next, y_next, w)
+    assert abs(loss - ref_loss) < 1e-12
+    assert abs(net_loss(net, x_idx, s_next, y_next, w) - ref_loss) < 1e-12
+    assert grads.keys() == ref.keys()
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, ref[name], atol=1e-12, rtol=0, err_msg=name)
