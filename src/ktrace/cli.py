@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -193,17 +194,6 @@ def print_stats_table(stats_by_column: Dict[str, Optional[ingest.DatasetStats]])
         print(f"{label:<34}" + "".join(f"{c:>14}" for c in cells))
 
 
-def split_stats_payload(
-    split: ingest.DatasetSplit, extra: Dict[str, Optional[ingest.DatasetStats]]
-) -> Dict[str, Optional[dict]]:
-    payload: Dict[str, Optional[dict]] = {}
-    for name, stats in extra.items():
-        payload[name] = stats.to_dict() if stats is not None else None
-    for name, part in split.partitions().items():
-        payload[name] = ingest.summarize(part).to_dict()
-    return payload
-
-
 # ---------------------------------------------------------------------------
 # prepare
 
@@ -231,7 +221,13 @@ def write_prepared_workspace(
             "test": [s.user_id for s in split.test],
         },
     )
-    write_json(ws.stats_path, split_stats_payload(split, stats_columns))
+    write_json(
+        ws.stats_path,
+        {
+            name: None if stats is None else stats.to_dict()
+            for name, stats in stats_columns.items()
+        },
+    )
     if filter_report is not None:
         write_json(ws.root / "filter_report.json", filter_report.to_dict())
     ingest.write_rejects(ws.root / "rejects.csv", rejects)
@@ -269,16 +265,14 @@ def cmd_prepare(cfg: RunConfig) -> int:
         stats_columns = {
             "original": ingest.summarize_records(parsed.records),
             "preprocessed": ingest.summarize(indexed),
+            **ingest.summarize_split(split),
         }
         write_prepared_workspace(
             ws, cfg, indexed, vocab, split, stats_columns,
             rejects=parsed.rejects, filter_report=filter_report,
         )
 
-        all_stats = dict(stats_columns)
-        for name, part in split.partitions().items():
-            all_stats[name] = ingest.summarize(part)
-        print_stats_table(all_stats)
+        print_stats_table(stats_columns)
         print(
             f"\nparsed {len(parsed.records)} records "
             f"({len(parsed.rejects)} rejected, {parsed.duplicates_dropped} duplicates); "
@@ -307,7 +301,10 @@ def cmd_synth(cfg: RunConfig) -> int:
             skill_names=tuple(corpus.skill_names()),
         )
         split = ingest.split_students(corpus.sequences, cfg.ratios, cfg.seed)
-        stats_columns = {"preprocessed": ingest.summarize(corpus.sequences)}
+        stats_columns = {
+            "preprocessed": ingest.summarize(corpus.sequences),
+            **ingest.summarize_split(split),
+        }
         write_prepared_workspace(
             ws, cfg, corpus.sequences, vocab, split, stats_columns, stage="synth",
         )
@@ -317,10 +314,7 @@ def cmd_synth(cfg: RunConfig) -> int:
         )
         write_json(ws.root / "generative_spec.json", cfg.synth.to_dict())
 
-        all_stats = dict(stats_columns)
-        for name, part in split.partitions().items():
-            all_stats[name] = ingest.summarize(part)
-        print_stats_table(all_stats)
+        print_stats_table(stats_columns)
         print(
             f"\nsynthetic corpus: {cfg.synth.n_students} students, "
             f"oracle AUC (test, next-step positions): "
@@ -438,13 +432,9 @@ def cmd_probe(cfg: RunConfig, tag_override: Optional[str] = None) -> int:
             path = ws.trajectory_path(tag, user_id)
             path.parent.mkdir(parents=True, exist_ok=True)
             write_trajectory(path, traj)
-            for rec in traj.practiced_path():
-                mastery_records.append(
-                    PredictionRecord(
-                        user_id=rec.user_id, step=rec.step, skill=rec.skill,
-                        y_true=rec.y_true, p=rec.p, model_tag=tag,
-                    )
-                )
+            mastery_records.extend(
+                dataclasses.replace(rec, model_tag=tag) for rec in traj.practiced_path()
+            )
 
         write_prediction_dump(ws.dump_path(tag), all_records)
         if mastery_records:
@@ -454,7 +444,7 @@ def cmd_probe(cfg: RunConfig, tag_override: Optional[str] = None) -> int:
         payload = {
             "tag": tag,
             "model": cfg.probe.probe.model,
-            "coverage": coverage.to_dict(),
+            "coverage": coverage,
             "errors": all_errors,
             "network_requests": client.request_count,
         }
@@ -478,7 +468,7 @@ def cmd_probe(cfg: RunConfig, tag_override: Optional[str] = None) -> int:
         )
         print(
             f"probed {len(parts['test'])} students -> {len(all_records)} records "
-            f"({coverage.unresolved} unresolved), {client.request_count} network requests"
+            f"({coverage['unresolved']} unresolved), {client.request_count} network requests"
         )
         if stability:
             worst = max(s["max_delta"] for s in stability)
@@ -497,7 +487,7 @@ def evaluate_tag(
     if not pred_path.exists():
         return None
     records = read_prediction_dump(pred_path)
-    result: dict = {"tag": tag, "coverage": evaluation.coverage(records).to_dict()}
+    result: dict = {"tag": tag, "coverage": evaluation.coverage(records)}
 
     try:
         analysis = evaluation.roc_auc(records)

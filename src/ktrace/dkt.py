@@ -106,10 +106,45 @@ def _window_spans(n_steps: int, max_t: int) -> Tuple[Array, Array]:
     return starts, np.minimum(n_steps - starts, max_t)
 
 
-def _windows(steps: Sequence[Tuple[int, int, int]], max_t: int) -> List[Sequence[Tuple[int, int, int]]]:
-    # a trailing window of length 1 holds no next-step target
-    starts, lengths = _window_spans(len(steps), max_t)
-    return [steps[a : a + n] for a, n in zip(starts, lengths) if n >= 2]
+def _encode_steps(steps: Sequence[Tuple[int, int, int]], k: int) -> Tuple[Array, Array]:
+    """Skill and token arrays of a step list, checked like ``encode_step``."""
+    arr = np.asarray(steps, dtype=np.int64).reshape(-1, 3)
+    skills, labels = arr[:, 0], arr[:, 2]
+    bad = np.flatnonzero((skills < 0) | (skills >= k) | ((labels != 0) & (labels != 1)))
+    if bad.size:
+        encode_step(int(skills[bad[0]]), int(labels[bad[0]]), k)  # raises
+    return skills, skills + labels * k
+
+
+def _window_cells(starts: Array, lengths: Array) -> Tuple[Array, Array]:
+    """Flat step index of every cell of a window batch, and its live mask.
+
+    Row b covers steps ``starts[b] .. starts[b] + lengths[b] - 1``. Dead
+    (padded) cells point at the row's first step: any valid index will do,
+    because no result is read from them.
+    """
+    cols = np.arange(int(lengths.max()))
+    live = cols[None, :] < lengths[:, None]
+    return np.where(live, starts[:, None] + cols[None, :], starts[:, None]), live
+
+
+def _encode_windows(
+    sequences: Sequence[StudentSequence], k: int, max_t: int
+) -> Tuple[Array, Array, Array, Array, Array]:
+    """Flat step arrays of a sequence set and the spans of its windows.
+
+    Returns the skill and token of every step, all sequences concatenated;
+    the sequence boundaries into them (``offsets[i]`` is where sequence i
+    starts, the last entry is the total); and the flat start and length of
+    every ``max_t`` window.
+    """
+    sizes = np.array([len(seq) for seq in sequences], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    skills, tokens = _encode_steps([step for seq in sequences for step in seq.steps], k)
+    spans = [_window_spans(n, max_t) for n in sizes]
+    starts = np.concatenate([off + st for off, (st, _) in zip(offsets, spans)])
+    lengths = np.concatenate([n for _, n in spans])
+    return skills, tokens, offsets, starts, lengths
 
 
 def build_batch(
@@ -122,31 +157,25 @@ def build_batch(
     """
     if not sequences:
         raise ValueError("build_batch: empty input")
-    windows: List[Sequence[Tuple[int, int, int]]] = []
     for seq in sequences:
         if len(seq) < 2:
             raise ValueError(
                 f"sequence for student {seq.user_id} has {len(seq)} steps; need >= 2"
             )
-        windows.extend(_windows(seq.steps, max_t))
-
-    b = len(windows)
-    t_max = max(len(w) for w in windows)
+    skills, tokens, _, starts, lengths = _encode_windows(sequences, k, max_t)
+    keep = lengths >= 2  # a trailing window of length 1 holds no next-step target
+    starts, lengths = starts[keep], lengths[keep]
+    cells, live = _window_cells(starts, lengths)
     pad = 2 * k
-    x = np.full((b, t_max), pad, dtype=np.int64)
-    s = np.full((b, t_max), pad, dtype=np.int64)
-    y = np.zeros((b, t_max), dtype=np.int64)
-    w = np.zeros((b, t_max), dtype=np.float64)
-    lengths = np.zeros(b, dtype=np.int64)
-    for i, win in enumerate(windows):
-        t_i = len(win)
-        lengths[i] = t_i
-        for t, (skill, _, label) in enumerate(win):
-            x[i, t] = encode_step(skill, label, k)
-            s[i, t] = skill
-            y[i, t] = label
-        w[i, : t_i - 1] = 1.0
-    return EncodedBatch(x=x, s=s, y=y, w=w, lengths=lengths, pad_index=pad, k=k)
+    return EncodedBatch(
+        x=np.where(live, tokens[cells], pad),
+        s=np.where(live, skills[cells], pad),
+        y=np.where(live, tokens[cells] // k, 0),
+        w=(np.arange(live.shape[1]) < lengths[:, None] - 1).astype(np.float64),
+        lengths=lengths,
+        pad_index=pad,
+        k=k,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -312,28 +341,6 @@ def _model_setting(model: DktModel, name: str) -> int:
     return int(model.config.get(name, getattr(TrainConfig(), name)))
 
 
-def _encode_steps(steps: Sequence[Tuple[int, int, int]], k: int) -> Tuple[Array, Array]:
-    """Skill and token arrays of a step list, checked like ``encode_step``."""
-    arr = np.asarray(steps, dtype=np.int64).reshape(-1, 3)
-    skills, labels = arr[:, 0], arr[:, 2]
-    bad = np.flatnonzero((skills < 0) | (skills >= k) | ((labels != 0) & (labels != 1)))
-    if bad.size:
-        encode_step(int(skills[bad[0]]), int(labels[bad[0]]), k)  # raises
-    return skills, skills + labels * k
-
-
-def _window_cells(starts: Array, lengths: Array) -> Tuple[Array, Array]:
-    """Flat step index of every cell of a window batch, and its live mask.
-
-    Row b covers steps ``starts[b] .. starts[b] + lengths[b] - 1``. Dead
-    (padded) cells point at the row's first step: any valid index will do,
-    because no result is read from them.
-    """
-    cols = np.arange(int(lengths.max()))
-    live = cols[None, :] < lengths[:, None]
-    return np.where(live, starts[:, None] + cols[None, :], starts[:, None]), live
-
-
 def mastery_trajectory(model: DktModel, sequence: StudentSequence) -> MasteryTrajectory:
     """Full T x K probability matrix under the inference window rule: the
     hidden state restarts every ``max_t`` steps. Row t is computed from the
@@ -381,19 +388,12 @@ def predict_records(
         return [], []
     max_t = _model_setting(model, "max_t")
     batch_size = _model_setting(model, "batch_size")
-    sizes = np.array([len(seq) for seq in sequences], dtype=np.int64)
-    if (sizes < 1).any():
+    if any(len(seq) < 1 for seq in sequences):
         raise ValueError("sequence must have at least one step")
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    skills, tokens = _encode_steps(
-        [step for seq in sequences for step in seq.steps], model.k
-    )
+    skills, tokens, offsets, starts, lengths = _encode_windows(sequences, model.k, max_t)
     next_skills = np.append(skills[1:], 0)
     next_skills[offsets[1:] - 1] = 0  # a sequence's last step has no next step
 
-    spans = [_window_spans(n, max_t) for n in sizes]
-    starts = np.concatenate([off + st for off, (st, _) in zip(offsets, spans)])
-    lengths = np.concatenate([n for _, n in spans])
     order = np.argsort(-lengths, kind="stable")
 
     p_mastery = np.empty(len(skills))

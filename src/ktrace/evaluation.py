@@ -6,8 +6,13 @@ early/middle/late stage errors split by stable/switching learner profiles,
 temporal-coherence metrics (volatility and directional inconsistency over
 same-skill mastery paths), and multi-skill mastery heatmap export as SVG.
 
-All operations are pure over immutable record lists; unresolved probe records
-are excluded from every metric and surfaced through the coverage report.
+Every metric reads a record list through one array view, ``_columns``:
+parallel user id, step, skill, label and probability arrays, with NaN where
+a probe record is unresolved. Unresolved records are excluded from every
+metric and surfaced through the coverage report. One update rule,
+``_updates``, decides which consecutive same-path mastery changes move
+against the observed response; `volatility`, `inconsistency`,
+`coherence_report` and the heatmap annotation all use it.
 """
 
 from __future__ import annotations
@@ -15,41 +20,50 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .records import MasteryTrajectory, PredictionRecord, group_by_student
+from .records import MasteryTrajectory, PredictionRecord
 
 STABLE = "stable"
 SWITCHING = "switching"
 STAGES = ("early", "middle", "late")
 
 
-def resolved(records: Sequence[PredictionRecord]) -> List[PredictionRecord]:
-    return [r for r in records if r.resolved]
+class _Columns(NamedTuple):
+    """Parallel per-record arrays of a record list."""
+
+    user: np.ndarray   # user ids (str)
+    step: np.ndarray
+    skill: np.ndarray
+    y: np.ndarray
+    p: np.ndarray      # NaN where the record is unresolved
+
+    def resolved_rows(self) -> "_Columns":
+        keep = ~np.isnan(self.p)
+        return _Columns(*(col[keep] for col in self))
 
 
-@dataclass
-class CoverageReport:
-    total: int
-    resolved: int
-
-    @property
-    def unresolved(self) -> int:
-        return self.total - self.resolved
-
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "resolved": self.resolved,
-            "unresolved": self.unresolved,
-            "coverage": self.resolved / self.total if self.total else 0.0,
-        }
+def _columns(records: Sequence[PredictionRecord]) -> _Columns:
+    return _Columns(
+        user=np.array([r.user_id for r in records], dtype=str),
+        step=np.array([r.step for r in records], dtype=np.int64),
+        skill=np.array([r.skill for r in records], dtype=np.int64),
+        y=np.array([r.y_true for r in records], dtype=np.int64),
+        p=np.array([r.p for r in records], dtype=np.float64),
+    )
 
 
-def coverage(records: Sequence[PredictionRecord]) -> CoverageReport:
-    return CoverageReport(total=len(records), resolved=len(resolved(records)))
+def coverage(records: Sequence[PredictionRecord]) -> dict:
+    total = len(records)
+    resolved = sum(1 for r in records if r.resolved)
+    return {
+        "total": total,
+        "resolved": resolved,
+        "unresolved": total - resolved,
+        "coverage": resolved / total if total else 0.0,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -66,17 +80,8 @@ class ThresholdAnalysis:
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """Average ranks (1-based) with ties sharing the mean of their span."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def roc_auc(records: Sequence[PredictionRecord]) -> ThresholdAnalysis:
@@ -86,11 +91,10 @@ def roc_auc(records: Sequence[PredictionRecord]) -> ThresholdAnalysis:
     classified positive when p >= threshold. Requires both classes among the
     resolved records.
     """
-    recs = resolved(records)
-    if not recs:
+    cols = _columns(records).resolved_rows()
+    if not len(cols.p):
         raise ValueError("AUC undefined: no resolved records")
-    scores = np.array([r.p for r in recs], dtype=np.float64)
-    labels = np.array([r.y_true for r in recs], dtype=np.int64)
+    scores, labels = cols.p, cols.y
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -105,35 +109,25 @@ def roc_auc(records: Sequence[PredictionRecord]) -> ThresholdAnalysis:
     sorted_labels = labels[order]
     tp = np.cumsum(sorted_labels)
     fp = np.cumsum(1 - sorted_labels)
-    distinct = np.nonzero(np.diff(sorted_scores))[0]
-    idx = np.concatenate([distinct, [len(sorted_scores) - 1]])
+    idx = np.append(np.flatnonzero(np.diff(sorted_scores)), len(sorted_scores) - 1)
+    fpr = np.concatenate([[0.0], fp[idx] / n_neg, [1.0]])
+    tpr = np.concatenate([[0.0], tp[idx] / n_pos, [1.0]])
+    thresholds = np.concatenate([[math.inf], sorted_scores[idx], [-math.inf]])
 
-    roc: List[Tuple[float, float, float]] = [(0.0, 0.0, math.inf)]
-    for i in idx:
-        roc.append((fp[i] / n_neg, tp[i] / n_pos, float(sorted_scores[i])))
-    roc.append((1.0, 1.0, -math.inf))
-
-    t_star, j_stat = _youden_from_roc(roc)
-    return ThresholdAnalysis(auc=float(auc), roc=roc, youden_threshold=t_star, j_stat=j_stat)
-
-
-def _youden_from_roc(roc: Sequence[Tuple[float, float, float]]) -> Tuple[float, float]:
-    best_j = -math.inf
-    best_t = math.inf
-    # roc is ordered by descending threshold; strict improvement keeps the
-    # largest threshold among ties
-    for fpr, tpr, threshold in roc:
-        j = tpr - fpr
-        if j > best_j:
-            best_j = j
-            best_t = threshold
-    return best_t, best_j
+    # argmax takes the first maximum: the largest threshold among ties
+    best = int(np.argmax(tpr - fpr))
+    return ThresholdAnalysis(
+        auc=float(auc),
+        roc=list(zip(fpr.tolist(), tpr.tolist(), thresholds.tolist())),
+        youden_threshold=float(thresholds[best]),
+        j_stat=float(tpr[best] - fpr[best]),
+    )
 
 
 def youden_threshold(analysis: ThresholdAnalysis) -> float:
     """argmax over ROC thresholds of TPR - FPR; ties go to the larger
     threshold."""
-    return _youden_from_roc(analysis.roc)[0]
+    return analysis.youden_threshold
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +171,11 @@ def confusion_metrics(
     Class 0 is the low-performer (incorrect) row, class 1 the high-performer
     row. Zero-division cells yield 0 and are flagged.
     """
-    recs = resolved(records)
-    if not recs:
+    cols = _columns(records).resolved_rows()
+    if not len(cols.p):
         raise ValueError("no resolved records")
-    y = np.array([r.y_true for r in recs])
-    pred = np.array([1 if r.p >= threshold else 0 for r in recs])
+    y = cols.y
+    pred = (cols.p >= threshold).astype(np.int64)
     tp = int(((pred == 1) & (y == 1)).sum())
     tn = int(((pred == 0) & (y == 0)).sum())
     fp = int(((pred == 1) & (y == 0)).sum())
@@ -208,7 +202,7 @@ def confusion_metrics(
             precision=precision, recall=recall, f1=f1, support=tp_c + fn_c
         )
     return ConfusionMetrics(
-        accuracy=(tp + tn) / len(recs),
+        accuracy=(tp + tn) / len(y),
         per_class=per_class,
         threshold=threshold,
         counts={"tp": tp, "tn": tn, "fp": fp, "fn": fn},
@@ -263,26 +257,25 @@ def stage_errors(
     counts: Dict[Tuple[str, str], int] = {}
     per_student_rates: Dict[Tuple[str, str], List[float]] = {}
 
-    for user, rows in group_by_student(records).items():
-        rows = [r for r in rows if r.resolved]
-        if not rows:
-            continue
-        labels = [r.y_true for r in rows]
-        group = classify_profile(labels)
-        sizes = stage_sizes(len(rows))
+    cols = _columns(records).resolved_rows()
+    order = np.lexsort((cols.step, cols.user))
+    labels = cols.y[order]
+    wrong = (cols.p[order] >= threshold) != labels
+    # split at each student's first row; the piece before row 0 is empty
+    _, first = np.unique(cols.user[order], return_index=True)
+    students = zip(np.split(labels, first)[1:], np.split(wrong, first)[1:])
+    for y_student, wrong_student in students:
+        group = classify_profile(y_student.tolist())
         start = 0
-        for stage, size in zip(STAGES, sizes):
+        for stage, size in zip(STAGES, stage_sizes(len(y_student))):
             if size == 0:
                 continue
-            chunk = rows[start : start + size]
+            n_wrong = int(wrong_student[start : start + size].sum())
             start += size
-            wrong = sum(
-                1 for r in chunk if (1 if r.p >= threshold else 0) != r.y_true
-            )
             key = (group, stage)
-            mism.setdefault(key, []).append(wrong)
+            mism.setdefault(key, []).append(n_wrong)
             counts[key] = counts.get(key, 0) + size
-            per_student_rates.setdefault(key, []).append(wrong / size)
+            per_student_rates.setdefault(key, []).append(n_wrong / size)
 
     out: List[ProfileStageErrors] = []
     for group in (SWITCHING, STABLE):
@@ -304,13 +297,31 @@ def stage_errors(
 # temporal coherence
 
 
+def _updates(
+    p: np.ndarray, y: np.ndarray, linked: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The temporal-coherence update rule over a sequence of mastery values.
+
+    ``linked[i]`` says whether element i+1 continues element i's same-skill
+    path; each linked pair is one update. Returns the index of each update's
+    second element, its absolute change, and whether its direction
+    contradicts the response y observed at that element. Zero change
+    contradicts nothing, and a NaN on either side is never a mismatch.
+    """
+    at = np.flatnonzero(linked) + 1
+    delta = p[at] - p[at - 1]
+    expected = np.where(y[at] == 1, 1.0, -1.0)
+    return at, np.abs(delta), delta * expected < 0
+
+
 def volatility(p_sequence: Sequence[float]) -> float:
     """Mean absolute change between consecutive values of a same-skill
     mastery path."""
     if len(p_sequence) < 2:
         raise ValueError("volatility needs at least 2 attempts")
-    diffs = [abs(b - a) for a, b in zip(p_sequence, p_sequence[1:])]
-    return sum(diffs) / len(diffs)
+    p = np.asarray(p_sequence, dtype=np.float64)
+    _, step_size, _ = _updates(p, np.zeros(len(p)), np.ones(len(p) - 1, dtype=bool))
+    return float(step_size.mean())
 
 
 def inconsistency(p_sequence: Sequence[float], y_sequence: Sequence[int]) -> float:
@@ -320,28 +331,9 @@ def inconsistency(p_sequence: Sequence[float], y_sequence: Sequence[int]) -> flo
         raise ValueError("p and y must align")
     if len(p_sequence) < 2:
         raise ValueError("inconsistency needs at least 2 attempts")
-    mismatches = 0
-    for t in range(1, len(p_sequence)):
-        delta = p_sequence[t] - p_sequence[t - 1]
-        expected = 1.0 if y_sequence[t] == 1 else -1.0
-        if delta * expected < 0:
-            mismatches += 1
-    return mismatches / (len(p_sequence) - 1)
-
-
-def _same_skill_paths(
-    records: Sequence[PredictionRecord],
-) -> Dict[Tuple[str, int], Tuple[List[float], List[int]]]:
-    """Resolved mastery values grouped by (student, skill) in step order."""
-    paths: Dict[Tuple[str, int], Tuple[List[float], List[int]]] = {}
-    for user, rows in group_by_student(records).items():
-        for rec in rows:
-            if not rec.resolved:
-                continue
-            ps, ys = paths.setdefault((user, rec.skill), ([], []))
-            ps.append(rec.p)
-            ys.append(rec.y_true)
-    return paths
+    p = np.asarray(p_sequence, dtype=np.float64)
+    _, _, mismatch = _updates(p, np.asarray(y_sequence), np.ones(len(p) - 1, dtype=bool))
+    return int(mismatch.sum()) / len(mismatch)
 
 
 @dataclass
@@ -363,38 +355,33 @@ class CoherenceReport:
 def coherence_report(mastery_records: Sequence[PredictionRecord]) -> CoherenceReport:
     """Pooled volatility and inconsistency over all same-skill update pairs
     (micro-average), plus per-student values over each student's own pairs.
-    Skills with fewer than two attempts are skipped."""
-    paths = _same_skill_paths(mastery_records)
-    abs_terms: List[float] = []
-    mismatches: List[int] = []
-    per_student_terms: Dict[str, Tuple[List[float], List[int]]] = {}
-    for (user, _), (ps, ys) in paths.items():
-        if len(ps) < 2:
-            continue
-        terms, flags = per_student_terms.setdefault(user, ([], []))
-        for t in range(1, len(ps)):
-            delta = ps[t] - ps[t - 1]
-            expected = 1.0 if ys[t] == 1 else -1.0
-            abs_terms.append(abs(delta))
-            mismatch = 1 if delta * expected < 0 else 0
-            mismatches.append(mismatch)
-            terms.append(abs(delta))
-            flags.append(mismatch)
-    if not abs_terms:
+    Unresolved records are dropped before pairing; skills with fewer than
+    two attempts are skipped."""
+    cols = _columns(mastery_records).resolved_rows()
+    users, user = np.unique(cols.user, return_inverse=True)
+    order = np.lexsort((cols.step, cols.skill, user))
+    user, skill = user[order], cols.skill[order]
+    linked = (user[1:] == user[:-1]) & (skill[1:] == skill[:-1])
+    at, step_size, mismatch = _updates(cols.p[order], cols.y[order], linked)
+    if not len(at):
         raise ValueError("no same-skill update pairs available")
+
+    owner = user[at]
+    n_pairs = np.bincount(owner, minlength=len(users))
+    moved = np.bincount(owner, weights=step_size, minlength=len(users))
+    wrong = np.bincount(owner, weights=mismatch, minlength=len(users))
     per_student = {
-        user: {
-            "volatility": sum(terms) / len(terms),
-            "inconsistency": sum(flags) / len(flags),
-            "n_update_pairs": len(terms),
+        str(users[u]): {
+            "volatility": float(moved[u] / n_pairs[u]),
+            "inconsistency": float(wrong[u] / n_pairs[u]),
+            "n_update_pairs": int(n_pairs[u]),
         }
-        for user, (terms, flags) in sorted(per_student_terms.items())
-        if terms
+        for u in np.flatnonzero(n_pairs)
     }
     return CoherenceReport(
-        volatility=sum(abs_terms) / len(abs_terms),
-        inconsistency=sum(mismatches) / len(mismatches),
-        n_update_pairs=len(abs_terms),
+        volatility=float(step_size.mean()),
+        inconsistency=int(mismatch.sum()) / len(at),
+        n_update_pairs=len(at),
         per_student=per_student,
     )
 
@@ -412,22 +399,22 @@ def volatility_all_skills(traj: MasteryTrajectory) -> float:
 # heatmap export
 
 
-def _inconsistent_cells(traj: MasteryTrajectory) -> List[Tuple[int, int]]:
-    """Cells (t, skill) where the practiced skill's update direction
-    contradicts the response at t; same rule as `inconsistency`."""
-    last_seen: Dict[int, int] = {}
-    cells: List[Tuple[int, int]] = []
-    for t, (skill, _, y) in enumerate(traj.steps):
-        if skill in last_seen:
-            prev_t = last_seen[skill]
-            prev, cur = traj.p[prev_t, skill], traj.p[t, skill]
-            if not (np.isnan(prev) or np.isnan(cur)):
-                delta = cur - prev
-                expected = 1.0 if y == 1 else -1.0
-                if delta * expected < 0:
-                    cells.append((t, skill))
-        last_seen[skill] = t
-    return cells
+def _skill_paths(traj: MasteryTrajectory) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The practiced steps grouped by skill (ascending), in step order within
+    a skill: the step indices, and the skill and response at each."""
+    steps = np.array(traj.steps, dtype=np.int64).reshape(-1, 3)
+    order = np.argsort(steps[:, 0], kind="stable")
+    return order, steps[order, 0], steps[order, 2]
+
+
+def _inconsistent_cells(
+    traj: MasteryTrajectory, order: np.ndarray, skill: np.ndarray, y: np.ndarray
+) -> List[Tuple[int, int]]:
+    """Cells (t, skill), in step order, where the practiced skill's update
+    direction contradicts the response at t. The path keeps NaN cells, so a
+    pair with a NaN side annotates nothing."""
+    at, _, mismatch = _updates(traj.p[order, skill], y, skill[1:] == skill[:-1])
+    return [(int(t), traj.steps[t][0]) for t in np.sort(order[at[mismatch]])]
 
 
 def _cell_color(p: float) -> str:
@@ -457,8 +444,8 @@ def heatmap_export(
     from .records import write_trajectory
 
     t_len, k = traj.p.shape
-    bad_cells = _inconsistent_cells(traj)
-    bad_set = set(bad_cells)
+    order, skill, y = _skill_paths(traj)
+    bad_cells = _inconsistent_cells(traj, order, skill, y)
 
     cell = 22
     left = 180
@@ -495,10 +482,9 @@ def heatmap_export(
             )
 
     # white reference path through each skill's practiced cells
-    by_skill: Dict[int, List[int]] = {}
-    for t, (skill, _, _) in enumerate(traj.steps):
-        by_skill.setdefault(skill, []).append(t)
-    for s, times in sorted(by_skill.items()):
+    skills, first = np.unique(skill, return_index=True)
+    for s, times in zip(skills.tolist(), np.split(order, first)[1:]):
+        times = times.tolist()
         pts = " ".join(
             f"{left + t * cell + cell / 2},{top + s * cell + cell / 2}" for t in times
         )

@@ -365,6 +365,22 @@ def test_evaluate_hand_built_three_record_dump(tmp_path):
     assert metrics["auc"] == pytest.approx(1.0)  # pos score above both negs
 
 
+def test_evaluate_roc_report_cells_are_plain_numbers(tmp_path):
+    cfg_payload = synth_config(tmp_path)
+    cfg_payload["evaluate"] = {"tags": ["oracle"]}
+    cfg_path = write_config(tmp_path / "c.json", cfg_payload)
+    assert main(["synth", "--config", cfg_path]) == 0
+    assert main(["evaluate", "--config", cfg_path]) == 0
+    lines = Workspace(tmp_path / "ws").report_path("roc_oracle.csv").read_text().splitlines()
+    assert lines[0] == "fpr,tpr,threshold"
+    assert len(lines) > 3
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert len(cells) == 3
+        for cell in cells:
+            float(cell)  # a repr such as np.float64(0.5) raises here
+
+
 def test_evaluate_side_by_side_tags_and_missing_tag(tmp_path, capsys):
     cfg_payload = synth_config(tmp_path)
     cfg_payload["evaluate"] = {"tags": ["oracle", "ghost"]}

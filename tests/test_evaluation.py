@@ -338,6 +338,60 @@ def test_coherence_skips_single_attempt_skills():
     assert report.n_update_pairs == 1
 
 
+def test_coherence_report_equals_per_path_scalar_metrics():
+    rng = np.random.default_rng(10)
+    records = []
+    for u in range(5):
+        for t in range(int(rng.integers(2, 25))):
+            p = None if rng.random() < 0.2 else float(np.round(rng.random(), 2))
+            y = int(rng.integers(0, 2))
+            records.append(rec(f"u{u}", t, y, p, skill=int(rng.integers(0, 3))))
+    rng.shuffle(records)
+    report = coherence_report(records)
+
+    # oracle: the scalar ops over each (user, skill) path of resolved records
+    pooled = {"pairs": 0, "mismatches": 0, "moved": 0.0}
+    per_student = {}
+    for user in sorted({r.user_id for r in records}):
+        stats = per_student.setdefault(user, {"pairs": 0, "mismatches": 0, "moved": 0.0})
+        for skill in range(3):
+            path = sorted(
+                (r for r in records if r.user_id == user and r.skill == skill and r.resolved),
+                key=lambda r: r.step,
+            )
+            if len(path) < 2:
+                continue
+            ps, ys = [r.p for r in path], [r.y_true for r in path]
+            n = len(path) - 1
+            for acc in (pooled, stats):
+                acc["pairs"] += n
+                acc["mismatches"] += round(inconsistency(ps, ys) * n)
+                acc["moved"] += volatility(ps) * n
+    assert pooled["pairs"] > 20 and pooled["mismatches"] > 0
+    assert report.n_update_pairs == pooled["pairs"]
+    assert report.inconsistency == pooled["mismatches"] / pooled["pairs"]
+    assert report.volatility == pytest.approx(pooled["moved"] / pooled["pairs"], rel=1e-12)
+    expected = {u: s for u, s in per_student.items() if s["pairs"]}
+    assert report.per_student.keys() == expected.keys()
+    for user, stats in expected.items():
+        got = report.per_student[user]
+        assert got["n_update_pairs"] == stats["pairs"]
+        assert got["inconsistency"] == stats["mismatches"] / stats["pairs"]
+        assert got["volatility"] == pytest.approx(stats["moved"] / stats["pairs"], rel=1e-12)
+
+
+def test_unresolved_cell_breaks_heatmap_pair_but_not_coherence_pair(tmp_path):
+    # skill 0 path 0.5 -> NaN -> 0.4, every response correct
+    p = np.array([[0.5, 0.5], [np.nan, 0.5], [0.4, 0.5]])
+    traj = MasteryTrajectory(user_id="s", p=p, steps=[(0, 0, 1), (0, 0, 1), (0, 0, 1)])
+    # the heatmap keeps the NaN cell in the path: neither pair annotates
+    assert heatmap_export(traj, ["a", "b"], tmp_path / "h.svg") == 0
+    # the coherence metrics drop the unresolved record, then pair 0.5 -> 0.4
+    report = coherence_report(traj.practiced_path())
+    assert report.n_update_pairs == 1
+    assert report.inconsistency == 1.0
+
+
 def test_volatility_all_skills_alternative():
     traj = MasteryTrajectory(
         user_id="u1",
