@@ -679,9 +679,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, ingest.ColumnMappingError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except WorkspaceLocked as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # runtime failures
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,6 +18,7 @@ batches, skipping padded cells, and reads out only the skills it reports.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -76,10 +77,6 @@ class EncodedBatch:
     lengths: Array   # (B,) true window lengths
     pad_index: int
     k: int
-
-    @property
-    def max_t(self) -> int:
-        return self.x.shape[1]
 
     def lookup_tokens(self) -> Array:
         """Token matrix safe to feed to the embedding: padding cells are
@@ -441,12 +438,17 @@ def predict_records(
 # checkpoints
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(model: DktModel, path: str | Path) -> None:
-    """Single-file container: all parameter tensors plus a JSON meta blob
-    (version, K, vocab hash, training config)."""
+    """Single-file container: the six parameter tensors of ``DktNet.flat()``
+    (``embedding``, the packed GRU ``w``/``u``/``b`` with gate order z|r|h,
+    ``w_out``, ``b_out``), each stored as ``param_<name>``, plus a JSON meta
+    blob (version, K, vocab hash, training config).
+
+    The file is written to a temporary file in the same directory and moved
+    into place, so a failed write leaves any previous checkpoint intact."""
     meta = json.dumps(
         {
             "version": CHECKPOINT_VERSION,
@@ -457,8 +459,15 @@ def save_checkpoint(model: DktModel, path: str | Path) -> None:
         sort_keys=True,
     )
     tensors = {f"param_{name}": arr for name, arr in model.net.flat().items()}
-    with open(path, "wb") as fh:
-        np.savez(fh, meta=np.frombuffer(meta.encode("utf-8"), dtype=np.uint8), **tensors)
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, meta=np.frombuffer(meta.encode("utf-8"), dtype=np.uint8), **tensors)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path, expect_vocab_hash: str | None = None) -> DktModel:

@@ -219,11 +219,16 @@ class ProbeClient:
         return Path(self.config.cache_dir) / f"{key}.json"
 
     def _cache_read(self, key: str) -> Optional[Dict[str, float]]:
+        """Cached top-k for ``key``, or None on a miss. A torn or malformed
+        entry is a miss too, so the prompt is fetched and the entry rewritten."""
         path = self._cache_path(key)
         if path is None or not path.exists():
             return None
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)["top_logprobs"]
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return json.load(fh)["top_logprobs"]
+        except (ValueError, KeyError, TypeError):
+            return None
 
     def _cache_write(self, key: str, top_logprobs: Dict[str, float]) -> None:
         path = self._cache_path(key)
@@ -295,11 +300,6 @@ class ProbeClient:
 
     def request_logits(self, prompt: PromptRecord, use_cache: bool = True) -> LogitPair:
         return resolve_logit_pair(self.fetch_top_logprobs(prompt, use_cache=use_cache))
-
-
-def request_logits(config: ProbeConfig, prompt: PromptRecord) -> LogitPair:
-    """One-shot convenience wrapper around ProbeClient.request_logits."""
-    return ProbeClient(config).request_logits(prompt)
 
 
 # ---------------------------------------------------------------------------

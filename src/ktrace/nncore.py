@@ -6,8 +6,8 @@ a masked binary cross-entropy on next-step targets. All backward passes are
 hand-written for this stack and verified against central finite differences
 in the test suite; there is no generic autodiff here on purpose.
 
-The GRU runs as one fused kernel: the nine gate tensors are packed per call
-into W (d_in, 3h), U_zr (h, 2h), u_h and b, and each step gathers its input
+The GRU runs as one fused kernel on its packed parameters W (d_in, 3h),
+U (h, 3h) and b (3h,), gate order z|r|h, and each step gathers its input
 projection from the token table ``embedding @ W + b``. Given row lengths in
 non-increasing order, the kernel runs step t on the live prefix of rows only
 and leaves padded cells at zero. Training and validation (``net_loss``,
@@ -44,33 +44,24 @@ def sigmoid(x: Array) -> Array:
 
 @dataclass
 class GruParams:
-    """Single-layer GRU weights. Input-to-hidden matrices are (d_in, d_h),
-    hidden-to-hidden are (d_h, d_h), biases are (d_h,)."""
+    """Single-layer GRU weights, packed along the last axis in gate order
+    z|r|h (update, reset, candidate): input-to-hidden ``w`` (d_in, 3h),
+    hidden-to-hidden ``u`` (h, 3h) and bias ``b`` (3h,)."""
 
-    w_z: Array
-    w_r: Array
-    w_h: Array
-    u_z: Array
-    u_r: Array
-    u_h: Array
-    b_z: Array
-    b_r: Array
-    b_h: Array
+    w: Array
+    u: Array
+    b: Array
 
     @property
     def d_in(self) -> int:
-        return self.w_z.shape[0]
+        return self.w.shape[0]
 
     @property
     def d_h(self) -> int:
-        return self.w_z.shape[1]
+        return self.u.shape[0]
 
     def flat(self) -> Dict[str, Array]:
-        return {
-            "w_z": self.w_z, "w_r": self.w_r, "w_h": self.w_h,
-            "u_z": self.u_z, "u_r": self.u_r, "u_h": self.u_h,
-            "b_z": self.b_z, "b_r": self.b_r, "b_h": self.b_h,
-        }
+        return {"w": self.w, "u": self.u, "b": self.b}
 
 
 @dataclass
@@ -111,19 +102,12 @@ class DktNet:
     def copy(self) -> "DktNet":
         return from_flat({k: v.copy() for k, v in self.flat().items()})
 
-    def param_count(self) -> int:
-        return sum(v.size for v in self.flat().values())
-
 
 def from_flat(tensors: Dict[str, Array]) -> DktNet:
     """Rebuild a DktNet from a name->array mapping (views, no copies)."""
     return DktNet(
         embedding=tensors["embedding"],
-        gru=GruParams(
-            w_z=tensors["w_z"], w_r=tensors["w_r"], w_h=tensors["w_h"],
-            u_z=tensors["u_z"], u_r=tensors["u_r"], u_h=tensors["u_h"],
-            b_z=tensors["b_z"], b_r=tensors["b_r"], b_h=tensors["b_h"],
-        ),
+        gru=GruParams(w=tensors["w"], u=tensors["u"], b=tensors["b"]),
         w_out=tensors["w_out"],
         b_out=tensors["b_out"],
     )
@@ -136,21 +120,17 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape: Tuple[in
 
 def init_net(n_tokens: int, d_emb: int, d_h: int, n_out: int, seed: int = 0) -> DktNet:
     """Seeded uniform(-a, a) init with a = sqrt(6 / (fan_in + fan_out)) for
-    matrices; biases start at zero. Draw order is fixed for reproducibility."""
+    matrices; biases start at zero. Draw order is fixed for reproducibility:
+    the embedding, then the z, r and h blocks of the GRU's ``w`` (each
+    (d_emb, d_h)), then those of ``u`` (each (d_h, d_h)), then ``w_out``.
+    Each gate block is drawn on its own and the blocks are concatenated."""
     rng = np.random.default_rng(seed)
+    embedding = _glorot(rng, n_tokens, d_emb, (n_tokens, d_emb))
+    w = np.concatenate([_glorot(rng, d_emb, d_h, (d_emb, d_h)) for _ in range(3)], axis=1)
+    u = np.concatenate([_glorot(rng, d_h, d_h, (d_h, d_h)) for _ in range(3)], axis=1)
     return DktNet(
-        embedding=_glorot(rng, n_tokens, d_emb, (n_tokens, d_emb)),
-        gru=GruParams(
-            w_z=_glorot(rng, d_emb, d_h, (d_emb, d_h)),
-            w_r=_glorot(rng, d_emb, d_h, (d_emb, d_h)),
-            w_h=_glorot(rng, d_emb, d_h, (d_emb, d_h)),
-            u_z=_glorot(rng, d_h, d_h, (d_h, d_h)),
-            u_r=_glorot(rng, d_h, d_h, (d_h, d_h)),
-            u_h=_glorot(rng, d_h, d_h, (d_h, d_h)),
-            b_z=np.zeros(d_h),
-            b_r=np.zeros(d_h),
-            b_h=np.zeros(d_h),
-        ),
+        embedding=embedding,
+        gru=GruParams(w=w, u=u, b=np.zeros(3 * d_h)),
         w_out=_glorot(rng, d_h, n_out, (d_h, n_out)),
         b_out=np.zeros(n_out),
     )
@@ -161,9 +141,7 @@ def zero_net(n_tokens: int, d_emb: int, d_h: int, n_out: int) -> DktNet:
     return DktNet(
         embedding=np.zeros((n_tokens, d_emb)),
         gru=GruParams(
-            w_z=np.zeros((d_emb, d_h)), w_r=np.zeros((d_emb, d_h)), w_h=np.zeros((d_emb, d_h)),
-            u_z=np.zeros((d_h, d_h)), u_r=np.zeros((d_h, d_h)), u_h=np.zeros((d_h, d_h)),
-            b_z=np.zeros(d_h), b_r=np.zeros(d_h), b_h=np.zeros(d_h),
+            w=np.zeros((d_emb, 3 * d_h)), u=np.zeros((d_h, 3 * d_h)), b=np.zeros(3 * d_h)
         ),
         w_out=np.zeros((d_h, n_out)),
         b_out=np.zeros(n_out),
@@ -212,15 +190,6 @@ def embed_lookup_backward(indices: Array, d_out: Array, n_rows: int) -> Array:
 # GRU
 
 
-def _pack(p: GruParams) -> Tuple[Array, Array, Array, Array]:
-    """Fuse the nine gate tensors into the kernel's layout, gate order z|r|h:
-    W (d_in, 3h), U_zr (h, 2h), u_h (h, h) and b (3h,)."""
-    w = np.concatenate([p.w_z, p.w_r, p.w_h], axis=1)
-    u_zr = np.concatenate([p.u_z, p.u_r], axis=1)
-    b = np.concatenate([p.b_z, p.b_r, p.b_h])
-    return w, u_zr, p.u_h, b
-
-
 def input_table(embedding: Array, p: GruParams) -> Array:
     """Per-token input projection ``embedding @ W + b``, shape (n_tokens, 3h).
 
@@ -228,8 +197,7 @@ def input_table(embedding: Array, p: GruParams) -> Array:
     row gather replaces the input matmul inside the recurrence. A row never
     depends on which batch or sequence length asks for it.
     """
-    w, _, _, b = _pack(p)
-    return embedding @ w + b
+    return embedding @ p.w + p.b
 
 
 @dataclass
@@ -299,7 +267,7 @@ def gru_forward(
         h0 = np.broadcast_to(np.asarray(h0, dtype=np.float64), (b, d_h)).copy()
     live = _live_rows(lengths, b, t_len)
 
-    w, u_zr, u_h, bias = _pack(p)
+    u_zr, u_c = p.u[:, : 2 * d_h], p.u[:, 2 * d_h :]
     gates = np.zeros((b, t_len, 3 * d_h))  # z | r | candidate
     h = np.zeros((b, t_len, d_h))
     h_prev = h0
@@ -308,10 +276,10 @@ def gru_forward(
         if n == 0:
             break
         h_prev = h_prev[:n]
-        a = table[tokens[:n, t]] if tokens is not None else x[:n, t] @ w + bias
+        a = table[tokens[:n, t]] if tokens is not None else x[:n, t] @ p.w + p.b
         zr = sigmoid(a[:, : 2 * d_h] + h_prev @ u_zr)
         zt, rt = zr[:, :d_h], zr[:, d_h:]
-        ct = np.tanh(a[:, 2 * d_h :] + (rt * h_prev) @ u_h)
+        ct = np.tanh(a[:, 2 * d_h :] + (rt * h_prev) @ u_c)
         h_prev = h_prev + zt * (ct - h_prev)
         gates[:n, t, : 2 * d_h] = zr
         gates[:n, t, 2 * d_h :] = ct
@@ -335,8 +303,11 @@ def gru_backward(p: GruParams, tape: GruTape, dh: Array) -> Tuple[Dict[str, Arra
     ``dh`` holds dL/dh_t for every step (same shape as the forward hidden
     states); its entries at dead cells are ignored, and dL/dx there is
     zero. Returns (parameter grads keyed like GruParams.flat(), dL/dx,
-    dL/dh0). Gradients accumulate in the packed layout of ``_pack``: three
-    weight-gradient matmuls per step, over the step's live rows only.
+    dL/dh0). Gradients come back in the packed z|r|h layout of the
+    parameters: three weight-gradient matmuls per step, over the step's live
+    rows only. The two blocks of dU accumulate in contiguous buffers joined
+    once at the end: an add into a column slice of one (h, 3h) array is
+    strided and about three times slower.
     """
     dh = np.asarray(dh, dtype=np.float64)
     if tape.squeezed and dh.ndim == 2:
@@ -344,10 +315,10 @@ def gru_backward(p: GruParams, tape: GruTape, dh: Array) -> Tuple[Dict[str, Arra
     b, t_len, d_h = tape.h.shape
     h2 = 2 * d_h
 
-    w, u_zr, u_h, _ = _pack(p)
-    d_w = np.zeros_like(w)
-    d_uzr = np.zeros_like(u_zr)
-    d_uh = np.zeros_like(u_h)
+    u_zr, u_c = p.u[:, :h2], p.u[:, h2:]
+    d_w = np.zeros_like(p.w)
+    d_uzr = np.zeros((d_h, h2))
+    d_uc = np.zeros((d_h, d_h))
     d_b = np.zeros(3 * d_h)
     dx = np.zeros_like(tape.x)
     da_buf = np.empty((b, 3 * d_h))  # pre-activation grads, gate order z | r | h
@@ -364,28 +335,21 @@ def gru_backward(p: GruParams, tape: GruTape, dh: Array) -> Tuple[Dict[str, Arra
         dht = dh[:n, t] + carry[:n]
         dct = dht * zt
         np.multiply(dct, 1.0 - ct * ct, out=da[:, h2:])
-        drh = da[:, h2:] @ u_h.T
+        drh = da[:, h2:] @ u_c.T
         rh = rt * h_prev
         np.multiply(dct * (ct - h_prev), 1.0 - zt, out=da[:, :d_h])
         np.multiply(drh * rh, 1.0 - rt, out=da[:, d_h:h2])
 
         d_w += tape.x[:n, t].T @ da
         d_uzr += h_prev.T @ da[:, :h2]
-        d_uh += rh.T @ da[:, h2:]
+        d_uc += rh.T @ da[:, h2:]
         d_b += da.sum(axis=0)
-        dx[:n, t] = da @ w.T
+        dx[:n, t] = da @ p.w.T
         carry[:n] = (dht - dct) + drh * rt + da[:, :h2] @ u_zr.T
 
-    w_z, w_r, w_h = np.split(d_w, 3, axis=1)
-    u_z, u_r = np.split(d_uzr, 2, axis=1)
-    b_z, b_r, b_h = np.split(d_b, 3)
-    grads = {
-        "w_z": w_z, "w_r": w_r, "w_h": w_h, "u_z": u_z, "u_r": u_r, "u_h": d_uh,
-        "b_z": b_z, "b_r": b_r, "b_h": b_h,
-    }
     if tape.squeezed:
         dx = dx[0]
-    return grads, dx, carry
+    return {"w": d_w, "u": np.concatenate([d_uzr, d_uc], axis=1), "b": d_b}, dx, carry
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -220,7 +221,9 @@ def test_forward_matches_scalar_reference():
     traj = mastery_trajectory(model, seq("u1", steps))
 
     net = model.net
-    g = net.gru
+    w_z, w_r, w_h = np.split(net.gru.w, 3, axis=1)
+    u_z, u_r, u_h = np.split(net.gru.u, 3, axis=1)
+    b_z, b_r, b_h = np.split(net.gru.b, 3)
 
     def sig(v):
         return 1.0 / (1.0 + math.exp(-v))
@@ -228,14 +231,14 @@ def test_forward_matches_scalar_reference():
     h = [0.0] * d_h
     for t, (s, _, y) in enumerate([(s, s, y) for s, y in steps]):
         x = net.embedding[s + y * k]
-        z = [sig(sum(x[a] * g.w_z[a][j] for a in range(d_in))
-                 + sum(h[b] * g.u_z[b][j] for b in range(d_h)) + g.b_z[j])
+        z = [sig(sum(x[a] * w_z[a][j] for a in range(d_in))
+                 + sum(h[b] * u_z[b][j] for b in range(d_h)) + b_z[j])
              for j in range(d_h)]
-        r = [sig(sum(x[a] * g.w_r[a][j] for a in range(d_in))
-                 + sum(h[b] * g.u_r[b][j] for b in range(d_h)) + g.b_r[j])
+        r = [sig(sum(x[a] * w_r[a][j] for a in range(d_in))
+                 + sum(h[b] * u_r[b][j] for b in range(d_h)) + b_r[j])
              for j in range(d_h)]
-        c = [math.tanh(sum(x[a] * g.w_h[a][j] for a in range(d_in))
-                       + sum(r[b] * h[b] * g.u_h[b][j] for b in range(d_h)) + g.b_h[j])
+        c = [math.tanh(sum(x[a] * w_h[a][j] for a in range(d_in))
+                       + sum(r[b] * h[b] * u_h[b][j] for b in range(d_h)) + b_h[j])
              for j in range(d_h)]
         h = [(1 - z[j]) * h[j] + z[j] * c[j] for j in range(d_h)]
         for out in range(k):
@@ -425,3 +428,41 @@ def test_checkpoint_vocab_hash_mismatch_errors(tmp_path):
     save_checkpoint(model, path)
     with pytest.raises(ValueError, match="vocabulary hash"):
         load_checkpoint(path, expect_vocab_hash="bbbbbbbbbbbb")
+
+
+def test_checkpoint_failed_save_keeps_previous_file(tmp_path, monkeypatch):
+    model_a = DktModel.init(3, fast_config(seed=1), vocab_hash="aaaa")
+    model_b = DktModel.init(3, fast_config(seed=2), vocab_hash="aaaa")
+    path = tmp_path / "model.npz"
+    save_checkpoint(model_a, path)
+
+    def torn_savez(fh, **arrays):
+        fh.write(b"PK\x03\x04 torn")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", torn_savez)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(model_b, path)
+    monkeypatch.undo()
+
+    loaded = load_checkpoint(path)
+    for name, arr in model_a.net.flat().items():
+        assert np.array_equal(arr, loaded.net.flat()[name])
+    assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+
+
+def test_checkpoint_version_1_layout_is_refused(tmp_path):
+    net = DktModel.init(3, fast_config()).net
+    meta = json.dumps({"version": 1, "k": 3, "vocab_hash": "", "config": {}})
+    nine = dict(zip(("w_z", "w_r", "w_h"), np.split(net.gru.w, 3, axis=1)))
+    nine.update(zip(("u_z", "u_r", "u_h"), np.split(net.gru.u, 3, axis=1)))
+    nine.update(zip(("b_z", "b_r", "b_h"), np.split(net.gru.b, 3)))
+    tensors = {"embedding": net.embedding, **nine, "w_out": net.w_out, "b_out": net.b_out}
+    path = tmp_path / "old.npz"
+    np.savez(
+        path,
+        meta=np.frombuffer(meta.encode("utf-8"), dtype=np.uint8),
+        **{f"param_{name}": arr for name, arr in tensors.items()},
+    )
+    with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+        load_checkpoint(path)

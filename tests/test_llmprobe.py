@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -18,7 +19,6 @@ from ktrace.llmprobe import (
     probe_mastery,
     probe_sequence,
     render_prompt,
-    request_logits,
     resolve_logit_pair,
 )
 
@@ -195,14 +195,16 @@ def test_request_logits_passthrough_from_server():
         return {"0": -0.105, "1": -2.303}
 
     with MockLLMServer(script) as server:
-        pair = request_logits(probe_config(server.endpoint), render_prompt([], ("1", "A")))
+        pair = ProbeClient(probe_config(server.endpoint)).request_logits(
+            render_prompt([], ("1", "A"))
+        )
     assert pair.l0 == pytest.approx(-0.105)
     assert pair.l1 == pytest.approx(-2.303)
 
 
 def test_request_body_matches_wire_contract():
     with MockLLMServer() as server:
-        request_logits(probe_config(server.endpoint), render_prompt([], ("1", "A")))
+        ProbeClient(probe_config(server.endpoint)).request_logits(render_prompt([], ("1", "A")))
         body = server.seen_bodies[0]
     assert body["model"] == "test-model"
     assert body["max_tokens"] == 1
@@ -214,7 +216,7 @@ def test_request_body_matches_wire_contract():
 def test_unreachable_endpoint_raises_probe_error():
     config = probe_config("http://127.0.0.1:9/v1/completions", max_retries=0, timeout=0.2)
     with pytest.raises(ProbeError):
-        request_logits(config, render_prompt([], ("1", "A")))
+        ProbeClient(config).request_logits(render_prompt([], ("1", "A")))
 
 
 def test_config_rejects_nonzero_temperature():
@@ -297,6 +299,21 @@ def test_probe_cache_eliminates_repeat_requests(tmp_path):
         assert server.hit_count == 3  # warm cache: zero network requests
         assert client2.request_count == 0
     assert [r.p for r in first] == [r.p for r in second]
+
+
+def test_probe_treats_torn_cache_entry_as_miss(tmp_path):
+    cache = tmp_path / "cache"
+    with MockLLMServer() as server:
+        config = probe_config(server.endpoint, cache_dir=str(cache))
+        first, _ = probe_sequence(ProbeClient(config), "u1", toy_steps(4), tag="llm")
+        entry = sorted(cache.glob("*.json"))[0]
+        entry.write_text(entry.read_text()[:7], encoding="utf-8")
+        client = ProbeClient(config)
+        second, errors = probe_sequence(client, "u1", toy_steps(4), tag="llm")
+        assert errors == []
+        assert client.request_count == 1
+    assert [r.p for r in first] == [r.p for r in second]
+    assert "top_logprobs" in json.loads(entry.read_text(encoding="utf-8"))
 
 
 def test_probe_resumes_from_cache_after_mid_run_failure(tmp_path):

@@ -33,11 +33,10 @@ def random_gru(rng: np.random.Generator, d_in: int, d_h: int, scale: float = 0.4
     def m(*shape):
         return rng.normal(scale=scale, size=shape)
 
-    return GruParams(
-        w_z=m(d_in, d_h), w_r=m(d_in, d_h), w_h=m(d_in, d_h),
-        u_z=m(d_h, d_h), u_r=m(d_h, d_h), u_h=m(d_h, d_h),
-        b_z=m(d_h), b_r=m(d_h), b_h=m(d_h),
-    )
+    w = np.concatenate([m(d_in, d_h) for _ in range(3)], axis=1)
+    u = np.concatenate([m(d_h, d_h) for _ in range(3)], axis=1)
+    b = np.concatenate([m(d_h) for _ in range(3)])
+    return GruParams(w=w, u=u, b=b)
 
 
 def random_batch(rng: np.random.Generator, b: int, t: int, k: int):
@@ -95,11 +94,7 @@ def test_embed_lookup_gradient_matches_finite_differences():
 
 def test_gru_zero_parameters_fixed_point():
     d_in, d_h, t = 3, 4, 5
-    p = GruParams(
-        w_z=np.zeros((d_in, d_h)), w_r=np.zeros((d_in, d_h)), w_h=np.zeros((d_in, d_h)),
-        u_z=np.zeros((d_h, d_h)), u_r=np.zeros((d_h, d_h)), u_h=np.zeros((d_h, d_h)),
-        b_z=np.zeros(d_h), b_r=np.zeros(d_h), b_h=np.zeros(d_h),
-    )
+    p = GruParams(w=np.zeros((d_in, 3 * d_h)), u=np.zeros((d_h, 3 * d_h)), b=np.zeros(3 * d_h))
     x = np.random.default_rng(2).normal(size=(t, d_in))
     h, tape = gru_forward(x, p)
     assert np.array_equal(h, np.zeros((t, d_h)))
@@ -115,9 +110,11 @@ def test_gru_t1_equals_single_cell():
     h, _ = gru_forward(x, p)
 
     xt = x[0]
-    z = nncore.sigmoid(xt @ p.w_z + p.b_z)
-    r = nncore.sigmoid(xt @ p.w_r + p.b_r)
-    c = np.tanh(xt @ p.w_h + p.b_h)
+    w_z, w_r, w_h = np.split(p.w, 3, axis=1)
+    b_z, b_r, b_h = np.split(p.b, 3)
+    z = nncore.sigmoid(xt @ w_z + b_z)
+    r = nncore.sigmoid(xt @ w_r + b_r)
+    c = np.tanh(xt @ w_h + b_h)
     expected = z * c
     assert np.allclose(h[0], expected, atol=0, rtol=0)
 
