@@ -106,15 +106,25 @@ class Workspace:
 
     @contextlib.contextmanager
     def lock(self):
+        """Hold ``.lock`` (holding this process's PID) for the block. A lock
+        whose recorded PID no longer runs is left by a crashed run and is
+        taken over; a live PID, or a lock file with no PID in it yet, refuses."""
         self.root.mkdir(parents=True, exist_ok=True)
         lock_path = self.root / ".lock"
         try:
             fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise WorkspaceLocked(
-                f"workspace {self.root} is locked by another invocation "
-                f"(remove {lock_path} if that run crashed)"
-            ) from None
+            fd = None
+            if _lock_holder_is_dead(lock_path):
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(lock_path)
+                with contextlib.suppress(FileExistsError):
+                    fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            if fd is None:
+                raise WorkspaceLocked(
+                    f"workspace {self.root} is locked by another invocation "
+                    f"(remove {lock_path} if that run crashed)"
+                ) from None
         try:
             os.write(fd, str(os.getpid()).encode())
             os.close(fd)
@@ -122,6 +132,23 @@ class Workspace:
         finally:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(lock_path)
+
+
+def _lock_holder_is_dead(lock_path: Path) -> bool:
+    """True only when the lock records a positive PID that no process has."""
+    try:
+        pid = int(lock_path.read_text(encoding="ascii"))
+    except (OSError, ValueError):
+        return False
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:  # alive, owned by another user
+        pass
+    return False
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -404,20 +431,20 @@ def cmd_probe(cfg: RunConfig, tag_override: Optional[str] = None) -> int:
             repr_quiz_idx = json.load(fh)["repr_quiz"]
         repr_quiz = [str(vocab.quiz_ids[q]) for q in repr_quiz_idx]
 
-        all_records: List[PredictionRecord] = []
-        all_errors: List[str] = []
-        mastery_records: List[PredictionRecord] = []
+        students = [
+            (seq.user_id, llmprobe.display_steps(seq.steps, vocab.skill_names, vocab.quiz_ids))
+            for seq in parts["test"]
+        ]
+        all_records, all_errors = llmprobe.probe_sequences(client, students, tag)
         stability: List[dict] = []
+        if cfg.probe.stability_check:
+            reports = llmprobe.stability_reports(client, students, tag)
+            stability = [
+                {"user_id": user_id, **report.to_dict()}
+                for (user_id, _), report in zip(students, reports)
+            ]
 
-        for seq in parts["test"]:
-            steps = llmprobe.display_steps(seq.steps, vocab.skill_names, vocab.quiz_ids)
-            records, errors = llmprobe.probe_sequence(client, seq.user_id, steps, tag)
-            all_records.extend(records)
-            all_errors.extend(errors)
-            if cfg.probe.stability_check:
-                report = llmprobe.double_run_deltas(client, seq.user_id, steps, tag)
-                stability.append({"user_id": seq.user_id, **report.to_dict()})
-
+        mastery_records: List[PredictionRecord] = []
         by_user = {s.user_id: s for part in parts.values() for s in part}
         for user_id in cfg.probe.mastery_students:
             seq = by_user.get(user_id)
@@ -446,7 +473,7 @@ def cmd_probe(cfg: RunConfig, tag_override: Optional[str] = None) -> int:
             "model": cfg.probe.probe.model,
             "coverage": coverage,
             "errors": all_errors,
-            "network_requests": client.request_count,
+            **client.telemetry(),
         }
         if stability:
             payload["stability"] = stability

@@ -83,10 +83,6 @@ class StudentSequence:
         return len(self.steps)
 
     @property
-    def skills(self) -> list:
-        return [s for s, _, _ in self.steps]
-
-    @property
     def labels(self) -> List[int]:
         return [y for _, _, y in self.steps]
 
@@ -115,10 +111,6 @@ class Vocab:
     @property
     def k(self) -> int:
         return len(self.skill_ids)
-
-    @property
-    def q(self) -> int:
-        return len(self.quiz_ids)
 
     @cached_property
     def skill_to_index(self) -> Dict[str, int]:

@@ -11,27 +11,36 @@ Wire protocol: HTTP POST with a JSON body in the shape of widely deployed
 completion endpoints ({"model", "prompt", "max_tokens": 1, "temperature": 0,
 "logprobs": depth}), responses carrying choices[0].logprobs.top_logprobs[0]
 as a token -> logprob map. The endpoint path and auth token are
-configuration; identical (model, prompt) pairs are cached on disk.
+configuration; identical (model, prompt) pairs are cached on disk. The
+transport is the standard library's ``urllib.request``: proxies come from
+the ``*_proxy`` environment variables and HTTPS certificates are verified
+against the system trust store.
 """
 
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
+import logging
 import math
 import os
 import threading
 import time
+import urllib.error
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import requests
+import numpy as np
 
 from .records import MasteryTrajectory, PredictionRecord
 
-import numpy as np
+log = logging.getLogger(__name__)
+
+CACHE_FILE = "cache.jsonl"
 
 SYSTEM_MESSAGE = (
     "You are a classification model. Output only a single token: either 0 or 1. "
@@ -185,60 +194,66 @@ class ProbeClient:
     """Issues completion requests with retries, bounded concurrency, and an
     on-disk cache keyed by content hash of (model, prompt, request params).
 
-    ``request_count`` counts actual network calls (cache hits excluded).
+    The cache is one append-only JSON-lines file, ``<cache_dir>/cache.jsonl``,
+    one ``{"key", "top_logprobs"}`` object per line, indexed into a dict when
+    the client opens. The client also keeps the run's telemetry:
+    ``request_count`` counts network attempts (cache hits excluded),
+    ``retries`` the attempts beyond the first of each fetch, ``cache_hits``
+    the prompts answered without a request, ``fetch_latencies_ms`` the wall
+    time of each network fetch, and ``truncated_prompts`` the prompts whose
+    history was cut to ``history_limit``.
     """
 
-    def __init__(self, config: ProbeConfig, session: Optional[requests.Session] = None):
+    def __init__(self, config: ProbeConfig):
         self.config = config
-        self._session = session or requests.Session()
+        self._opener = urllib.request.build_opener()  # proxies from the environment
         self._write_lock = threading.Lock()
         self._count_lock = threading.Lock()
         self.request_count = 0
+        self.retries = 0
+        self.cache_hits = 0
+        self.truncated_prompts = 0
+        self.fetch_latencies_ms: List[float] = []
         self.audit: List[dict] = []  # raw top-k returns, for the audit log
+        # Only the prompt varies between requests, so the JSON that the cache
+        # key hashes is the prompt's JSON string between a fixed head and tail.
+        params = json.dumps(self._body(""), sort_keys=True)
+        head, _, self._key_tail = params.partition('"prompt": ""')
+        self._key_head = head + '"prompt": '
+        self._cache_file: Optional[Path] = None
+        self._cache: Dict[str, Dict[str, float]] = {}
         if config.cache_dir:
             Path(config.cache_dir).mkdir(parents=True, exist_ok=True)
+            self._cache_file = Path(config.cache_dir) / CACHE_FILE
+            self._cache = _open_cache(self._cache_file)
 
     # -- caching ------------------------------------------------------------
 
     def _cache_key(self, prompt: PromptRecord) -> str:
-        payload = json.dumps(
-            {
-                "model": self.config.model,
-                "prompt": prompt.text,
-                "max_tokens": 1,
-                "temperature": self.config.temperature,
-                "logprobs": self.config.logprob_depth,
-            },
-            sort_keys=True,
-        )
+        """SHA-256 of the request parameters as sorted-key JSON."""
+        payload = self._key_head + json.dumps(prompt.text) + self._key_tail
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    def _cache_path(self, key: str) -> Optional[Path]:
-        if not self.config.cache_dir:
-            return None
-        return Path(self.config.cache_dir) / f"{key}.json"
-
-    def _cache_read(self, key: str) -> Optional[Dict[str, float]]:
-        """Cached top-k for ``key``, or None on a miss. A torn or malformed
-        entry is a miss too, so the prompt is fetched and the entry rewritten."""
-        path = self._cache_path(key)
-        if path is None or not path.exists():
-            return None
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)["top_logprobs"]
-        except (ValueError, KeyError, TypeError):
-            return None
-
     def _cache_write(self, key: str, top_logprobs: Dict[str, float]) -> None:
-        path = self._cache_path(key)
-        if path is None:
+        if self._cache_file is None:
             return
-        tmp = path.with_suffix(".tmp")
+        line = json.dumps({"key": key, "top_logprobs": top_logprobs}, sort_keys=True) + "\n"
         with self._write_lock:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump({"top_logprobs": top_logprobs}, fh, sort_keys=True)
-            os.replace(tmp, path)
+            with open(self._cache_file, "a", encoding="utf-8", newline="\n") as fh:
+                fh.write(line)
+            self._cache[key] = top_logprobs
+
+    def _record(
+        self, key: str, top: Dict[str, float], fetch_ms: Optional[float] = None
+    ) -> None:
+        """Audit one answered prompt: a cache hit, or a fetch that took ``fetch_ms``."""
+        cached = fetch_ms is None
+        with self._count_lock:
+            if cached:
+                self.cache_hits += 1
+            else:
+                self.fetch_latencies_ms.append(fetch_ms)
+            self.audit.append({"key": key, "cached": cached, "top_logprobs": top})
 
     # -- transport ----------------------------------------------------------
 
@@ -249,38 +264,40 @@ class ProbeClient:
             headers["Authorization"] = f"Bearer {token}"
         return headers
 
-    def _post(self, prompt: PromptRecord) -> Dict[str, float]:
-        body = {
+    def _body(self, prompt_text: str) -> dict:
+        return {
             "model": self.config.model,
-            "prompt": prompt.text,
+            "prompt": prompt_text,
             "max_tokens": 1,
             "temperature": self.config.temperature,
             "logprobs": self.config.logprob_depth,
         }
+
+    def _post(self, prompt: PromptRecord) -> Dict[str, float]:
+        data = json.dumps(self._body(prompt.text)).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(self.config.max_retries + 1):
             if attempt:
                 time.sleep(self.config.backoff * (2 ** (attempt - 1)))
+            with self._count_lock:
+                self.request_count += 1
+                self.retries += attempt > 0
+            request = urllib.request.Request(
+                self.config.endpoint, data=data, headers=self._headers(), method="POST"
+            )
             try:
-                with self._count_lock:
-                    self.request_count += 1
-                response = self._session.post(
-                    self.config.endpoint,
-                    json=body,
-                    headers=self._headers(),
-                    timeout=self.config.timeout,
-                )
-                if 400 <= response.status_code < 500:
-                    raise ProbeError(
-                        f"endpoint rejected request ({response.status_code}): "
-                        f"{response.text[:200]}"
-                    )
-                response.raise_for_status()
-                payload = response.json()
+                with self._opener.open(request, timeout=self.config.timeout) as response:
+                    payload = json.loads(response.read())
                 return dict(payload["choices"][0]["logprobs"]["top_logprobs"][0])
-            except ProbeError:
-                raise
-            except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
+            except urllib.error.HTTPError as exc:
+                detail = exc.read().decode("utf-8", "replace")
+                exc.close()
+                if 400 <= exc.code < 500:
+                    raise ProbeError(
+                        f"endpoint rejected request ({exc.code}): {detail[:200]}"
+                    ) from None
+                last_error = exc
+            except (OSError, http.client.HTTPException, KeyError, IndexError, TypeError, ValueError) as exc:
                 last_error = exc
         raise ProbeError(
             f"probe failed after {self.config.max_retries + 1} attempts: {last_error}"
@@ -288,18 +305,106 @@ class ProbeClient:
 
     def fetch_top_logprobs(self, prompt: PromptRecord, use_cache: bool = True) -> Dict[str, float]:
         key = self._cache_key(prompt)
-        cached = self._cache_read(key) if use_cache else None
-        top = cached if cached is not None else self._post(prompt)
-        if use_cache and cached is None:
+        cached = self._cache.get(key) if use_cache else None
+        if cached is not None:
+            self._record(key, cached)
+            return cached
+        start = time.perf_counter()
+        top = self._post(prompt)
+        fetch_ms = 1e3 * (time.perf_counter() - start)
+        if use_cache:
             self._cache_write(key, top)
-        with self._count_lock:
-            self.audit.append(
-                {"key": key, "cached": cached is not None, "top_logprobs": top}
-            )
+        self._record(key, top, fetch_ms)
         return top
+
+    def fetch_many(
+        self, prompts: Sequence[PromptRecord], use_cache: bool = True
+    ) -> List[Dict[str, float]]:
+        """Top-k maps for ``prompts``, in order.
+
+        Cache hits are answered on the calling thread. The misses go through
+        ``fetch_top_logprobs`` on one pool of ``max_concurrent`` threads, a
+        prompt repeated within the call once; no pool starts when every
+        prompt is a hit. A ``ProbeError`` cancels the fetches not yet started
+        and propagates; the ones that finished stay cached.
+        """
+        tops: List[Optional[Dict[str, float]]] = [None] * len(prompts)
+        misses: List[int] = []
+        fetched_as: Dict[str, int] = {}  # miss key -> index of the prompt sent for it
+        repeats: List[Tuple[int, int, str]] = []
+        for i, prompt in enumerate(prompts):
+            if not use_cache:
+                misses.append(i)
+                continue
+            key = self._cache_key(prompt)
+            top = self._cache.get(key)
+            if top is not None:
+                tops[i] = top
+                self._record(key, top)
+            elif key in fetched_as:
+                repeats.append((i, fetched_as[key], key))
+            else:
+                fetched_as[key] = i
+                misses.append(i)
+        with self._count_lock:
+            self.truncated_prompts += sum(p.truncated for p in prompts)
+        if misses:
+            pool = ThreadPoolExecutor(max_workers=self.config.max_concurrent)
+            try:
+                futures = [pool.submit(self.fetch_top_logprobs, prompts[i], use_cache) for i in misses]
+                for i, future in zip(misses, futures):
+                    tops[i] = future.result()
+            finally:
+                pool.shutdown(cancel_futures=True)
+        for i, j, key in repeats:
+            tops[i] = tops[j]
+            self._record(key, tops[j])
+        return tops  # type: ignore[return-value]
+
+    def telemetry(self) -> dict:
+        """The run's counts for the probe report; latency percentiles are
+        null when nothing was fetched."""
+        latency = {"n": len(self.fetch_latencies_ms), "p50": None, "p95": None}
+        if self.fetch_latencies_ms:
+            p50, p95 = np.percentile(self.fetch_latencies_ms, [50, 95])
+            latency.update(p50=float(p50), p95=float(p95))
+        return {
+            "network_requests": self.request_count,
+            "retries": self.retries,
+            "cache_hits": self.cache_hits,
+            "fetch_latency_ms": latency,
+            "truncated_prompts": self.truncated_prompts,
+        }
 
     def request_logits(self, prompt: PromptRecord, use_cache: bool = True) -> LogitPair:
         return resolve_logit_pair(self.fetch_top_logprobs(prompt, use_cache=use_cache))
+
+
+def _open_cache(path: Path) -> Dict[str, Dict[str, float]]:
+    """Index the cache file by key. A trailing line that a crash left torn
+    (no final newline, or not parseable) is cut off, so the next append
+    starts a line of its own; an unparseable line elsewhere is skipped. Every
+    entry not indexed is a miss and is fetched again."""
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return {}
+    *lines, tail = data.split(b"\n")
+    index: Dict[str, Dict[str, float]] = {}
+    keep = len(data) - len(tail)
+    for n, line in enumerate(lines, start=1):
+        try:
+            entry = json.loads(line)
+            index[entry["key"]] = dict(entry["top_logprobs"])
+        except (ValueError, KeyError, TypeError):
+            if n == len(lines) and not tail:
+                keep -= len(line) + 1
+            else:
+                log.warning("%s: line %d is not a cache entry; skipped", path, n)
+    if keep < len(data):
+        log.warning("%s: cut a torn trailing entry (%d bytes)", path, len(data) - keep)
+        os.truncate(path, keep)
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +418,61 @@ def _history_triples(steps: Sequence[DisplayStep]) -> List[Tuple[str, str, int]]
 PROB_FLOOR = 1e-12  # emitted probabilities stay inside the open unit interval
 
 
-def _step_probability(
-    client: ProbeClient, prompt: PromptRecord, use_cache: bool
-) -> Tuple[Optional[float], Optional[str]]:
+def _step_probability(top: Dict[str, float]) -> Tuple[Optional[float], Optional[str]]:
     try:
-        pair = client.request_logits(prompt, use_cache=use_cache)
-        p = prob_from_logits(pair)
-        # extreme logit gaps round to exactly 0/1 in float64; keep records open
-        return min(max(p, PROB_FLOOR), 1.0 - PROB_FLOOR), None
+        p = prob_from_logits(resolve_logit_pair(top))
     except UnresolvableLogitsError as exc:
         return None, str(exc)
+    # extreme logit gaps round to exactly 0/1 in float64; keep records open
+    return min(max(p, PROB_FLOOR), 1.0 - PROB_FLOOR), None
+
+
+def probe_sequences(
+    client: ProbeClient,
+    students: Sequence[Tuple[str, Sequence[DisplayStep]]],
+    tag: str,
+    use_cache: bool = True,
+) -> Tuple[List[PredictionRecord], List[str]]:
+    """Next-step correctness probabilities for targets t = 1..T-1 of each
+    (user id, steps) student, with every prompt sent in one ``fetch_many``.
+
+    Emits exactly T-1 records per student, students in the given order and
+    steps in order; unresolved steps carry a null probability. Returns
+    (records, per-step error messages).
+    """
+    prompts: List[PromptRecord] = []
+    for _, steps in students:
+        if len(steps) < 2:
+            raise ValueError("probe_sequence needs at least 2 steps")
+        history = _history_triples(steps)
+        prompts.extend(
+            render_prompt(
+                history[:t],
+                (steps[t].quiz, steps[t].skill_name),
+                history_limit=client.config.history_limit,
+            )
+            for t in range(1, len(steps))
+        )
+    results = iter(client.fetch_many(prompts, use_cache=use_cache))
+    records: List[PredictionRecord] = []
+    errors: List[str] = []
+    for user_id, steps in students:
+        for t in range(1, len(steps)):
+            p, err = _step_probability(next(results))
+            step = steps[t]
+            records.append(
+                PredictionRecord(
+                    user_id=user_id,
+                    step=t,
+                    skill=step.skill,
+                    y_true=step.y,
+                    p=p,
+                    model_tag=tag,
+                )
+            )
+            if err:
+                errors.append(f"{user_id} t={t}: {err}")
+    return records, errors
 
 
 def probe_sequence(
@@ -332,42 +482,8 @@ def probe_sequence(
     tag: str,
     use_cache: bool = True,
 ) -> Tuple[List[PredictionRecord], List[str]]:
-    """Next-step correctness probabilities for targets t = 1..T-1.
-
-    Emits exactly T-1 records in step order; unresolved steps carry a null
-    probability. Returns (records, per-step error messages).
-    """
-    if len(steps) < 2:
-        raise ValueError("probe_sequence needs at least 2 steps")
-    prompts = [
-        render_prompt(
-            _history_triples(steps[:t]),
-            (steps[t].quiz, steps[t].skill_name),
-            history_limit=client.config.history_limit,
-        )
-        for t in range(1, len(steps))
-    ]
-    with ThreadPoolExecutor(max_workers=client.config.max_concurrent) as pool:
-        results = list(
-            pool.map(lambda pr: _step_probability(client, pr, use_cache), prompts)
-        )
-    records: List[PredictionRecord] = []
-    errors: List[str] = []
-    for t, (p, err) in enumerate(results, start=1):
-        step = steps[t]
-        records.append(
-            PredictionRecord(
-                user_id=user_id,
-                step=t,
-                skill=step.skill,
-                y_true=step.y,
-                p=p,
-                model_tag=tag,
-            )
-        )
-        if err:
-            errors.append(f"{user_id} t={t}: {err}")
-    return records, errors
+    """``probe_sequences`` for one student."""
+    return probe_sequences(client, [(user_id, steps)], tag, use_cache=use_cache)
 
 
 def probe_mastery(
@@ -386,23 +502,22 @@ def probe_mastery(
     k = len(skill_names)
     if len(representative_quiz) != k:
         raise ValueError("representative_quiz must align with skill_names")
-    jobs: List[Tuple[int, int, PromptRecord]] = []
-    for t in range(len(steps)):
-        history = _history_triples(steps[: t + 1])
-        for skill in range(k):
-            prompt = render_prompt(
-                history,
-                (representative_quiz[skill], skill_names[skill]),
-                history_limit=client.config.history_limit,
-            )
-            jobs.append((t, skill, prompt))
-    with ThreadPoolExecutor(max_workers=client.config.max_concurrent) as pool:
-        results = list(
-            pool.map(lambda job: _step_probability(client, job[2], use_cache), jobs)
+    history = _history_triples(steps)
+    prompts = [
+        render_prompt(
+            history[: t + 1],
+            (representative_quiz[skill], skill_names[skill]),
+            history_limit=client.config.history_limit,
         )
+        for t in range(len(steps))
+        for skill in range(k)
+    ]
+    tops = client.fetch_many(prompts, use_cache=use_cache)
     p = np.full((len(steps), k), np.nan)
     unresolved: List[Tuple[int, int]] = []
-    for (t, skill, _), (prob, err) in zip(jobs, results):
+    for cell, top in enumerate(tops):
+        t, skill = divmod(cell, k)
+        prob, _ = _step_probability(top)
         if prob is None:
             unresolved.append((t, skill))
         else:
@@ -441,32 +556,49 @@ class StabilityReport:
 def double_run_deltas(
     client: ProbeClient, user_id: str, steps: Sequence[DisplayStep], tag: str
 ) -> StabilityReport:
-    """Probe the same sequence twice and report probability deltas.
+    """``stability_reports`` for one student."""
+    return stability_reports(client, [(user_id, steps)], tag)[0]
+
+
+def stability_reports(
+    client: ProbeClient,
+    students: Sequence[Tuple[str, Sequence[DisplayStep]]],
+    tag: str,
+) -> List[StabilityReport]:
+    """Probe the same sequences twice and report each student's probability
+    deltas.
 
     The second run bypasses the cache so both probabilities come from actual
     inference; at temperature 0 every delta should be zero.
     """
-    first, _ = probe_sequence(client, user_id, steps, tag, use_cache=True)
-    second, _ = probe_sequence(client, user_id, steps, tag, use_cache=False)
-    max_delta = 0.0
-    nonzero = 0
-    mismatches = 0
-    for a, b in zip(first, second):
-        if (a.p is None) != (b.p is None):
-            mismatches += 1
-            continue
-        if a.p is None:
-            continue
-        delta = abs(a.p - b.p)
-        if delta > 0:
-            nonzero += 1
-        max_delta = max(max_delta, delta)
-    return StabilityReport(
-        n_steps=len(first),
-        max_delta=max_delta,
-        n_nonzero=nonzero,
-        n_resolution_mismatches=mismatches,
-    )
+    first, _ = probe_sequences(client, students, tag, use_cache=True)
+    second, _ = probe_sequences(client, students, tag, use_cache=False)
+    reports: List[StabilityReport] = []
+    end = 0
+    for _, steps in students:
+        start, end = end, end + len(steps) - 1
+        max_delta = 0.0
+        nonzero = 0
+        mismatches = 0
+        for a, b in zip(first[start:end], second[start:end]):
+            if (a.p is None) != (b.p is None):
+                mismatches += 1
+                continue
+            if a.p is None:
+                continue
+            delta = abs(a.p - b.p)
+            if delta > 0:
+                nonzero += 1
+            max_delta = max(max_delta, delta)
+        reports.append(
+            StabilityReport(
+                n_steps=end - start,
+                max_delta=max_delta,
+                n_nonzero=nonzero,
+                n_resolution_mismatches=mismatches,
+            )
+        )
+    return reports
 
 
 def display_steps(

@@ -82,10 +82,6 @@ class DktNet:
         return self.embedding.shape[0]
 
     @property
-    def d_emb(self) -> int:
-        return self.embedding.shape[1]
-
-    @property
     def d_h(self) -> int:
         return self.gru.d_h
 

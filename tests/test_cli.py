@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from ktrace.cli import Workspace, main, representative_quizzes
+from ktrace.cli import Workspace, WorkspaceLocked, main, representative_quizzes
 from ktrace.config import ConfigError, load_config
 from ktrace.ingest import StudentSequence
 from ktrace.records import PredictionRecord, read_prediction_dump, write_prediction_dump
@@ -141,6 +144,35 @@ def test_prepare_bad_column_mapping_exits_2(tmp_path):
     assert main(["prepare", "--config", cfg_path]) == 2
 
 
+def test_workspace_lock_takes_over_a_dead_holder(tmp_path):
+    finished = subprocess.Popen([sys.executable, "-c", "pass"])
+    finished.wait(timeout=30)
+    ws = Workspace(tmp_path / "ws")
+    ws.root.mkdir()
+    (ws.root / ".lock").write_text(str(finished.pid))
+    with ws.lock():
+        assert (ws.root / ".lock").read_text() == str(os.getpid())
+    assert not (ws.root / ".lock").exists()
+
+
+@pytest.mark.parametrize("holder", [str(os.getpid()), "", "not a pid"])
+def test_workspace_lock_refuses_live_or_unreadable_holder(tmp_path, holder):
+    ws = Workspace(tmp_path / "ws")
+    ws.root.mkdir()
+    (ws.root / ".lock").write_text(holder)
+    with pytest.raises(WorkspaceLocked):
+        with ws.lock():
+            pass
+    assert (ws.root / ".lock").read_text() == holder
+
+
+def test_cli_imports_without_requests():
+    code = "import sys; sys.modules['requests'] = None; import ktrace.cli"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
+
+
 def test_prepare_requires_data_section(tmp_path):
     cfg_path = write_config(tmp_path / "c.json", {"workspace": str(tmp_path / "ws")})
     assert main(["prepare", "--config", cfg_path]) == 2
@@ -248,6 +280,12 @@ def test_probe_emits_dump_and_uses_cache(tmp_path, capsys):
 
         ws = Workspace(tmp_path / "ws")
         records = read_prediction_dump(ws.dump_path("llm"))
+        cold = json.loads((ws.root / "probe_report_llm.json").read_text())
+        assert cold["retries"] == 0
+        assert cold["network_requests"] == first_hits
+        # prompts repeated across students are sent once and read back
+        assert cold["cache_hits"] + first_hits == len(records)
+        assert cold["fetch_latency_ms"]["n"] == first_hits
         split = json.loads(ws.split_path.read_text())
         from ktrace.ingest import read_sequences
 
@@ -263,6 +301,9 @@ def test_probe_emits_dump_and_uses_cache(tmp_path, capsys):
 
         report = json.loads((ws.root / "probe_report_llm.json").read_text())
         assert report["network_requests"] == 0
+        assert report["retries"] == 0
+        assert report["cache_hits"] == len(records)
+        assert report["fetch_latency_ms"] == {"n": 0, "p50": None, "p95": None}
         assert report["coverage"]["unresolved"] == 0
         audit = (ws.root / "probe_audit" / "llm.jsonl").read_text().splitlines()
         assert len(audit) == len(records)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -213,10 +214,56 @@ def test_request_body_matches_wire_contract():
     assert body["prompt"].startswith("You are a classification model.")
 
 
+@pytest.mark.parametrize("model", ["test-model", "", 'a "prompt": "" model'])
+def test_cache_key_hashes_sorted_request_json(model):
+    client = ProbeClient(ProbeConfig(endpoint="http://unused", model=model))
+    for prompt in (render_prompt([], ("1", "A")), render_prompt([("7", SKILL, 1)], ("8", "Ä \"q\""))):
+        payload = {
+            "model": model,
+            "prompt": prompt.text,
+            "max_tokens": 1,
+            "temperature": 0.0,
+            "logprobs": 20,
+        }
+        expected = hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+        assert client._cache_key(prompt) == expected
+
+
 def test_unreachable_endpoint_raises_probe_error():
     config = probe_config("http://127.0.0.1:9/v1/completions", max_retries=0, timeout=0.2)
     with pytest.raises(ProbeError):
         ProbeClient(config).request_logits(render_prompt([], ("1", "A")))
+
+
+def test_client_error_is_not_retried():
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+    import threading
+
+    class Reject(BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            body = b"unknown model"
+            self.send_response(400)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Reject)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        host, port = server.server_address
+        client = ProbeClient(probe_config(f"http://{host}:{port}/v1/completions", max_retries=2))
+        with pytest.raises(ProbeError, match=r"rejected request \(400\): unknown model"):
+            client.request_logits(render_prompt([], ("1", "A")))
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert client.request_count == 1
+    assert client.retries == 0
 
 
 def test_config_rejects_nonzero_temperature():
@@ -236,6 +283,13 @@ def test_probe_sequence_emits_t_minus_one_records():
     assert errors == []
     assert [r.step for r in records] == [1, 2]
     assert all(r.model_tag == "llm" and 0 < r.p < 1 for r in records)
+
+
+def test_client_counts_truncated_prompts():
+    with MockLLMServer() as server:
+        client = ProbeClient(probe_config(server.endpoint, history_limit=1))
+        probe_sequence(client, "u1", toy_steps(4), tag="llm")
+    assert client.truncated_prompts == 2  # histories of 2 and 3 steps
 
 
 def test_probe_sequence_requires_two_steps():
@@ -302,18 +356,75 @@ def test_probe_cache_eliminates_repeat_requests(tmp_path):
 
 
 def test_probe_treats_torn_cache_entry_as_miss(tmp_path):
-    cache = tmp_path / "cache"
+    cache = tmp_path / "cache" / "cache.jsonl"
     with MockLLMServer() as server:
-        config = probe_config(server.endpoint, cache_dir=str(cache))
+        config = probe_config(server.endpoint, cache_dir=str(cache.parent))
         first, _ = probe_sequence(ProbeClient(config), "u1", toy_steps(4), tag="llm")
-        entry = sorted(cache.glob("*.json"))[0]
-        entry.write_text(entry.read_text()[:7], encoding="utf-8")
+        lines = cache.read_text(encoding="utf-8").splitlines(keepends=True)
+        cache.write_text("".join(lines[:-1]) + lines[-1][:7], encoding="utf-8")
         client = ProbeClient(config)
         second, errors = probe_sequence(client, "u1", toy_steps(4), tag="llm")
         assert errors == []
         assert client.request_count == 1
     assert [r.p for r in first] == [r.p for r in second]
-    assert "top_logprobs" in json.loads(entry.read_text(encoding="utf-8"))
+    entry = cache.read_text(encoding="utf-8").splitlines()[-1]
+    assert "top_logprobs" in json.loads(entry)
+
+
+def test_probe_cache_reads_old_and_new_entries_after_cutting_torn_line(tmp_path):
+    cache = tmp_path / "cache" / "cache.jsonl"
+    steps = toy_steps(4)
+    with MockLLMServer() as server:
+        config = probe_config(server.endpoint, cache_dir=str(cache.parent))
+        probe_sequence(ProbeClient(config), "u1", steps[:3], tag="llm")
+        with open(cache, "a", encoding="utf-8") as fh:
+            fh.write('{"key": "0123", "top_lo')  # an append a crash cut short
+        probe_sequence(ProbeClient(config), "u1", steps, tag="llm")
+        assert server.hit_count == 3
+        client = ProbeClient(config)
+        records, errors = probe_sequence(client, "u1", steps, tag="llm")
+        assert client.request_count == 0
+        assert server.hit_count == 3
+    assert errors == [] and len(records) == 3
+    lines = cache.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 3
+    assert all("top_logprobs" in json.loads(line) for line in lines)
+
+
+def test_fully_cached_probe_starts_no_thread(tmp_path, monkeypatch):
+    import ktrace.llmprobe as llmprobe
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a fully cached probe started a thread pool")
+
+    with MockLLMServer() as server:
+        config = probe_config(server.endpoint, cache_dir=str(tmp_path / "cache"))
+        first, _ = probe_sequence(ProbeClient(config), "u1", toy_steps(4), tag="llm")
+        monkeypatch.setattr(llmprobe, "ThreadPoolExecutor", no_pool)
+        client = ProbeClient(config)
+        second, errors = probe_sequence(client, "u1", toy_steps(4), tag="llm")
+        assert server.hit_count == 3
+    assert errors == []
+    assert client.request_count == 0
+    assert client.cache_hits == 3
+    assert [r.p for r in first] == [r.p for r in second]
+
+
+def test_retries_count_attempts_beyond_the_first():
+    calls = {"n": 0}
+
+    def script(body):
+        calls["n"] += 1
+        if calls["n"] == 1:
+            raise ServerFailure()
+        return logits_from_prompt(body["prompt"])
+
+    with MockLLMServer(script) as server:
+        client = ProbeClient(probe_config(server.endpoint, max_retries=1))
+        client.request_logits(render_prompt([], ("1", "A")))
+    assert client.request_count == 2
+    assert client.retries == 1
+    assert len(client.fetch_latencies_ms) == 1
 
 
 def test_probe_resumes_from_cache_after_mid_run_failure(tmp_path):
