@@ -17,6 +17,8 @@ import json
 import os
 import sys
 import time
+from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -153,7 +155,7 @@ def _lock_holder_is_dead(lock_path: Path) -> bool:
 
 def write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with ingest.atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -178,20 +180,13 @@ def representative_quizzes(
 ) -> List[int]:
     """Most frequent training-split quiz index per skill; ties break toward
     the smaller quiz index. Skills unseen in training fall back to quiz 0."""
-    counts: Dict[int, Dict[int, int]] = {}
-    for seq in train_seqs:
-        for skill, quiz, _ in seq.steps:
-            counts.setdefault(skill, {}).setdefault(quiz, 0)
-            counts[skill][quiz] += 1
-    out: List[int] = []
-    for skill in range(k):
-        per_quiz = counts.get(skill)
-        if not per_quiz:
-            out.append(0)
-            continue
-        best = min(per_quiz, key=lambda q: (-per_quiz[q], q))
-        out.append(best)
-    return out
+    counts = Counter(map(itemgetter(0, 1), ingest.flatten_steps(train_seqs)))
+    best: Dict[int, tuple] = {}
+    for (skill, quiz), n in counts.items():
+        rank = (-n, quiz)
+        if skill not in best or rank < best[skill]:
+            best[skill] = rank
+    return [best[skill][1] if skill in best else 0 for skill in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +276,17 @@ def cmd_prepare(cfg: RunConfig) -> int:
             parsed = ingest.parse_interactions(
                 fh, columns=cfg.data.columns or None, delimiter=cfg.data.delimiter
             )
-        raw_sequences, filter_report = ingest.filter_and_order(parsed.records)
+        # filter_and_order and collect_skill_names share the columns' one sort
+        raw_sequences, filter_report = ingest.filter_and_order(parsed.columns)
         if not raw_sequences:
             raise ConfigError("no students survived preprocessing")
-        names = ingest.collect_skill_names(parsed.records)
+        names = ingest.collect_skill_names(parsed.columns)
         vocab = ingest.build_vocab(raw_sequences, names)
         indexed = ingest.index_sequences(raw_sequences, vocab)
         split = ingest.split_students(indexed, cfg.ratios, cfg.seed)
 
         stats_columns = {
-            "original": ingest.summarize_records(parsed.records),
+            "original": ingest.summarize_records(parsed.columns),
             "preprocessed": ingest.summarize(indexed),
             **ingest.summarize_split(split),
         }
@@ -301,7 +297,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
 
         print_stats_table(stats_columns)
         print(
-            f"\nparsed {len(parsed.records)} records "
+            f"\nparsed {len(parsed.columns)} records "
             f"({len(parsed.rejects)} rejected, {parsed.duplicates_dropped} duplicates); "
             f"kept {filter_report.kept_records} records / {filter_report.kept_students} students "
             f"after filtering (missing skill: {filter_report.missing_skill}, "

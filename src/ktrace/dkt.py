@@ -18,7 +18,6 @@ batches, skipping padded cells, and reads out only the skills it reports.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,7 +26,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import nncore
-from .ingest import StudentSequence
+from .ingest import StudentSequence, atomic_open
 from .records import MasteryTrajectory, PredictionRecord
 
 Array = np.ndarray
@@ -459,15 +458,8 @@ def save_checkpoint(model: DktModel, path: str | Path) -> None:
         sort_keys=True,
     )
     tensors = {f"param_{name}": arr for name, arr in model.net.flat().items()}
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, meta=np.frombuffer(meta.encode("utf-8"), dtype=np.uint8), **tensors)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, meta=np.frombuffer(meta.encode("utf-8"), dtype=np.uint8), **tensors)
 
 
 def load_checkpoint(path: str | Path, expect_vocab_hash: str | None = None) -> DktModel:

@@ -6,17 +6,33 @@ assigns dense vocabulary indices, and produces seeded student-level splits.
 All steps are deterministic: student order is lexicographic on user_id,
 within-student order breaks order_id ties by (order_id, problem_id, file row
 index).
+
+The log is held in columns, not one object per row. ``parse_interactions``
+fills an ``InteractionColumns`` (one list per field, in file order); one
+stable sort of the single-skill rows by (user_id, order_id, problem_id, row
+index) then feeds both the ordered sequences and the skill-name pass, and
+the raw-log statistics are set and sum reductions over the columns.
+``InteractionColumns`` is also the record API: indexing it builds an
+``InteractionRecord``, and the functions that take records accept a plain
+record list by converting it to columns.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
-from dataclasses import dataclass
+import os
+import re
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass, field, fields
 from functools import cached_property
+from collections import Counter
+from itertools import chain
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Sequence, TextIO, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -50,9 +66,6 @@ class InteractionRecord:
     correct: int
     row_index: int   # 1-based data-row number in the source file
 
-    def sort_key(self) -> Tuple[int, str, int]:
-        return (self.order_id, self.problem_id, self.row_index)
-
 
 @dataclass(frozen=True)
 class RejectedRow:
@@ -61,11 +74,74 @@ class RejectedRow:
     raw: str
 
 
+@dataclass(eq=False)
+class InteractionColumns(SequenceABC):
+    """Parsed rows as parallel per-field lists, in file order.
+
+    As a sequence it is the record API: ``len()`` is O(1), an item is an
+    ``InteractionRecord`` built on access, and it compares equal to a list of
+    the same records. Treat it as read-only once built: ``ordered`` is cached.
+    """
+
+    order_id: List[int] = field(default_factory=list)
+    user_id: List[str] = field(default_factory=list)
+    problem_id: List[str] = field(default_factory=list)
+    skill_raw: List[str] = field(default_factory=list)
+    skill_name: List[str] = field(default_factory=list)
+    correct: List[int] = field(default_factory=list)
+    row_index: List[int] = field(default_factory=list)
+
+    @classmethod
+    def from_records(cls, records: Iterable[InteractionRecord]) -> "InteractionColumns":
+        rows = list(map(attrgetter(*_RECORD_FIELDS), records))
+        return cls(*map(list, zip(*rows))) if rows else cls()
+
+    def __len__(self) -> int:
+        return len(self.row_index)
+
+    def __getitem__(self, i: int) -> InteractionRecord:
+        return InteractionRecord(*(getattr(self, name)[i] for name in _RECORD_FIELDS))
+
+    def __iter__(self) -> Iterator[InteractionRecord]:
+        return map(InteractionRecord, *(getattr(self, name) for name in _RECORD_FIELDS))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (InteractionColumns, list, tuple)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    @cached_property
+    def ordered(self) -> List[int]:
+        """Positions of the single-skill rows (skill field non-empty and
+        without a comma), sorted by (user_id, order_id, problem_id,
+        row_index). The sort is stable: exact ties keep their input order."""
+        keep = [i for i, s in enumerate(self.skill_raw) if s and "," not in s]
+        keys = list(zip(self.user_id, self.order_id, self.problem_id, self.row_index))
+        keep.sort(key=keys.__getitem__)
+        return keep
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(InteractionRecord))
+
+
+def _as_columns(records: Iterable[InteractionRecord]) -> InteractionColumns:
+    if isinstance(records, InteractionColumns):
+        return records
+    return InteractionColumns.from_records(records)
+
+
 @dataclass
 class ParseResult:
-    records: List[InteractionRecord]
+    columns: InteractionColumns
     rejects: List[RejectedRow]
     duplicates_dropped: int = 0
+
+    @property
+    def records(self) -> InteractionColumns:
+        """The parsed rows through the record API (records build on access)."""
+        return self.columns
 
 
 @dataclass
@@ -182,12 +258,28 @@ def _parse_correct(value: str) -> int:
     return int(v)
 
 
+_CORRECT_FAST = {"0": 0, "1": 1}
+
+
+def _parse_order_id(value: str) -> int:
+    """Integer order key; float-encoded values such as "12.0" are accepted.
+    Plain integers parse exactly, so ids above 2**53 keep their order."""
+    try:
+        return int(value)
+    except ValueError:
+        pass
+    try:
+        return int(float(value))
+    except OverflowError:  # "inf"
+        raise ValueError(f"order_id out of range: {value!r}") from None
+
+
 def parse_interactions(
     source: TextIO | Iterable[str],
     columns: Mapping[str, str] | None = None,
     delimiter: str = ",",
 ) -> ParseResult:
-    """Read a delimited log with a header row into interaction records.
+    """Read a delimited log with a header row into interaction columns.
 
     Rows that cannot yield a structurally valid record (missing user id,
     non-integer order key, correctness outside {0, 1}) land in the rejects
@@ -214,54 +306,67 @@ def parse_interactions(
             raise ColumnMappingError(f"required column {col!r} not found in header")
         positions[fieldname] = header.index(col)
 
-    records: List[InteractionRecord] = []
+    cols = InteractionColumns()
+    width = max(positions.values()) + 1
+    cells_of = itemgetter(*(positions[f] for f in (
+        "user_id", "order_id", "correct", "problem_id", "skill_id", "skill_name"
+    )))
+    add_user, add_order = cols.user_id.append, cols.order_id.append
+    add_correct, add_problem = cols.correct.append, cols.problem_id.append
+    add_skill, add_name = cols.skill_raw.append, cols.skill_name.append
+    add_row = cols.row_index.append
     rejects: List[RejectedRow] = []
+    # a digest instead of the raw row keeps memory flat on wide files; copying
+    # one configured hasher is cheaper than constructing one per row
+    hasher = hashlib.blake2b(digest_size=16)
+    # one string object per distinct id or name: the columns then hold
+    # pointers to a few thousand strings, not a fresh string per cell
+    share = {}.setdefault
     seen: set = set()
     duplicates = 0
 
     for row_index, row in enumerate(reader, start=1):
-        if not row or all(not cell.strip() for cell in row):
+        joined = "\x1f".join(row)
+        # "\x1f" is whitespace to str.strip, so this is "every cell is blank"
+        if not joined.strip():
             continue
-        line_number = row_index + 1  # header is line 1
-        # digest instead of the raw tuple keeps memory flat on wide files
-        key = hashlib.blake2b("\x1f".join(row).encode("utf-8"), digest_size=16).digest()
+        digest = hasher.copy()
+        digest.update(joined.encode("utf-8"))
+        key = digest.digest()
         if key in seen:
             duplicates += 1
             continue
         seen.add(key)
 
-        def cell(name: str) -> str:
-            pos = positions[name]
-            return row[pos].strip() if pos < len(row) else ""
-
-        user_id = cell("user_id")
-        if not user_id:
-            rejects.append(RejectedRow(line_number, "missing user_id", delimiter.join(row)))
-            continue
-        try:
-            order_id = int(float(cell("order_id")))
-        except ValueError:
-            rejects.append(RejectedRow(line_number, "bad order_id", delimiter.join(row)))
-            continue
-        try:
-            correct = _parse_correct(cell("correct"))
-        except ValueError:
-            rejects.append(RejectedRow(line_number, "bad correct", delimiter.join(row)))
-            continue
-
-        records.append(
-            InteractionRecord(
-                order_id=order_id,
-                user_id=user_id,
-                problem_id=cell("problem_id"),
-                skill_raw=cell("skill_id"),
-                skill_name=cell("skill_name"),
-                correct=correct,
-                row_index=row_index,
-            )
+        cells = row if len(row) >= width else row + [""] * (width - len(row))
+        user_id, order_cell, correct_cell, problem_id, skill_raw, skill_name = map(
+            str.strip, cells_of(cells)
         )
+        if not user_id:
+            rejects.append(RejectedRow(row_index + 1, "missing user_id", delimiter.join(row)))
+            continue
+        try:
+            order_id = _parse_order_id(order_cell)
+        except ValueError:
+            rejects.append(RejectedRow(row_index + 1, "bad order_id", delimiter.join(row)))
+            continue
+        correct = _CORRECT_FAST.get(correct_cell)
+        if correct is None:
+            try:
+                correct = _parse_correct(correct_cell)
+            except ValueError:
+                rejects.append(RejectedRow(row_index + 1, "bad correct", delimiter.join(row)))
+                continue
 
-    return ParseResult(records=records, rejects=rejects, duplicates_dropped=duplicates)
+        add_user(share(user_id, user_id))
+        add_order(order_id)
+        add_correct(correct)
+        add_problem(share(problem_id, problem_id))
+        add_skill(share(skill_raw, skill_raw))
+        add_name(share(skill_name, skill_name))
+        add_row(row_index)
+
+    return ParseResult(columns=cols, rejects=rejects, duplicates_dropped=duplicates)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +374,7 @@ def parse_interactions(
 
 
 def filter_and_order(
-    records: Sequence[InteractionRecord],
+    records: Iterable[InteractionRecord],
 ) -> Tuple[List[StudentSequence], FilterReport]:
     """Apply the preprocessing filters and build ordered raw-id sequences.
 
@@ -278,46 +383,51 @@ def filter_and_order(
     than three interactions. The surviving rows are grouped per student and
     sorted by (order_id, problem_id, row_index).
     """
-    report = FilterReport()
-    by_user: Dict[str, List[InteractionRecord]] = {}
-    for rec in records:
-        if not rec.skill_raw:
-            report.missing_skill += 1
-            continue
-        if "," in rec.skill_raw:
-            report.multi_skill += 1
-            continue
-        by_user.setdefault(rec.user_id, []).append(rec)
+    cols = _as_columns(records)
+    order = cols.ordered
+    report = FilterReport(missing_skill=cols.skill_raw.count(""))
+    report.multi_skill = len(cols) - report.missing_skill - len(order)
 
+    steps = list(zip(*(map(column.__getitem__, order)
+                       for column in (cols.skill_raw, cols.problem_id, cols.correct))))
     sequences: List[StudentSequence] = []
-    for user_id in sorted(by_user):
-        rows = sorted(by_user[user_id], key=InteractionRecord.sort_key)
-        if len(rows) < MIN_INTERACTIONS:
+    start = 0
+    # a Counter keeps first-seen order, which is the sorted user order
+    for user_id, n in Counter(map(cols.user_id.__getitem__, order)).items():
+        if n < MIN_INTERACTIONS:
             report.short_students += 1
-            report.short_student_rows += len(rows)
-            continue
-        steps = [(r.skill_raw, r.problem_id, r.correct) for r in rows]
-        sequences.append(StudentSequence(user_id=user_id, steps=steps))
+            report.short_student_rows += n
+        else:
+            sequences.append(StudentSequence(user_id=user_id, steps=steps[start:start + n]))
+        start += n
 
     report.kept_students = len(sequences)
-    report.kept_records = sum(len(s) for s in sequences)
+    report.kept_records = sum(map(len, sequences))
     return sequences, report
 
 
-def collect_skill_names(records: Sequence[InteractionRecord]) -> Dict[str, str]:
+def collect_skill_names(records: Iterable[InteractionRecord]) -> Dict[str, str]:
     """First non-empty display name per raw skill id, in deterministic
-    (user, order, problem, row) traversal order."""
-    names: Dict[str, str] = {}
-    for rec in sorted(records, key=lambda r: (r.user_id,) + r.sort_key()):
-        if not rec.skill_raw or "," in rec.skill_raw:
-            continue
-        if rec.skill_name and not names.get(rec.skill_raw):
-            names[rec.skill_raw] = rec.skill_name
-    return names
+    (user, order, problem, row) traversal order. Rows of students that the
+    length filter drops still name their skills."""
+    cols = _as_columns(records)
+    # walking backwards, the last name met per skill is the first one forwards
+    backwards = cols.ordered[::-1]
+    named = filter(itemgetter(1), zip(map(cols.skill_raw.__getitem__, backwards),
+                                      map(cols.skill_name.__getitem__, backwards)))
+    return dict(named)
 
 
 # ---------------------------------------------------------------------------
 # vocabulary
+
+
+def flatten_steps(sequences: Iterable[StudentSequence]) -> List[tuple]:
+    """Every (skill, quiz, correct) step of ``sequences``, in order."""
+    return list(chain.from_iterable(seq.steps for seq in sequences))
+
+
+_SKILL, _QUIZ, _LABEL = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
 def build_vocab(
@@ -329,32 +439,31 @@ def build_vocab(
     identical Vocab."""
     if not sequences:
         raise ValueError("build_vocab: no sequences")
-    skills: Dict[str, int] = {}
-    quizzes: Dict[str, int] = {}
-    for seq in sorted(sequences, key=lambda s: s.user_id):
-        for skill, quiz, _ in seq.steps:
-            if skill not in skills:
-                skills[skill] = len(skills)
-            if quiz not in quizzes:
-                quizzes[quiz] = len(quizzes)
-    skill_ids = tuple(skills)
+    steps = flatten_steps(sorted(sequences, key=attrgetter("user_id")))
+    skill_ids = tuple(dict.fromkeys(map(_SKILL, steps)))
     names = skill_names or {}
     return Vocab(
         skill_ids=skill_ids,
-        quiz_ids=tuple(quizzes),
+        quiz_ids=tuple(dict.fromkeys(map(_QUIZ, steps))),
         skill_names=tuple(names.get(s) or str(s) for s in skill_ids),
     )
 
 
 def index_sequences(sequences: Sequence[StudentSequence], vocab: Vocab) -> List[StudentSequence]:
     """Convert raw-id sequences to dense-index sequences."""
-    out: List[StudentSequence] = []
-    for seq in sequences:
-        steps = [
-            (vocab.skill_to_index[s], vocab.quiz_to_index[q], y) for s, q, y in seq.steps
-        ]
-        out.append(StudentSequence(user_id=seq.user_id, steps=steps))
-    return out
+    skill_index = vocab.skill_to_index.__getitem__
+    quiz_index = vocab.quiz_to_index.__getitem__
+    return [
+        StudentSequence(
+            user_id=seq.user_id,
+            steps=list(zip(
+                map(skill_index, map(_SKILL, seq.steps)),
+                map(quiz_index, map(_QUIZ, seq.steps)),
+                map(_LABEL, seq.steps),
+            )),
+        )
+        for seq in sequences
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -413,26 +522,22 @@ def summarize(data: "Sequence[StudentSequence] | DatasetSplit") -> DatasetStats:
         ]
     else:
         sequences = list(data)
-    n_records = sum(len(s) for s in sequences)
+    steps = flatten_steps(sequences)
+    n_records = len(steps)
     if n_records == 0:
         return DatasetStats()
-    quizzes = set()
-    skills = set()
-    n_correct = 0
-    for seq in sequences:
-        for s, q, y in seq.steps:
-            skills.add(s)
-            quizzes.add(q)
-            n_correct += y
+    n_quizzes = len(set(map(_QUIZ, steps)))
+    n_skills = len(set(map(_SKILL, steps)))
+    n_correct = sum(map(_LABEL, steps))
     n_students = len(sequences)
     return DatasetStats(
         n_records=n_records,
         n_students=n_students,
-        n_quizzes=len(quizzes),
-        n_skills=len(skills),
+        n_quizzes=n_quizzes,
+        n_skills=n_skills,
         avg_per_student=n_records / n_students,
-        avg_per_quiz=n_records / len(quizzes),
-        avg_per_skill=n_records / len(skills),
+        avg_per_quiz=n_records / n_quizzes,
+        avg_per_skill=n_records / n_skills,
         n_correct=n_correct,
         n_incorrect=n_records - n_correct,
     )
@@ -443,31 +548,25 @@ def summarize_split(split: DatasetSplit) -> Dict[str, DatasetStats]:
     return {name: summarize(part) for name, part in split.partitions().items()}
 
 
-def summarize_records(records: Sequence[InteractionRecord]) -> DatasetStats:
+def summarize_records(records: Iterable[InteractionRecord]) -> DatasetStats:
     """Stats over raw parsed records (the pre-filter view). Comma-separated
     skill cells contribute each component id to the distinct-skill count."""
-    if not records:
+    cols = _as_columns(records)
+    n = len(cols)
+    if not n:
         return DatasetStats()
-    users = set()
-    quizzes = set()
-    skills = set()
-    n_correct = 0
-    for rec in records:
-        users.add(rec.user_id)
-        quizzes.add(rec.problem_id)
-        for part in rec.skill_raw.split(","):
-            part = part.strip()
-            if part:
-                skills.add(part)
-        n_correct += rec.correct
-    n = len(records)
+    n_users = len(set(cols.user_id))
+    n_quizzes = len(set(cols.problem_id))
+    skills = {part.strip() for cell in set(cols.skill_raw) for part in cell.split(",")}
+    skills.discard("")
+    n_correct = sum(cols.correct)
     return DatasetStats(
         n_records=n,
-        n_students=len(users),
-        n_quizzes=len(quizzes),
+        n_students=n_users,
+        n_quizzes=n_quizzes,
         n_skills=len(skills),
-        avg_per_student=n / len(users),
-        avg_per_quiz=n / len(quizzes) if quizzes else 0.0,
+        avg_per_student=n / n_users,
+        avg_per_quiz=n / n_quizzes if n_quizzes else 0.0,
         avg_per_skill=n / len(skills) if skills else 0.0,
         n_correct=n_correct,
         n_incorrect=n - n_correct,
@@ -475,36 +574,63 @@ def summarize_records(records: Sequence[InteractionRecord]) -> DatasetStats:
 
 
 # ---------------------------------------------------------------------------
-# canonical sequence file
+# files
+
+
+@contextlib.contextmanager
+def atomic_open(path: str | Path, mode: str = "w", **kwargs) -> Iterator:
+    """Open a temporary file next to ``path`` for writing and move it into
+    place when the block ends, so a failed write leaves any previous file
+    intact."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_sequences(path: str | Path, sequences: Sequence[StudentSequence]) -> None:
     """One student per line: user_id, then tab-separated s,q,y triplets."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for seq in sequences:
-            cells = [seq.user_id] + [f"{s},{q},{y}" for s, q, y in seq.steps]
-            fh.write("\t".join(cells) + "\n")
+    step_cell = "%s,%s,%s".__mod__
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(
+            "\t".join([seq.user_id, *map(step_cell, seq.steps)]) + "\n" for seq in sequences
+        )
+
+
+# user id, then zero or more tab-separated cells of exactly three values
+_SEQUENCE_LINE = re.compile(r"[^\t\n]*(?:\t[^\t\n,]*,[^\t\n,]*,[^\t\n,]*)*\n?")
+
+
+class _IntCache(dict):
+    """str -> int, parsing each distinct string once."""
+
+    def __missing__(self, key: str) -> int:
+        value = self[key] = int(key)
+        return value
 
 
 def read_sequences(path: str | Path) -> List[StudentSequence]:
     out: List[StudentSequence] = []
+    to_int = _IntCache().__getitem__
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
+        for line_number, line in enumerate(fh, start=1):
+            if line == "\n":
                 continue
-            cells = line.split("\t")
-            steps = []
-            for cell in cells[1:]:
-                s, q, y = cell.split(",")
-                steps.append((int(s), int(q), int(y)))
-            out.append(StudentSequence(user_id=cells[0], steps=steps))
+            if not _SEQUENCE_LINE.fullmatch(line):
+                raise ValueError(f"{path}: line {line_number}: a step cell must hold s,q,y")
+            user_id, _, cells = line.rstrip("\n").partition("\t")
+            values = map(to_int, cells.replace("\t", ",").split(",")) if cells else iter(())
+            out.append(StudentSequence(user_id=user_id, steps=list(zip(values, values, values))))
     return out
 
 
 def write_rejects(path: str | Path, rejects: Sequence[RejectedRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["line_number", "reason", "raw_row"])
-        for rej in rejects:
-            writer.writerow([rej.line_number, rej.reason, rej.raw])
+        writer.writerows([rej.line_number, rej.reason, rej.raw] for rej in rejects)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ktrace.cli import Workspace, WorkspaceLocked, main, representative_quizzes
+from ktrace.cli import Workspace, WorkspaceLocked, main, representative_quizzes, write_json
 from ktrace.config import ConfigError, load_config
 from ktrace.ingest import StudentSequence
 from ktrace.records import PredictionRecord, read_prediction_dump, write_prediction_dump
@@ -121,6 +121,16 @@ def test_prepare_writes_artifacts_and_is_idempotent(tmp_path, capsys):
     assert main(["prepare", "--config", cfg_path]) == 0
     for name in artifacts:
         assert hash_file(ws_dir / name) == hashes[name], f"{name} not idempotent"
+
+
+def test_write_json_failing_midway_keeps_previous_file(tmp_path):
+    path = tmp_path / "stats.json"
+    write_json(path, {"a": 1})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_json(path, {"a": 2, "b": object()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["stats.json"]
 
 
 def test_prepare_missing_input_exits_2_without_artifacts(tmp_path):

@@ -319,3 +319,91 @@ def test_sequence_file_bytes_are_deterministic(tmp_path):
     write_sequences(p1, indexed)
     write_sequences(p2, indexed)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# order keys, the record view and file safety
+
+
+def test_parse_rejects_infinite_order_id():
+    result = parse("inf,u1,p1,1,33,n\n-inf,u1,p2,1,33,n\nnan,u1,p3,1,33,n\n1,u1,p4,1,33,n\n")
+    assert [(r.line_number, r.reason) for r in result.rejects] == [
+        (2, "bad order_id"), (3, "bad order_id"), (4, "bad order_id")
+    ]
+    assert [r.problem_id for r in result.records] == ["p4"]
+
+
+def test_parse_order_ids_above_2_pow_53_stay_exact():
+    result = parse(
+        "9007199254740993,u1,pA,1,3,n\n9007199254740992,u1,pB,1,3,n\n12.0,u1,pC,0,3,n\n"
+    )
+    assert [r.order_id for r in result.records] == [9007199254740993, 9007199254740992, 12]
+    sequences, _ = filter_and_order(result.records)
+    assert [q for _, q, _ in sequences[0].steps] == ["pC", "pB", "pA"]
+
+
+def test_record_view_len_builds_no_record(monkeypatch):
+    result = parse(make_rows("u1", 4))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an InteractionRecord was built")
+
+    monkeypatch.setattr(ingest.InteractionRecord, "__init__", refuse)
+    assert len(result.records) == 4
+    assert result.records.user_id == ["u1"] * 4
+    filter_and_order(result.records)
+    collect_skill_names(result.records)
+    ingest.summarize_records(result.records)
+
+
+def test_record_view_items_and_equality():
+    result = parse("2,u1,p1,1,33,n\n1,u2,p2,0,,\n")
+    records = list(result.records)
+    assert result.records == records and records == result.records
+    assert result.records[-1] == records[1]
+    assert result.records != records[:1]
+    assert records[1] == ingest.InteractionRecord(1, "u2", "p2", "", "", 0, 2)
+
+
+def test_record_list_and_columns_give_the_same_sequences_and_names():
+    text = (
+        "5,u2,pB,1,4,\n5,u2,pA,0,4,Four\n1,u1,p1,1,\"4,5\",Both\n"
+        "2,u1,p2,1,5,Five\n3,u1,p3,0,5,\n4,u1,p4,1,4,Other\n1,u3,p9,1,6,Six\n"
+        + make_rows("u2", 2, skill="6", start_order=7)
+    )
+    columns = parse(text).records
+    records = list(columns)
+    assert filter_and_order(records) == filter_and_order(columns)
+    assert collect_skill_names(records) == collect_skill_names(columns) == {
+        "4": "Other", "5": "Five", "6": "Skill 6"
+    }
+    assert ingest.summarize_records(records) == ingest.summarize_records(columns)
+
+
+def test_read_sequences_rejects_cells_without_three_values(tmp_path):
+    path = tmp_path / "sequences.txt"
+    path.write_text("u1\t1,2,3\t4,5,6\n\nu2\n")
+    loaded = read_sequences(path)
+    assert [(s.user_id, s.steps) for s in loaded] == [("u1", [(1, 2, 3), (4, 5, 6)]), ("u2", [])]
+    for bad in ("u1\t1,2\t3,4,5,6\n", "u1\t1,2,3,4\n", "u1\t1,2,3\t\n", "u1\t1,2,x\n"):
+        path.write_text(bad)
+        with pytest.raises(ValueError):
+            read_sequences(path)
+
+
+def test_failed_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "sequences.txt"
+    write_sequences(path, [ingest.StudentSequence("u1", [(0, 0, 1)])])
+    before = path.read_bytes()
+    torn = [ingest.StudentSequence("u1", [(0, 0, 1)]), ingest.StudentSequence("u2", [(0, 1)])]
+    with pytest.raises(TypeError):
+        write_sequences(path, torn)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["sequences.txt"]
+
+    with pytest.raises(RuntimeError):
+        with ingest.atomic_open(path, "w") as fh:
+            fh.write("half")
+            raise RuntimeError("interrupted")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["sequences.txt"]
