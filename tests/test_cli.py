@@ -165,8 +165,10 @@ def test_workspace_lock_takes_over_a_dead_holder(tmp_path):
     assert not (ws.root / ".lock").exists()
 
 
-@pytest.mark.parametrize("holder", [str(os.getpid()), "", "not a pid"])
+@pytest.mark.parametrize("holder", ["live", "", "not a pid"])
 def test_workspace_lock_refuses_live_or_unreadable_holder(tmp_path, holder):
+    # "live" stands for this process's pid, which would make an unstable test id.
+    holder = str(os.getpid()) if holder == "live" else holder
     ws = Workspace(tmp_path / "ws")
     ws.root.mkdir()
     (ws.root / ".lock").write_text(holder)
