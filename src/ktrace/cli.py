@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import sys
@@ -27,7 +26,7 @@ import numpy as np
 from . import dkt, evaluation, ingest, llmprobe, nncore, synth
 from .config import ConfigError, EvalSection, RunConfig, load_config
 from .records import (
-    PredictionRecord,
+    Predictions,
     read_prediction_dump,
     read_trajectory,
     write_prediction_dump,
@@ -226,7 +225,7 @@ def write_prepared_workspace(
     indexed: List[ingest.StudentSequence],
     vocab: ingest.Vocab,
     split: ingest.DatasetSplit,
-    stats_columns: Dict[str, Optional[ingest.DatasetStats]],
+    stats_by_column: Dict[str, Optional[ingest.DatasetStats]],
     rejects: Sequence[ingest.RejectedRow] = (),
     filter_report: Optional[ingest.FilterReport] = None,
     stage: str = "prepare",
@@ -247,7 +246,7 @@ def write_prepared_workspace(
         ws.stats_path,
         {
             name: None if stats is None else stats.to_dict()
-            for name, stats in stats_columns.items()
+            for name, stats in stats_by_column.items()
         },
     )
     if filter_report is not None:
@@ -285,17 +284,17 @@ def cmd_prepare(cfg: RunConfig) -> int:
         indexed = ingest.index_sequences(raw_sequences, vocab)
         split = ingest.split_students(indexed, cfg.ratios, cfg.seed)
 
-        stats_columns = {
+        stats_by_column = {
             "original": ingest.summarize_records(parsed.columns),
             "preprocessed": ingest.summarize(indexed),
             **ingest.summarize_split(split),
         }
         write_prepared_workspace(
-            ws, cfg, indexed, vocab, split, stats_columns,
+            ws, cfg, indexed, vocab, split, stats_by_column,
             rejects=parsed.rejects, filter_report=filter_report,
         )
 
-        print_stats_table(stats_columns)
+        print_stats_table(stats_by_column)
         print(
             f"\nparsed {len(parsed.columns)} records "
             f"({len(parsed.rejects)} rejected, {parsed.duplicates_dropped} duplicates); "
@@ -324,12 +323,12 @@ def cmd_synth(cfg: RunConfig) -> int:
             skill_names=tuple(corpus.skill_names()),
         )
         split = ingest.split_students(corpus.sequences, cfg.ratios, cfg.seed)
-        stats_columns = {
+        stats_by_column = {
             "preprocessed": ingest.summarize(corpus.sequences),
             **ingest.summarize_split(split),
         }
         write_prepared_workspace(
-            ws, cfg, corpus.sequences, vocab, split, stats_columns, stage="synth",
+            ws, cfg, corpus.sequences, vocab, split, stats_by_column, stage="synth",
         )
         synth.write_oracle_sidecar(ws.oracle_path, corpus)
         write_prediction_dump(
@@ -337,7 +336,7 @@ def cmd_synth(cfg: RunConfig) -> int:
         )
         write_json(ws.root / "generative_spec.json", cfg.synth.to_dict())
 
-        print_stats_table(stats_columns)
+        print_stats_table(stats_by_column)
         print(
             f"\nsynthetic corpus: {cfg.synth.n_students} students, "
             f"oracle AUC (test, next-step positions): "
@@ -393,9 +392,7 @@ def cmd_train(cfg: RunConfig) -> int:
                 print(f"warning: heatmap student {user_id} not found; skipped")
                 continue
             traj = dkt.mastery_trajectory(model, seq)
-            path = ws.trajectory_path("dkt", user_id)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write_trajectory(path, traj)
+            write_trajectory(ws.trajectory_path("dkt", user_id), traj)
 
         ws.update_manifest(
             "train",
@@ -431,7 +428,7 @@ def cmd_probe(cfg: RunConfig, tag_override: Optional[str] = None) -> int:
             (seq.user_id, llmprobe.display_steps(seq.steps, vocab.skill_names, vocab.quiz_ids))
             for seq in parts["test"]
         ]
-        all_records, all_errors = llmprobe.probe_sequences(client, students, tag)
+        preds, all_errors = llmprobe.probe_sequences(client, students, tag)
         stability: List[dict] = []
         if cfg.probe.stability_check:
             reports = llmprobe.stability_reports(client, students, tag)
@@ -440,7 +437,7 @@ def cmd_probe(cfg: RunConfig, tag_override: Optional[str] = None) -> int:
                 for (user_id, _), report in zip(students, reports)
             ]
 
-        mastery_records: List[PredictionRecord] = []
+        mastery_paths: List[Predictions] = []
         by_user = {s.user_id: s for part in parts.values() for s in part}
         for user_id in cfg.probe.mastery_students:
             seq = by_user.get(user_id)
@@ -452,18 +449,14 @@ def cmd_probe(cfg: RunConfig, tag_override: Optional[str] = None) -> int:
                 client, seq.user_id, steps, vocab.skill_names, repr_quiz
             )
             traj.steps = list(seq.steps)  # restore real quiz indices
-            path = ws.trajectory_path(tag, user_id)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write_trajectory(path, traj)
-            mastery_records.extend(
-                dataclasses.replace(rec, model_tag=tag) for rec in traj.practiced_path()
-            )
+            write_trajectory(ws.trajectory_path(tag, user_id), traj)
+            mastery_paths.append(traj.practiced_path(tag))
 
-        write_prediction_dump(ws.dump_path(tag), all_records)
-        if mastery_records:
-            write_prediction_dump(ws.dump_path(tag, "mastery"), mastery_records)
+        write_prediction_dump(ws.dump_path(tag), preds)
+        if mastery_paths:
+            write_prediction_dump(ws.dump_path(tag, "mastery"), Predictions.concat(mastery_paths))
 
-        coverage = evaluation.coverage(all_records)
+        coverage = evaluation.coverage(preds)
         payload = {
             "tag": tag,
             "model": cfg.probe.probe.model,
@@ -477,7 +470,7 @@ def cmd_probe(cfg: RunConfig, tag_override: Optional[str] = None) -> int:
 
         audit_path = ws.root / "probe_audit" / f"{tag}.jsonl"
         audit_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(audit_path, "w", encoding="utf-8", newline="\n") as fh:
+        with ingest.atomic_open(audit_path, "w", encoding="utf-8", newline="\n") as fh:
             for entry in sorted(client.audit, key=lambda e: (e["key"], e["cached"])):
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
@@ -490,7 +483,7 @@ def cmd_probe(cfg: RunConfig, tag_override: Optional[str] = None) -> int:
             },
         )
         print(
-            f"probed {len(parts['test'])} students -> {len(all_records)} records "
+            f"probed {len(parts['test'])} students -> {len(preds)} records "
             f"({coverage['unresolved']} unresolved), {client.request_count} network requests"
         )
         if stability:
@@ -509,27 +502,27 @@ def evaluate_tag(
     pred_path = ws.dump_path(tag)
     if not pred_path.exists():
         return None
-    records = read_prediction_dump(pred_path)
-    result: dict = {"tag": tag, "coverage": evaluation.coverage(records)}
+    preds = read_prediction_dump(pred_path)
+    result: dict = {"tag": tag, "coverage": evaluation.coverage(preds)}
 
     try:
-        analysis = evaluation.roc_auc(records)
+        analysis = evaluation.roc_auc(preds)
     except ValueError as exc:
         result["auc_error"] = str(exc)
         return result
     result["auc"] = analysis.auc
     result["youden"] = {"threshold": analysis.youden_threshold, "j": analysis.j_stat}
-    result["confusion"] = evaluation.confusion_metrics(records, section.threshold).to_dict()
+    result["confusion"] = evaluation.confusion_metrics(preds, section.threshold).to_dict()
 
     roc_path = ws.report_path(f"roc_{tag}.csv")
     roc_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(roc_path, "w", encoding="utf-8", newline="\n") as fh:
+    with ingest.atomic_open(roc_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("fpr,tpr,threshold\n")
         for fpr, tpr, threshold in analysis.roc:
             fh.write(f"{fpr!r},{tpr!r},{threshold!r}\n")
 
     stage_table = evaluation.stage_errors(
-        records, analysis.youden_threshold, macro=section.stage_macro
+        preds, analysis.youden_threshold, macro=section.stage_macro
     )
     result["stage_errors"] = [row.to_dict() for row in stage_table]
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import nncore
 from .ingest import StudentSequence, atomic_open
-from .records import MasteryTrajectory, PredictionRecord
+from .records import MasteryTrajectory, Predictions
 
 Array = np.ndarray
 
@@ -368,8 +368,8 @@ PROB_FLOOR = 1e-12  # dump probabilities stay inside the open unit interval
 
 def predict_records(
     model: DktModel, sequences: Sequence[StudentSequence], tag: str
-) -> Tuple[List[PredictionRecord], List[PredictionRecord]]:
-    """Next-step prediction rows and mastery-path rows for a sequence set.
+) -> Tuple[Predictions, Predictions]:
+    """Next-step prediction and mastery-path tables for a sequence set.
 
     Every sequence is cut into ``max_t`` windows (the training window rule,
     trailing 1-step windows kept). The windows are sorted by length and run
@@ -381,7 +381,8 @@ def predict_records(
     0.0/1.0 in float64) are nudged back inside (0, 1).
     """
     if not sequences:
-        return [], []
+        empty = Predictions([], [], [], [], [], [])
+        return empty, empty
     max_t = _model_setting(model, "max_t")
     batch_size = _model_setting(model, "batch_size")
     if any(len(seq) < 1 for seq in sequences):
@@ -405,31 +406,25 @@ def predict_records(
     p_mastery = np.clip(p_mastery, PROB_FLOOR, 1.0 - PROB_FLOOR)
     p_next = np.clip(p_next, PROB_FLOOR, 1.0 - PROB_FLOOR)
 
-    predictions: List[PredictionRecord] = []
-    mastery: List[PredictionRecord] = []
-    for seq, off in zip(sequences, offsets):
-        for t, (skill, _, y) in enumerate(seq.steps):
-            if t >= 1:
-                predictions.append(
-                    PredictionRecord(
-                        user_id=seq.user_id,
-                        step=t,
-                        skill=skill,
-                        y_true=y,
-                        p=float(p_next[off + t - 1]),
-                        model_tag=tag,
-                    )
-                )
-            mastery.append(
-                PredictionRecord(
-                    user_id=seq.user_id,
-                    step=t,
-                    skill=skill,
-                    y_true=y,
-                    p=float(p_mastery[off + t]),
-                    model_tag=tag,
-                )
-            )
+    sizes = np.diff(offsets)
+    mastery = Predictions(
+        user=np.repeat([seq.user_id for seq in sequences], sizes),
+        step=np.arange(len(skills)) - np.repeat(offsets[:-1], sizes),
+        skill=skills,
+        y=tokens // model.k,
+        p=p_mastery,
+        tag=np.full(len(skills), tag),
+    )
+    # the prediction for step t >= 1 is read out at step t - 1
+    target = np.flatnonzero(mastery.step >= 1)
+    predictions = Predictions(
+        user=mastery.user[target],
+        step=mastery.step[target],
+        skill=skills[target],
+        y=mastery.y[target],
+        p=p_next[target - 1],
+        tag=mastery.tag[target],
+    )
     return predictions, mastery
 
 

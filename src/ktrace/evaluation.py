@@ -6,10 +6,10 @@ early/middle/late stage errors split by stable/switching learner profiles,
 temporal-coherence metrics (volatility and directional inconsistency over
 same-skill mastery paths), and multi-skill mastery heatmap export as SVG.
 
-Every metric reads a record list through one array view, ``_columns``:
-parallel user id, step, skill, label and probability arrays, with NaN where
-a probe record is unresolved. Unresolved records are excluded from every
-metric and surfaced through the coverage report. One update rule,
+Every metric reads one ``records.Predictions`` table: parallel user id,
+step, skill, label and probability columns, with NaN where a probe step is
+unresolved. Unresolved rows are excluded from every metric and surfaced
+through the coverage report. One update rule,
 ``_updates``, decides which consecutive same-path mastery changes move
 against the observed response; `volatility`, `inconsistency`,
 `coherence_report` and the heatmap annotation all use it.
@@ -20,44 +20,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .records import MasteryTrajectory, PredictionRecord
+from .ingest import atomic_open
+from .records import MasteryTrajectory, Predictions, write_trajectory
 
 STABLE = "stable"
 SWITCHING = "switching"
 STAGES = ("early", "middle", "late")
 
 
-class _Columns(NamedTuple):
-    """Parallel per-record arrays of a record list."""
-
-    user: np.ndarray   # user ids (str)
-    step: np.ndarray
-    skill: np.ndarray
-    y: np.ndarray
-    p: np.ndarray      # NaN where the record is unresolved
-
-    def resolved_rows(self) -> "_Columns":
-        keep = ~np.isnan(self.p)
-        return _Columns(*(col[keep] for col in self))
-
-
-def _columns(records: Sequence[PredictionRecord]) -> _Columns:
-    return _Columns(
-        user=np.array([r.user_id for r in records], dtype=str),
-        step=np.array([r.step for r in records], dtype=np.int64),
-        skill=np.array([r.skill for r in records], dtype=np.int64),
-        y=np.array([r.y_true for r in records], dtype=np.int64),
-        p=np.array([r.p for r in records], dtype=np.float64),
-    )
-
-
-def coverage(records: Sequence[PredictionRecord]) -> dict:
-    total = len(records)
-    resolved = sum(1 for r in records if r.resolved)
+def coverage(preds: Predictions) -> dict:
+    total = len(preds)
+    resolved = int(np.count_nonzero(~np.isnan(preds.p)))
     return {
         "total": total,
         "resolved": resolved,
@@ -84,15 +61,15 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
-def roc_auc(records: Sequence[PredictionRecord]) -> ThresholdAnalysis:
+def roc_auc(preds: Predictions) -> ThresholdAnalysis:
     """AUC via the Mann-Whitney rank statistic plus the full ROC curve.
 
     Thresholds are all distinct scores with +/-inf sentinels; a record is
     classified positive when p >= threshold. Requires both classes among the
-    resolved records.
+    resolved rows.
     """
-    cols = _columns(records).resolved_rows()
-    if not len(cols.p):
+    cols = preds.resolved()
+    if not len(cols):
         raise ValueError("AUC undefined: no resolved records")
     scores, labels = cols.p, cols.y
     n_pos = int(labels.sum())
@@ -122,12 +99,6 @@ def roc_auc(records: Sequence[PredictionRecord]) -> ThresholdAnalysis:
         youden_threshold=float(thresholds[best]),
         j_stat=float(tpr[best] - fpr[best]),
     )
-
-
-def youden_threshold(analysis: ThresholdAnalysis) -> float:
-    """argmax over ROC thresholds of TPR - FPR; ties go to the larger
-    threshold."""
-    return analysis.youden_threshold
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +134,14 @@ class ConfusionMetrics:
         }
 
 
-def confusion_metrics(
-    records: Sequence[PredictionRecord], threshold: float = 0.5
-) -> ConfusionMetrics:
+def confusion_metrics(preds: Predictions, threshold: float = 0.5) -> ConfusionMetrics:
     """Per-class precision/recall/F1 plus accuracy at a fixed threshold.
 
     Class 0 is the low-performer (incorrect) row, class 1 the high-performer
     row. Zero-division cells yield 0 and are flagged.
     """
-    cols = _columns(records).resolved_rows()
-    if not len(cols.p):
+    cols = preds.resolved()
+    if not len(cols):
         raise ValueError("no resolved records")
     y = cols.y
     pred = (cols.p >= threshold).astype(np.int64)
@@ -244,7 +213,7 @@ class ProfileStageErrors:
 
 
 def stage_errors(
-    records: Sequence[PredictionRecord], threshold: float, macro: bool = False
+    preds: Predictions, threshold: float, macro: bool = False
 ) -> List[ProfileStageErrors]:
     """Error rate per (profile, stage) cell at the given threshold.
 
@@ -257,7 +226,7 @@ def stage_errors(
     counts: Dict[Tuple[str, str], int] = {}
     per_student_rates: Dict[Tuple[str, str], List[float]] = {}
 
-    cols = _columns(records).resolved_rows()
+    cols = preds.resolved()
     order = np.lexsort((cols.step, cols.user))
     labels = cols.y[order]
     wrong = (cols.p[order] >= threshold) != labels
@@ -352,12 +321,12 @@ class CoherenceReport:
         }
 
 
-def coherence_report(mastery_records: Sequence[PredictionRecord]) -> CoherenceReport:
+def coherence_report(mastery: Predictions) -> CoherenceReport:
     """Pooled volatility and inconsistency over all same-skill update pairs
     (micro-average), plus per-student values over each student's own pairs.
-    Unresolved records are dropped before pairing; skills with fewer than
-    two attempts are skipped."""
-    cols = _columns(mastery_records).resolved_rows()
+    Unresolved rows are dropped before pairing; skills with fewer than two
+    attempts are skipped."""
+    cols = mastery.resolved()
     users, user = np.unique(cols.user, return_inverse=True)
     order = np.lexsort((cols.step, cols.skill, user))
     user, skill = user[order], cols.skill[order]
@@ -441,8 +410,6 @@ def heatmap_export(
     white polyline per skill traces the practiced-attempt trajectory. The raw
     matrix goes to ``matrix_path`` as delimited text when given.
     """
-    from .records import write_trajectory
-
     t_len, k = traj.p.shape
     order, skill, y = _skill_paths(traj)
     bad_cells = _inconsistent_cells(traj, order, skill, y)
@@ -517,7 +484,8 @@ def heatmap_export(
         )
     parts.append("</svg>")
 
-    Path(svg_path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    with atomic_open(svg_path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts) + "\n")
     if matrix_path is not None:
         write_trajectory(matrix_path, traj)
     return len(bad_cells)

@@ -126,7 +126,7 @@ class InteractionColumns(SequenceABC):
 _RECORD_FIELDS = tuple(f.name for f in fields(InteractionRecord))
 
 
-def _as_columns(records: Iterable[InteractionRecord]) -> InteractionColumns:
+def _columnar(records: Iterable[InteractionRecord]) -> InteractionColumns:
     if isinstance(records, InteractionColumns):
         return records
     return InteractionColumns.from_records(records)
@@ -383,7 +383,7 @@ def filter_and_order(
     than three interactions. The surviving rows are grouped per student and
     sorted by (order_id, problem_id, row_index).
     """
-    cols = _as_columns(records)
+    cols = _columnar(records)
     order = cols.ordered
     report = FilterReport(missing_skill=cols.skill_raw.count(""))
     report.multi_skill = len(cols) - report.missing_skill - len(order)
@@ -410,7 +410,7 @@ def collect_skill_names(records: Iterable[InteractionRecord]) -> Dict[str, str]:
     """First non-empty display name per raw skill id, in deterministic
     (user, order, problem, row) traversal order. Rows of students that the
     length filter drops still name their skills."""
-    cols = _as_columns(records)
+    cols = _columnar(records)
     # walking backwards, the last name met per skill is the first one forwards
     backwards = cols.ordered[::-1]
     named = filter(itemgetter(1), zip(map(cols.skill_raw.__getitem__, backwards),
@@ -551,7 +551,7 @@ def summarize_split(split: DatasetSplit) -> Dict[str, DatasetStats]:
 def summarize_records(records: Iterable[InteractionRecord]) -> DatasetStats:
     """Stats over raw parsed records (the pre-filter view). Comma-separated
     skill cells contribute each component id to the distinct-skill count."""
-    cols = _as_columns(records)
+    cols = _columnar(records)
     n = len(cols)
     if not n:
         return DatasetStats()

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .records import MasteryTrajectory, PredictionRecord
+from .records import MasteryTrajectory, Predictions
 
 log = logging.getLogger(__name__)
 
@@ -73,15 +73,12 @@ class ProbeConfig:
     max_retries: int = 3
     backoff: float = 0.5
     max_concurrent: int = 1
-    temperature: float = 0.0
     logprob_depth: int = 20
     history_limit: int = 100
     cache_dir: Optional[str] = None
     auth_token_env: str = "KTRACE_API_TOKEN"
 
     def __post_init__(self):
-        if self.temperature != 0.0:
-            raise ValueError("probe inference is deterministic: temperature must be 0")
         if self.max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
         if self.logprob_depth < 2:
@@ -269,7 +266,7 @@ class ProbeClient:
             "model": self.config.model,
             "prompt": prompt_text,
             "max_tokens": 1,
-            "temperature": self.config.temperature,
+            "temperature": 0.0,
             "logprobs": self.config.logprob_depth,
         }
 
@@ -418,11 +415,12 @@ def _history_triples(steps: Sequence[DisplayStep]) -> List[Tuple[str, str, int]]
 PROB_FLOOR = 1e-12  # emitted probabilities stay inside the open unit interval
 
 
-def _step_probability(top: Dict[str, float]) -> Tuple[Optional[float], Optional[str]]:
+def _step_probability(top: Dict[str, float]) -> Tuple[float, Optional[str]]:
+    """The step's probability, or NaN and the reason it is unresolved."""
     try:
         p = prob_from_logits(resolve_logit_pair(top))
     except UnresolvableLogitsError as exc:
-        return None, str(exc)
+        return math.nan, str(exc)
     # extreme logit gaps round to exactly 0/1 in float64; keep records open
     return min(max(p, PROB_FLOOR), 1.0 - PROB_FLOOR), None
 
@@ -432,16 +430,19 @@ def probe_sequences(
     students: Sequence[Tuple[str, Sequence[DisplayStep]]],
     tag: str,
     use_cache: bool = True,
-) -> Tuple[List[PredictionRecord], List[str]]:
+) -> Tuple[Predictions, List[str]]:
     """Next-step correctness probabilities for targets t = 1..T-1 of each
     (user id, steps) student, with every prompt sent in one ``fetch_many``.
 
-    Emits exactly T-1 records per student, students in the given order and
-    steps in order; unresolved steps carry a null probability. Returns
-    (records, per-step error messages).
+    Emits exactly T-1 rows per student, students in the given order and
+    steps in order; unresolved steps carry NaN. Returns (table, per-step
+    error messages).
     """
     prompts: List[PromptRecord] = []
-    for _, steps in students:
+    targets: List[DisplayStep] = []
+    users: List[str] = []
+    steps_t: List[int] = []
+    for user_id, steps in students:
         if len(steps) < 2:
             raise ValueError("probe_sequence needs at least 2 steps")
         history = _history_triples(steps)
@@ -453,26 +454,22 @@ def probe_sequences(
             )
             for t in range(1, len(steps))
         )
-    results = iter(client.fetch_many(prompts, use_cache=use_cache))
-    records: List[PredictionRecord] = []
-    errors: List[str] = []
-    for user_id, steps in students:
-        for t in range(1, len(steps)):
-            p, err = _step_probability(next(results))
-            step = steps[t]
-            records.append(
-                PredictionRecord(
-                    user_id=user_id,
-                    step=t,
-                    skill=step.skill,
-                    y_true=step.y,
-                    p=p,
-                    model_tag=tag,
-                )
-            )
-            if err:
-                errors.append(f"{user_id} t={t}: {err}")
-    return records, errors
+        targets.extend(steps[1:])
+        users.extend([user_id] * (len(steps) - 1))
+        steps_t.extend(range(1, len(steps)))
+    results = [_step_probability(top) for top in client.fetch_many(prompts, use_cache=use_cache)]
+    errors = [
+        f"{user_id} t={t}: {err}" for user_id, t, (_, err) in zip(users, steps_t, results) if err
+    ]
+    preds = Predictions(
+        user=users,
+        step=steps_t,
+        skill=[s.skill for s in targets],
+        y=[s.y for s in targets],
+        p=[p for p, _ in results],
+        tag=np.full(len(users), tag),
+    )
+    return preds, errors
 
 
 def probe_sequence(
@@ -481,7 +478,7 @@ def probe_sequence(
     steps: Sequence[DisplayStep],
     tag: str,
     use_cache: bool = True,
-) -> Tuple[List[PredictionRecord], List[str]]:
+) -> Tuple[Predictions, List[str]]:
     """``probe_sequences`` for one student."""
     return probe_sequences(client, [(user_id, steps)], tag, use_cache=use_cache)
 
@@ -496,7 +493,7 @@ def probe_mastery(
 ) -> MasteryTrajectory:
     """Full T x K mastery matrix: after each observed step, one probe per
     skill with that skill's representative item as the next quiz. Issues
-    exactly T * K prompts; unresolved cells are NaN and flagged."""
+    exactly T * K prompts; unresolved cells are NaN."""
     if len(steps) < 1:
         raise ValueError("probe_mastery needs at least 1 step")
     k = len(skill_names)
@@ -513,20 +510,9 @@ def probe_mastery(
         for skill in range(k)
     ]
     tops = client.fetch_many(prompts, use_cache=use_cache)
-    p = np.full((len(steps), k), np.nan)
-    unresolved: List[Tuple[int, int]] = []
-    for cell, top in enumerate(tops):
-        t, skill = divmod(cell, k)
-        prob, _ = _step_probability(top)
-        if prob is None:
-            unresolved.append((t, skill))
-        else:
-            p[t, skill] = prob
+    p = np.array([_step_probability(top)[0] for top in tops]).reshape(len(steps), k)
     return MasteryTrajectory(
-        user_id=user_id,
-        p=p,
-        steps=[(s.skill, -1, s.y) for s in steps],
-        unresolved=tuple(unresolved),
+        user_id=user_id, p=p, steps=[(s.skill, -1, s.y) for s in steps]
     )
 
 
@@ -573,29 +559,19 @@ def stability_reports(
     """
     first, _ = probe_sequences(client, students, tag, use_cache=True)
     second, _ = probe_sequences(client, students, tag, use_cache=False)
+    unresolved_a, unresolved_b = np.isnan(first.p), np.isnan(second.p)
+    mismatch = unresolved_a != unresolved_b
+    delta = np.where(unresolved_a | unresolved_b, 0.0, np.abs(first.p - second.p))
     reports: List[StabilityReport] = []
     end = 0
     for _, steps in students:
         start, end = end, end + len(steps) - 1
-        max_delta = 0.0
-        nonzero = 0
-        mismatches = 0
-        for a, b in zip(first[start:end], second[start:end]):
-            if (a.p is None) != (b.p is None):
-                mismatches += 1
-                continue
-            if a.p is None:
-                continue
-            delta = abs(a.p - b.p)
-            if delta > 0:
-                nonzero += 1
-            max_delta = max(max_delta, delta)
         reports.append(
             StabilityReport(
                 n_steps=end - start,
-                max_delta=max_delta,
-                n_nonzero=nonzero,
-                n_resolution_mismatches=mismatches,
+                max_delta=float(delta[start:end].max(initial=0.0)),
+                n_nonzero=int(np.count_nonzero(delta[start:end])),
+                n_resolution_mismatches=int(np.count_nonzero(mismatch[start:end])),
             )
         )
     return reports

@@ -492,7 +492,7 @@ def net_loss_and_grads(
     d_logit = np.where(w_arr > 0, (sel - y_arr) / w_arr.sum(), 0.0)
 
     grads: Dict[str, Array] = {
-        "w_out": _scatter_columns(h, d_logit, s_next, net.n_out),
+        "w_out": _scatter_by_column(h, d_logit, s_next, net.n_out),
         "b_out": np.bincount(s_next.ravel(), weights=d_logit.ravel(), minlength=net.n_out),
     }
     dh = net.w_out.T[s_next]
@@ -503,7 +503,7 @@ def net_loss_and_grads(
     return loss, grads
 
 
-def _scatter_columns(h: Array, d_logit: Array, s_next: Array, n_out: int) -> Array:
+def _scatter_by_column(h: Array, d_logit: Array, s_next: Array, n_out: int) -> Array:
     """dL/dw_out: column s sums d_logit * h over the cells whose target is s.
 
     Cells with a zero gradient are dropped, the rest are grouped by target

@@ -1,10 +1,11 @@
-"""Shared prediction-record schema and dump/trajectory file formats.
+"""The shared prediction table and the dump/trajectory file formats.
 
-PredictionRecord is the common currency of all evaluation: every predictor
-(the recurrent tracer, the LLM probe, synthetic oracles) emits the same
-six-column delimited rows so the evaluation battery never has to know which
-model produced them. The step index ``t`` is the 0-based position of the
-predicted interaction inside the student's sequence.
+``Predictions`` is the common currency of all evaluation: every predictor
+(the recurrent tracer, the LLM probe, synthetic oracles) produces one table
+of six parallel columns, and the evaluation battery never has to know which
+model produced it. A dump file holds the same table as six-column delimited
+rows. The step index ``t`` is the 0-based position of the predicted
+interaction inside the student's sequence.
 
 Two dump kinds share the schema:
 
@@ -14,35 +15,64 @@ Two dump kinds share the schema:
   mastery of the practiced skill, i.e. row t of the mastery trajectory at the
   practiced skill's column. Temporal-coherence metrics consume these.
 
-Unresolved probe steps carry ``NA`` in the probability column and are never
-imputed.
+NaN is the one marker of a step the probe could not resolve, in the table
+and in a trajectory matrix alike; files carry ``NA`` in its place. Such
+steps are never imputed.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
+
+from .ingest import atomic_open
 
 PRED_COLUMNS = ("user_id", "t", "skill_idx", "y_true", "p_pred", "model_tag")
 NA = "NA"
 
+_DTYPES = {
+    "user": str, "step": np.int64, "skill": np.int64, "y": np.int64, "p": np.float64, "tag": str,
+}
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    user_id: str
-    step: int
-    skill: int
-    y_true: int
-    p: Optional[float]  # None when the probe could not resolve the step
-    model_tag: str
 
-    @property
-    def resolved(self) -> bool:
-        return self.p is not None
+@dataclass(frozen=True, eq=False)
+class Predictions:
+    """A prediction dump as parallel columns, one entry per row: user id,
+    step, skill, label, probability (NaN where unresolved) and model tag.
+    The columns are coerced to their dtypes and must have one length."""
+
+    user: np.ndarray
+    step: np.ndarray
+    skill: np.ndarray
+    y: np.ndarray
+    p: np.ndarray
+    tag: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in _DTYPES.items():
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if len({len(col) for col in self.columns()}) > 1:
+            raise ValueError("prediction columns differ in length")
+
+    def __len__(self) -> int:
+        return len(self.p)
+
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def resolved(self) -> Predictions:
+        """The rows whose probability is resolved (not NaN)."""
+        keep = ~np.isnan(self.p)
+        return Predictions(*(col[keep] for col in self.columns()))
+
+    @classmethod
+    def concat(cls, parts: Sequence[Predictions]) -> Predictions:
+        return cls(*(np.concatenate(cols) for cols in zip(*(part.columns() for part in parts))))
 
 
 @dataclass
@@ -51,14 +81,12 @@ class MasteryTrajectory:
 
     Row t holds the predicted correctness probability for every skill after
     observing steps 0..t. ``steps`` carries the aligned (skill, quiz, y)
-    metadata. Cells a probe could not resolve are NaN and listed in
-    ``unresolved``.
+    metadata. Cells a probe could not resolve are NaN.
     """
 
     user_id: str
     p: np.ndarray  # (T, K)
     steps: List[Tuple[int, int, int]]
-    unresolved: Tuple[Tuple[int, int], ...] = ()
 
     @property
     def n_steps(self) -> int:
@@ -68,78 +96,74 @@ class MasteryTrajectory:
     def n_skills(self) -> int:
         return self.p.shape[1]
 
-    def practiced_path(self) -> List[PredictionRecord]:
+    def practiced_path(self, tag: str) -> Predictions:
         """Post-observation mastery of the practiced skill at every attempt,
-        in the shared record schema (model_tag left empty)."""
-        out = []
-        for t, (skill, _, y) in enumerate(self.steps):
-            value = self.p[t, skill]
-            out.append(
-                PredictionRecord(
-                    user_id=self.user_id,
-                    step=t,
-                    skill=skill,
-                    y_true=y,
-                    p=None if np.isnan(value) else float(value),
-                    model_tag="",
-                )
-            )
-        return out
+        as a mastery-path table under ``tag``."""
+        steps = np.array(self.steps, dtype=np.int64).reshape(-1, 3)
+        t = np.arange(len(steps))
+        return Predictions(
+            user=np.full(len(t), self.user_id),
+            step=t,
+            skill=steps[:, 0],
+            y=steps[:, 2],
+            p=self.p[t, steps[:, 0]],
+            tag=np.full(len(t), tag),
+        )
 
 
-def _format_prob(p: Optional[float]) -> str:
-    return NA if p is None else repr(float(p))
-
-
-def write_prediction_dump(path: str | Path, records: Sequence[PredictionRecord]) -> None:
+def write_prediction_dump(path: str | Path, preds: Predictions) -> None:
+    """One CSV row per table row, probabilities as ``repr`` floats or ``NA``.
+    The file is replaced only once it is fully written."""
+    p_text = [NA if math.isnan(p) else repr(p) for p in preds.p.tolist()]
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PRED_COLUMNS)
-        for rec in records:
-            writer.writerow(
-                [rec.user_id, rec.step, rec.skill, rec.y_true, _format_prob(rec.p), rec.model_tag]
+        writer.writerows(
+            zip(
+                preds.user.tolist(), preds.step.tolist(), preds.skill.tolist(),
+                preds.y.tolist(), p_text, preds.tag.tolist(),
             )
+        )
 
 
-def read_prediction_dump(path: str | Path) -> List[PredictionRecord]:
+def read_prediction_dump(path: str | Path) -> Predictions:
     """Load a dump, validating the header, probability range, and the
     (user_id, t, model_tag) uniqueness invariant."""
-    out: List[PredictionRecord] = []
-    seen = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if tuple(header) != PRED_COLUMNS:
             raise ValueError(f"{path}: unexpected dump header {header}")
-        for row in reader:
-            user_id, t, skill, y, p_text, tag = row
-            p = None if p_text == NA else float(p_text)
-            if p is not None and not (0.0 < p < 1.0):
-                raise ValueError(f"{path}: probability out of (0,1): {p_text}")
-            key = (user_id, int(t), tag)
-            if key in seen:
-                raise ValueError(f"{path}: duplicate record for {key}")
-            seen.add(key)
-            out.append(
-                PredictionRecord(
-                    user_id=user_id,
-                    step=int(t),
-                    skill=int(skill),
-                    y_true=int(y),
-                    p=p,
-                    model_tag=tag,
-                )
-            )
-    return out
+        rows = list(reader)
+    ragged = next((row for row in rows if len(row) != len(PRED_COLUMNS)), None)
+    if ragged is not None:
+        raise ValueError(f"{path}: expected {len(PRED_COLUMNS)} cells, got {ragged}")
+    user, t, skill, y, p_text, tag = zip(*rows) if rows else [()] * len(PRED_COLUMNS)
+    p = np.array([math.nan if text == NA else float(text) for text in p_text], dtype=np.float64)
+    resolved = np.array(p_text, dtype=str) != NA
+    out_of_range = np.flatnonzero(resolved & ~((p > 0.0) & (p < 1.0)))
+    if out_of_range.size:
+        raise ValueError(f"{path}: probability out of (0,1): {p_text[out_of_range[0]]}")
+    preds = Predictions(
+        user=user, step=list(map(int, t)), skill=list(map(int, skill)), y=list(map(int, y)),
+        p=p, tag=tag,
+    )
+    seen = set()
+    for key in zip(user, preds.step.tolist(), tag):
+        if key in seen:
+            raise ValueError(f"{path}: duplicate record for {key}")
+        seen.add(key)
+    return preds
 
 
 def write_trajectory(path: str | Path, traj: MasteryTrajectory) -> None:
     """Trajectory matrix as delimited text: one row per step with aligned
-    metadata, then one probability column per skill."""
+    metadata, then one probability column per skill. The file is replaced
+    only once it is fully written."""
     t_len, k = traj.p.shape
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["user_id", "t", "skill_idx", "quiz_idx", "y"] + [f"p_{i}" for i in range(k)]
@@ -165,27 +189,10 @@ def read_trajectory(path: str | Path) -> MasteryTrajectory:
     t_len = len(rows)
     p = np.empty((t_len, k))
     steps: List[Tuple[int, int, int]] = []
-    unresolved: List[Tuple[int, int]] = []
     user_id = rows[0][0]
     for t, row in enumerate(rows):
         steps.append((int(row[2]), int(row[3]), int(row[4])))
         for i in range(k):
             cell = row[5 + i]
-            if cell == NA:
-                p[t, i] = np.nan
-                unresolved.append((t, i))
-            else:
-                p[t, i] = float(cell)
-    return MasteryTrajectory(
-        user_id=user_id, p=p, steps=steps, unresolved=tuple(unresolved)
-    )
-
-
-def group_by_student(records: Sequence[PredictionRecord]) -> Dict[str, List[PredictionRecord]]:
-    """Records per student, ordered by step; student keys sorted."""
-    grouped: Dict[str, List[PredictionRecord]] = {}
-    for rec in records:
-        grouped.setdefault(rec.user_id, []).append(rec)
-    return {
-        user: sorted(rows, key=lambda r: r.step) for user, rows in sorted(grouped.items())
-    }
+            p[t, i] = np.nan if cell == NA else float(cell)
+    return MasteryTrajectory(user_id=user_id, p=p, steps=steps)

@@ -11,13 +11,14 @@ both the trainer and the evaluation battery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .ingest import StudentSequence
-from .records import PredictionRecord
+from .ingest import StudentSequence, atomic_open, flatten_steps
+from .records import Predictions
 
 Params = Union[float, Sequence[float]]
 
@@ -160,7 +161,7 @@ def generate(spec: GenerativeSpec) -> SynthCorpus:
 
 def oracle_records(
     corpus: SynthCorpus, sequences: Sequence[StudentSequence] | None = None, skip_first: bool = True
-) -> List[PredictionRecord]:
+) -> Predictions:
     """Oracle probabilities in the shared dump schema.
 
     ``skip_first`` drops each student's t=0 position so the rows line up with
@@ -168,23 +169,22 @@ def oracle_records(
     specs can produce exact 0/1 probabilities; those are nudged inside the
     open interval the schema requires.
     """
-    out: List[PredictionRecord] = []
-    for seq in sequences if sequences is not None else corpus.sequences:
-        probs = corpus.oracle[seq.user_id]
-        for t, (skill, _, y) in enumerate(seq.steps):
-            if skip_first and t == 0:
-                continue
-            out.append(
-                PredictionRecord(
-                    user_id=seq.user_id,
-                    step=t,
-                    skill=skill,
-                    y_true=y,
-                    p=min(max(float(probs[t]), 1e-12), 1.0 - 1e-12),
-                    model_tag="oracle",
-                )
-            )
-    return out
+    seqs = corpus.sequences if sequences is None else sequences
+    sizes = np.array([len(seq) for seq in seqs], dtype=np.int64)
+    steps = np.array(flatten_steps(seqs), dtype=np.int64).reshape(-1, 3)
+    t = np.arange(len(steps)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    probs = np.fromiter(
+        chain.from_iterable(corpus.oracle[seq.user_id] for seq in seqs), np.float64, len(steps)
+    )
+    keep = t >= 1 if skip_first else t >= 0
+    return Predictions(
+        user=np.repeat([seq.user_id for seq in seqs], sizes)[keep],
+        step=t[keep],
+        skill=steps[keep, 0],
+        y=steps[keep, 2],
+        p=np.clip(probs[keep], 1e-12, 1.0 - 1e-12),
+        tag=np.full(np.count_nonzero(keep), "oracle"),
+    )
 
 
 def oracle_auc(
@@ -199,7 +199,7 @@ def oracle_auc(
 
 def write_oracle_sidecar(path: str | Path, corpus: SynthCorpus) -> None:
     """One student per line: user_id then the per-step oracle probabilities."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for seq in corpus.sequences:
             probs = corpus.oracle[seq.user_id]
             fh.write("\t".join([seq.user_id] + [repr(p) for p in probs]) + "\n")

@@ -21,9 +21,9 @@ import pytest
 from ktrace import dkt, evaluation, llmprobe, nncore, synth
 from ktrace.cli import main
 from ktrace.ingest import split_students
-from ktrace.records import PredictionRecord, group_by_student
 
 from mockllm import MockLLMServer, logits_from_prompt
+from predtable import predictions_of, rows_of
 from test_synth import REFERENCE_SPEC
 
 
@@ -122,10 +122,10 @@ def test_criterion_3_metric_oracles():
             labels = rng.integers(0, 2, size=n)
             if labels.sum() in (0, n):
                 labels[0] = 1 - labels[0]
-            records = [
-                PredictionRecord(f"u{i}", i, 0, int(y), float(p), "m")
+            records = predictions_of(
+                (f"u{i}", i, 0, int(y), float(p), "m")
                 for i, (p, y) in enumerate(zip(scores, labels))
-            ]
+            )
             analysis = evaluation.roc_auc(records)
 
             # O(n^2) pairwise oracle
@@ -188,8 +188,11 @@ def test_criterion_4_synthetic_end_to_end():
         deltas = []
         labels = []
         paths = {}
-        for user, rows in group_by_student(mastery).items():
-            for r in rows:
+        by_student = {}
+        for r in rows_of(mastery):
+            by_student.setdefault(r.user_id, []).append(r)
+        for user, rows in sorted(by_student.items()):
+            for r in sorted(rows, key=lambda r: r.step):
                 ps, ys = paths.setdefault((user, r.skill), ([], []))
                 ps.append(r.p)
                 ys.append(r.y_true)
@@ -310,7 +313,7 @@ def test_criterion_6_probe_contract(tmp_path):
             records, errors = llmprobe.probe_sequence(client, "stu", steps, tag="llm")
             assert len(records) == len(steps) - 1
             assert errors == []
-            for t, rec in enumerate(records, start=1):
+            for t, rec in enumerate(rows_of(records), start=1):
                 prompt = llmprobe.render_prompt(
                     [(s.quiz, s.skill_name, s.y) for s in steps[:t]],
                     (steps[t].quiz, steps[t].skill_name),

@@ -12,9 +12,10 @@ import pytest
 from ktrace.cli import Workspace, WorkspaceLocked, main, representative_quizzes, write_json
 from ktrace.config import ConfigError, load_config
 from ktrace.ingest import StudentSequence
-from ktrace.records import PredictionRecord, read_prediction_dump, write_prediction_dump
+from ktrace.records import read_prediction_dump, write_prediction_dump
 
 from mockllm import MockLLMServer
+from predtable import Row, predictions_of, rows_of
 
 
 def write_config(path: Path, payload: dict) -> str:
@@ -303,7 +304,7 @@ def test_probe_emits_dump_and_uses_cache(tmp_path, capsys):
 
         sequences = {s.user_id: s for s in read_sequences(ws.sequences_path)}
         assert len(records) == sum(len(sequences[u]) - 1 for u in split["test"])
-        assert all(r.resolved for r in records)
+        assert all(r.p is not None for r in rows_of(records))
 
         # warm cache: rerun issues zero network requests
         assert main(["probe", "--config", cfg_path]) == 0
@@ -347,7 +348,7 @@ def test_probe_mastery_students_trajectories(tmp_path):
         assert main(["probe", "--config", cfg_path]) == 0
         assert ws.trajectory_path("llm", student).exists()
         mastery = read_prediction_dump(ws.dump_path("llm", "mastery"))
-        assert {r.user_id for r in mastery} == {student}
+        assert {r.user_id for r in rows_of(mastery)} == {student}
 
 
 def test_probe_endpoint_down_fails_clearly(tmp_path, capsys):
@@ -383,12 +384,12 @@ def test_evaluate_near_perfect_dump(tmp_path, capsys):
             if t == 0:
                 continue
             rows.append(
-                PredictionRecord(
+                Row(
                     user_id=user, step=t, skill=skill, y_true=y,
                     p=1.0 - eps if y == 1 else eps, model_tag="perfect",
                 )
             )
-    write_prediction_dump(ws.dump_path("perfect"), rows)
+    write_prediction_dump(ws.dump_path("perfect"), predictions_of(rows))
 
     assert main(["evaluate", "--config", cfg_path]) == 0
     metrics = json.loads(ws.report_path("metrics.json").read_text())["perfect"]
@@ -405,11 +406,11 @@ def test_evaluate_hand_built_three_record_dump(tmp_path):
     assert main(["synth", "--config", cfg_path]) == 0
     ws = Workspace(tmp_path / "ws")
     rows = [
-        PredictionRecord("u1", 1, 0, 1, 0.9, "hand"),
-        PredictionRecord("u1", 2, 1, 0, 0.4, "hand"),
-        PredictionRecord("u2", 1, 0, 0, 0.6, "hand"),
+        Row("u1", 1, 0, 1, 0.9, "hand"),
+        Row("u1", 2, 1, 0, 0.4, "hand"),
+        Row("u2", 1, 0, 0, 0.6, "hand"),
     ]
-    write_prediction_dump(ws.dump_path("hand"), rows)
+    write_prediction_dump(ws.dump_path("hand"), predictions_of(rows))
     assert main(["evaluate", "--config", cfg_path]) == 0
     metrics = json.loads(ws.report_path("metrics.json").read_text())["hand"]
     # hand-computed confusion at 0.5: tp=1, tn=1, fp=1, fn=0
@@ -453,8 +454,8 @@ def test_evaluate_single_class_dump_reports_auc_error(tmp_path):
     cfg_path = write_config(tmp_path / "c.json", cfg_payload)
     assert main(["synth", "--config", cfg_path]) == 0
     ws = Workspace(tmp_path / "ws")
-    rows = [PredictionRecord("u1", t, 0, 1, 0.5 + t / 100, "onesided") for t in range(1, 5)]
-    write_prediction_dump(ws.dump_path("onesided"), rows)
+    rows = [Row("u1", t, 0, 1, 0.5 + t / 100, "onesided") for t in range(1, 5)]
+    write_prediction_dump(ws.dump_path("onesided"), predictions_of(rows))
     assert main(["evaluate", "--config", cfg_path]) == 0
     metrics = json.loads(ws.report_path("metrics.json").read_text())["onesided"]
     assert "auc" not in metrics

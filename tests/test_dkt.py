@@ -23,6 +23,8 @@ from ktrace.dkt import (
 )
 from ktrace.ingest import StudentSequence
 
+from predtable import rows_of
+
 
 def seq(user: str, steps) -> StudentSequence:
     return StudentSequence(user_id=user, steps=[(s, s, y) for s, y in steps])
@@ -252,16 +254,16 @@ def test_predict_records_clamps_saturated_outputs(tmp_path):
     model = DktModel.zeros(k=2, embedding_dim=3, hidden_dim=4)
     model.net.b_out[:] = [50.0, -50.0]  # sigmoid rounds to exactly 1.0 / 0.0
     preds, mastery = predict_records(model, [seq("u1", [(0, 1), (1, 0), (0, 1)])], tag="dkt")
-    assert all(0.0 < r.p < 1.0 for r in preds + mastery)
+    assert all(0.0 < r.p < 1.0 for r in rows_of(preds) + rows_of(mastery))
     path = tmp_path / "d.csv"
     write_prediction_dump(path, preds)
-    assert read_prediction_dump(path) == preds
+    assert rows_of(read_prediction_dump(path)) == rows_of(preds)
 
 
 def test_predict_records_counts_and_alignment():
     model = DktModel.zeros(k=4, embedding_dim=4, hidden_dim=5)
     sequences = [seq("u1", [(0, 1), (1, 0), (2, 1)]), seq("u2", [(3, 0), (3, 1)])]
-    preds, mastery = predict_records(model, sequences, tag="dkt")
+    preds, mastery = map(rows_of, predict_records(model, sequences, tag="dkt"))
     assert len(preds) == (3 - 1) + (2 - 1)
     assert len(mastery) == 3 + 2
     assert all(r.model_tag == "dkt" for r in preds)
@@ -287,7 +289,7 @@ def test_predict_records_long_student_matches_windowed_batch():
     probs, _ = nncore.net_forward(model.net, batch.lookup_tokens())
     rows = np.concatenate([probs[i, :n] for i, n in enumerate(batch.lengths)])
 
-    preds, mastery = predict_records(model, [student], tag="dkt")
+    preds, mastery = map(rows_of, predict_records(model, [student], tag="dkt"))
     skills = [s for s, _ in steps]
     for rec in mastery:
         assert abs(rec.p - rows[rec.step, rec.skill]) < 1e-12
@@ -307,7 +309,7 @@ def test_predict_records_batched_matches_per_student_trajectories():
         seq(f"u{i}", [(int(rng.integers(0, k)), int(rng.integers(0, 2))) for _ in range(n)])
         for i, n in enumerate((3, 9, 2, 6, 1, 2, 5))  # 9 -> windows 4, 4, 1
     ]
-    preds, mastery = predict_records(model, sequences, tag="dkt")
+    preds, mastery = map(rows_of, predict_records(model, sequences, tag="dkt"))
     expected_preds, expected_mastery = [], []
     for student in sequences:
         traj = mastery_trajectory(model, student)

@@ -17,13 +17,14 @@ from ktrace.evaluation import (
     stage_sizes,
     volatility,
     volatility_all_skills,
-    youden_threshold,
 )
-from ktrace.records import MasteryTrajectory, PredictionRecord, read_trajectory
+from ktrace.records import MasteryTrajectory, read_trajectory
+
+from predtable import Row, predictions_of
 
 
 def rec(user, t, y, p, skill=0, tag="m"):
-    return PredictionRecord(user_id=user, step=t, skill=skill, y_true=y, p=p, model_tag=tag)
+    return Row(user_id=user, step=t, skill=skill, y_true=y, p=p, model_tag=tag)
 
 
 def recs_from(scores, labels):
@@ -46,17 +47,17 @@ def pairwise_auc(scores, labels) -> float:
 
 def test_auc_all_equal_scores_is_half():
     records = recs_from([0.7] * 6, [1, 0, 1, 0, 1, 0])
-    assert roc_auc(records).auc == pytest.approx(0.5, abs=1e-12)
+    assert roc_auc(predictions_of(records)).auc == pytest.approx(0.5, abs=1e-12)
 
 
 def test_auc_perfect_separation_is_one():
     records = recs_from([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1])
-    assert roc_auc(records).auc == pytest.approx(1.0, abs=1e-12)
+    assert roc_auc(predictions_of(records)).auc == pytest.approx(1.0, abs=1e-12)
 
 
 def test_auc_single_class_errors():
     with pytest.raises(ValueError, match="AUC undefined"):
-        roc_auc(recs_from([0.2, 0.4], [1, 1]))
+        roc_auc(predictions_of(recs_from([0.2, 0.4], [1, 1])))
 
 
 def test_auc_matches_pairwise_oracle_with_ties():
@@ -68,7 +69,7 @@ def test_auc_matches_pairwise_oracle_with_ties():
         labels = rng.integers(0, 2, size=n)
         if labels.sum() in (0, n):
             labels[0] = 1 - labels[0]
-        got = roc_auc(recs_from(scores, labels)).auc
+        got = roc_auc(predictions_of(recs_from(scores, labels))).auc
         assert got == pytest.approx(pairwise_auc(scores, labels), abs=1e-12)
 
 
@@ -77,15 +78,16 @@ def test_auc_invariant_under_monotone_transform():
     scores = rng.random(60)
     labels = rng.integers(0, 2, size=60)
     labels[0], labels[1] = 0, 1
-    base = roc_auc(recs_from(scores, labels)).auc
+    base = roc_auc(predictions_of(recs_from(scores, labels))).auc
     squeezed = 1.0 / (1.0 + np.exp(-5.0 * (scores - 0.5)))
-    assert roc_auc(recs_from(squeezed, labels)).auc == pytest.approx(base, abs=1e-12)
+    squeezed_auc = roc_auc(predictions_of(recs_from(squeezed, labels))).auc
+    assert squeezed_auc == pytest.approx(base, abs=1e-12)
 
 
 def test_auc_ignores_unresolved_records():
     records = recs_from([0.1, 0.9], [0, 1])
     records.append(rec("ux", 0, 1, None))
-    assert roc_auc(records).auc == pytest.approx(1.0)
+    assert roc_auc(predictions_of(records)).auc == pytest.approx(1.0)
 
 
 def test_roc_endpoints_and_monotonicity():
@@ -93,7 +95,7 @@ def test_roc_endpoints_and_monotonicity():
     scores = np.round(rng.random(50), 1)
     labels = rng.integers(0, 2, size=50)
     labels[:2] = [0, 1]
-    roc = roc_auc(recs_from(scores, labels)).roc
+    roc = roc_auc(predictions_of(recs_from(scores, labels))).roc
     assert roc[0][:2] == (0.0, 0.0) and roc[0][2] == math.inf
     assert roc[-1][:2] == (1.0, 1.0) and roc[-1][2] == -math.inf
     fprs = [p[0] for p in roc]
@@ -130,15 +132,15 @@ def test_youden_matches_brute_force_scan():
         labels = rng.integers(0, 2, size=n).tolist()
         if sum(labels) in (0, n):
             labels[0] = 1 - labels[0]
-        analysis = roc_auc(recs_from(scores, labels))
+        analysis = roc_auc(predictions_of(recs_from(scores, labels)))
         expect_t, expect_j = brute_force_youden(scores, labels)
-        assert youden_threshold(analysis) == pytest.approx(expect_t)
+        assert analysis.youden_threshold == pytest.approx(expect_t)
         assert analysis.j_stat == pytest.approx(expect_j, abs=1e-12)
 
 
 def test_youden_perfect_separation_returns_larger_boundary():
     records = recs_from([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1])
-    assert roc_auc(records).youden_threshold == pytest.approx(0.8)
+    assert roc_auc(predictions_of(records)).youden_threshold == pytest.approx(0.8)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +149,7 @@ def test_youden_perfect_separation_returns_larger_boundary():
 
 def test_confusion_constant_positive_predictor():
     records = recs_from([0.9, 0.9, 0.9], [1, 1, 0])
-    m = confusion_metrics(records, threshold=0.5)
+    m = confusion_metrics(predictions_of(records), threshold=0.5)
     assert m.per_class[1].recall == 1.0
     assert m.per_class[0].recall == 0.0
     assert m.accuracy == pytest.approx(2 / 3)
@@ -161,7 +163,7 @@ def test_confusion_hand_computed():
         rec("u1", 2, 0, 0.4),
         rec("u2", 1, 0, 0.6),
     ]
-    m = confusion_metrics(records, threshold=0.5)
+    m = confusion_metrics(predictions_of(records), threshold=0.5)
     assert m.counts == {"tp": 1, "tn": 1, "fp": 1, "fn": 0}
     assert m.accuracy == pytest.approx(2 / 3)
     assert m.per_class[1].precision == pytest.approx(0.5)
@@ -216,7 +218,7 @@ def test_stage_errors_single_student_overall_rate():
     # mismatches at positions 4 and 5 plus one more to make three
     preds[0] = 0.1
     records = [rec("u1", t + 1, y, p) for t, (y, p) in enumerate(zip(labels, preds))]
-    table = stage_errors(records, threshold=0.5)
+    table = stage_errors(predictions_of(records), threshold=0.5)
     total_err = sum(row.error * row.n for row in table)
     total_n = sum(row.n for row in table)
     assert total_n == 10
@@ -230,14 +232,14 @@ def test_stage_errors_perfect_predictor_all_zero():
         for t in range(9):
             y = int(rng.integers(0, 2))
             records.append(rec(f"u{u}", t + 1, y, 0.9 if y else 0.1))
-    for row in stage_errors(records, threshold=0.5):
+    for row in stage_errors(predictions_of(records), threshold=0.5):
         assert row.error == 0.0
 
 
 def test_stage_errors_groups_by_profile():
     stable_student = [rec("s1", t + 1, 1, 0.9) for t in range(6)]
     switching_student = [rec("w1", t + 1, t % 2, 0.9) for t in range(6)]
-    table = stage_errors(stable_student + switching_student, threshold=0.5)
+    table = stage_errors(predictions_of(stable_student + switching_student), threshold=0.5)
     groups = {row.group for row in table}
     assert groups == {"stable", "switching"}
     stable_rows = [r for r in table if r.group == "stable"]
@@ -248,8 +250,9 @@ def test_stage_errors_macro_vs_micro():
     # student a: 3 predictions all wrong; student b: 6 predictions all right
     a = [rec("a", t + 1, 1, 0.1) for t in range(3)]
     b = [rec("b", t + 1, 1, 0.9) for t in range(6)]
-    micro = {(r.group, r.stage): r.error for r in stage_errors(a + b, 0.5)}
-    macro = {(r.group, r.stage): r.error for r in stage_errors(a + b, 0.5, macro=True)}
+    both = predictions_of(a + b)
+    micro = {(r.group, r.stage): r.error for r in stage_errors(both, 0.5)}
+    macro = {(r.group, r.stage): r.error for r in stage_errors(both, 0.5, macro=True)}
     assert micro[("stable", "early")] == pytest.approx(1 / 3)  # 1 wrong of 3 pooled
     assert macro[("stable", "early")] == pytest.approx(0.5)  # mean of 1.0 and 0.0
 
@@ -261,7 +264,7 @@ def test_stage_position_counts_partition_per_student():
         n = int(rng.integers(1, 12))
         for t in range(n):
             records.append(rec(f"u{u}", t + 1, int(rng.integers(0, 2)), 0.6))
-    table = stage_errors(records, threshold=0.5)
+    table = stage_errors(predictions_of(records), threshold=0.5)
     assert sum(r.n for r in table) == len(records)
 
 
@@ -321,7 +324,7 @@ def test_coherence_report_pools_same_skill_paths():
         rec("u1", 2, 1, 0.7, skill=0),  # skill 0: 0.5 -> 0.7, y=1, consistent
         rec("u1", 3, 0, 0.8, skill=1),  # skill 1: 0.6 -> 0.8, y=0, mismatch
     ]
-    report = coherence_report(records)
+    report = coherence_report(predictions_of(records))
     assert report.n_update_pairs == 2
     assert report.volatility == pytest.approx((0.2 + 0.2) / 2, abs=1e-12)
     assert report.inconsistency == pytest.approx(0.5)
@@ -334,7 +337,7 @@ def test_coherence_skips_single_attempt_skills():
         rec("u1", 1, 1, 0.6, skill=1),
         rec("u1", 2, 1, 0.9, skill=1),
     ]
-    report = coherence_report(records)
+    report = coherence_report(predictions_of(records))
     assert report.n_update_pairs == 1
 
 
@@ -347,7 +350,7 @@ def test_coherence_report_equals_per_path_scalar_metrics():
             y = int(rng.integers(0, 2))
             records.append(rec(f"u{u}", t, y, p, skill=int(rng.integers(0, 3))))
     rng.shuffle(records)
-    report = coherence_report(records)
+    report = coherence_report(predictions_of(records))
 
     # oracle: the scalar ops over each (user, skill) path of resolved records
     pooled = {"pairs": 0, "mismatches": 0, "moved": 0.0}
@@ -356,7 +359,7 @@ def test_coherence_report_equals_per_path_scalar_metrics():
         stats = per_student.setdefault(user, {"pairs": 0, "mismatches": 0, "moved": 0.0})
         for skill in range(3):
             path = sorted(
-                (r for r in records if r.user_id == user and r.skill == skill and r.resolved),
+                (r for r in records if r.user_id == user and r.skill == skill and r.p is not None),
                 key=lambda r: r.step,
             )
             if len(path) < 2:
@@ -387,7 +390,7 @@ def test_unresolved_cell_breaks_heatmap_pair_but_not_coherence_pair(tmp_path):
     # the heatmap keeps the NaN cell in the path: neither pair annotates
     assert heatmap_export(traj, ["a", "b"], tmp_path / "h.svg") == 0
     # the coherence metrics drop the unresolved record, then pair 0.5 -> 0.4
-    report = coherence_report(traj.practiced_path())
+    report = coherence_report(traj.practiced_path("m"))
     assert report.n_update_pairs == 1
     assert report.inconsistency == 1.0
 

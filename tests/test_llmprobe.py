@@ -24,6 +24,7 @@ from ktrace.llmprobe import (
 )
 
 from mockllm import MockLLMServer, ServerFailure, logits_from_prompt
+from predtable import rows_of
 
 SKILL = "Addition and Subtraction Integers"
 
@@ -267,7 +268,8 @@ def test_client_error_is_not_retried():
 
 
 def test_config_rejects_nonzero_temperature():
-    with pytest.raises(ValueError, match="temperature"):
+    # temperature is fixed at 0 and is not a setting
+    with pytest.raises(TypeError, match="temperature"):
         ProbeConfig(endpoint="http://x", model="m", temperature=0.5)
 
 
@@ -281,8 +283,8 @@ def test_probe_sequence_emits_t_minus_one_records():
         records, errors = probe_sequence(client, "u1", toy_steps(3), tag="llm")
     assert len(records) == 2
     assert errors == []
-    assert [r.step for r in records] == [1, 2]
-    assert all(r.model_tag == "llm" and 0 < r.p < 1 for r in records)
+    assert [r.step for r in rows_of(records)] == [1, 2]
+    assert all(r.model_tag == "llm" and 0 < r.p < 1 for r in rows_of(records))
 
 
 def test_client_counts_truncated_prompts():
@@ -311,8 +313,8 @@ def test_probe_sequence_marks_unresolved_steps():
         client = ProbeClient(probe_config(server.endpoint, max_concurrent=1))
         records, errors = probe_sequence(client, "u1", toy_steps(3), tag="llm")
     assert len(records) == 2
-    assert records[0].p is None
-    assert records[1].p == pytest.approx(0.5)
+    assert rows_of(records)[0].p is None
+    assert rows_of(records)[1].p == pytest.approx(0.5)
     assert len(errors) == 1 and "unresolvable" in errors[0]
 
 
@@ -325,10 +327,10 @@ def test_probe_sequence_clamps_saturated_probabilities(tmp_path):
     with MockLLMServer(script) as server:
         client = ProbeClient(probe_config(server.endpoint))
         records, _ = probe_sequence(client, "u1", toy_steps(3), tag="llm")
-    assert all(0.0 < r.p < 1.0 for r in records)
+    assert all(0.0 < r.p < 1.0 for r in rows_of(records))
     path = tmp_path / "sat.csv"
     write_prediction_dump(path, records)
-    assert read_prediction_dump(path) == records
+    assert rows_of(read_prediction_dump(path)) == rows_of(records)
 
 
 def test_probe_sequence_round_trips_through_dump(tmp_path):
@@ -339,7 +341,7 @@ def test_probe_sequence_round_trips_through_dump(tmp_path):
         records, _ = probe_sequence(client, "u1", toy_steps(4), tag="llm")
     path = tmp_path / "llm.predictions.csv"
     write_prediction_dump(path, records)
-    assert read_prediction_dump(path) == records
+    assert rows_of(read_prediction_dump(path)) == rows_of(records)
 
 
 def test_probe_cache_eliminates_repeat_requests(tmp_path):
@@ -352,7 +354,7 @@ def test_probe_cache_eliminates_repeat_requests(tmp_path):
         second, _ = probe_sequence(client2, "u1", toy_steps(4), tag="llm")
         assert server.hit_count == 3  # warm cache: zero network requests
         assert client2.request_count == 0
-    assert [r.p for r in first] == [r.p for r in second]
+    assert [r.p for r in rows_of(first)] == [r.p for r in rows_of(second)]
 
 
 def test_probe_treats_torn_cache_entry_as_miss(tmp_path):
@@ -366,7 +368,7 @@ def test_probe_treats_torn_cache_entry_as_miss(tmp_path):
         second, errors = probe_sequence(client, "u1", toy_steps(4), tag="llm")
         assert errors == []
         assert client.request_count == 1
-    assert [r.p for r in first] == [r.p for r in second]
+    assert [r.p for r in rows_of(first)] == [r.p for r in rows_of(second)]
     entry = cache.read_text(encoding="utf-8").splitlines()[-1]
     assert "top_logprobs" in json.loads(entry)
 
@@ -407,7 +409,7 @@ def test_fully_cached_probe_starts_no_thread(tmp_path, monkeypatch):
     assert errors == []
     assert client.request_count == 0
     assert client.cache_hits == 3
-    assert [r.p for r in first] == [r.p for r in second]
+    assert [r.p for r in rows_of(first)] == [r.p for r in rows_of(second)]
 
 
 def test_retries_count_attempts_beyond_the_first():
@@ -498,7 +500,6 @@ def test_probe_mastery_request_volume_and_shape():
         assert server.hit_count == 3 * 2
     assert traj.p.shape == (3, 2)
     assert not np.isnan(traj.p).any()
-    assert traj.unresolved == ()
 
 
 def test_probe_mastery_cell_matches_probe_sequence_when_quiz_aligns():
@@ -515,7 +516,7 @@ def test_probe_mastery_cell_matches_probe_sequence_when_quiz_aligns():
             skill_names=[SKILL],
             representative_quiz=[steps[1].quiz],
         )
-    assert traj.p[0, 0] == pytest.approx(records[0].p, abs=1e-15)
+    assert traj.p[0, 0] == pytest.approx(records.p[0], abs=1e-15)
 
 
 def test_probe_mastery_flags_unresolved_cells():
@@ -534,7 +535,7 @@ def test_probe_mastery_flags_unresolved_cells():
             representative_quiz=["5", "999"],
         )
     assert np.isnan(traj.p[:, 1]).all()
-    assert set(traj.unresolved) == {(0, 1), (1, 1)}
+    assert set(zip(*np.nonzero(np.isnan(traj.p)))) == {(0, 1), (1, 1)}
 
 
 # ---------------------------------------------------------------------------

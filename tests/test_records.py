@@ -1,43 +1,80 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from ktrace.records import (
     MasteryTrajectory,
-    PredictionRecord,
-    group_by_student,
+    Predictions,
     read_prediction_dump,
     read_trajectory,
     write_prediction_dump,
     write_trajectory,
 )
 
+from predtable import Row, predictions_of, rows_of
+
 
 def rec(user="u1", t=1, skill=0, y=1, p=0.5, tag="m"):
-    return PredictionRecord(user_id=user, step=t, skill=skill, y_true=y, p=p, model_tag=tag)
+    return Row(user_id=user, step=t, skill=skill, y_true=y, p=p, model_tag=tag)
 
 
 def test_dump_round_trip_with_unresolved(tmp_path):
     records = [rec(t=1, p=0.25), rec(t=2, p=None), rec(t=3, p=0.75)]
     path = tmp_path / "d.csv"
-    write_prediction_dump(path, records)
+    write_prediction_dump(path, predictions_of(records))
     loaded = read_prediction_dump(path)
-    assert loaded == records
-    assert loaded[1].p is None
-    assert not loaded[1].resolved
+    assert rows_of(loaded) == records
+    assert rows_of(loaded)[1].p is None
+    assert loaded.resolved().step.tolist() == [1, 3]
 
 
 def test_dump_probability_round_trip_is_exact(tmp_path):
     p = 0.123456789012345678
     path = tmp_path / "d.csv"
-    write_prediction_dump(path, [rec(p=p)])
-    assert read_prediction_dump(path)[0].p == p
+    write_prediction_dump(path, predictions_of([rec(p=p)]))
+    assert read_prediction_dump(path).p[0] == p
+
+
+def test_dump_bytes_are_pinned(tmp_path):
+    preds = Predictions(
+        user=["u1", "a,b", "u1"],
+        step=[1, 2, 3],
+        skill=[0, 4, 1],
+        y=[1, 0, 1],
+        p=[0.1, math.nan, 0.123456789012345678],
+        tag=["dkt", "dkt", "dkt"],
+    )
+    path = tmp_path / "d.csv"
+    write_prediction_dump(path, preds)
+    assert path.read_bytes() == (
+        b"user_id,t,skill_idx,y_true,p_pred,model_tag\r\n"
+        b"u1,1,0,1,0.1,dkt\r\n"
+        b'"a,b",2,4,0,NA,dkt\r\n'
+        b"u1,3,1,1,0.12345678901234568,dkt\r\n"
+    )
+    loaded = read_prediction_dump(path)
+    for got, want in zip(loaded.columns(), preds.columns()):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_failed_dump_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "d.csv"
+    write_prediction_dump(path, predictions_of([rec(t=1, p=0.25), rec(t=2, p=0.75)]))
+    before = path.read_bytes()
+    # a lone surrogate cannot be encoded, so the write fails at the second row
+    torn = predictions_of([rec(t=1), rec(user="\ud800", t=2), rec(t=3)])
+    with pytest.raises(UnicodeEncodeError):
+        write_prediction_dump(path, torn)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
 
 
 def test_dump_rejects_duplicate_keys(tmp_path):
     path = tmp_path / "d.csv"
-    write_prediction_dump(path, [rec(t=1), rec(t=1)])
+    write_prediction_dump(path, predictions_of([rec(t=1), rec(t=1)]))
     with pytest.raises(ValueError, match="duplicate"):
         read_prediction_dump(path)
 
@@ -60,9 +97,7 @@ def test_dump_rejects_unknown_header(tmp_path):
 
 def test_trajectory_round_trip_with_nan(tmp_path):
     p = np.array([[0.5, np.nan], [0.6, 0.4]])
-    traj = MasteryTrajectory(
-        user_id="u9", p=p, steps=[(0, 3, 1), (1, 4, 0)], unresolved=((0, 1),)
-    )
+    traj = MasteryTrajectory(user_id="u9", p=p, steps=[(0, 3, 1), (1, 4, 0)])
     path = tmp_path / "t.csv"
     write_trajectory(path, traj)
     loaded = read_trajectory(path)
@@ -70,7 +105,6 @@ def test_trajectory_round_trip_with_nan(tmp_path):
     assert loaded.steps == traj.steps
     assert np.isnan(loaded.p[0, 1])
     assert loaded.p[1, 1] == 0.4
-    assert loaded.unresolved == ((0, 1),)
 
 
 def test_practiced_path_reads_practiced_cells():
@@ -78,14 +112,7 @@ def test_practiced_path_reads_practiced_cells():
     traj = MasteryTrajectory(
         user_id="u1", p=p, steps=[(0, 0, 1), (0, 0, 1), (1, 1, 0)]
     )
-    path = traj.practiced_path()
+    path = rows_of(traj.practiced_path("m"))
     assert [r.p for r in path[:2]] == [0.2, 0.3]
     assert path[2].p is None  # unresolved practiced cell stays null
 
-
-def test_group_by_student_orders_steps_and_users():
-    records = [rec(user="b", t=2), rec(user="a", t=5), rec(user="b", t=1), rec(user="a", t=3)]
-    grouped = group_by_student(records)
-    assert list(grouped) == ["a", "b"]
-    assert [r.step for r in grouped["a"]] == [3, 5]
-    assert [r.step for r in grouped["b"]] == [1, 2]
