@@ -153,7 +153,6 @@ def _lock_holder_is_dead(lock_path: Path) -> bool:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with ingest.atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -431,7 +430,7 @@ def cmd_probe(cfg: RunConfig, tag_override: Optional[str] = None) -> int:
         preds, all_errors = llmprobe.probe_sequences(client, students, tag)
         stability: List[dict] = []
         if cfg.probe.stability_check:
-            reports = llmprobe.stability_reports(client, students, tag)
+            reports = llmprobe.stability_reports(client, students, preds, tag)
             stability = [
                 {"user_id": user_id, **report.to_dict()}
                 for (user_id, _), report in zip(students, reports)
@@ -469,7 +468,6 @@ def cmd_probe(cfg: RunConfig, tag_override: Optional[str] = None) -> int:
         write_json(ws.root / f"probe_report_{tag}.json", payload)
 
         audit_path = ws.root / "probe_audit" / f"{tag}.jsonl"
-        audit_path.parent.mkdir(parents=True, exist_ok=True)
         with ingest.atomic_open(audit_path, "w", encoding="utf-8", newline="\n") as fh:
             for entry in sorted(client.audit, key=lambda e: (e["key"], e["cached"])):
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
@@ -515,7 +513,6 @@ def evaluate_tag(
     result["confusion"] = evaluation.confusion_metrics(preds, section.threshold).to_dict()
 
     roc_path = ws.report_path(f"roc_{tag}.csv")
-    roc_path.parent.mkdir(parents=True, exist_ok=True)
     with ingest.atomic_open(roc_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("fpr,tpr,threshold\n")
         for fpr, tpr, threshold in analysis.roc:

@@ -1,17 +1,22 @@
 """Run configuration: one declarative JSON file, validated strictly.
 
-Unknown keys are rejected at every level so typos fail fast instead of
-silently running with defaults. Command-line overrides (``--override a.b=v``)
-are applied to the raw dict before validation, so flags win.
+Each section of the file is read into one dataclass, whose fields are the
+section's keys: a field without a default is a required key, and a value
+must match the field's type. Unknown keys are rejected at every level so
+typos fail fast instead of silently running with defaults. Command-line
+overrides (``--override a.b=v``) are applied to the raw dict before
+validation, so flags win.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 from .dkt import TrainConfig
 from .llmprobe import ProbeConfig
@@ -60,31 +65,106 @@ class RunConfig:
     evaluate: EvalSection = field(default_factory=EvalSection)
     raw: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if abs(sum(self.ratios) - 1.0) > 1e-9:
+            raise ValueError(f"ratios must sum to 1, got {self.ratios}")
+
     def config_hash(self) -> str:
         payload = json.dumps(self.raw, sort_keys=True).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()
 
 
-def _require_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
+# string annotations are evaluated once per dataclass, not on every load
+_type_hints = functools.cache(get_type_hints)
+
+
+def _type_name(kind: Any) -> str:
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Union:
+        return " or ".join(map(_type_name, args))
+    if origin is tuple:
+        return f"{len(args)}-element list"
+    if origin is dict or is_dataclass(kind):
+        return "object"
+    if origin is not None:
+        return f"list of {_type_name(args[0])}"
+    return "null" if kind is type(None) else kind.__name__
+
+
+def _value(value: Any, kind: Any, where: str) -> Any:
+    """``value`` checked against the field type ``kind``. An int widens to
+    float, true/false is no number, list items and mapping entries typed str
+    (ids, column names) become str, and a section (a dataclass) must be an
+    object, which ``build_config`` reads into it."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Union:
+        for arm in args:
+            try:
+                return _value(value, arm, where)
+            except ConfigError:
+                pass
+    elif origin is dict:
+        if isinstance(value, dict):
+            return {str(k): str(v) for k, v in value.items()}
+    elif origin in (list, tuple, Sequence):
+        if isinstance(value, list) and (origin is not tuple or len(value) == len(args)):
+            items = [str(v) if args[0] is str else _value(v, args[0], where) for v in value]
+            return tuple(items) if origin is tuple else items
+    elif is_dataclass(kind):
+        if isinstance(value, dict):
+            return value
+    elif kind is type(None):
+        if value is None:
+            return None
+    elif isinstance(value, bool) and kind is not bool:
+        pass
+    elif isinstance(value, kind):
+        return value
+    elif kind is float and isinstance(value, int):
+        return float(value)
+    raise ConfigError(f"{where}: expected {_type_name(kind)}, got {type(value).__name__}")
+
+
+def _section(cls, section: dict, where: str, **fixed):
+    """``cls`` read from the config object ``section``. Its keys are the
+    fields of ``cls`` that ``fixed`` does not set; a field without a default
+    is required, and each value is checked against the field's type. A
+    ``ValueError`` from ``cls`` itself becomes a ``ConfigError``."""
+    keys = [f for f in fields(cls) if f.name not in fixed]
+    unknown = set(section) - {f.name for f in keys}
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+    hints = _type_hints(cls)
+    values = dict(fixed)
+    for f in keys:
+        if f.name in section:
+            values[f.name] = _value(section[f.name], hints[f.name], f"{where}.{f.name}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing required key {f.name!r} in {where}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _typed(section: dict, key: str, kind, default, where: str):
-    if key not in section:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required key {key!r} in {where}")
-        return default
-    value = section[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
-    return value
-
-
-_REQUIRED = object()
+def _probe_section(section: dict, top: RunConfig) -> ProbeSection:
+    """The flat ``probe`` object holds the keys of ``ProbeConfig`` and of
+    ``ProbeSection`` plus the file-only ``cache`` switch, which puts the
+    cache in the workspace. ``cache_dir`` and ``auth_token_env`` are not
+    read from the file, and ``determinism`` forces one connection."""
+    client_keys = {f.name for f in fields(ProbeConfig)}
+    rest = {k: v for k, v in section.items() if k not in client_keys}
+    cache = _value(rest.pop("cache", True), bool, "config.probe.cache")
+    client = _section(
+        ProbeConfig,
+        {k: v for k, v in section.items() if k in client_keys},
+        "config.probe",
+        cache_dir=str(Path(top.workspace) / "probe_cache") if cache else None,
+        auth_token_env=ProbeConfig.auth_token_env,
+    )
+    if top.determinism:
+        client = replace(client, max_concurrent=1)
+    return _section(ProbeSection, rest, "config.probe", probe=client)
 
 
 def parse_override(expr: str) -> Tuple[List[str], Any]:
@@ -112,130 +192,19 @@ def apply_override(raw: dict, keys: List[str], value: Any) -> None:
 
 
 def build_config(raw: dict) -> RunConfig:
-    _require_keys(
-        raw,
-        {"workspace", "seed", "determinism", "ratios", "data", "dkt", "probe", "synth", "evaluate"},
-        "config",
-    )
-    workspace = _typed(raw, "workspace", str, _REQUIRED, "config")
-    seed = _typed(raw, "seed", int, 0, "config")
-    determinism = _typed(raw, "determinism", bool, False, "config")
-    ratios = raw.get("ratios", [0.8, 0.1, 0.1])
-    if not (isinstance(ratios, list) and len(ratios) == 3):
-        raise ConfigError("config.ratios must be a 3-element list")
-    ratios = tuple(float(r) for r in ratios)
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"config.ratios must sum to 1, got {ratios}")
-
-    data = None
-    if "data" in raw:
-        section = raw["data"]
-        _require_keys(section, {"raw_path", "delimiter", "encoding", "columns"}, "config.data")
-        columns = _typed(section, "columns", dict, {}, "config.data")
-        data = DataConfig(
-            raw_path=_typed(section, "raw_path", str, _REQUIRED, "config.data"),
-            delimiter=_typed(section, "delimiter", str, ",", "config.data"),
-            encoding=_typed(section, "encoding", str, "utf-8", "config.data"),
-            columns={str(k): str(v) for k, v in columns.items()},
-        )
-
-    dkt_section = raw.get("dkt", {})
-    allowed_dkt = {
-        "embedding_dim", "hidden_dim", "learning_rate", "batch_size",
-        "max_t", "clip_norm", "patience", "max_epochs",
-    }
-    _require_keys(dkt_section, allowed_dkt, "config.dkt")
-    dkt_cfg = TrainConfig(
-        embedding_dim=_typed(dkt_section, "embedding_dim", int, 64, "config.dkt"),
-        hidden_dim=_typed(dkt_section, "hidden_dim", int, 128, "config.dkt"),
-        learning_rate=_typed(dkt_section, "learning_rate", float, 1e-3, "config.dkt"),
-        batch_size=_typed(dkt_section, "batch_size", int, 32, "config.dkt"),
-        max_t=_typed(dkt_section, "max_t", int, 200, "config.dkt"),
-        clip_norm=_typed(dkt_section, "clip_norm", float, 5.0, "config.dkt"),
-        patience=_typed(dkt_section, "patience", int, 3, "config.dkt"),
-        max_epochs=_typed(dkt_section, "max_epochs", int, 100, "config.dkt"),
-        seed=seed,
-    )
-
-    probe = None
-    if "probe" in raw:
-        section = raw["probe"]
-        allowed = {
-            "endpoint", "model", "timeout", "max_retries", "backoff", "max_concurrent",
-            "logprob_depth", "history_limit", "tag", "cache", "mastery_students",
-            "stability_check",
-        }
-        _require_keys(section, allowed, "config.probe")
-        max_concurrent = _typed(section, "max_concurrent", int, 4, "config.probe")
-        if determinism:
-            max_concurrent = 1
-        probe_cfg = ProbeConfig(
-            endpoint=_typed(section, "endpoint", str, _REQUIRED, "config.probe"),
-            model=_typed(section, "model", str, _REQUIRED, "config.probe"),
-            timeout=_typed(section, "timeout", float, 60.0, "config.probe"),
-            max_retries=_typed(section, "max_retries", int, 3, "config.probe"),
-            backoff=_typed(section, "backoff", float, 0.5, "config.probe"),
-            max_concurrent=max_concurrent,
-            logprob_depth=_typed(section, "logprob_depth", int, 20, "config.probe"),
-            history_limit=_typed(section, "history_limit", int, 100, "config.probe"),
-            cache_dir=str(Path(workspace) / "probe_cache")
-            if _typed(section, "cache", bool, True, "config.probe")
-            else None,
-        )
-        probe = ProbeSection(
-            probe=probe_cfg,
-            tag=_typed(section, "tag", str, "llm", "config.probe"),
-            mastery_students=[str(s) for s in section.get("mastery_students", [])],
-            stability_check=_typed(section, "stability_check", bool, False, "config.probe"),
-        )
-
-    synth = None
-    if "synth" in raw:
-        section = raw["synth"]
-        allowed = {
-            "k", "p_init", "p_learn", "p_guess", "p_slip", "n_students",
-            "mean_length", "min_length",
-        }
-        _require_keys(section, allowed, "config.synth")
-        try:
-            synth = GenerativeSpec(
-                k=_typed(section, "k", int, _REQUIRED, "config.synth"),
-                p_init=section.get("p_init", 0.3),
-                p_learn=section.get("p_learn", 0.15),
-                p_guess=section.get("p_guess", 0.2),
-                p_slip=section.get("p_slip", 0.1),
-                n_students=_typed(section, "n_students", int, _REQUIRED, "config.synth"),
-                mean_length=_typed(section, "mean_length", float, 40.0, "config.synth"),
-                min_length=_typed(section, "min_length", int, 4, "config.synth"),
-                seed=seed,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"config.synth: {exc}") from exc
-
-    eval_section = raw.get("evaluate", {})
-    allowed_eval = {"tags", "threshold", "stage_macro", "coherence_all_skills", "heatmap_students"}
-    _require_keys(eval_section, allowed_eval, "config.evaluate")
-    evaluate = EvalSection(
-        tags=[str(t) for t in eval_section.get("tags", ["dkt"])],
-        threshold=_typed(eval_section, "threshold", float, 0.5, "config.evaluate"),
-        stage_macro=_typed(eval_section, "stage_macro", bool, False, "config.evaluate"),
-        coherence_all_skills=_typed(
-            eval_section, "coherence_all_skills", bool, False, "config.evaluate"
-        ),
-        heatmap_students=[str(s) for s in eval_section.get("heatmap_students", [])],
-    )
-
-    return RunConfig(
-        workspace=workspace,
-        seed=seed,
-        determinism=determinism,
-        ratios=ratios,
-        data=data,
-        dkt=dkt_cfg,
-        probe=probe,
-        synth=synth,
-        evaluate=evaluate,
-        raw=raw,
+    """Read the top level, where a section is only checked to be an object,
+    then read each section into its dataclass; ``dkt`` and ``synth`` take
+    the top-level ``seed``."""
+    top = _section(RunConfig, raw, "config", raw=raw)
+    return replace(
+        top,
+        data=None if top.data is None else _section(DataConfig, top.data, "config.data"),
+        dkt=_section(TrainConfig, raw.get("dkt", {}), "config.dkt", seed=top.seed),
+        probe=None if top.probe is None else _probe_section(top.probe, top),
+        synth=None
+        if top.synth is None
+        else _section(GenerativeSpec, top.synth, "config.synth", seed=top.seed),
+        evaluate=_section(EvalSection, raw.get("evaluate", {}), "config.evaluate"),
     )
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import nncore
 from .ingest import StudentSequence, atomic_open
-from .records import MasteryTrajectory, Predictions
+from .records import PROB_FLOOR, MasteryTrajectory, Predictions
 
 Array = np.ndarray
 
@@ -361,9 +361,6 @@ def predict_next(
         raise ValueError(f"unknown skill index {next_skill} (K={model.k})")
     traj = mastery_trajectory(model, prefix)
     return float(traj.p[-1, next_skill])
-
-
-PROB_FLOOR = 1e-12  # dump probabilities stay inside the open unit interval
 
 
 def predict_records(

@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .ingest import atomic_open
-from .records import MasteryTrajectory, Predictions, write_trajectory
+from .records import MasteryTrajectory, Predictions
 
 STABLE = "stable"
 SWITCHING = "switching"
@@ -401,14 +401,12 @@ def heatmap_export(
     traj: MasteryTrajectory,
     skill_names: Sequence[str],
     svg_path: str | Path,
-    matrix_path: str | Path | None = None,
 ) -> int:
     """Render the time-by-skill probability grid as SVG and return the number
     of annotated (direction-inconsistent) cells.
 
     Annotated cells show their probability and get a highlighted border; a
-    white polyline per skill traces the practiced-attempt trajectory. The raw
-    matrix goes to ``matrix_path`` as delimited text when given.
+    white polyline per skill traces the practiced-attempt trajectory.
     """
     t_len, k = traj.p.shape
     order, skill, y = _skill_paths(traj)
@@ -486,8 +484,6 @@ def heatmap_export(
 
     with atomic_open(svg_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
-    if matrix_path is not None:
-        write_trajectory(matrix_path, traj)
     return len(bad_cells)
 
 

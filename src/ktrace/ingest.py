@@ -581,8 +581,9 @@ def summarize_records(records: Iterable[InteractionRecord]) -> DatasetStats:
 def atomic_open(path: str | Path, mode: str = "w", **kwargs) -> Iterator:
     """Open a temporary file next to ``path`` for writing and move it into
     place when the block ends, so a failed write leaves any previous file
-    intact."""
+    intact. The parent directory is created when missing."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.tmp")
     try:
         with open(tmp, mode, **kwargs) as fh:

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .records import MasteryTrajectory, Predictions
+from .records import PROB_FLOOR, MasteryTrajectory, Predictions
 
 log = logging.getLogger(__name__)
 
@@ -72,7 +72,7 @@ class ProbeConfig:
     timeout: float = 60.0
     max_retries: int = 3
     backoff: float = 0.5
-    max_concurrent: int = 1
+    max_concurrent: int = 4
     logprob_depth: int = 20
     history_limit: int = 100
     cache_dir: Optional[str] = None
@@ -412,9 +412,6 @@ def _history_triples(steps: Sequence[DisplayStep]) -> List[Tuple[str, str, int]]
     return [(s.quiz, s.skill_name, s.y) for s in steps]
 
 
-PROB_FLOOR = 1e-12  # emitted probabilities stay inside the open unit interval
-
-
 def _step_probability(top: Dict[str, float]) -> Tuple[float, Optional[str]]:
     """The step's probability, or NaN and the reason it is unresolved."""
     try:
@@ -542,22 +539,26 @@ class StabilityReport:
 def double_run_deltas(
     client: ProbeClient, user_id: str, steps: Sequence[DisplayStep], tag: str
 ) -> StabilityReport:
-    """``stability_reports`` for one student."""
-    return stability_reports(client, [(user_id, steps)], tag)[0]
+    """``stability_reports`` for one student, after a first pass through the
+    cache."""
+    students = [(user_id, steps)]
+    first, _ = probe_sequences(client, students, tag)
+    return stability_reports(client, students, first, tag)[0]
 
 
 def stability_reports(
     client: ProbeClient,
     students: Sequence[Tuple[str, Sequence[DisplayStep]]],
+    first: Predictions,
     tag: str,
 ) -> List[StabilityReport]:
-    """Probe the same sequences twice and report each student's probability
-    deltas.
+    """Probe ``students`` once more and report each student's probability
+    deltas against ``first``, the table a pass over the same students
+    returned.
 
-    The second run bypasses the cache so both probabilities come from actual
+    The rerun bypasses the cache so its probabilities come from actual
     inference; at temperature 0 every delta should be zero.
     """
-    first, _ = probe_sequences(client, students, tag, use_cache=True)
     second, _ = probe_sequences(client, students, tag, use_cache=False)
     unresolved_a, unresolved_b = np.isnan(first.p), np.isnan(second.p)
     mismatch = unresolved_a != unresolved_b

@@ -34,6 +34,7 @@ from .ingest import atomic_open
 
 PRED_COLUMNS = ("user_id", "t", "skill_idx", "y_true", "p_pred", "model_tag")
 NA = "NA"
+PROB_FLOOR = 1e-12  # a written p stays inside (0, 1), as read_prediction_dump requires
 
 _DTYPES = {
     "user": str, "step": np.int64, "skill": np.int64, "y": np.int64, "p": np.float64, "tag": str,
@@ -115,7 +116,6 @@ def write_prediction_dump(path: str | Path, preds: Predictions) -> None:
     """One CSV row per table row, probabilities as ``repr`` floats or ``NA``.
     The file is replaced only once it is fully written."""
     p_text = [NA if math.isnan(p) else repr(p) for p in preds.p.tolist()]
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PRED_COLUMNS)
@@ -162,7 +162,6 @@ def write_trajectory(path: str | Path, traj: MasteryTrajectory) -> None:
     metadata, then one probability column per skill. The file is replaced
     only once it is fully written."""
     t_len, k = traj.p.shape
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(

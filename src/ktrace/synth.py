@@ -18,7 +18,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from .ingest import StudentSequence, atomic_open, flatten_steps
-from .records import Predictions
+from .records import PROB_FLOOR, Predictions
 
 Params = Union[float, Sequence[float]]
 
@@ -45,12 +45,12 @@ class GenerativeSpec:
     """
 
     k: int
-    p_init: Params
-    p_learn: Params
-    p_guess: Params
-    p_slip: Params
     n_students: int
-    mean_length: float
+    p_init: Params = 0.3
+    p_learn: Params = 0.15
+    p_guess: Params = 0.2
+    p_slip: Params = 0.1
+    mean_length: float = 40.0
     min_length: int = 4
     seed: int = 0
 
@@ -182,7 +182,7 @@ def oracle_records(
         step=t[keep],
         skill=steps[keep, 0],
         y=steps[keep, 2],
-        p=np.clip(probs[keep], 1e-12, 1.0 - 1e-12),
+        p=np.clip(probs[keep], PROB_FLOOR, 1.0 - PROB_FLOOR),
         tag=np.full(np.count_nonzero(keep), "oracle"),
     )
 

@@ -335,6 +335,39 @@ def test_probe_stability_flag_reports_zero_deltas(tmp_path):
         assert all(s["stable"] for s in report["stability"])
 
 
+def test_warm_stability_check_renders_each_prompt_twice(tmp_path, monkeypatch):
+    from ktrace import llmprobe
+
+    with MockLLMServer() as server:
+        cfg_path = write_config(tmp_path / "c.json", probe_payload(tmp_path, server.endpoint))
+        assert main(["synth", "--config", cfg_path]) == 0
+        assert main(["probe", "--config", cfg_path]) == 0
+        ws = Workspace(tmp_path / "ws")
+        n_prompts = len(read_prediction_dump(ws.dump_path("llm")))
+        renders = []
+        render_prompt = llmprobe.render_prompt
+
+        def counting_render(*args, **kwargs):
+            renders.append(1)
+            return render_prompt(*args, **kwargs)
+
+        monkeypatch.setattr(llmprobe, "render_prompt", counting_render)
+        hits_before = server.hit_count
+        argv = ["probe", "--config", cfg_path, "--override", "probe.stability_check=true"]
+        assert main(argv) == 0
+        rerun_hits = server.hit_count - hits_before
+
+    # the main pass reads the cache, the stability rerun asks the endpoint
+    assert len(renders) == 2 * n_prompts
+    assert rerun_hits == n_prompts
+    report = json.loads((ws.root / "probe_report_llm.json").read_text())
+    assert report["cache_hits"] == n_prompts
+    assert report["network_requests"] == n_prompts
+    assert all(s["stable"] for s in report["stability"])
+    audit = (ws.root / "probe_audit" / "llm.jsonl").read_text().splitlines()
+    assert len(audit) == 2 * n_prompts
+
+
 def test_probe_mastery_students_trajectories(tmp_path):
     with MockLLMServer() as server:
         payload = probe_payload(tmp_path, server.endpoint)

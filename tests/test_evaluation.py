@@ -18,7 +18,7 @@ from ktrace.evaluation import (
     volatility,
     volatility_all_skills,
 )
-from ktrace.records import MasteryTrajectory, read_trajectory
+from ktrace.records import MasteryTrajectory, read_trajectory, write_trajectory
 
 from predtable import Row, predictions_of
 
@@ -422,7 +422,7 @@ def consistent_trajectory() -> MasteryTrajectory:
 
 def test_heatmap_consistent_trajectory_zero_annotations(tmp_path):
     traj = consistent_trajectory()
-    count = heatmap_export(traj, ["a", "b"], tmp_path / "h.svg", tmp_path / "m.csv")
+    count = heatmap_export(traj, ["a", "b"], tmp_path / "h.svg")
     assert count == 0
 
 
@@ -453,9 +453,15 @@ def test_heatmap_svg_is_well_formed_and_deterministic(tmp_path):
     assert root.tag.endswith("svg")
 
 
+def test_heatmap_export_creates_its_directory(tmp_path):
+    svg = tmp_path / "reports" / "new" / "h.svg"
+    assert heatmap_export(consistent_trajectory(), ["a", "b"], svg) == 0
+    assert ET.fromstring(svg.read_text()).tag.endswith("svg")
+
+
 def test_heatmap_matrix_file_round_trip(tmp_path):
     traj = consistent_trajectory()
-    heatmap_export(traj, ["a", "b"], tmp_path / "h.svg", tmp_path / "m.csv")
+    write_trajectory(tmp_path / "m.csv", traj)
     loaded = read_trajectory(tmp_path / "m.csv")
     assert loaded.user_id == "s1"
     assert np.array_equal(loaded.p, traj.p)

@@ -407,3 +407,11 @@ def test_failed_write_keeps_previous_file(tmp_path):
             raise RuntimeError("interrupted")
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["sequences.txt"]
+
+
+def test_atomic_open_creates_missing_directories(tmp_path):
+    path = tmp_path / "a" / "b" / "out.txt"
+    with ingest.atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write("done\n")
+    assert path.read_text(encoding="utf-8") == "done\n"
+    assert [p.name for p in path.parent.iterdir()] == ["out.txt"]
