@@ -513,10 +513,9 @@ def evaluate_tag(
     result["confusion"] = evaluation.confusion_metrics(preds, section.threshold).to_dict()
 
     roc_path = ws.report_path(f"roc_{tag}.csv")
+    roc_rows = "".join(f"{fpr!r},{tpr!r},{thr!r}\n" for fpr, tpr, thr in analysis.roc)
     with ingest.atomic_open(roc_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("fpr,tpr,threshold\n")
-        for fpr, tpr, threshold in analysis.roc:
-            fh.write(f"{fpr!r},{tpr!r},{threshold!r}\n")
+        fh.write("fpr,tpr,threshold\n" + roc_rows)
 
     stage_table = evaluation.stage_errors(
         preds, analysis.youden_threshold, macro=section.stage_macro
@@ -544,7 +543,10 @@ def evaluate_tag(
         count = evaluation.heatmap_export(traj, vocab.skill_names, svg_path)
         entry = {"annotated_cells": count, "svg": svg_path.name}
         if section.coherence_all_skills:
-            entry["volatility_all_skills"] = evaluation.volatility_all_skills(traj)
+            try:
+                entry["volatility_all_skills"] = evaluation.volatility_all_skills(traj)
+            except ValueError as exc:
+                entry["volatility_all_skills_error"] = str(exc)
         heatmaps[user_id] = entry
     if heatmaps:
         result["heatmaps"] = heatmaps

@@ -361,6 +361,8 @@ def volatility_all_skills(traj: MasteryTrajectory) -> float:
     if traj.n_steps < 2:
         raise ValueError("trajectory needs at least 2 steps")
     diffs = np.abs(np.diff(traj.p, axis=0))
+    if np.isnan(diffs).all():
+        raise ValueError("no resolved step-to-step change in the trajectory")
     return float(np.nanmean(diffs))
 
 
@@ -386,15 +388,22 @@ def _inconsistent_cells(
     return [(int(t), traj.steps[t][0]) for t in np.sort(order[at[mismatch]])]
 
 
-def _cell_color(p: float) -> str:
-    """Low mastery -> warm, high mastery -> cool; NaN -> grey."""
-    if math.isnan(p):
-        return "#cccccc"
-    p = min(max(p, 0.0), 1.0)
-    r = int(round(214 + (49 - 214) * p))
-    g = int(round(96 + (110 - 96) * p))
-    b = int(round(77 + (160 - 77) * p))
-    return f"#{r:02x}{g:02x}{b:02x}"
+_HEX = np.array([f"{i:02x}" for i in range(256)])
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
+
+
+def _cell_colors(p: np.ndarray) -> np.ndarray:
+    """Cell colours of a probability grid: low mastery -> warm, high mastery
+    -> cool, NaN -> grey. p is clipped to [0, 1]; each channel rounds half to
+    even, as Python's ``round`` does."""
+    p = np.asarray(p, dtype=np.float64)
+    nan = np.isnan(p)
+    p = np.clip(np.where(nan, 0.0, p), 0.0, 1.0)
+    r, g, b = (
+        _HEX[np.round(low + (high - low) * p).astype(np.intp)]
+        for low, high in ((214, 49), (96, 110), (77, 160))
+    )
+    return np.where(nan, "#cccccc", np.char.add(np.char.add(np.char.add("#", r), g), b))
 
 
 def heatmap_export(
@@ -412,39 +421,34 @@ def heatmap_export(
     order, skill, y = _skill_paths(traj)
     bad_cells = _inconsistent_cells(traj, order, skill, y)
 
-    cell = 22
-    left = 180
-    top = 46
+    cell, left, top = 22, 180, 46
     width = left + t_len * cell + 20
     height = top + k * cell + 40
 
-    parts: List[str] = []
-    parts.append(
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="Helvetica, Arial, sans-serif">'
-    )
-    parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
-    parts.append(
+        f'viewBox="0 0 {width} {height}" font-family="Helvetica, Arial, sans-serif">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{left}" y="20" font-size="13">student {traj.user_id}: '
-        f"mastery over time ({len(bad_cells)} inconsistent updates)</text>"
-    )
+        f"mastery over time ({len(bad_cells)} inconsistent updates)</text>",
+    ]
 
-    for s in range(k):
+    # One string per skill row: its label, then its cells' <rect>s. The pieces
+    # that vary only with t are laid out once; each row fills in the rest.
+    row = [""] * (1 + 4 * t_len)
+    row[1::4] = [f'\n<rect x="{left + t * cell}" y="' for t in range(t_len)]
+    row[4::4] = ['" stroke="#ffffff" stroke-width="0.5"/>'] * t_len
+    for s, colors in enumerate(_cell_colors(traj.p).T.tolist()):
         y0 = top + s * cell
         label = skill_names[s] if s < len(skill_names) else str(s)
-        if len(label) > 26:
-            label = label[:25] + "…"
-        parts.append(
+        label = (label if len(label) <= 26 else label[:25] + "…").translate(_XML_ESCAPES)
+        row[0] = (
             f'<text x="{left - 6}" y="{y0 + cell - 7}" font-size="10" '
-            f'text-anchor="end">{_xml_escape(label)}</text>'
+            f'text-anchor="end">{label}</text>'
         )
-        for t in range(t_len):
-            x0 = left + t * cell
-            color = _cell_color(float(traj.p[t, s]))
-            parts.append(
-                f'<rect x="{x0}" y="{y0}" width="{cell}" height="{cell}" '
-                f'fill="{color}" stroke="#ffffff" stroke-width="0.5"/>'
-            )
+        row[2::4] = [f'{y0}" width="{cell}" height="{cell}" fill="'] * t_len
+        row[3::4] = colors
+        parts.append("".join(row))
 
     # white reference path through each skill's practiced cells
     skills, first = np.unique(skill, return_index=True)
@@ -486,8 +490,3 @@ def heatmap_export(
         fh.write("\n".join(parts) + "\n")
     return len(bad_cells)
 
-
-def _xml_escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
-    )

@@ -159,39 +159,38 @@ def read_prediction_dump(path: str | Path) -> Predictions:
 
 def write_trajectory(path: str | Path, traj: MasteryTrajectory) -> None:
     """Trajectory matrix as delimited text: one row per step with aligned
-    metadata, then one probability column per skill. The file is replaced
-    only once it is fully written."""
-    t_len, k = traj.p.shape
+    metadata, then one probability column per skill (``repr`` floats or
+    ``NA``). The file is replaced only once it is fully written."""
+    k = traj.n_skills
+    header = ["user_id", "t", "skill_idx", "quiz_idx", "y"] + [f"p_{i}" for i in range(k)]
+    rows = (
+        [traj.user_id, t, *step] + [NA if math.isnan(p) else repr(p) for p in probs]
+        for t, (step, probs) in enumerate(zip(traj.steps, traj.p.tolist(), strict=True))
+    )
     with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["user_id", "t", "skill_idx", "quiz_idx", "y"] + [f"p_{i}" for i in range(k)]
-        )
-        for t in range(t_len):
-            skill, quiz, y = traj.steps[t]
-            probs = [
-                NA if np.isnan(traj.p[t, i]) else repr(float(traj.p[t, i])) for i in range(k)
-            ]
-            writer.writerow([traj.user_id, t, skill, quiz, y] + probs)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_trajectory(path: str | Path) -> MasteryTrajectory:
-    rows: List[List[str]] = []
+    """Load a trajectory file; every row must have the header's cell count."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        k = len(header) - 5
-        for row in reader:
-            rows.append(row)
+        rows = list(reader)
     if not rows:
         raise ValueError(f"{path}: empty trajectory file")
-    t_len = len(rows)
-    p = np.empty((t_len, k))
-    steps: List[Tuple[int, int, int]] = []
-    user_id = rows[0][0]
-    for t, row in enumerate(rows):
-        steps.append((int(row[2]), int(row[3]), int(row[4])))
-        for i in range(k):
-            cell = row[5 + i]
-            p[t, i] = np.nan if cell == NA else float(cell)
-    return MasteryTrajectory(user_id=user_id, p=p, steps=steps)
+    ragged = next((t for t, row in enumerate(rows) if len(row) != len(header)), None)
+    if ragged is not None:
+        raise ValueError(
+            f"{path}: line {ragged + 2} has {len(rows[ragged])} cells, "
+            f"the header has {len(header)}"
+        )
+    cells = np.array(rows, dtype=object)
+    probs = cells[:, 5:]
+    resolved = probs != NA
+    p = np.full(probs.shape, np.nan)
+    p[resolved] = probs[resolved].astype(np.float64)
+    steps = list(map(tuple, cells[:, 2:5].astype(np.int64).tolist()))
+    return MasteryTrajectory(user_id=rows[0][0], p=p, steps=steps)

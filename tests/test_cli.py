@@ -7,12 +7,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ktrace.cli import Workspace, WorkspaceLocked, main, representative_quizzes, write_json
 from ktrace.config import ConfigError, load_config
 from ktrace.ingest import StudentSequence
-from ktrace.records import read_prediction_dump, write_prediction_dump
+from ktrace.evaluation import roc_auc
+from ktrace.records import (
+    MasteryTrajectory,
+    read_prediction_dump,
+    write_prediction_dump,
+    write_trajectory,
+)
 
 from mockllm import MockLLMServer
 from predtable import Row, predictions_of, rows_of
@@ -466,6 +473,56 @@ def test_evaluate_roc_report_cells_are_plain_numbers(tmp_path):
         assert len(cells) == 3
         for cell in cells:
             float(cell)  # a repr such as np.float64(0.5) raises here
+
+
+def test_evaluate_roc_report_bytes_are_repr_rows(tmp_path):
+    cfg_payload = synth_config(tmp_path)
+    cfg_payload["evaluate"] = {"tags": ["oracle"]}
+    cfg_path = write_config(tmp_path / "c.json", cfg_payload)
+    assert main(["synth", "--config", cfg_path]) == 0
+    assert main(["evaluate", "--config", cfg_path]) == 0
+    ws = Workspace(tmp_path / "ws")
+    roc = roc_auc(read_prediction_dump(ws.dump_path("oracle"))).roc
+    expected = "fpr,tpr,threshold\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in roc)
+    body = ws.report_path("roc_oracle.csv").read_bytes()
+    assert body == expected.encode("utf-8")
+    lines = body.decode("utf-8").splitlines()
+    assert lines[1] == "0.0,0.0,inf"
+    assert lines[-1] == "1.0,1.0,-inf"
+
+
+def test_evaluate_unusable_all_skills_volatility_keeps_metrics_json_valid(tmp_path):
+    cfg_payload = synth_config(tmp_path)
+    cfg_path = write_config(tmp_path / "c.json", cfg_payload)
+    assert main(["synth", "--config", cfg_path]) == 0
+    ws = Workspace(tmp_path / "ws")
+    unresolved, short, fine = json.loads(ws.split_path.read_text())["test"][:3]
+    steps = [(0, 0, 1), (1, 1, 0), (0, 0, 1)]
+    for user, p, n in (
+        (unresolved, np.full((3, 3), np.nan), 3),
+        (short, np.full((1, 3), 0.5), 1),
+        (fine, np.array([[0.5, 0.5, 0.5], [0.6, 0.4, 0.5], [0.6, 0.6, 0.5]]), 3),
+    ):
+        write_trajectory(
+            ws.trajectory_path("oracle", user),
+            MasteryTrajectory(user_id=user, p=p, steps=steps[:n]),
+        )
+    cfg_payload["evaluate"] = {
+        "tags": ["oracle"], "coherence_all_skills": True,
+        "heatmap_students": [unresolved, short, fine],
+    }
+    cfg_path = write_config(tmp_path / "c.json", cfg_payload)
+    assert main(["evaluate", "--config", cfg_path]) == 0
+
+    def no_constants(name):
+        raise ValueError(f"metrics.json holds {name}")
+
+    text = ws.report_path("metrics.json").read_text()
+    heatmaps = json.loads(text, parse_constant=no_constants)["oracle"]["heatmaps"]
+    assert "no resolved step-to-step change" in heatmaps[unresolved]["volatility_all_skills_error"]
+    assert "at least 2 steps" in heatmaps[short]["volatility_all_skills_error"]
+    assert "volatility_all_skills" not in heatmaps[unresolved]
+    assert heatmaps[fine]["volatility_all_skills"] == pytest.approx(0.4 / 6)
 
 
 def test_evaluate_side_by_side_tags_and_missing_tag(tmp_path, capsys):

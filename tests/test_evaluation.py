@@ -466,3 +466,74 @@ def test_heatmap_matrix_file_round_trip(tmp_path):
     assert loaded.user_id == "s1"
     assert np.array_equal(loaded.p, traj.p)
     assert loaded.steps == traj.steps
+
+
+def reference_cell_color(p: float) -> str:
+    """The per-cell colour rule, one Python call per cell."""
+    if math.isnan(p):
+        return "#cccccc"
+    p = min(max(p, 0.0), 1.0)
+    r = int(round(214 + (49 - 214) * p))
+    g = int(round(96 + (110 - 96) * p))
+    b = int(round(77 + (160 - 77) * p))
+    return f"#{r:02x}{g:02x}{b:02x}"
+
+
+def reference_skill_rows(traj: MasteryTrajectory, skill_names) -> list:
+    """The label and <rect> lines of every skill row, one cell at a time."""
+    t_len, k = traj.p.shape
+    cell, left, top = 22, 180, 46
+    lines = []
+    for s in range(k):
+        y0 = top + s * cell
+        label = skill_names[s] if s < len(skill_names) else str(s)
+        if len(label) > 26:
+            label = label[:25] + "…"
+        escaped = (
+            label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace('"', "&quot;")
+        )
+        lines.append(
+            f'<text x="{left - 6}" y="{y0 + cell - 7}" font-size="10" '
+            f'text-anchor="end">{escaped}</text>'
+        )
+        for t in range(t_len):
+            lines.append(
+                f'<rect x="{left + t * cell}" y="{y0}" width="{cell}" height="{cell}" '
+                f'fill="{reference_cell_color(float(traj.p[t, s]))}" stroke="#ffffff" '
+                f'stroke-width="0.5"/>'
+            )
+    return lines
+
+
+def test_heatmap_cells_match_scalar_reference_bytes(tmp_path):
+    rng = np.random.default_rng(23)
+    t_len, k = 17, 7
+    p = rng.random((t_len, k)) * 1.4 - 0.2
+    p[rng.random((t_len, k)) < 0.15] = np.nan
+    p[:, 0] = np.round(rng.random(t_len) * 330) / 330  # channel values on .5
+    p[:6, 1] = [0.5, 0.0, 1.0, -0.2, 1.3, np.nan]
+    steps = [(int(rng.integers(0, k)), 0, int(rng.integers(0, 2))) for _ in range(t_len)]
+    traj = MasteryTrajectory(user_id="s9", p=p, steps=steps)
+    names = ["a name of well over twenty-six characters", 'ratios & "rates" <intro>', "c"]
+    svg = tmp_path / "h.svg"
+    heatmap_export(traj, names, svg)
+
+    lines = svg.read_text(encoding="utf-8").split("\n")
+    expected = reference_skill_rows(traj, names)
+    assert lines[3 : 3 + len(expected)] == expected
+    assert "a name of well over twent…" in lines[3]
+    assert "ratios &amp; &quot;rates&quot; &lt;intro&gt;" in lines[4 + t_len]
+    fills = [line.split('fill="')[1][:7] for line in lines[5 + t_len : 11 + t_len]]
+    assert fills == ["#846776", "#d6604d", "#316ea0", "#d6604d", "#316ea0", "#cccccc"]
+
+
+def test_volatility_all_skills_needs_a_resolved_change():
+    traj = MasteryTrajectory(
+        user_id="u1", p=np.full((3, 2), np.nan), steps=[(0, 0, 1), (1, 1, 0), (0, 0, 1)]
+    )
+    with pytest.raises(ValueError, match="no resolved step-to-step change"):
+        volatility_all_skills(traj)
+    short = MasteryTrajectory(user_id="u2", p=np.array([[0.5, 0.5]]), steps=[(0, 0, 1)])
+    with pytest.raises(ValueError, match="at least 2 steps"):
+        volatility_all_skills(short)

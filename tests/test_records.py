@@ -116,3 +116,13 @@ def test_practiced_path_reads_practiced_cells():
     assert [r.p for r in path[:2]] == [0.2, 0.3]
     assert path[2].p is None  # unresolved practiced cell stays null
 
+
+
+@pytest.mark.parametrize("bad_row", ["u9,1,1,4,0,0.6", "u9,1,1,4,0,0.6,0.4,0.1"])
+def test_trajectory_row_with_wrong_cell_count_names_file_and_row(tmp_path, bad_row):
+    path = tmp_path / "t.csv"
+    path.write_text(
+        "user_id,t,skill_idx,quiz_idx,y,p_0,p_1\nu9,0,0,3,1,0.5,NA\n" + bad_row + "\n"
+    )
+    with pytest.raises(ValueError, match=r"t\.csv: line 3 has \d cells, the header has 7"):
+        read_trajectory(path)
