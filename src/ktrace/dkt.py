@@ -272,7 +272,8 @@ def train(
 ) -> Tuple[DktModel, List[EpochStats]]:
     """Minimize the masked BCE with Adam, gradient clipping, and early
     stopping on validation loss; returns the best-validation checkpoint and
-    the per-epoch log."""
+    the per-epoch log. Each step computes on a float32 copy of the float64
+    master weights; clipping, Adam, validation and the checkpoint are float64."""
     if not train_seqs or not val_seqs:
         raise ValueError("train and validation sets must be nonempty")
     cfg = cfg or TrainConfig()
@@ -293,13 +294,17 @@ def train(
         for batch_no, start in enumerate(range(0, len(order), cfg.batch_size)):
             chunk = [train_list[i] for i in order[start : start + cfg.batch_size]]
             batch = build_batch(chunk, k, cfg.max_t)
+            compute = nncore.from_flat(
+                {name: arr.astype(np.float32) for name, arr in net.flat().items()}
+            )
             loss, grads = nncore.net_loss_and_grads(
-                net, batch.lookup_tokens(), batch.next_skills(), batch.next_labels(), batch.w
+                compute, batch.lookup_tokens(), batch.next_skills(), batch.next_labels(), batch.w
             )
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
                 )
+            grads = {name: g.astype(np.float64, copy=False) for name, g in grads.items()}
             grads = nncore.clip_global_norm(grads, cfg.clip_norm)
             new_params, state = nncore.adam_update(net.flat(), grads, state)
             net = nncore.from_flat(new_params)

@@ -1,10 +1,12 @@
 """Dense numerical kernels for training the tracer network from scratch.
 
-Everything runs in float64 on plain numpy arrays. The network is the fixed
-stack embedding -> single-layer GRU -> affine + sigmoid readout, trained with
-a masked binary cross-entropy on next-step targets. All backward passes are
-hand-written for this stack and verified against central finite differences
-in the test suite; there is no generic autodiff here on purpose.
+On plain numpy arrays; the GRU computes in the dtype of its parameters
+(float32 in ``dkt.train``'s steps, float64 elsewhere), the loss in float64. The
+network is the fixed stack embedding -> single-layer GRU -> affine + sigmoid
+readout, trained with a masked binary cross-entropy on next-step targets.
+All backward passes are hand-written for this stack and verified against
+central finite differences in the test suite; there is no generic autodiff
+here on purpose.
 
 The GRU runs as one fused kernel on its packed parameters W (d_in, 3h),
 U (h, 3h) and b (3h,), gate order z|r|h, and each step gathers its input
@@ -244,10 +246,12 @@ def gru_forward(
     step gathers its input projection from the table instead of multiplying.
     With ``lengths`` (B,), sorted non-increasing, step t runs only the rows
     still live (``_live_rows``); a row's cells past its length are dead and
-    stay exactly zero in h and in every gate. Non-finite hidden states
-    raise, naming the first offending step.
+    stay exactly zero in h and in every gate. Everything runs in the dtype
+    of ``p.u``. Non-finite hidden states raise, naming the first offending
+    step.
     """
-    x = np.asarray(x, dtype=np.float64)
+    dtype = p.u.dtype
+    x = np.asarray(x, dtype=dtype)
     squeezed = x.ndim == 2
     if squeezed:
         x = x[None]
@@ -258,14 +262,14 @@ def gru_forward(
     if d_in != p.d_in:
         raise ValueError(f"input width {d_in} does not match GRU d_in {p.d_in}")
     if h0 is None:
-        h0 = np.zeros((b, d_h))
+        h0 = np.zeros((b, d_h), dtype=dtype)
     else:
-        h0 = np.broadcast_to(np.asarray(h0, dtype=np.float64), (b, d_h)).copy()
+        h0 = np.broadcast_to(np.asarray(h0, dtype=dtype), (b, d_h)).copy()
     live = _live_rows(lengths, b, t_len)
 
     u_zr, u_c = p.u[:, : 2 * d_h], p.u[:, 2 * d_h :]
-    gates = np.zeros((b, t_len, 3 * d_h))  # z | r | candidate
-    h = np.zeros((b, t_len, d_h))
+    gates = np.zeros((b, t_len, 3 * d_h), dtype=dtype)  # z | r | candidate
+    h = np.zeros((b, t_len, d_h), dtype=dtype)
     h_prev = h0
     for t in range(t_len):
         n = live[t]
@@ -303,9 +307,11 @@ def gru_backward(p: GruParams, tape: GruTape, dh: Array) -> Tuple[Dict[str, Arra
     parameters: three weight-gradient matmuls per step, over the step's live
     rows only. The two blocks of dU accumulate in contiguous buffers joined
     once at the end: an add into a column slice of one (h, 3h) array is
-    strided and about three times slower.
+    strided and about three times slower. Everything runs in the dtype of
+    ``p.u``.
     """
-    dh = np.asarray(dh, dtype=np.float64)
+    dtype = p.u.dtype
+    dh = np.asarray(dh, dtype=dtype)
     if tape.squeezed and dh.ndim == 2:
         dh = dh[None]
     b, t_len, d_h = tape.h.shape
@@ -313,12 +319,12 @@ def gru_backward(p: GruParams, tape: GruTape, dh: Array) -> Tuple[Dict[str, Arra
 
     u_zr, u_c = p.u[:, :h2], p.u[:, h2:]
     d_w = np.zeros_like(p.w)
-    d_uzr = np.zeros((d_h, h2))
-    d_uc = np.zeros((d_h, d_h))
-    d_b = np.zeros(3 * d_h)
+    d_uzr = np.zeros((d_h, h2), dtype=dtype)
+    d_uc = np.zeros((d_h, d_h), dtype=dtype)
+    d_b = np.zeros(3 * d_h, dtype=dtype)
     dx = np.zeros_like(tape.x)
-    da_buf = np.empty((b, 3 * d_h))  # pre-activation grads, gate order z | r | h
-    carry = np.zeros((b, d_h))  # rows past a step's live prefix stay zero
+    da_buf = np.empty((b, 3 * d_h), dtype=dtype)  # pre-activation grads, gate order z | r | h
+    carry = np.zeros((b, d_h), dtype=dtype)  # rows past a step's live prefix stay zero
 
     for t in range(t_len - 1, -1, -1):
         n = tape.live[t]
@@ -430,9 +436,10 @@ def net_forward(net: DktNet, x_idx: Array) -> Tuple[Array, NetTape]:
 
 def _target_probs(net: DktNet, h: Array, s_next: Array) -> Array:
     """Readout at each cell's target skill only: sigmoid(h . w_out[:, s] + b_out[s]).
-    Equals ``readout(h, ...)`` gathered at ``s_next``, without the (B, T, K) tensor."""
+    Equals ``readout(h, ...)`` gathered at ``s_next``, without the (B, T, K) tensor.
+    The logits go to float64 first: ``1 - PROB_CLAMP`` is 1.0 in float32."""
     logits = np.einsum("...d,...d->...", h, net.w_out.T[s_next])
-    return sigmoid(logits + net.b_out[s_next])
+    return sigmoid(logits.astype(np.float64, copy=False) + net.b_out[s_next])
 
 
 def net_target_probs(

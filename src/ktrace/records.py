@@ -129,7 +129,8 @@ def write_prediction_dump(path: str | Path, preds: Predictions) -> None:
 
 def read_prediction_dump(path: str | Path) -> Predictions:
     """Load a dump, validating the header, probability range, and the
-    (user_id, t, model_tag) uniqueness invariant."""
+    (user_id, t, model_tag) uniqueness invariant; a duplicate error names
+    the first repeated key in file order."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -139,21 +140,23 @@ def read_prediction_dump(path: str | Path) -> Predictions:
     ragged = next((row for row in rows if len(row) != len(PRED_COLUMNS)), None)
     if ragged is not None:
         raise ValueError(f"{path}: expected {len(PRED_COLUMNS)} cells, got {ragged}")
-    user, t, skill, y, p_text, tag = zip(*rows) if rows else [()] * len(PRED_COLUMNS)
-    p = np.array([math.nan if text == NA else float(text) for text in p_text], dtype=np.float64)
-    resolved = np.array(p_text, dtype=str) != NA
+    cells = np.array(rows, dtype=object).reshape(-1, len(PRED_COLUMNS))
+    p_text = cells[:, 4]
+    resolved = p_text != NA
+    p = np.full(len(p_text), math.nan)
+    p[resolved] = p_text[resolved].astype(np.float64)
     out_of_range = np.flatnonzero(resolved & ~((p > 0.0) & (p < 1.0)))
     if out_of_range.size:
         raise ValueError(f"{path}: probability out of (0,1): {p_text[out_of_range[0]]}")
-    preds = Predictions(
-        user=user, step=list(map(int, t)), skill=list(map(int, skill)), y=list(map(int, y)),
-        p=p, tag=tag,
-    )
-    seen = set()
-    for key in zip(user, preds.step.tolist(), tag):
-        if key in seen:
-            raise ValueError(f"{path}: duplicate record for {key}")
-        seen.add(key)
+    step, skill, y = cells[:, 1:4].astype(np.int64).T
+    preds = Predictions(user=cells[:, 0], step=step, skill=skill, y=y, p=p, tag=cells[:, 5])
+    keys = (preds.user, preds.step, preds.tag)
+    order = np.lexsort(keys[::-1])  # stable: equal keys keep file order
+    repeat = np.logical_and.reduce([key[order[1:]] == key[order[:-1]] for key in keys])
+    if repeat.any():
+        i = int(order[1:][repeat].min())
+        key = (str(preds.user[i]), int(preds.step[i]), str(preds.tag[i]))
+        raise ValueError(f"{path}: duplicate record for {key}")
     return preds
 
 

@@ -397,6 +397,69 @@ def test_train_aborts_on_nonfinite_loss(monkeypatch):
         train(sequences[:32], sequences[32:], k=3, cfg=fast_config())
 
 
+def test_train_steps_in_float32_on_float64_master_weights(monkeypatch, tmp_path):
+    sequences = tiny_corpus()
+    step_dtypes, val_dtypes, adam_dtypes = [], [], []
+    original_step, original_val = nncore.net_loss_and_grads, nncore.net_loss
+    original_adam = nncore.adam_update
+
+    def dtypes(tensors):
+        return {arr.dtype for arr in tensors.values()}
+
+    def step_spy(net, x_idx, s_next, y_next, w):
+        step_dtypes.append(dtypes(net.flat()))
+        return original_step(net, x_idx, s_next, y_next, w)
+
+    def val_spy(net, x_idx, s_next, y_next, w):
+        val_dtypes.append(dtypes(net.flat()))
+        return original_val(net, x_idx, s_next, y_next, w)
+
+    def adam_spy(params, grads, state):
+        out, state = original_adam(params, grads, state)
+        adam_dtypes.append(
+            dtypes(params) | dtypes(grads) | dtypes(state.m) | dtypes(state.v) | dtypes(out)
+        )
+        return out, state
+
+    monkeypatch.setattr("ktrace.dkt.nncore.net_loss_and_grads", step_spy)
+    monkeypatch.setattr("ktrace.dkt.nncore.net_loss", val_spy)
+    monkeypatch.setattr("ktrace.dkt.nncore.adam_update", adam_spy)
+    model, log = train(sequences[:32], sequences[32:], k=3, cfg=fast_config(max_epochs=2))
+
+    float32, float64 = {np.dtype(np.float32)}, {np.dtype(np.float64)}
+    assert len(step_dtypes) == len(adam_dtypes) == 2 * 2  # 32 sequences, batches of 16
+    assert all(d == float32 for d in step_dtypes)
+    assert len(val_dtypes) == len(log) and all(d == float64 for d in val_dtypes)
+    assert all(d == float64 for d in adam_dtypes)
+    assert dtypes(model.net.flat()) == float64
+    path = tmp_path / "model.npz"
+    save_checkpoint(model, path)
+    with np.load(path) as data:
+        assert {data[name].dtype for name in data.files if name.startswith("param_")} == float64
+
+
+def test_train_from_a_saturated_readout_does_not_diverge(monkeypatch):
+    """b_out starts at -40 for the always-right skill and +40 for the
+    always-wrong one, so every float32 readout starts saturated on the
+    wrong side; the float64 target readout keeps each step's loss finite."""
+    rng = np.random.default_rng(8)
+    sequences = [
+        seq(f"u{i:03d}", [(s, 1 - s) for s in rng.integers(0, 2, size=8)]) for i in range(40)
+    ]
+    original_init = nncore.init_net
+
+    def saturated_init(*args, **kwargs):
+        net = original_init(*args, **kwargs)
+        net.b_out[:] = [-40.0, 40.0]
+        return net
+
+    monkeypatch.setattr("ktrace.dkt.nncore.init_net", saturated_init)
+    model, log = train(sequences[:32], sequences[32:], k=2, cfg=fast_config(max_epochs=3))
+    assert all(np.isfinite(e.train_loss) and np.isfinite(e.val_loss) for e in log)
+    assert log[0].train_loss > 1.0  # the run did start saturated
+    assert model.net.b_out[0] > -40.0 and model.net.b_out[1] < 40.0
+
+
 def test_train_returns_best_validation_checkpoint():
     sequences = tiny_corpus()
     cfg = fast_config(seed=1, max_epochs=10)

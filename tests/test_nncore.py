@@ -548,3 +548,66 @@ def test_packed_loss_matches_dense_reference_on_unsorted_rows_with_holes():
     assert grads.keys() == ref.keys()
     for name, g in grads.items():
         np.testing.assert_allclose(g, ref[name], atol=1e-12, rtol=0, err_msg=name)
+
+
+# ---------------------------------------------------------------------------
+# compute dtype follows the parameters
+
+
+def _as_float32(tensors):
+    return {name: arr.astype(np.float32) for name, arr in tensors.items()}
+
+
+def test_gru_float32_params_compute_in_float32():
+    """Float64 inputs to a float32 GRU: every buffer and gradient is float32,
+    within float32 rounding of the float64 run (h to 1e-5 absolute, the
+    gradients to 1e-3 of each tensor's largest entry), and dead cells stay
+    exactly zero."""
+    rng = np.random.default_rng(26)
+    p64 = random_gru(rng, 3, 4)
+    p32 = GruParams(**_as_float32(p64.flat()))
+    lengths = np.array([7, 5, 5, 2, 0])
+    x = rng.normal(size=(5, 7, 3))
+    coef = rng.normal(size=(5, 7, 4))
+    live = np.arange(7)[None, :] < lengths[:, None]
+
+    h64, tape64 = gru_forward(x, p64, lengths=lengths)
+    h32, tape32 = gru_forward(x, p32, lengths=lengths)
+    tape_arrays = (tape32.x, tape32.h0, tape32.z, tape32.r, tape32.hcand, tape32.h)
+    assert h32.dtype == np.float32
+    assert [a.dtype for a in tape_arrays] == [np.dtype(np.float32)] * len(tape_arrays)
+    np.testing.assert_allclose(h32, h64, atol=1e-5, rtol=0)
+    for arr in (h32, tape32.z, tape32.r, tape32.hcand):
+        assert not arr[~live].any()
+
+    grads64, dx64, dh0_64 = gru_backward(p64, tape64, coef)
+    grads32, dx32, dh0_32 = gru_backward(p32, tape32, coef)
+    assert grads32.keys() == grads64.keys()
+    pairs = [(grads32[name], grads64[name], name) for name in grads64]
+    pairs += [(dx32, dx64, "dx"), (dh0_32, dh0_64, "dh0")]
+    for got, want, name in pairs:
+        assert got.dtype == np.float32, name
+        scale = np.abs(want).max()
+        np.testing.assert_allclose(got, want, atol=1e-3 * scale, rtol=0, err_msg=name)
+    assert not dx32[~live].any() and not dh0_32[4].any()
+
+
+def test_saturated_float32_net_keeps_a_finite_float64_loss():
+    """b_out at +-40 with every label on the other side: the target readout
+    returns float64, so the loss is finite and matches the float64 net's,
+    while the GRU gradients stay float32."""
+    rng = np.random.default_rng(27)
+    k = 4
+    net = init_net(2 * k, 3, 5, k, seed=28)
+    net.b_out[:] = np.where(np.arange(k) % 2 == 0, 40.0, -40.0)
+    net32 = nncore.from_flat(_as_float32(net.flat()))
+    x_idx, s_next, _, w = random_batch(rng, 3, 6, k)
+    y_next = (s_next % 2 == 1).astype(float)  # +40 skills wrong, -40 skills right
+
+    loss, grads = net_loss_and_grads(net32, x_idx, s_next, y_next, w)
+    ref_loss, _ = net_loss_and_grads(net, x_idx, s_next, y_next, w)
+    assert np.isfinite(loss) and loss > 20.0
+    assert loss == pytest.approx(ref_loss, rel=1e-6)
+    assert {grads[name].dtype for name in ("w", "u", "b")} == {np.dtype(np.float32)}
+    h, _ = gru_forward(net32.embedding[x_idx], net32.gru)
+    assert nncore._target_probs(net32, h, s_next).dtype == np.float64

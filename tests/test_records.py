@@ -79,6 +79,17 @@ def test_dump_rejects_duplicate_keys(tmp_path):
         read_prediction_dump(path)
 
 
+def test_dump_duplicate_error_names_first_repeat_in_file_order(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text(
+        "user_id,t,skill_idx,y_true,p_pred,model_tag\n"
+        "a,1,0,1,0.5,m\nb,2,0,1,0.5,m\na,1,0,1,0.5,n\nc,3,0,1,0.5,m\n"
+        "b,2,1,0,0.25,m\na,1,0,1,0.5,m\n"
+    )
+    with pytest.raises(ValueError, match=r"duplicate record for \('b', 2, 'm'\)$"):
+        read_prediction_dump(path)
+
+
 def test_dump_rejects_out_of_range_probability(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text(
