@@ -351,7 +351,7 @@ def mastery_trajectory(model: DktModel, sequence: StudentSequence) -> MasteryTra
         raise ValueError("sequence must have at least one step")
     _, tokens = _encode_steps(sequence.steps, model.k)
     cells, live = _window_cells(*_window_spans(len(tokens), _model_setting(model, "max_t")))
-    probs, _ = nncore.net_forward(model.net, tokens[cells])
+    probs = nncore.net_forward(model.net, tokens[cells])
     return MasteryTrajectory(
         user_id=sequence.user_id, p=probs[live], steps=list(sequence.steps)
     )

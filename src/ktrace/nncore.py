@@ -17,7 +17,8 @@ and leaves padded cells at zero. Training and validation (``net_loss``,
 cells past it, and read out only each step's target skill, so they never
 build a (B, T, K) tensor. Batched inference (``net_target_probs``) reads out
 the same way; ``net_forward`` and ``readout`` keep the full readout over all
-skills for trajectories and heatmaps.
+skills for trajectories and heatmaps. Only ``net_loss_and_grads`` asks the
+GRU for its backward tape; validation and inference run without one.
 """
 
 from __future__ import annotations
@@ -209,7 +210,6 @@ class GruTape:
     hcand: Array   # (B, T, d_h)
     h: Array       # (B, T, d_h)
     live: Array    # (T,) rows [:live[t]] are computed at step t
-    squeezed: bool = False
 
 
 def _live_rows(lengths: Array | None, b: int, t_len: int) -> Array:
@@ -237,26 +237,22 @@ def gru_forward(
     tokens: Array | None = None,
     table: Array | None = None,
     lengths: Array | None = None,
-) -> Tuple[Array, GruTape]:
+    tape: bool = True,
+) -> Tuple[Array, GruTape | None]:
     """Run the GRU recurrence over a (B, T, d_in) batch.
 
-    A 2-D (T, d_in) input is treated as a single sequence and the hidden
-    states come back as (T, d_h). When ``tokens`` (B, T) and its
-    ``input_table`` are given, ``x`` must be ``embedding[tokens]`` and each
-    step gathers its input projection from the table instead of multiplying.
-    With ``lengths`` (B,), sorted non-increasing, step t runs only the rows
-    still live (``_live_rows``); a row's cells past its length are dead and
-    stay exactly zero in h and in every gate. Everything runs in the dtype
-    of ``p.u``. Non-finite hidden states raise, naming the first offending
-    step.
+    When ``tokens`` (B, T) and its ``input_table`` are given, ``x`` must be
+    ``embedding[tokens]`` and each step gathers its input projection from the
+    table instead of multiplying. With ``lengths`` (B,), sorted
+    non-increasing, step t runs only the rows still live (``_live_rows``); a
+    row's cells past its length are dead and stay exactly zero in h and in
+    every gate. Everything runs in the dtype of ``p.u``. Non-finite hidden
+    states raise, naming the first offending step. The gates are kept for
+    ``gru_backward`` only with ``tape``; without it no gate buffer is
+    allocated and the tape comes back as ``None``.
     """
     dtype = p.u.dtype
     x = np.asarray(x, dtype=dtype)
-    squeezed = x.ndim == 2
-    if squeezed:
-        x = x[None]
-        if tokens is not None:
-            tokens = np.asarray(tokens)[None]
     b, t_len, d_in = x.shape
     d_h = p.d_h
     if d_in != p.d_in:
@@ -268,7 +264,7 @@ def gru_forward(
     live = _live_rows(lengths, b, t_len)
 
     u_zr, u_c = p.u[:, : 2 * d_h], p.u[:, 2 * d_h :]
-    gates = np.zeros((b, t_len, 3 * d_h), dtype=dtype)  # z | r | candidate
+    gates = np.zeros((b, t_len, 3 * d_h), dtype=dtype) if tape else None  # z | r | candidate
     h = np.zeros((b, t_len, d_h), dtype=dtype)
     h_prev = h0
     for t in range(t_len):
@@ -281,8 +277,9 @@ def gru_forward(
         zt, rt = zr[:, :d_h], zr[:, d_h:]
         ct = np.tanh(a[:, 2 * d_h :] + (rt * h_prev) @ u_c)
         h_prev = h_prev + zt * (ct - h_prev)
-        gates[:n, t, : 2 * d_h] = zr
-        gates[:n, t, 2 * d_h :] = ct
+        if tape:
+            gates[:n, t, : 2 * d_h] = zr
+            gates[:n, t, 2 * d_h :] = ct
         h[:n, t] = h_prev
 
     finite = np.isfinite(h).all(axis=(0, 2))
@@ -290,11 +287,12 @@ def gru_forward(
         raise FloatingPointError(
             f"non-finite GRU hidden state at step {int(np.argmin(finite))}"
         )
-    tape = GruTape(
+    if not tape:
+        return h, None
+    return h, GruTape(
         x=x, h0=h0, z=gates[..., :d_h], r=gates[..., d_h : 2 * d_h],
-        hcand=gates[..., 2 * d_h :], h=h, live=live, squeezed=squeezed,
+        hcand=gates[..., 2 * d_h :], h=h, live=live,
     )
-    return (h[0] if squeezed else h), tape
 
 
 def gru_backward(p: GruParams, tape: GruTape, dh: Array) -> Tuple[Dict[str, Array], Array, Array]:
@@ -312,8 +310,6 @@ def gru_backward(p: GruParams, tape: GruTape, dh: Array) -> Tuple[Dict[str, Arra
     """
     dtype = p.u.dtype
     dh = np.asarray(dh, dtype=dtype)
-    if tape.squeezed and dh.ndim == 2:
-        dh = dh[None]
     b, t_len, d_h = tape.h.shape
     h2 = 2 * d_h
 
@@ -349,8 +345,6 @@ def gru_backward(p: GruParams, tape: GruTape, dh: Array) -> Tuple[Dict[str, Arra
         dx[:n, t] = da @ p.w.T
         carry[:n] = (dht - dct) + drh * rt + da[:, :h2] @ u_zr.T
 
-    if tape.squeezed:
-        dx = dx[0]
     return {"w": d_w, "u": np.concatenate([d_uzr, d_uc], axis=1), "b": d_b}, dx, carry
 
 
@@ -404,34 +398,22 @@ def masked_bce_backward(p_sel: Array, y: Array, w: Array) -> Array:
 # full-stack forward / backward
 
 
-@dataclass
-class NetTape:
-    """Everything the full-stack backward pass needs for one batch."""
-
-    x_idx: Array
-    x_emb: Array
-    gru: GruTape
-    h: Array
-    probs: Array
-
-
 def _hidden(
-    net: DktNet, x_idx: Array, lengths: Array | None = None
-) -> Tuple[Array, Array, Array, GruTape]:
+    net: DktNet, x_idx: Array, lengths: Array | None = None, tape: bool = False
+) -> Tuple[Array, GruTape | None]:
     """Embedding gather plus GRU, with input projections from the token table.
-    ``lengths`` (non-increasing) skips each row's cells past its length."""
+    ``lengths`` (non-increasing) skips each row's cells past its length; the
+    GRU tape comes back only with ``tape``."""
     x_idx = np.asarray(x_idx)
     x_emb = embed_lookup(x_idx, net.embedding)
     table = input_table(net.embedding, net.gru)
-    h, gru_tape = gru_forward(x_emb, net.gru, tokens=x_idx, table=table, lengths=lengths)
-    return x_idx, x_emb, h, gru_tape
+    return gru_forward(x_emb, net.gru, tokens=x_idx, table=table, lengths=lengths, tape=tape)
 
 
-def net_forward(net: DktNet, x_idx: Array) -> Tuple[Array, NetTape]:
+def net_forward(net: DktNet, x_idx: Array) -> Array:
     """Token indices (B, T) -> per-skill probabilities (B, T, n_out)."""
-    x_idx, x_emb, h, gru_tape = _hidden(net, x_idx)
-    probs = readout(h, net.w_out, net.b_out)
-    return probs, NetTape(x_idx=x_idx, x_emb=x_emb, gru=gru_tape, h=h, probs=probs)
+    h, _ = _hidden(net, x_idx)
+    return readout(h, net.w_out, net.b_out)
 
 
 def _target_probs(net: DktNet, h: Array, s_next: Array) -> Array:
@@ -448,7 +430,7 @@ def net_target_probs(
     """Inference readout at chosen skills only: one (B, T) probability array
     per (B, T) skill map in ``targets``, from a single GRU pass. ``lengths``
     is as in ``gru_forward``; cells past a row's length are not computed."""
-    _, _, h, _ = _hidden(net, x_idx, lengths)
+    h, _ = _hidden(net, x_idx, lengths)
     return tuple(_target_probs(net, h, np.asarray(s)) for s in targets)
 
 
@@ -476,7 +458,7 @@ def _by_target_span(
 
 def net_loss(net: DktNet, x_idx: Array, s_next: Array, y_next: Array, w: Array) -> float:
     x_idx, s_next, y_next, w, span = _by_target_span(x_idx, s_next, y_next, w)
-    _, _, h, _ = _hidden(net, x_idx, span)
+    h, _ = _hidden(net, x_idx, span)
     return masked_bce(_target_probs(net, h, s_next), y_next, w)
 
 
@@ -492,7 +474,7 @@ def net_loss_and_grads(
     runs each row only up to its last target (``_by_target_span``).
     """
     x_idx, s_next, y_arr, w_arr, span = _by_target_span(x_idx, s_next, y_next, w)
-    x_idx, _, h, gru_tape = _hidden(net, x_idx, span)
+    h, gru_tape = _hidden(net, x_idx, span, tape=True)
 
     sel = _target_probs(net, h, s_next)
     loss = masked_bce(sel, y_arr, w_arr)

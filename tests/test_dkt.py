@@ -207,7 +207,7 @@ def test_batched_forward_matches_per_student_runs():
         seq("c", [(2, 1), (2, 0), (2, 1)]),
     ]
     batch = build_batch(sequences, 4, max_t=10)
-    probs, _ = nncore.net_forward(model.net, batch.lookup_tokens())
+    probs = nncore.net_forward(model.net, batch.lookup_tokens())
     for i, s in enumerate(sequences):
         solo = mastery_trajectory(model, s)
         np.testing.assert_allclose(probs[i, : len(s)], solo.p, atol=1e-12, rtol=0)
@@ -286,7 +286,7 @@ def test_predict_records_long_student_matches_windowed_batch():
     student = seq("long", steps)
     batch = build_batch([student], k, max_t=max_t)  # windows of 4, 4, 3
     assert batch.lengths.tolist() == [4, 4, 3]
-    probs, _ = nncore.net_forward(model.net, batch.lookup_tokens())
+    probs = nncore.net_forward(model.net, batch.lookup_tokens())
     rows = np.concatenate([probs[i, :n] for i, n in enumerate(batch.lengths)])
 
     preds, mastery = map(rows_of, predict_records(model, [student], tag="dkt"))

@@ -96,7 +96,7 @@ def test_gru_zero_parameters_fixed_point():
     d_in, d_h, t = 3, 4, 5
     p = GruParams(w=np.zeros((d_in, 3 * d_h)), u=np.zeros((d_h, 3 * d_h)), b=np.zeros(3 * d_h))
     x = np.random.default_rng(2).normal(size=(t, d_in))
-    h, tape = gru_forward(x, p)
+    (h,), tape = gru_forward(x[None], p)
     assert np.array_equal(h, np.zeros((t, d_h)))
     assert np.allclose(tape.z, 0.5)
     assert np.allclose(tape.r, 0.5)
@@ -107,7 +107,7 @@ def test_gru_t1_equals_single_cell():
     rng = np.random.default_rng(3)
     p = random_gru(rng, 3, 4)
     x = rng.normal(size=(1, 3))
-    h, _ = gru_forward(x, p)
+    (h,), _ = gru_forward(x[None], p)
 
     xt = x[0]
     w_z, w_r, w_h = np.split(p.w, 3, axis=1)
@@ -123,10 +123,10 @@ def test_gru_sequence_equals_stepwise_application():
     rng = np.random.default_rng(4)
     p = random_gru(rng, 3, 4)
     x = rng.normal(size=(5, 3))
-    h_full, _ = gru_forward(x, p)
+    (h_full,), _ = gru_forward(x[None], p)
     h_prev = np.zeros(4)
     for t in range(5):
-        step, _ = gru_forward(x[t : t + 1], p, h0=h_prev)
+        (step,), _ = gru_forward(x[None, t : t + 1], p, h0=h_prev)
         h_prev = step[0]
         assert np.array_equal(h_full[t], h_prev)
 
@@ -137,7 +137,7 @@ def test_gru_nonfinite_raises_with_step_index():
     x = rng.normal(size=(4, 2))
     x[2, 0] = np.nan
     with pytest.raises(FloatingPointError, match="step 2"):
-        gru_forward(x, p)
+        gru_forward(x[None], p)
 
 
 def test_gru_gradients_match_finite_differences():
@@ -364,7 +364,7 @@ def test_linear_only_composite_grad_error_tiny():
 
 def test_zero_net_outputs_half_everywhere():
     net = zero_net(10, 3, 4, 5)
-    probs, _ = nncore.net_forward(net, np.array([[0, 3, 9]]))
+    probs = nncore.net_forward(net, np.array([[0, 3, 9]]))
     assert np.array_equal(probs, np.full((1, 3, 5), 0.5))
 
 
@@ -384,7 +384,8 @@ def test_forward_outputs_finite_for_seeded_init():
     rng = np.random.default_rng(18)
     net = init_net(20, 8, 16, 10, seed=3)
     x_idx = rng.integers(0, 20, size=(4, 12))
-    probs, tape = nncore.net_forward(net, x_idx)
+    probs = nncore.net_forward(net, x_idx)
+    _, tape = nncore._hidden(net, x_idx, tape=True)
     assert np.isfinite(probs).all()
     assert np.isfinite(tape.h).all()
     assert probs.min() > 0.0 and probs.max() < 1.0
@@ -425,17 +426,18 @@ def dense_loss_and_grads(net, x_idx, s_next, y_next, w):
     every cell, padded ones included."""
     k = net.n_out
     b, t_len = x_idx.shape
-    probs, tape = net_forward(net, x_idx)
+    probs = net_forward(net, x_idx)
+    h, tape = nncore._hidden(net, x_idx, tape=True)
     bi, ti = np.arange(b)[:, None], np.arange(t_len)[None, :]
     sel = probs[bi, ti, s_next]
     ref_loss = masked_bce(sel, y_next, w)
     d_logits = np.zeros_like(probs)
     d_logits[bi, ti, s_next] = np.where(w > 0, (sel - y_next) / w.sum(), 0.0)
     ref = {
-        "w_out": tape.h.reshape(-1, net.d_h).T @ d_logits.reshape(-1, k),
+        "w_out": h.reshape(-1, net.d_h).T @ d_logits.reshape(-1, k),
         "b_out": d_logits.reshape(-1, k).sum(axis=0),
     }
-    gru_grads, dx, _ = gru_backward(net.gru, tape.gru, d_logits @ net.w_out.T)
+    gru_grads, dx, _ = gru_backward(net.gru, tape, d_logits @ net.w_out.T)
     ref.update(gru_grads)
     ref["embedding"] = embed_lookup_backward(x_idx, dx, net.n_tokens)
     return ref_loss, ref
@@ -480,6 +482,50 @@ def test_training_step_never_allocates_a_dense_readout():
         assert peak < dense_bytes, (step.__name__, peak, dense_bytes)
 
 
+def test_validation_and_inference_allocate_no_gate_buffer():
+    """``net_loss`` and ``net_target_probs`` run the GRU without its backward
+    tape: on a batch where the gates dominate, each call peaks below the
+    bytes of one (B, T, 3h) float64 gate buffer."""
+    rng = np.random.default_rng(28)
+    k, b, t_len, d_h = 5, 32, 100, 32
+    net = init_net(2 * k, 8, d_h, k, seed=29)
+    x_idx = rng.integers(0, 2 * k, size=(b, t_len))
+    s_next = rng.integers(0, k, size=(b, t_len))
+    y_next = rng.integers(0, 2, size=(b, t_len)).astype(float)
+    w = np.ones((b, t_len))
+    gate_bytes = b * t_len * 3 * d_h * np.dtype(np.float64).itemsize
+    calls = {
+        "net_loss": lambda: net_loss(net, x_idx, s_next, y_next, w),
+        "net_target_probs": lambda: nncore.net_target_probs(net, x_idx, None, s_next),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < gate_bytes, (name, peak, gate_bytes)
+
+
+@pytest.mark.parametrize("bad_token", [-1, 8])
+def test_out_of_range_token_raises_on_every_forward_path(bad_token):
+    """Token -1 or 2K is refused by ``net_loss``, ``net_target_probs`` and
+    ``net_forward`` alike, never wrapped around or clamped (K = 4 here)."""
+    k = 4
+    net = init_net(2 * k, 3, 4, k, seed=30)
+    x_idx, s_next, y_next, w = random_batch(np.random.default_rng(31), 2, 5, k)
+    x_idx[1, 2] = bad_token
+    calls = (
+        lambda: net_loss(net, x_idx, s_next, y_next, w),
+        lambda: nncore.net_target_probs(net, x_idx, None, s_next),
+        lambda: net_forward(net, x_idx),
+    )
+    for call in calls:
+        with pytest.raises(IndexError, match="embedding index out of range"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # packed GRU: padded cells skipped
 
@@ -511,7 +557,7 @@ def test_gru_lengths_skip_dead_cells():
     grads, dx, dh0 = gru_backward(p, tape, coef)
     assert not h[~live].any() and not dx[~live].any() and not dh0[4].any()
     for i, n in enumerate(lengths[:4]):
-        h_row, _ = gru_forward(x[i, :n], p)
+        (h_row,), _ = gru_forward(x[i : i + 1, :n], p)
         np.testing.assert_allclose(h[i, :n], h_row, atol=1e-14, rtol=0)
     # dense reference: every cell computed, dead cells given zero gradient
     _, dense_tape = gru_forward(x, p)
