@@ -692,10 +692,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_probe(cfg, tag_override=args.tag)
         return COMMANDS[args.command](cfg)
     except (ConfigError, ingest.ColumnMappingError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        print(f"configuration error: {args.command}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 1
 
 

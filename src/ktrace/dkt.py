@@ -27,7 +27,7 @@ import numpy as np
 
 from . import nncore
 from .ingest import StudentSequence, atomic_open
-from .records import PROB_FLOOR, MasteryTrajectory, Predictions
+from .records import MasteryTrajectory, Predictions, step_rows
 
 Array = np.ndarray
 
@@ -405,28 +405,12 @@ def predict_records(
         )
         p_mastery[cells[live]] = at_skill[live]
         p_next[cells[live]] = at_next[live]
-    p_mastery = np.clip(p_mastery, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    p_next = np.clip(p_next, PROB_FLOOR, 1.0 - PROB_FLOOR)
-
+    users = [seq.user_id for seq in sequences]
     sizes = np.diff(offsets)
-    mastery = Predictions(
-        user=np.repeat([seq.user_id for seq in sequences], sizes),
-        step=np.arange(len(skills)) - np.repeat(offsets[:-1], sizes),
-        skill=skills,
-        y=tokens // model.k,
-        p=p_mastery,
-        tag=np.full(len(skills), tag),
-    )
-    # the prediction for step t >= 1 is read out at step t - 1
-    target = np.flatnonzero(mastery.step >= 1)
-    predictions = Predictions(
-        user=mastery.user[target],
-        step=mastery.step[target],
-        skill=skills[target],
-        y=mastery.y[target],
-        p=p_next[target - 1],
-        tag=mastery.tag[target],
-    )
+    y = tokens // model.k
+    p_next = np.delete(p_next, offsets[1:] - 1)  # a sequence's last step predicts no step
+    predictions = step_rows(users, sizes, skills, y, p_next, tag, first_step=1)
+    mastery = step_rows(users, sizes, skills, y, p_mastery, tag)
     return predictions, mastery
 
 

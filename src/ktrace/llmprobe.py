@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .records import PROB_FLOOR, MasteryTrajectory, Predictions
+from .records import PROB_FLOOR, MasteryTrajectory, Predictions, step_rows
 
 log = logging.getLogger(__name__)
 
@@ -300,12 +300,9 @@ class ProbeClient:
             f"probe failed after {self.config.max_retries + 1} attempts: {last_error}"
         )
 
-    def fetch_top_logprobs(self, prompt: PromptRecord, use_cache: bool = True) -> Dict[str, float]:
-        key = self._cache_key(prompt)
-        cached = self._cache.get(key) if use_cache else None
-        if cached is not None:
-            self._record(key, cached)
-            return cached
+    def fetch_top_logprobs(self, prompt: PromptRecord, key: str, use_cache: bool) -> Dict[str, float]:
+        """Post ``prompt``, cache its answer under ``key`` when ``use_cache``,
+        and record the fetch."""
         start = time.perf_counter()
         top = self._post(prompt)
         fetch_ms = 1e3 * (time.perf_counter() - start)
@@ -326,14 +323,14 @@ class ProbeClient:
         and propagates; the ones that finished stay cached.
         """
         tops: List[Optional[Dict[str, float]]] = [None] * len(prompts)
+        keys = [self._cache_key(prompt) for prompt in prompts]
         misses: List[int] = []
         fetched_as: Dict[str, int] = {}  # miss key -> index of the prompt sent for it
         repeats: List[Tuple[int, int, str]] = []
-        for i, prompt in enumerate(prompts):
+        for i, key in enumerate(keys):
             if not use_cache:
                 misses.append(i)
                 continue
-            key = self._cache_key(prompt)
             top = self._cache.get(key)
             if top is not None:
                 tops[i] = top
@@ -348,7 +345,10 @@ class ProbeClient:
         if misses:
             pool = ThreadPoolExecutor(max_workers=self.config.max_concurrent)
             try:
-                futures = [pool.submit(self.fetch_top_logprobs, prompts[i], use_cache) for i in misses]
+                futures = [
+                    pool.submit(self.fetch_top_logprobs, prompts[i], keys[i], use_cache)
+                    for i in misses
+                ]
                 for i, future in zip(misses, futures):
                     tops[i] = future.result()
             finally:
@@ -374,7 +374,7 @@ class ProbeClient:
         }
 
     def request_logits(self, prompt: PromptRecord, use_cache: bool = True) -> LogitPair:
-        return resolve_logit_pair(self.fetch_top_logprobs(prompt, use_cache=use_cache))
+        return resolve_logit_pair(self.fetch_many([prompt], use_cache=use_cache)[0])
 
 
 def _open_cache(path: Path) -> Dict[str, Dict[str, float]]:
@@ -436,10 +436,7 @@ def probe_sequences(
     error messages).
     """
     prompts: List[PromptRecord] = []
-    targets: List[DisplayStep] = []
-    users: List[str] = []
-    steps_t: List[int] = []
-    for user_id, steps in students:
+    for _, steps in students:
         if len(steps) < 2:
             raise ValueError("probe_sequence needs at least 2 steps")
         history = _history_triples(steps)
@@ -451,21 +448,18 @@ def probe_sequences(
             )
             for t in range(1, len(steps))
         )
-        targets.extend(steps[1:])
-        users.extend([user_id] * (len(steps) - 1))
-        steps_t.extend(range(1, len(steps)))
     results = [_step_probability(top) for top in client.fetch_many(prompts, use_cache=use_cache)]
-    errors = [
-        f"{user_id} t={t}: {err}" for user_id, t, (_, err) in zip(users, steps_t, results) if err
-    ]
-    preds = Predictions(
-        user=users,
-        step=steps_t,
-        skill=[s.skill for s in targets],
-        y=[s.y for s in targets],
-        p=[p for p, _ in results],
-        tag=np.full(len(users), tag),
+    every_step = [step for _, steps in students for step in steps]
+    preds = step_rows(
+        [user_id for user_id, _ in students], [len(steps) for _, steps in students],
+        [s.skill for s in every_step], [s.y for s in every_step], [p for p, _ in results],
+        tag, first_step=1,
     )
+    errors = [
+        f"{user_id} t={t}: {err}"
+        for user_id, t, (_, err) in zip(preds.user.tolist(), preds.step.tolist(), results)
+        if err
+    ]
     return preds, errors
 
 

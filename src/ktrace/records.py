@@ -7,7 +7,7 @@ model produced it. A dump file holds the same table as six-column delimited
 rows. The step index ``t`` is the 0-based position of the predicted
 interaction inside the student's sequence.
 
-Two dump kinds share the schema:
+Two dump kinds share the schema, and ``step_rows`` lays out both:
 
 * next-step predictions: one row per target position (t = 1..T-1); p is the
   probability of answering step t correctly given steps before t.
@@ -101,15 +101,33 @@ class MasteryTrajectory:
         """Post-observation mastery of the practiced skill at every attempt,
         as a mastery-path table under ``tag``."""
         steps = np.array(self.steps, dtype=np.int64).reshape(-1, 3)
-        t = np.arange(len(steps))
-        return Predictions(
-            user=np.full(len(t), self.user_id),
-            step=t,
-            skill=steps[:, 0],
-            y=steps[:, 2],
-            p=self.p[t, steps[:, 0]],
-            tag=np.full(len(t), tag),
-        )
+        p = self.p[np.arange(len(steps)), steps[:, 0]]
+        return step_rows([self.user_id], [len(steps)], steps[:, 0], steps[:, 2], p, tag)
+
+
+def step_rows(
+    users: Sequence[str], sizes: Sequence[int], skill: Sequence[int], y: Sequence[int],
+    p: Sequence[float], tag: str, first_step: int = 0,
+) -> Predictions:
+    """The table of consecutive sequences, one row per step t >= ``first_step``.
+
+    Sequence i belongs to ``users[i]`` and has ``sizes[i]`` steps; ``skill``
+    and ``y`` hold one entry per step of every sequence, in order, and ``p``
+    one per kept row. A kept ``p`` is floored into (0, 1) by ``PROB_FLOOR``;
+    NaN stays NaN. ``first_step`` 1 gives the next-step rows, 0 the mastery
+    rows.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    step = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    keep = step >= first_step
+    return Predictions(
+        user=np.repeat(np.asarray(users, dtype=str), sizes)[keep],
+        step=step[keep],
+        skill=np.asarray(skill)[keep],
+        y=np.asarray(y)[keep],
+        p=np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR),
+        tag=np.full(np.count_nonzero(keep), tag),
+    )
 
 
 def write_prediction_dump(path: str | Path, preds: Predictions) -> None:

@@ -18,7 +18,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from .ingest import StudentSequence, atomic_open, flatten_steps
-from .records import PROB_FLOOR, Predictions
+from .records import Predictions, step_rows
 
 Params = Union[float, Sequence[float]]
 
@@ -170,20 +170,14 @@ def oracle_records(
     open interval the schema requires.
     """
     seqs = corpus.sequences if sequences is None else sequences
-    sizes = np.array([len(seq) for seq in seqs], dtype=np.int64)
+    first = 1 if skip_first else 0
     steps = np.array(flatten_steps(seqs), dtype=np.int64).reshape(-1, 3)
-    t = np.arange(len(steps)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     probs = np.fromiter(
-        chain.from_iterable(corpus.oracle[seq.user_id] for seq in seqs), np.float64, len(steps)
+        chain.from_iterable(corpus.oracle[seq.user_id][first:] for seq in seqs), np.float64
     )
-    keep = t >= 1 if skip_first else t >= 0
-    return Predictions(
-        user=np.repeat([seq.user_id for seq in seqs], sizes)[keep],
-        step=t[keep],
-        skill=steps[keep, 0],
-        y=steps[keep, 2],
-        p=np.clip(probs[keep], PROB_FLOOR, 1.0 - PROB_FLOOR),
-        tag=np.full(np.count_nonzero(keep), "oracle"),
+    return step_rows(
+        [seq.user_id for seq in seqs], [len(seq) for seq in seqs],
+        steps[:, 0], steps[:, 2], probs, "oracle", first_step=first,
     )
 
 

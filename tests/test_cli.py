@@ -243,6 +243,12 @@ def test_synth_then_train_end_to_end(tmp_path, capsys):
     assert len(mastery) == sum(len(sequences[u]) for u in split["test"])
 
 
+def test_train_on_empty_workspace_names_the_command(tmp_path, capsys):
+    cfg_path = write_config(tmp_path / "c.json", synth_config(tmp_path))
+    assert main(["train", "--config", cfg_path]) == 1
+    assert capsys.readouterr().err.startswith("error: train: ")
+
+
 def test_train_is_deterministic_across_runs(tmp_path):
     cfg_path = write_config(tmp_path / "c.json", synth_config(tmp_path))
     assert main(["synth", "--config", cfg_path]) == 0

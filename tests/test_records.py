@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from ktrace.records import (
+    PROB_FLOOR,
     MasteryTrajectory,
     Predictions,
     read_prediction_dump,
     read_trajectory,
+    step_rows,
     write_prediction_dump,
     write_trajectory,
 )
@@ -127,6 +129,48 @@ def test_practiced_path_reads_practiced_cells():
     assert [r.p for r in path[:2]] == [0.2, 0.3]
     assert path[2].p is None  # unresolved practiced cell stays null
 
+
+# two sequences: "a" with 2 steps, "b" with 3
+TWO_SEQUENCES = (["a", "b"], [2, 3], [4, 5, 6, 7, 8], [1, 0, 1, 1, 0])
+
+
+def test_step_rows_lays_out_mastery_rows_from_step_zero():
+    rows = rows_of(step_rows(*TWO_SEQUENCES, [0.1, 0.2, 0.3, 0.4, 0.5], "m"))
+    assert rows == [
+        Row("a", 0, 4, 1, 0.1, "m"),
+        Row("a", 1, 5, 0, 0.2, "m"),
+        Row("b", 0, 6, 1, 0.3, "m"),
+        Row("b", 1, 7, 1, 0.4, "m"),
+        Row("b", 2, 8, 0, 0.5, "m"),
+    ]
+
+
+def test_step_rows_lays_out_next_step_rows_from_step_one():
+    rows = rows_of(step_rows(*TWO_SEQUENCES, [0.2, 0.4, 0.5], "m", first_step=1))
+    assert rows == [
+        Row("a", 1, 5, 0, 0.2, "m"),
+        Row("b", 1, 7, 1, 0.4, "m"),
+        Row("b", 2, 8, 0, 0.5, "m"),
+    ]
+
+
+def test_step_rows_one_step_sequence_has_a_mastery_row_and_no_next_step_row():
+    assert rows_of(step_rows(["a"], [1], [3], [1], [0.5], "m")) == [Row("a", 0, 3, 1, 0.5, "m")]
+    assert len(step_rows(["a"], [1], [3], [1], [], "m", first_step=1)) == 0
+
+
+@pytest.mark.parametrize("first_step", [0, 1])
+def test_step_rows_of_no_sequences_is_empty(first_step):
+    preds = step_rows([], [], [], [], [], "m", first_step=first_step)
+    assert len(preds) == 0
+    assert [col.dtype.kind for col in preds.columns()] == ["U", "i", "i", "i", "f", "U"]
+
+
+def test_step_rows_keeps_nan_and_floors_saturated_probabilities():
+    preds = step_rows(["a"], [3], [0, 0, 0], [1, 1, 0], [0.0, math.nan, 1.0], "m")
+    assert preds.p[0] == PROB_FLOOR
+    assert math.isnan(preds.p[1])
+    assert preds.p[2] == 1.0 - PROB_FLOOR
 
 
 @pytest.mark.parametrize("bad_row", ["u9,1,1,4,0,0.6", "u9,1,1,4,0,0.6,0.4,0.1"])
