@@ -158,14 +158,15 @@ def write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def read_split(ws: Workspace) -> Dict[str, List[str]]:
+    with open(ws.split_path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def load_split_sequences(ws: Workspace) -> Dict[str, List[ingest.StudentSequence]]:
     sequences = {s.user_id: s for s in ingest.read_sequences(ws.sequences_path)}
-    with open(ws.split_path, "r", encoding="utf-8") as fh:
-        split_info = json.load(fh)
-    out: Dict[str, List[ingest.StudentSequence]] = {}
-    for part in ("train", "val", "test"):
-        out[part] = [sequences[u] for u in split_info[part]]
-    return out
+    split_info = read_split(ws)
+    return {part: [sequences[u] for u in split_info[part]] for part in ("train", "val", "test")}
 
 
 def load_vocab(ws: Workspace) -> ingest.Vocab:
@@ -414,7 +415,14 @@ def cmd_probe(cfg: RunConfig, tag_override: Optional[str] = None) -> int:
         raise ConfigError("probe requires a config.probe section")
     ws = Workspace(cfg.workspace)
     with ws.lock():
-        parts = load_split_sequences(ws)
+        # only the test split and the mastery students are probed, so only they are read
+        test_users = read_split(ws)["test"]
+        by_user = {
+            s.user_id: s
+            for s in ingest.read_sequences(
+                ws.sequences_path, users={*test_users, *cfg.probe.mastery_students}
+            )
+        }
         vocab = load_vocab(ws)
         tag = tag_override or cfg.probe.tag
         client = llmprobe.ProbeClient(cfg.probe.probe)
@@ -424,8 +432,8 @@ def cmd_probe(cfg: RunConfig, tag_override: Optional[str] = None) -> int:
         repr_quiz = [str(vocab.quiz_ids[q]) for q in repr_quiz_idx]
 
         students = [
-            (seq.user_id, llmprobe.display_steps(seq.steps, vocab.skill_names, vocab.quiz_ids))
-            for seq in parts["test"]
+            (user_id, llmprobe.display_steps(by_user[user_id].steps, vocab.skill_names, vocab.quiz_ids))
+            for user_id in test_users
         ]
         preds, all_errors = llmprobe.probe_sequences(client, students, tag)
         stability: List[dict] = []
@@ -437,7 +445,6 @@ def cmd_probe(cfg: RunConfig, tag_override: Optional[str] = None) -> int:
             ]
 
         mastery_paths: List[Predictions] = []
-        by_user = {s.user_id: s for part in parts.values() for s in part}
         for user_id in cfg.probe.mastery_students:
             seq = by_user.get(user_id)
             if seq is None:
@@ -468,9 +475,10 @@ def cmd_probe(cfg: RunConfig, tag_override: Optional[str] = None) -> int:
         write_json(ws.root / f"probe_report_{tag}.json", payload)
 
         audit_path = ws.root / "probe_audit" / f"{tag}.jsonl"
+        encode = json.JSONEncoder(sort_keys=True).encode  # the bytes of json.dumps(sort_keys=True)
         with ingest.atomic_open(audit_path, "w", encoding="utf-8", newline="\n") as fh:
             for entry in sorted(client.audit, key=lambda e: (e["key"], e["cached"])):
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+                fh.write(encode(entry) + "\n")
 
         ws.update_manifest(
             f"probe:{tag}",
@@ -481,7 +489,7 @@ def cmd_probe(cfg: RunConfig, tag_override: Optional[str] = None) -> int:
             },
         )
         print(
-            f"probed {len(parts['test'])} students -> {len(preds)} records "
+            f"probed {len(test_users)} students -> {len(preds)} records "
             f"({coverage['unresolved']} unresolved), {client.request_count} network requests"
         )
         if stability:

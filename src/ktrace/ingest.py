@@ -32,7 +32,7 @@ from collections import Counter
 from itertools import chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, TextIO, Tuple
+from typing import Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -615,12 +615,18 @@ class _IntCache(dict):
         return value
 
 
-def read_sequences(path: str | Path) -> List[StudentSequence]:
+def read_sequences(
+    path: str | Path, users: Optional[Collection[str]] = None
+) -> List[StudentSequence]:
+    """The sequences of ``path`` in file order; with ``users``, only theirs,
+    and the lines of other students are skipped unparsed."""
     out: List[StudentSequence] = []
     to_int = _IntCache().__getitem__
     with open(path, "r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             if line == "\n":
+                continue
+            if users is not None and line.partition("\t")[0].rstrip("\n") not in users:
                 continue
             if not _SEQUENCE_LINE.fullmatch(line):
                 raise ValueError(f"{path}: line {line_number}: a step cell must hold s,q,y")

@@ -7,6 +7,11 @@ log-probabilities, resolves the entries for the answer tokens "0" and "1"
 the pair into a correctness probability by two-way softmax. Nothing is ever
 imputed: steps whose tokens cannot be resolved are flagged unresolved.
 
+A student's prompts are rendered and keyed together: each history line is
+formatted once and JSON-escaped and hashed once (``render_prompts``,
+``ProbeClient.prompt_keys``), so a pass costs time linear in the histories
+and not in the sum of their squared lengths.
+
 Wire protocol: HTTP POST with a JSON body in the shape of widely deployed
 completion endpoints ({"model", "prompt", "max_tokens": 1, "temperature": 0,
 "logprobs": depth}), responses carrying choices[0].logprobs.top_logprobs[0]
@@ -31,6 +36,7 @@ import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -118,38 +124,63 @@ class DisplayStep:
     y: int
 
 
+# A prompt's user text is USER_HEAD, one line per history entry (each led by
+# its newline), then the next-quiz tail.
+USER_HEAD = f"{USER_INTRO}\n\n{HISTORY_HEADER}"
+
+
+def _history_lines(history: Sequence[Tuple[str, str, int]]) -> List[str]:
+    return [
+        f"\n{i}. Quiz {quiz} (Skill: {skill_name}) → {'Correct' if y == 1 else 'Incorrect'}"
+        for i, (quiz, skill_name, y) in enumerate(history, start=1)
+    ]
+
+
+def _next_quiz_line(next_quiz: str, next_skill: str) -> str:
+    return f"\n\nNext quiz: Quiz {next_quiz} (Skill: {next_skill})"
+
+
+def render_prompts(
+    history: Sequence[Tuple[str, str, int]],
+    queries: Sequence[Tuple[int, Tuple[str, str]]],
+    history_limit: Optional[int] = None,
+) -> List[PromptRecord]:
+    """Render the fixed classification prompt for each (n, next item) query
+    over the first n entries of one history.
+
+    ``history`` is a sequence of (quiz id, skill name, correctness) triples;
+    a next item is (quiz id, skill name). Each history line is formatted
+    once and prompt n joins the first n lines, so the cost is linear in the
+    history plus the prompt text. Identical inputs produce identical bytes.
+    A prompt over more than ``history_limit`` entries keeps only the most
+    recent ones, renumbered from 1, and sets the truncated flag.
+    """
+    lines = _history_lines(history)
+    prompts = []
+    for n, next_item in queries:
+        next_quiz, next_skill = map(str, next_item)
+        truncated = history_limit is not None and n > history_limit
+        shown = _history_lines(history[:n][-history_limit:]) if truncated else lines[:n]
+        prompts.append(
+            PromptRecord(
+                system=SYSTEM_MESSAGE,
+                user=USER_HEAD + "".join(shown) + _next_quiz_line(next_quiz, next_skill),
+                history_length=len(shown),
+                next_quiz=next_quiz,
+                next_skill_name=next_skill,
+                truncated=truncated,
+            )
+        )
+    return prompts
+
+
 def render_prompt(
     history: Sequence[Tuple[str, str, int]],
     next_item: Tuple[str, str],
     history_limit: Optional[int] = None,
 ) -> PromptRecord:
-    """Render the fixed classification prompt.
-
-    ``history`` is a sequence of (quiz id, skill name, correctness) triples;
-    ``next_item`` is (quiz id, skill name). Identical inputs produce
-    identical bytes. Histories longer than ``history_limit`` keep only the
-    most recent entries, renumbered from 1, and set the truncated flag.
-    """
-    truncated = False
-    shown = list(history)
-    if history_limit is not None and len(shown) > history_limit:
-        shown = shown[-history_limit:]
-        truncated = True
-    lines = [USER_INTRO, "", HISTORY_HEADER]
-    for i, (quiz, skill_name, y) in enumerate(shown, start=1):
-        outcome = "Correct" if y == 1 else "Incorrect"
-        lines.append(f"{i}. Quiz {quiz} (Skill: {skill_name}) → {outcome}")
-    next_quiz, next_skill = next_item
-    lines.append("")
-    lines.append(f"Next quiz: Quiz {next_quiz} (Skill: {next_skill})")
-    return PromptRecord(
-        system=SYSTEM_MESSAGE,
-        user="\n".join(lines),
-        history_length=len(shown),
-        next_quiz=str(next_quiz),
-        next_skill_name=str(next_skill),
-        truncated=truncated,
-    )
+    """The prompt over all of ``history``: ``render_prompts`` with one query."""
+    return render_prompts(history, [(len(history), next_item)], history_limit)[0]
 
 
 def prob_from_logits(pair: LogitPair) -> float:
@@ -203,7 +234,7 @@ class ProbeClient:
 
     def __init__(self, config: ProbeConfig):
         self.config = config
-        self._opener = urllib.request.build_opener()  # proxies from the environment
+        self._opener: Optional[urllib.request.OpenerDirector] = None  # built for the first miss
         self._write_lock = threading.Lock()
         self._count_lock = threading.Lock()
         self.request_count = 0
@@ -217,6 +248,11 @@ class ProbeClient:
         params = json.dumps(self._body(""), sort_keys=True)
         head, _, self._key_tail = params.partition('"prompt": ""')
         self._key_head = head + '"prompt": '
+        # what every rendered prompt's key hashes before its first history line
+        self._key_start = hashlib.sha256(
+            (self._key_head + '"').encode("utf-8") + _json_escape(f"{SYSTEM_MESSAGE}\n\n{USER_HEAD}")
+        )
+        self._key_end = ('"' + self._key_tail).encode("utf-8")
         self._cache_file: Optional[Path] = None
         self._cache: Dict[str, Dict[str, float]] = {}
         if config.cache_dir:
@@ -230,6 +266,35 @@ class ProbeClient:
         """SHA-256 of the request parameters as sorted-key JSON."""
         payload = self._key_head + json.dumps(prompt.text) + self._key_tail
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    def prompt_keys(self, prompts: Sequence[PromptRecord]) -> List[str]:
+        """``_cache_key`` of each of ``prompts``, which ``render_prompts``
+        rendered from one history, in time linear in that history.
+
+        JSON escapes a string one character at a time, so the escape of a
+        text is the escapes of its pieces joined. The untruncated prompts
+        share their head and differ only in how many history lines follow it
+        and in their next-quiz tail. One SHA-256 state runs over the key head
+        and the history lines once, in order of history length; each key
+        finishes a copy of it with the prompt's escaped tail. A truncated
+        prompt renumbers its window and is keyed whole.
+        """
+        keys = [""] * len(prompts)
+        state = self._key_start.copy()
+        hashed = len(USER_HEAD)  # the user text the state covers
+        for i in sorted(range(len(prompts)), key=lambda i: prompts[i].history_length):
+            prompt = prompts[i]
+            if prompt.truncated:
+                keys[i] = self._cache_key(prompt)
+                continue
+            user = prompt.user
+            end = len(user) - len(_next_quiz_line(prompt.next_quiz, prompt.next_skill_name))
+            state.update(_json_escape(user[hashed:end]))
+            hashed = end
+            key = state.copy()
+            key.update(_json_escape(user[end:]) + self._key_end)
+            keys[i] = key.hexdigest()
+        return keys
 
     def _cache_write(self, key: str, top_logprobs: Dict[str, float]) -> None:
         if self._cache_file is None:
@@ -312,18 +377,18 @@ class ProbeClient:
         return top
 
     def fetch_many(
-        self, prompts: Sequence[PromptRecord], use_cache: bool = True
+        self, prompts: Sequence[PromptRecord], keys: Sequence[str], use_cache: bool = True
     ) -> List[Dict[str, float]]:
-        """Top-k maps for ``prompts``, in order.
+        """Top-k maps for ``prompts``, whose cache keys are ``keys``, in order.
 
         Cache hits are answered on the calling thread. The misses go through
         ``fetch_top_logprobs`` on one pool of ``max_concurrent`` threads, a
-        prompt repeated within the call once; no pool starts when every
-        prompt is a hit. A ``ProbeError`` cancels the fetches not yet started
-        and propagates; the ones that finished stay cached.
+        prompt repeated within the call once; no pool starts and no opener
+        is built when every prompt is a hit. A ``ProbeError`` cancels the
+        fetches not yet started and propagates; the ones that finished stay
+        cached.
         """
         tops: List[Optional[Dict[str, float]]] = [None] * len(prompts)
-        keys = [self._cache_key(prompt) for prompt in prompts]
         misses: List[int] = []
         fetched_as: Dict[str, int] = {}  # miss key -> index of the prompt sent for it
         repeats: List[Tuple[int, int, str]] = []
@@ -343,6 +408,8 @@ class ProbeClient:
         with self._count_lock:
             self.truncated_prompts += sum(p.truncated for p in prompts)
         if misses:
+            if self._opener is None:
+                self._opener = urllib.request.build_opener()  # proxies from the environment
             pool = ThreadPoolExecutor(max_workers=self.config.max_concurrent)
             try:
                 futures = [
@@ -374,7 +441,13 @@ class ProbeClient:
         }
 
     def request_logits(self, prompt: PromptRecord, use_cache: bool = True) -> LogitPair:
-        return resolve_logit_pair(self.fetch_many([prompt], use_cache=use_cache)[0])
+        top = self.fetch_many([prompt], [self._cache_key(prompt)], use_cache=use_cache)[0]
+        return resolve_logit_pair(top)
+
+
+def _json_escape(text: str) -> bytes:
+    """``text`` as ``json.dumps`` writes it inside a string's quotes."""
+    return encode_basestring_ascii(text)[1:-1].encode("ascii")
 
 
 def _open_cache(path: Path) -> Dict[str, Dict[str, float]]:
@@ -389,9 +462,10 @@ def _open_cache(path: Path) -> Dict[str, Dict[str, float]]:
     *lines, tail = data.split(b"\n")
     index: Dict[str, Dict[str, float]] = {}
     keep = len(data) - len(tail)
+    decode = json.JSONDecoder().decode
     for n, line in enumerate(lines, start=1):
         try:
-            entry = json.loads(line)
+            entry = decode(line.decode("utf-8"))
             index[entry["key"]] = dict(entry["top_logprobs"])
         except (ValueError, KeyError, TypeError):
             if n == len(lines) and not tail:
@@ -436,19 +510,16 @@ def probe_sequences(
     error messages).
     """
     prompts: List[PromptRecord] = []
-    for _, steps in students:
+    keys: List[str] = []
+    for user_id, steps in students:
         if len(steps) < 2:
-            raise ValueError("probe_sequence needs at least 2 steps")
-        history = _history_triples(steps)
-        prompts.extend(
-            render_prompt(
-                history[:t],
-                (steps[t].quiz, steps[t].skill_name),
-                history_limit=client.config.history_limit,
-            )
-            for t in range(1, len(steps))
-        )
-    results = [_step_probability(top) for top in client.fetch_many(prompts, use_cache=use_cache)]
+            raise ValueError(f"student {user_id}: probing needs at least 2 steps, got {len(steps)}")
+        queries = [(t, (steps[t].quiz, steps[t].skill_name)) for t in range(1, len(steps))]
+        batch = render_prompts(_history_triples(steps), queries, client.config.history_limit)
+        prompts += batch
+        keys += client.prompt_keys(batch)
+    tops = client.fetch_many(prompts, keys, use_cache=use_cache)
+    results = [_step_probability(top) for top in tops]
     every_step = [step for _, steps in students for step in steps]
     preds = step_rows(
         [user_id for user_id, _ in students], [len(steps) for _, steps in students],
@@ -490,17 +561,13 @@ def probe_mastery(
     k = len(skill_names)
     if len(representative_quiz) != k:
         raise ValueError("representative_quiz must align with skill_names")
-    history = _history_triples(steps)
-    prompts = [
-        render_prompt(
-            history[: t + 1],
-            (representative_quiz[skill], skill_names[skill]),
-            history_limit=client.config.history_limit,
-        )
-        for t in range(len(steps))
+    queries = [
+        (t, (representative_quiz[skill], skill_names[skill]))
+        for t in range(1, len(steps) + 1)
         for skill in range(k)
     ]
-    tops = client.fetch_many(prompts, use_cache=use_cache)
+    prompts = render_prompts(_history_triples(steps), queries, client.config.history_limit)
+    tops = client.fetch_many(prompts, client.prompt_keys(prompts), use_cache=use_cache)
     p = np.array([_step_probability(top)[0] for top in tops]).reshape(len(steps), k)
     return MasteryTrajectory(
         user_id=user_id, p=p, steps=[(s.skill, -1, s.y) for s in steps]

@@ -17,6 +17,7 @@ from ktrace.evaluation import roc_auc
 from ktrace.records import (
     MasteryTrajectory,
     read_prediction_dump,
+    read_trajectory,
     write_prediction_dump,
     write_trajectory,
 )
@@ -358,13 +359,14 @@ def test_warm_stability_check_renders_each_prompt_twice(tmp_path, monkeypatch):
         ws = Workspace(tmp_path / "ws")
         n_prompts = len(read_prediction_dump(ws.dump_path("llm")))
         renders = []
-        render_prompt = llmprobe.render_prompt
+        render_prompts = llmprobe.render_prompts
 
         def counting_render(*args, **kwargs):
-            renders.append(1)
-            return render_prompt(*args, **kwargs)
+            prompts = render_prompts(*args, **kwargs)
+            renders.extend(prompts)
+            return prompts
 
-        monkeypatch.setattr(llmprobe, "render_prompt", counting_render)
+        monkeypatch.setattr(llmprobe, "render_prompts", counting_render)
         hits_before = server.hit_count
         argv = ["probe", "--config", cfg_path, "--override", "probe.stability_check=true"]
         assert main(argv) == 0
@@ -395,6 +397,39 @@ def test_probe_mastery_students_trajectories(tmp_path):
         assert ws.trajectory_path("llm", student).exists()
         mastery = read_prediction_dump(ws.dump_path("llm", "mastery"))
         assert {r.user_id for r in rows_of(mastery)} == {student}
+
+
+def test_probe_mastery_student_from_train_split_gets_trajectory(tmp_path):
+    with MockLLMServer() as server:
+        payload = probe_payload(tmp_path, server.endpoint)
+        cfg_path = write_config(tmp_path / "c.json", payload)
+        assert main(["synth", "--config", cfg_path]) == 0
+        ws = Workspace(tmp_path / "ws")
+        student = json.loads(ws.split_path.read_text())["train"][0]
+        payload["probe"]["mastery_students"] = [student]
+        cfg_path = write_config(tmp_path / "c.json", payload)
+        assert main(["probe", "--config", cfg_path]) == 0
+    from ktrace.ingest import read_sequences
+
+    steps = {s.user_id: s.steps for s in read_sequences(ws.sequences_path)}[student]
+    trajectory = read_trajectory(ws.trajectory_path("llm", student))
+    assert trajectory.p.shape == (len(steps), 3)
+    assert not np.isnan(trajectory.p).any()
+    mastery = read_prediction_dump(ws.dump_path("llm", "mastery"))
+    assert {r.user_id for r in rows_of(mastery)} == {student}
+
+
+def test_probe_skips_unknown_mastery_student_with_warning(tmp_path, capsys):
+    with MockLLMServer() as server:
+        payload = probe_payload(tmp_path, server.endpoint)
+        payload["probe"]["mastery_students"] = ["no-such-student"]
+        cfg_path = write_config(tmp_path / "c.json", payload)
+        assert main(["synth", "--config", cfg_path]) == 0
+        assert main(["probe", "--config", cfg_path]) == 0
+    assert "warning: mastery student no-such-student not found; skipped" in capsys.readouterr().out
+    ws = Workspace(tmp_path / "ws")
+    assert not ws.dump_path("llm", "mastery").exists()
+    assert ws.dump_path("llm").exists()
 
 
 def test_probe_endpoint_down_fails_clearly(tmp_path, capsys):

@@ -391,6 +391,17 @@ def test_read_sequences_rejects_cells_without_three_values(tmp_path):
             read_sequences(path)
 
 
+def test_read_sequences_reads_only_wanted_users_and_checks_their_lines(tmp_path):
+    path = tmp_path / "sequences.txt"
+    path.write_text("u1\t1,2,3\nu2\t1,2\n\nu3\t4,5,6\t7,8,9\nu4\n")
+    loaded = read_sequences(path, users={"u1", "u3", "u4", "u9"})
+    assert [(s.user_id, s.steps) for s in loaded] == [
+        ("u1", [(1, 2, 3)]), ("u3", [(4, 5, 6), (7, 8, 9)]), ("u4", []),
+    ]
+    with pytest.raises(ValueError, match=r"sequences\.txt: line 2: a step cell must hold s,q,y"):
+        read_sequences(path, users={"u2"})
+
+
 def test_failed_write_keeps_previous_file(tmp_path):
     path = tmp_path / "sequences.txt"
     write_sequences(path, [ingest.StudentSequence("u1", [(0, 0, 1)])])

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from ktrace.llmprobe import (
+    HISTORY_HEADER,
+    SYSTEM_MESSAGE,
+    USER_INTRO,
     DisplayStep,
     LogitPair,
     ProbeClient,
@@ -19,7 +22,9 @@ from ktrace.llmprobe import (
     prob_from_logits,
     probe_mastery,
     probe_sequence,
+    probe_sequences,
     render_prompt,
+    render_prompts,
     resolve_logit_pair,
 )
 
@@ -117,6 +122,77 @@ def test_render_prompt_truncates_and_flags():
     # kept window is the most recent entries, renumbered from 1
     assert "1. Quiz 6 (Skill: A)" in record.user
     assert "Quiz 5 (" not in record.user
+
+
+# Pieces of display text that JSON escapes differently: non-ASCII, non-BMP,
+# a lone surrogate, quotes, backslashes, newlines and control characters.
+HOSTILE_PIECES = [
+    "a", "Z", "7", " ", "é", "Ä", "中", "→", "\U0001F600", "\U00010348", "\ud800",
+    '"', "\\", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", '"prompt": ""',
+]
+LIMITS = [None, 1, 3, 100]
+
+
+def reference_render(history, next_item, history_limit=None):
+    """The prompt written out line by line, one prompt at a time."""
+    shown = list(history)
+    truncated = history_limit is not None and len(shown) > history_limit
+    if truncated:
+        shown = shown[-history_limit:]
+    lines = [USER_INTRO, "", HISTORY_HEADER]
+    for i, (quiz, skill_name, y) in enumerate(shown, start=1):
+        outcome = "Correct" if y == 1 else "Incorrect"
+        lines.append(f"{i}. Quiz {quiz} (Skill: {skill_name}) → {outcome}")
+    lines += ["", f"Next quiz: Quiz {next_item[0]} (Skill: {next_item[1]})"]
+    return SYSTEM_MESSAGE + "\n\n" + "\n".join(lines), len(shown), truncated
+
+
+def hostile_history(rng, length):
+    def text():
+        return "".join(rng.choice(HOSTILE_PIECES, size=rng.integers(0, 5)))
+
+    history = [(text(), text(), int(rng.integers(0, 2))) for _ in range(length)]
+    items = [(text(), text()) for _ in range(3)]
+    return history, items
+
+
+def hostile_queries(rng, history, items):
+    """Every history length (and both sides of each limit) with several next
+    items, as the mastery probe asks, in a shuffled order."""
+    lengths = sorted({*range(min(len(history), 5) + 1), 99, 100, 101, len(history)})
+    queries = [(n, item) for n in lengths if n <= len(history) for item in items]
+    rng.shuffle(queries)
+    return queries
+
+
+def test_render_prompts_equal_one_prompt_renders():
+    rng = np.random.default_rng(15)
+    compared = 0
+    for trial in range(50):
+        history, items = hostile_history(rng, 102 if trial < 5 else int(rng.integers(0, 8)))
+        queries = hostile_queries(rng, history, items)
+        for limit in LIMITS:
+            for (n, item), prompt in zip(queries, render_prompts(history, queries, limit)):
+                assert prompt == render_prompt(history[:n], item, limit)
+                text, shown, truncated = reference_render(history[:n], item, limit)
+                assert (prompt.text, prompt.history_length, prompt.truncated) == (text, shown, truncated)
+                compared += 1
+    assert compared > 2000
+
+
+@pytest.mark.parametrize("model", ["test-model", 'a "prompt": "" model', 'ü"prompt": ""\U0001F600'])
+def test_prompt_keys_equal_cache_keys(model):
+    rng = np.random.default_rng(16)
+    compared = 0
+    for trial in range(50):
+        history, items = hostile_history(rng, 102 if trial < 5 else int(rng.integers(0, 8)))
+        queries = hostile_queries(rng, history, items)
+        for limit in LIMITS:
+            client = ProbeClient(ProbeConfig(endpoint="http://unused", model=model, history_limit=limit))
+            prompts = render_prompts(history, queries, limit)
+            assert client.prompt_keys(prompts) == [client._cache_key(p) for p in prompts]
+            compared += len(prompts)
+    assert compared > 2000
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +374,13 @@ def test_probe_sequence_requires_two_steps():
     client = ProbeClient(probe_config("http://unused"))
     with pytest.raises(ValueError):
         probe_sequence(client, "u1", toy_steps(1), tag="llm")
+
+
+def test_probe_sequences_names_the_student_too_short_to_probe():
+    client = ProbeClient(probe_config("http://unused"))
+    students = [("u1", toy_steps(3)), ("u7", toy_steps(1))]
+    with pytest.raises(ValueError, match=r"student u7: probing needs at least 2 steps, got 1"):
+        probe_sequences(client, students, tag="llm")
 
 
 def test_probe_sequence_marks_unresolved_steps():

@@ -46,3 +46,40 @@ def test_full_trace_records_training_validation_and_inference_spans():
     for name in ("nncore.gru_forward", "nncore.gru_backward"):
         assert all(span.counts["flop"] > 0 for span in tracer.by_name(name)), name
     assert not hasattr(dkt.train, "__wrapped__")
+
+
+def test_light_trace_records_one_fetch_per_miss_and_a_warm_pass_none(tmp_path, monkeypatch):
+    import urllib.request
+
+    from ktrace.llmprobe import DisplayStep, ProbeClient, ProbeConfig, probe_sequences
+    from mockllm import MockLLMServer
+
+    tracing = load_tracer_module()
+    steps = [DisplayStep(quiz=str(i % 3), skill_name="A", skill=0, y=i % 2) for i in range(6)]
+    students = [("u1", steps), ("u2", steps[:4])]  # u2's prompts repeat u1's first three
+    tracer = tracing.Tracer()
+    with MockLLMServer() as server:
+        config = ProbeConfig(
+            endpoint=server.endpoint, model="m", timeout=5.0, max_retries=0,
+            max_concurrent=2, cache_dir=str(tmp_path / "cache"),
+        )
+        try:
+            tracing.install(tracer, "light")
+            cold = ProbeClient(config)
+            probe_sequences(cold, students, tag="llm")
+            cold_spans = len(tracer.by_name("llmprobe.fetch"))
+
+            def no_opener(*args, **kwargs):
+                raise AssertionError("a warm pass built a urllib opener")
+
+            monkeypatch.setattr(urllib.request, "build_opener", no_opener)
+            warm = ProbeClient(config)
+            probe_sequences(warm, students, tag="llm")
+        finally:
+            tracer.restore()
+        hits = server.hit_count
+
+    assert cold_spans == cold.request_count == hits == 5
+    assert cold.cache_hits == 3
+    assert len(tracer.by_name("llmprobe.fetch")) == cold_spans
+    assert warm.request_count == 0 and warm.cache_hits == 8
