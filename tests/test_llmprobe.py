@@ -157,8 +157,9 @@ def hostile_history(rng, length):
 
 
 def hostile_queries(rng, history, items):
-    """Every history length (and both sides of each limit) with several next
-    items, as the mastery probe asks, in a shuffled order."""
+    """History lengths 0 to 5, both sides of each limit and the whole
+    history, each with several next items as the mastery probe asks, in a
+    shuffled order."""
     lengths = sorted({*range(min(len(history), 5) + 1), 99, 100, 101, len(history)})
     queries = [(n, item) for n in lengths if n <= len(history) for item in items]
     rng.shuffle(queries)
