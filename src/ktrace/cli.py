@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -475,10 +476,8 @@ def cmd_probe(cfg: RunConfig, tag_override: Optional[str] = None) -> int:
         write_json(ws.root / f"probe_report_{tag}.json", payload)
 
         audit_path = ws.root / "probe_audit" / f"{tag}.jsonl"
-        encode = json.JSONEncoder(sort_keys=True).encode  # the bytes of json.dumps(sort_keys=True)
         with ingest.atomic_open(audit_path, "w", encoding="utf-8", newline="\n") as fh:
-            for entry in sorted(client.audit, key=lambda e: (e["key"], e["cached"])):
-                fh.write(encode(entry) + "\n")
+            fh.writelines(f"{line}\n" for _, _, line in sorted(client.audit, key=itemgetter(0, 1)))
 
         ws.update_manifest(
             f"probe:{tag}",
@@ -652,6 +651,7 @@ def cmd_gradcheck(_cfg: Optional[RunConfig]) -> int:
 # entry point
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ktrace",

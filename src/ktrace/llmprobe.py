@@ -7,10 +7,10 @@ log-probabilities, resolves the entries for the answer tokens "0" and "1"
 the pair into a correctness probability by two-way softmax. Nothing is ever
 imputed: steps whose tokens cannot be resolved are flagged unresolved.
 
-A student's prompts are rendered and keyed together: each history line is
-formatted once and JSON-escaped and hashed once (``render_prompts``,
-``ProbeClient.prompt_keys``), so a pass costs time linear in the histories
-and not in the sum of their squared lengths.
+A student's prompts are keyed from its history lines, each formatted,
+JSON-escaped and hashed once (``ProbeClient.query_keys``), and only the cache
+misses are rendered (``render_prompts``): a pass costs time linear in the
+histories, and a fully cached pass renders no prompt text.
 
 Wire protocol: HTTP POST with a JSON body in the shape of widely deployed
 completion endpoints ({"model", "prompt", "max_tokens": 1, "temperature": 0,
@@ -24,8 +24,10 @@ against the system trust store.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import http.client
+import itertools
 import json
 import logging
 import math
@@ -38,7 +40,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,6 +91,8 @@ class ProbeConfig:
             raise ValueError("max_concurrent must be >= 1")
         if self.logprob_depth < 2:
             raise ValueError("logprob_depth must cover at least the two answer tokens")
+        if self.history_limit is not None and self.history_limit < 1:
+            raise ValueError("history_limit must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -113,8 +117,7 @@ class LogitPair:
     token1: str
 
 
-@dataclass(frozen=True)
-class DisplayStep:
+class DisplayStep(NamedTuple):
     """One interaction with both display strings (for the prompt) and dense
     indices (for the emitted records)."""
 
@@ -124,12 +127,16 @@ class DisplayStep:
     y: int
 
 
+# (quiz id, skill name, correctness) per step; (n, (next quiz id, skill name)) per prompt
+History = Sequence[Tuple[str, str, int]]
+Queries = Sequence[Tuple[int, Tuple[str, str]]]
+
 # A prompt's user text is USER_HEAD, one line per history entry (each led by
 # its newline), then the next-quiz tail.
 USER_HEAD = f"{USER_INTRO}\n\n{HISTORY_HEADER}"
 
 
-def _history_lines(history: Sequence[Tuple[str, str, int]]) -> List[str]:
+def _history_lines(history: History) -> List[str]:
     return [
         f"\n{i}. Quiz {quiz} (Skill: {skill_name}) → {'Correct' if y == 1 else 'Incorrect'}"
         for i, (quiz, skill_name, y) in enumerate(history, start=1)
@@ -141,9 +148,7 @@ def _next_quiz_line(next_quiz: str, next_skill: str) -> str:
 
 
 def render_prompts(
-    history: Sequence[Tuple[str, str, int]],
-    queries: Sequence[Tuple[int, Tuple[str, str]]],
-    history_limit: Optional[int] = None,
+    history: History, queries: Queries, history_limit: Optional[int] = None
 ) -> List[PromptRecord]:
     """Render the fixed classification prompt for each (n, next item) query
     over the first n entries of one history.
@@ -175,9 +180,7 @@ def render_prompts(
 
 
 def render_prompt(
-    history: Sequence[Tuple[str, str, int]],
-    next_item: Tuple[str, str],
-    history_limit: Optional[int] = None,
+    history: History, next_item: Tuple[str, str], history_limit: Optional[int] = None
 ) -> PromptRecord:
     """The prompt over all of ``history``: ``render_prompts`` with one query."""
     return render_prompts(history, [(len(history), next_item)], history_limit)[0]
@@ -186,9 +189,13 @@ def render_prompt(
 def prob_from_logits(pair: LogitPair) -> float:
     """P(correct) by two-way softmax over the answer-token logits, computed
     with max subtraction for stability."""
-    m = max(pair.l0, pair.l1)
-    e0 = math.exp(pair.l0 - m)
-    e1 = math.exp(pair.l1 - m)
+    return _p_correct(pair.l0, pair.l1)
+
+
+def _p_correct(l0: float, l1: float) -> float:
+    m = max(l0, l1)
+    e0 = math.exp(l0 - m)
+    e1 = math.exp(l1 - m)
     return e1 / (e0 + e1)
 
 
@@ -223,13 +230,16 @@ class ProbeClient:
     on-disk cache keyed by content hash of (model, prompt, request params).
 
     The cache is one append-only JSON-lines file, ``<cache_dir>/cache.jsonl``,
-    one ``{"key", "top_logprobs"}`` object per line, indexed into a dict when
-    the client opens. The client also keeps the run's telemetry:
-    ``request_count`` counts network attempts (cache hits excluded),
-    ``retries`` the attempts beyond the first of each fetch, ``cache_hits``
-    the prompts answered without a request, ``fetch_latencies_ms`` the wall
-    time of each network fetch, and ``truncated_prompts`` the prompts whose
-    history was cut to ``history_limit``.
+    one sorted-key ``{"key", "top_logprobs"}`` object per line, indexed when
+    the client opens: each key maps to its top-k map and its raw line.
+    ``audit`` holds a ``(key, cached, line)`` per answer, the line its cache
+    line with ``"cached"`` spliced in: a hand-edited line is audited as
+    written. Telemetry: ``request_count`` counts network attempts (cache hits
+    excluded), ``retries`` the attempts beyond the first of each fetch,
+    ``cache_hits`` the prompts answered without a request,
+    ``fetch_latencies_ms`` the wall time of each network fetch, and
+    ``truncated_prompts`` the prompts keyed whose history was cut to
+    ``history_limit``.
     """
 
     def __init__(self, config: ProbeConfig):
@@ -242,7 +252,7 @@ class ProbeClient:
         self.cache_hits = 0
         self.truncated_prompts = 0
         self.fetch_latencies_ms: List[float] = []
-        self.audit: List[dict] = []  # raw top-k returns, for the audit log
+        self.audit: List[Tuple[str, bool, str]] = []
         # Only the prompt varies between requests, so the JSON that the cache
         # key hashes is the prompt's JSON string between a fixed head and tail.
         params = json.dumps(self._body(""), sort_keys=True)
@@ -254,7 +264,7 @@ class ProbeClient:
         )
         self._key_end = ('"' + self._key_tail).encode("utf-8")
         self._cache_file: Optional[Path] = None
-        self._cache: Dict[str, Dict[str, float]] = {}
+        self._cache: Dict[str, Tuple[Dict[str, float], str]] = {}
         if config.cache_dir:
             Path(config.cache_dir).mkdir(parents=True, exist_ok=True)
             self._cache_file = Path(config.cache_dir) / CACHE_FILE
@@ -267,55 +277,32 @@ class ProbeClient:
         payload = self._key_head + json.dumps(prompt.text) + self._key_tail
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    def prompt_keys(self, prompts: Sequence[PromptRecord]) -> List[str]:
-        """``_cache_key`` of each of ``prompts``, which ``render_prompts``
-        rendered from one history, in time linear in that history.
+    def query_keys(self, history: History, queries: Queries) -> List[str]:
+        """The ``_cache_key`` of each query's prompt, from the history lines
+        alone (no prompt is rendered); counts the truncated prompts.
 
         JSON escapes a string one character at a time, so the escape of a
-        text is the escapes of its pieces joined. The untruncated prompts
-        share their head and differ only in how many history lines follow it
-        and in their next-quiz tail. One SHA-256 state runs over the key head
-        and the history lines once, in order of history length; each key
-        finishes a copy of it with the prompt's escaped tail. A truncated
-        prompt renumbers its window and is keyed whole.
+        text is the escapes of its pieces joined. One SHA-256 state runs over
+        the key head and the escaped history lines once, in order of history
+        length; each key finishes a copy of it with the query's escaped
+        next-quiz tail. A truncated prompt renumbers its window, hashed alone.
         """
-        keys = [""] * len(prompts)
-        state = self._key_start.copy()
-        hashed = len(USER_HEAD)  # the user text the state covers
-        for i in sorted(range(len(prompts)), key=lambda i: prompts[i].history_length):
-            prompt = prompts[i]
-            if prompt.truncated:
-                keys[i] = self._cache_key(prompt)
-                continue
-            user = prompt.user
-            end = len(user) - len(_next_quiz_line(prompt.next_quiz, prompt.next_skill_name))
-            state.update(_json_escape(user[hashed:end]))
-            hashed = end
-            key = state.copy()
-            key.update(_json_escape(user[end:]) + self._key_end)
+        limit = self.config.history_limit
+        lines = _history_lines(history)
+        keys = [""] * len(queries)
+        state, hashed = self._key_start.copy(), 0
+        for i in sorted(range(len(queries)), key=[n for n, _ in queries].__getitem__):
+            n, (quiz, skill) = queries[i]
+            if limit is not None and n > limit:
+                key = self._key_start.copy()
+                key.update(_json_escape("".join(_history_lines(history[:n][-limit:]))))
+                self.truncated_prompts += 1
+            else:
+                state.update(_json_escape("".join(lines[hashed:n])))
+                hashed, key = n, state.copy()
+            key.update(_json_escape(_next_quiz_line(str(quiz), str(skill))) + self._key_end)
             keys[i] = key.hexdigest()
         return keys
-
-    def _cache_write(self, key: str, top_logprobs: Dict[str, float]) -> None:
-        if self._cache_file is None:
-            return
-        line = json.dumps({"key": key, "top_logprobs": top_logprobs}, sort_keys=True) + "\n"
-        with self._write_lock:
-            with open(self._cache_file, "a", encoding="utf-8", newline="\n") as fh:
-                fh.write(line)
-            self._cache[key] = top_logprobs
-
-    def _record(
-        self, key: str, top: Dict[str, float], fetch_ms: Optional[float] = None
-    ) -> None:
-        """Audit one answered prompt: a cache hit, or a fetch that took ``fetch_ms``."""
-        cached = fetch_ms is None
-        with self._count_lock:
-            if cached:
-                self.cache_hits += 1
-            else:
-                self.fetch_latencies_ms.append(fetch_ms)
-            self.audit.append({"key": key, "cached": cached, "top_logprobs": top})
 
     # -- transport ----------------------------------------------------------
 
@@ -367,62 +354,69 @@ class ProbeClient:
 
     def fetch_top_logprobs(self, prompt: PromptRecord, key: str, use_cache: bool) -> Dict[str, float]:
         """Post ``prompt``, cache its answer under ``key`` when ``use_cache``,
-        and record the fetch."""
+        and record the fetch, audited from the cache line it wrote."""
         start = time.perf_counter()
         top = self._post(prompt)
         fetch_ms = 1e3 * (time.perf_counter() - start)
-        if use_cache:
-            self._cache_write(key, top)
-        self._record(key, top, fetch_ms)
+        line = _cache_line(key, top)
+        if use_cache and self._cache_file is not None:
+            with self._write_lock, open(self._cache_file, "a", encoding="utf-8", newline="\n") as fh:
+                fh.write(line + "\n")
+                self._cache[key] = (top, line)
+        with self._count_lock:
+            self.fetch_latencies_ms.append(fetch_ms)
+            self.audit.append((key, False, _audit_line(False, line)))
         return top
 
     def fetch_many(
-        self, prompts: Sequence[PromptRecord], keys: Sequence[str], use_cache: bool = True
+        self, keys: Sequence[str], render: Callable[[List[int]], List[PromptRecord]],
+        use_cache: bool = True,
     ) -> List[Dict[str, float]]:
-        """Top-k maps for ``prompts``, whose cache keys are ``keys``, in order.
+        """Top-k maps for the prompts whose cache keys are ``keys``, in order.
 
-        Cache hits are answered on the calling thread. The misses go through
-        ``fetch_top_logprobs`` on one pool of ``max_concurrent`` threads, a
-        prompt repeated within the call once; no pool starts and no opener
-        is built when every prompt is a hit. A ``ProbeError`` cancels the
-        fetches not yet started and propagates; the ones that finished stay
-        cached.
+        Hits are answered on the calling thread, recorded in one batch.
+        ``render(misses)`` returns the prompts at the indices ``misses``, sent
+        by ``fetch_top_logprobs`` on one pool of ``max_concurrent`` threads, a
+        prompt repeated within the call once; with no miss nothing is
+        rendered and no pool or opener is built. A ``ProbeError`` cancels the
+        fetches not yet started and propagates; finished ones stay cached.
         """
-        tops: List[Optional[Dict[str, float]]] = [None] * len(prompts)
+        tops: List[Optional[Dict[str, float]]] = [None] * len(keys)
+        hits: List[Tuple[str, bool, str]] = []
         misses: List[int] = []
         fetched_as: Dict[str, int] = {}  # miss key -> index of the prompt sent for it
-        repeats: List[Tuple[int, int, str]] = []
+        repeats: List[Tuple[int, int]] = []
+        cache = self._cache if use_cache else {}
         for i, key in enumerate(keys):
-            if not use_cache:
-                misses.append(i)
-                continue
-            top = self._cache.get(key)
-            if top is not None:
-                tops[i] = top
-                self._record(key, top)
-            elif key in fetched_as:
-                repeats.append((i, fetched_as[key], key))
+            entry = cache.get(key)
+            if entry is not None:
+                tops[i] = entry[0]
+                hits.append((key, True, _audit_line(True, entry[1])))
+            elif use_cache and key in fetched_as:
+                repeats.append((i, fetched_as[key]))
             else:
                 fetched_as[key] = i
                 misses.append(i)
-        with self._count_lock:
-            self.truncated_prompts += sum(p.truncated for p in prompts)
         if misses:
+            prompts = render(misses)
             if self._opener is None:
                 self._opener = urllib.request.build_opener()  # proxies from the environment
             pool = ThreadPoolExecutor(max_workers=self.config.max_concurrent)
             try:
                 futures = [
-                    pool.submit(self.fetch_top_logprobs, prompts[i], keys[i], use_cache)
-                    for i in misses
+                    pool.submit(self.fetch_top_logprobs, prompt, keys[i], use_cache)
+                    for i, prompt in zip(misses, prompts)
                 ]
                 for i, future in zip(misses, futures):
                     tops[i] = future.result()
             finally:
                 pool.shutdown(cancel_futures=True)
-        for i, j, key in repeats:
+        for i, j in repeats:
             tops[i] = tops[j]
-            self._record(key, tops[j])
+            hits.append((keys[i], True, _audit_line(True, _cache_line(keys[i], tops[j]))))
+        with self._count_lock:
+            self.cache_hits += len(hits)
+            self.audit += hits
         return tops  # type: ignore[return-value]
 
     def telemetry(self) -> dict:
@@ -441,7 +435,7 @@ class ProbeClient:
         }
 
     def request_logits(self, prompt: PromptRecord, use_cache: bool = True) -> LogitPair:
-        top = self.fetch_many([prompt], [self._cache_key(prompt)], use_cache=use_cache)[0]
+        top = self.fetch_many([self._cache_key(prompt)], lambda misses: [prompt], use_cache)[0]
         return resolve_logit_pair(top)
 
 
@@ -450,23 +444,48 @@ def _json_escape(text: str) -> bytes:
     return encode_basestring_ascii(text)[1:-1].encode("ascii")
 
 
-def _open_cache(path: Path) -> Dict[str, Dict[str, float]]:
-    """Index the cache file by key. A trailing line that a crash left torn
-    (no final newline, or not parseable) is cut off, so the next append
-    starts a line of its own; an unparseable line elsewhere is skipped. Every
-    entry not indexed is a miss and is fetched again."""
+def _cache_line(key: str, top_logprobs: Dict[str, float]) -> str:
+    return json.dumps({"key": key, "top_logprobs": top_logprobs}, sort_keys=True)
+
+
+def _audit_line(cached: bool, cache_line: str) -> str:
+    """The cache line with ``"cached"`` spliced in first, as sorted-key JSON puts it."""
+    return ('{"cached": true, ' if cached else '{"cached": false, ') + cache_line[1:]
+
+
+def _open_cache(path: Path) -> Dict[str, Tuple[Dict[str, float], str]]:
+    """Index the cache file by key: top-k map and line. A trailing line that a
+    crash left torn (no final newline, or not parseable) is cut off, so the
+    next append starts a line of its own; any other unparseable line is
+    skipped; a later entry wins. A key not indexed is fetched again."""
     try:
         data = path.read_bytes()
     except FileNotFoundError:
         return {}
+    # Most files are one entry per line and nothing else: one scan per line.
+    # (A json.loads of the lines joined into an array could merge two lines.)
+    try:
+        *lines, tail = data.decode("utf-8").split("\n")
+        if tail:
+            raise ValueError("a torn trailing line")
+        scan, index = json.JSONDecoder().scan_once, {}
+        for line in lines:
+            entry, end = scan(line, 0)
+            if end != len(line) or type(entry["top_logprobs"]) is not dict:
+                raise ValueError("not one entry per line")
+            index[entry["key"]] = (entry["top_logprobs"], line)
+        return index
+    except (StopIteration, ValueError, KeyError, TypeError):
+        pass
     *lines, tail = data.split(b"\n")
-    index: Dict[str, Dict[str, float]] = {}
+    index = {}
     keep = len(data) - len(tail)
     decode = json.JSONDecoder().decode
     for n, line in enumerate(lines, start=1):
         try:
-            entry = decode(line.decode("utf-8"))
-            index[entry["key"]] = dict(entry["top_logprobs"])
+            text = line.decode("utf-8")
+            entry = decode(text)
+            index[entry["key"]] = (dict(entry["top_logprobs"]), text.strip())
         except (ValueError, KeyError, TypeError):
             if n == len(lines) and not tail:
                 keep -= len(line) + 1
@@ -482,18 +501,40 @@ def _open_cache(path: Path) -> Dict[str, Dict[str, float]]:
 # probing protocols
 
 
-def _history_triples(steps: Sequence[DisplayStep]) -> List[Tuple[str, str, int]]:
+def _history_triples(steps: Sequence[DisplayStep]) -> History:
     return [(s.quiz, s.skill_name, s.y) for s in steps]
 
 
 def _step_probability(top: Dict[str, float]) -> Tuple[float, Optional[str]]:
     """The step's probability, or NaN and the reason it is unresolved."""
-    try:
-        p = prob_from_logits(resolve_logit_pair(top))
-    except UnresolvableLogitsError as exc:
-        return math.nan, str(exc)
+    if "0" in top and "1" in top:  # the pair resolve_logit_pair picks first
+        p = _p_correct(float(top["0"]), float(top["1"]))
+    else:
+        try:
+            p = prob_from_logits(resolve_logit_pair(top))
+        except UnresolvableLogitsError as exc:
+            return math.nan, str(exc)
     # extreme logit gaps round to exactly 0/1 in float64; keep records open
     return min(max(p, PROB_FLOOR), 1.0 - PROB_FLOOR), None
+
+
+def _fetch_tops(
+    client: ProbeClient, students: Sequence[Tuple[History, Queries]], use_cache: bool
+) -> List[Dict[str, float]]:
+    """Top-k maps for the (history, queries) of each student, in order, from
+    one ``fetch_many``; only the misses are rendered, per student."""
+    keys = [key for history, queries in students for key in client.query_keys(history, queries)]
+    starts = list(itertools.accumulate((len(queries) for _, queries in students), initial=0))
+
+    def render(misses: List[int]) -> List[PromptRecord]:
+        prompts: List[PromptRecord] = []
+        for s, group in itertools.groupby(misses, key=lambda i: bisect.bisect_right(starts, i) - 1):
+            history, queries = students[s]
+            asked = [queries[i - starts[s]] for i in group]
+            prompts += render_prompts(history, asked, client.config.history_limit)
+        return prompts
+
+    return client.fetch_many(keys, render, use_cache)
 
 
 def probe_sequences(
@@ -509,17 +550,13 @@ def probe_sequences(
     steps in order; unresolved steps carry NaN. Returns (table, per-step
     error messages).
     """
-    prompts: List[PromptRecord] = []
-    keys: List[str] = []
+    work = []
     for user_id, steps in students:
         if len(steps) < 2:
             raise ValueError(f"student {user_id}: probing needs at least 2 steps, got {len(steps)}")
         queries = [(t, (steps[t].quiz, steps[t].skill_name)) for t in range(1, len(steps))]
-        batch = render_prompts(_history_triples(steps), queries, client.config.history_limit)
-        prompts += batch
-        keys += client.prompt_keys(batch)
-    tops = client.fetch_many(prompts, keys, use_cache=use_cache)
-    results = [_step_probability(top) for top in tops]
+        work.append((_history_triples(steps), queries))
+    results = [_step_probability(top) for top in _fetch_tops(client, work, use_cache)]
     every_step = [step for _, steps in students for step in steps]
     preds = step_rows(
         [user_id for user_id, _ in students], [len(steps) for _, steps in students],
@@ -566,8 +603,7 @@ def probe_mastery(
         for t in range(1, len(steps) + 1)
         for skill in range(k)
     ]
-    prompts = render_prompts(_history_triples(steps), queries, client.config.history_limit)
-    tops = client.fetch_many(prompts, client.prompt_keys(prompts), use_cache=use_cache)
+    tops = _fetch_tops(client, [(_history_triples(steps), queries)], use_cache)
     p = np.array([_step_probability(top)[0] for top in tops]).reshape(len(steps), k)
     return MasteryTrajectory(
         user_id=user_id, p=p, steps=[(s.skill, -1, s.y) for s in steps]
@@ -645,14 +681,8 @@ def display_steps(
     quiz_ids: Sequence[str],
 ) -> List[DisplayStep]:
     """Dense-index steps -> display steps using the vocabulary tables."""
-    out = []
-    for skill, quiz, y in sequence_steps:
-        out.append(
-            DisplayStep(
-                quiz=str(quiz_ids[quiz]) if 0 <= quiz < len(quiz_ids) else str(quiz),
-                skill_name=skill_names[skill],
-                skill=skill,
-                y=y,
-            )
-        )
-    return out
+    return [
+        DisplayStep(str(quiz_ids[quiz]) if 0 <= quiz < len(quiz_ids) else str(quiz),
+                    skill_names[skill], skill, y)
+        for skill, quiz, y in sequence_steps
+    ]

@@ -349,7 +349,7 @@ def test_probe_stability_flag_reports_zero_deltas(tmp_path):
         assert all(s["stable"] for s in report["stability"])
 
 
-def test_warm_stability_check_renders_each_prompt_twice(tmp_path, monkeypatch):
+def test_warm_stability_check_renders_only_the_uncached_rerun(tmp_path, monkeypatch):
     from ktrace import llmprobe
 
     with MockLLMServer() as server:
@@ -366,14 +366,24 @@ def test_warm_stability_check_renders_each_prompt_twice(tmp_path, monkeypatch):
             renders.extend(prompts)
             return prompts
 
+        stability_reports = llmprobe.stability_reports
+        main_pass_renders = []
+
+        def counting_stability(*args, **kwargs):
+            main_pass_renders.append(len(renders))
+            return stability_reports(*args, **kwargs)
+
         monkeypatch.setattr(llmprobe, "render_prompts", counting_render)
+        monkeypatch.setattr(llmprobe, "stability_reports", counting_stability)
         hits_before = server.hit_count
         argv = ["probe", "--config", cfg_path, "--override", "probe.stability_check=true"]
         assert main(argv) == 0
         rerun_hits = server.hit_count - hits_before
 
-    # the main pass reads the cache, the stability rerun asks the endpoint
-    assert len(renders) == 2 * n_prompts
+    # the main pass reads the cache and renders nothing; the stability rerun
+    # renders every prompt and asks the endpoint
+    assert main_pass_renders == [0]
+    assert len(renders) == n_prompts
     assert rerun_hits == n_prompts
     report = json.loads((ws.root / "probe_report_llm.json").read_text())
     assert report["cache_hits"] == n_prompts
@@ -381,6 +391,127 @@ def test_warm_stability_check_renders_each_prompt_twice(tmp_path, monkeypatch):
     assert all(s["stable"] for s in report["stability"])
     audit = (ws.root / "probe_audit" / "llm.jsonl").read_text().splitlines()
     assert len(audit) == 2 * n_prompts
+
+
+def probe_calls(ws: Workspace, history_limit: int, mastery: list, stability: bool) -> list:
+    """(prompts, use_cache) of each call one ``probe`` command makes to the
+    endpoint or the cache, in order, each prompt rendered on its own."""
+    from ktrace.ingest import read_sequences
+    from ktrace.llmprobe import render_prompt
+
+    vocab = json.loads(ws.vocab_path.read_text())
+    names, quizzes = vocab["skill_names"], vocab["quiz_ids"]
+    shown = {
+        s.user_id: [(str(quizzes[q]), names[k], y) for k, q, y in s.steps]
+        for s in read_sequences(ws.sequences_path)
+    }
+    main_pass = [
+        render_prompt(shown[u][:t], shown[u][t][:2], history_limit)
+        for u in json.loads(ws.split_path.read_text())["test"]
+        for t in range(1, len(shown[u]))
+    ]
+    calls = [(main_pass, True)] + [(main_pass, False)] * stability
+    repr_quiz = [str(quizzes[q]) for q in json.loads(ws.repr_quiz_path.read_text())["repr_quiz"]]
+    for u in mastery:
+        calls.append(([
+            render_prompt(shown[u][:t], (repr_quiz[k], names[k]), history_limit)
+            for t in range(1, len(shown[u]) + 1)
+            for k in range(len(names))
+        ], True))
+    return calls
+
+
+def expected_audit(cache_text: str, calls: list) -> list:
+    """The audit lines of a probe command over a cache that holds
+    ``cache_text``: each answer as sorted-key JSON of its key, cached flag
+    and top-k map. A key the cache holds is a hit with the cache's map (a
+    later line wins); the first miss of a key in a call is fetched, its
+    repeats are hits, and later calls hit it too; a call that bypasses the
+    cache fetches every prompt."""
+    from ktrace.llmprobe import ProbeClient, ProbeConfig
+    from mockllm import logits_from_prompt
+
+    cache = {}
+    for line in cache_text.splitlines():
+        try:
+            entry = json.loads(line)
+            cache[entry["key"]] = entry["top_logprobs"]
+        except ValueError:
+            pass
+    client = ProbeClient(ProbeConfig(endpoint="http://unused", model="mock-model"))
+    entries = []
+    for prompts, use_cache in calls:
+        fetched = {}
+        for prompt in prompts:
+            key = client._cache_key(prompt)
+            if use_cache and key in cache:
+                entries.append((key, True, cache[key]))
+            else:
+                top = logits_from_prompt(prompt.text)
+                entries.append((key, use_cache and key in fetched, top))
+                fetched[key] = top
+        if use_cache:
+            cache.update(fetched)
+    entries.sort(key=lambda e: e[:2])
+    return [
+        json.dumps({"key": key, "cached": cached, "top_logprobs": top}, sort_keys=True)
+        for key, cached, top in entries
+    ]
+
+
+def test_probe_audit_lines_are_the_sorted_json_of_each_answer(tmp_path):
+    payload = probe_payload(tmp_path, "", history_limit=4, max_concurrent=1)
+    payload["synth"]["n_students"] = 200
+    with MockLLMServer() as server:
+        payload["probe"]["endpoint"] = server.endpoint
+        cfg_path = write_config(tmp_path / "c.json", payload)
+        assert main(["synth", "--config", cfg_path]) == 0
+        ws = Workspace(tmp_path / "ws")
+        mastery = [json.loads(ws.split_path.read_text())["test"][0]]
+        payload["probe"]["mastery_students"] = mastery
+        cfg_path = write_config(tmp_path / "c.json", payload)
+        cache = ws.root / "probe_cache" / "cache.jsonl"
+        audit = ws.root / "probe_audit" / "llm.jsonl"
+
+        def probe_and_check(stability: bool = False) -> list:
+            before = cache.read_text() if cache.exists() else ""
+            argv = ["probe", "--config", cfg_path]
+            assert main(argv + ["--override", "probe.stability_check=true"] * stability) == 0
+            want = expected_audit(before, probe_calls(ws, 4, mastery, stability))
+            assert audit.read_text().splitlines() == want
+            return want
+
+        cold = probe_and_check()
+        main_pass = probe_calls(ws, 4, mastery, False)[0][0]
+        assert len({p.text for p in main_pass}) < len(main_pass)  # a prompt repeats
+        assert server.hit_count == sum('"cached": false' in line for line in cold)
+        assert all('"cached": true' in line for line in probe_and_check())
+        probe_and_check(stability=True)
+
+        lines = cache.read_text().splitlines()
+        damaged = [lines[0], "{not json", *lines[2:]]
+        damaged.append(json.dumps({"key": json.loads(lines[3])["key"],
+                                   "top_logprobs": {"0": -0.25, "1": -1.5}}, sort_keys=True))
+        cache.write_text("\n".join(damaged) + '\n{"key": "ab')
+        hits_before = server.hit_count
+        refetched = probe_and_check()
+        assert server.hit_count == hits_before + 1
+        assert sum('"cached": false' in line for line in refetched) == 1
+        assert cache.read_text().splitlines()[:-1] == damaged
+
+
+def test_warm_probe_counts_the_truncated_prompts_of_the_cold_one(tmp_path):
+    with MockLLMServer() as server:
+        payload = probe_payload(tmp_path, server.endpoint, history_limit=3)
+        cfg_path = write_config(tmp_path / "c.json", payload)
+        assert main(["synth", "--config", cfg_path]) == 0
+        report = tmp_path / "ws" / "probe_report_llm.json"
+        counts = []
+        for _ in range(2):
+            assert main(["probe", "--config", cfg_path]) == 0
+            counts.append(json.loads(report.read_text())["truncated_prompts"])
+    assert counts[0] > 0
+    assert counts[1] == counts[0]
 
 
 def test_probe_mastery_students_trajectories(tmp_path):

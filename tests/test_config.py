@@ -193,10 +193,13 @@ def test_each_section_accepts_exactly_its_keys(tmp_path, section):
         ({"ratios": [0.5, "x", 0.5]}, "config.ratios"),
         ({"probe": {"endpoint": "e", "model": "m", "max_concurrent": 0}}, "max_concurrent"),
         ({"synth": {"n_students": 5}}, "'k'"),
+        ({"probe": {"endpoint": "e", "model": "m", "history_limit": 0}}, "history_limit"),
+        ({"probe": {"endpoint": "e", "model": "m", "history_limit": -1}}, "history_limit"),
     ],
     ids=[
         "tags-string", "students-string", "int-true", "int-false", "rate-true",
         "section-list", "section-string", "ratio-string", "concurrency-0", "missing-k",
+        "history-limit-0", "history-limit-negative",
     ],
 )
 def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, extra, named):

@@ -3,12 +3,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from ktrace.llmprobe import (
     HISTORY_HEADER,
+    PROB_FLOOR,
     SYSTEM_MESSAGE,
     USER_INTRO,
     DisplayStep,
@@ -26,6 +28,7 @@ from ktrace.llmprobe import (
     render_prompt,
     render_prompts,
     resolve_logit_pair,
+    _step_probability,
 )
 
 from mockllm import MockLLMServer, ServerFailure, logits_from_prompt
@@ -191,7 +194,7 @@ def test_prompt_keys_equal_cache_keys(model):
         for limit in LIMITS:
             client = ProbeClient(ProbeConfig(endpoint="http://unused", model=model, history_limit=limit))
             prompts = render_prompts(history, queries, limit)
-            assert client.prompt_keys(prompts) == [client._cache_key(p) for p in prompts]
+            assert client.query_keys(history, queries) == [client._cache_key(p) for p in prompts]
             compared += len(prompts)
     assert compared > 2000
 
@@ -263,6 +266,47 @@ def test_resolve_missing_both_tokens_errors():
 def test_resolve_missing_one_token_errors():
     with pytest.raises(UnresolvableLogitsError, match="'0'"):
         resolve_logit_pair({"1": -0.1, "x": -5.0})
+
+
+def reference_step_probability(top):
+    """The step probability written out as resolve, softmax, clip."""
+    try:
+        p = prob_from_logits(resolve_logit_pair(top))
+    except UnresolvableLogitsError as exc:
+        return math.nan, str(exc)
+    return min(max(p, PROB_FLOOR), 1.0 - PROB_FLOOR), None
+
+
+def random_top(rng):
+    """A top-k map with bare and space-variant answer tokens, one or both
+    missing, float or integer logprobs, gaps up to 800 and NaN."""
+    top = {f"t{i}": float(rng.uniform(-9, 0)) for i in range(rng.integers(0, 4))}
+    base = float(rng.uniform(-5, 0))
+    for digit in ("0", "1"):
+        kind = rng.integers(0, 5)  # bare, space, both, neither, bare and junk
+        value = base + float(rng.choice([0.0, rng.uniform(-800, 800), rng.normal()]))
+        if rng.random() < 0.1:
+            value = math.nan
+        elif rng.random() < 0.2:
+            value = int(round(value))
+        if kind in (0, 2, 4):
+            top[digit] = value
+        if kind in (1, 2):
+            top[" " + digit] = value + float(rng.normal())
+    return top
+
+
+def test_step_probability_equals_resolve_softmax_clip_bit_for_bit():
+    rng = np.random.default_rng(17)
+    kinds = set()
+    for _ in range(12000):
+        top = random_top(rng)
+        got, want = _step_probability(top), reference_step_probability(top)
+        assert got[1] == want[1]
+        assert (math.isnan(got[0]) and math.isnan(want[0])) or got[0].hex() == want[0].hex(), top
+        kinds.add((got[1] is None, "0" in top and "1" in top, math.isnan(got[0])))
+    assert kinds == {(True, True, False), (True, True, True), (True, False, False),
+                     (True, False, True), (False, False, True)}
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +519,96 @@ def test_probe_cache_reads_old_and_new_entries_after_cutting_torn_line(tmp_path)
     lines = cache.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 3
     assert all("top_logprobs" in json.loads(line) for line in lines)
+
+
+def reference_open_cache(path):
+    """The cache read one line at a time: key -> (top-k map, stripped line),
+    the torn trailing line cut and each skipped line warned about."""
+    import logging
+
+    data = path.read_bytes()
+    *lines, tail = data.split(b"\n")
+    index, keep = {}, len(data) - len(tail)
+    for n, line in enumerate(lines, start=1):
+        try:
+            text = line.decode("utf-8")
+            entry = json.loads(text)
+            index[entry["key"]] = (dict(entry["top_logprobs"]), text.strip())
+        except (ValueError, KeyError, TypeError):
+            if n == len(lines) and not tail:
+                keep -= len(line) + 1
+            else:
+                logging.getLogger("ktrace.llmprobe").warning(
+                    "%s: line %d is not a cache entry; skipped", path, n)
+    if keep < len(data):
+        logging.getLogger("ktrace.llmprobe").warning(
+            "%s: cut a torn trailing entry (%d bytes)", path, len(data) - keep)
+        os.truncate(path, keep)
+    return index
+
+
+def cache_line(key, top):
+    return json.dumps({"key": key, "top_logprobs": top}, sort_keys=True)
+
+
+CLEAN = [cache_line(f"k{i}", {"0": -0.5 - i, "1": -1.25, "\u00e9\"": -3.0}) for i in range(4)]
+CACHE_TEXTS = {
+    "empty": b"",
+    "clean": "".join(f"{line}\n" for line in CLEAN).encode(),
+    "duplicate key": "".join(f"{line}\n" for line in CLEAN + [cache_line("k1", {"0": -9.0, "1": 0.0})]).encode(),
+    "hand-edited": f'{CLEAN[0]}\n{{"top_logprobs": {{"1": -2, "0": -1}}, "key": "k9"}}\n'.encode(),
+    "unparseable middle": f"{CLEAN[0]}\n{{not json\n{CLEAN[1]}\n".encode(),
+    "torn tail": f"{CLEAN[0]}\n{CLEAN[1]}\n{CLEAN[2][:9]}".encode(),
+    "only a torn line": CLEAN[0][:9].encode(),
+    "only a whole line without newline": CLEAN[0].encode(),
+    "whole tail without newline": f"{CLEAN[0]}\n{CLEAN[1]}".encode(),
+    "unparseable last line": f"{CLEAN[0]}\n{CLEAN[1][:-2]}\n".encode(),
+    "blank lines": f"\n{CLEAN[0]}\n\n{CLEAN[1]}\n".encode(),
+    "padded line": f"  {CLEAN[0]}\r\n\t{CLEAN[1]} \n".encode(),
+    "two entries on one line": f"{CLEAN[0]}, {CLEAN[1]}\n{CLEAN[2]}\n".encode(),
+    # one value over two lines, and two values on a third: an array of the
+    # joined lines would parse to three entries
+    "entry over two lines": (
+        '{"key": "a", "top_logprobs": {"0": -1,\n"1": -2}}\n'
+        '{"key": "b", "top_logprobs": {}}, {"key": "c", "top_logprobs": {}}\n'
+    ).encode(),
+    "pairs for a map": f'{{"key": "p", "top_logprobs": [["0", -1], ["1", -2]]}}\n{CLEAN[0]}\n'.encode(),
+    "no map": f'{{"key": "s", "top_logprobs": "x"}}\n{{"key": "t"}}\n[1]\n{CLEAN[3]}\n'.encode(),
+    "not utf-8": CLEAN[0].encode() + b"\n" + b'{"key": "\xff", "top_logprobs": {}}\n' + CLEAN[1].encode() + b"\n",
+}
+
+
+@pytest.mark.parametrize("name", list(CACHE_TEXTS))
+def test_cache_index_equals_the_line_by_line_reading(tmp_path, caplog, name):
+    from ktrace.llmprobe import _open_cache
+
+    ours, theirs = tmp_path / "ours.jsonl", tmp_path / "theirs.jsonl"
+    for path in (ours, theirs):
+        path.write_bytes(CACHE_TEXTS[name])
+    with caplog.at_level("WARNING"):
+        index = _open_cache(ours)
+        warned = [r.getMessage().replace("ours", "theirs") for r in caplog.records]
+        caplog.clear()
+        want = reference_open_cache(theirs)
+        assert warned == [r.getMessage() for r in caplog.records]
+    assert index == want
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
+def test_cache_hit_is_audited_from_its_line_as_written(tmp_path):
+    cache = tmp_path / "cache" / "cache.jsonl"
+    with MockLLMServer() as server:
+        config = probe_config(server.endpoint, cache_dir=str(cache.parent), max_concurrent=1)
+        probe_sequence(ProbeClient(config), "u1", toy_steps(3), tag="llm")
+    lines = cache.read_text(encoding="utf-8").splitlines()  # in step order
+    key = json.loads(lines[0])["key"]
+    lines[0] = f'{{"top_logprobs": {{"1": -2.5,  "0": -1}}, "key": "{key}"}}'  # edited by hand
+    cache.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    client = ProbeClient(config)
+    records, errors = probe_sequence(client, "u1", toy_steps(3), tag="llm")
+    assert client.request_count == 0 and errors == []
+    assert sorted(line for _, _, line in client.audit) == sorted('{"cached": true, ' + line[1:] for line in lines)
+    assert records.p[0] == prob_from_logits(LogitPair(-1.0, -2.5, "0", "1"))
 
 
 def test_fully_cached_probe_starts_no_thread(tmp_path, monkeypatch):
