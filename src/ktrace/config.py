@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 from .dkt import TrainConfig
+from .ingest import check_ratios
 from .llmprobe import ProbeConfig
 from .synth import GenerativeSpec
 
@@ -66,8 +67,7 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if abs(sum(self.ratios) - 1.0) > 1e-9:
-            raise ValueError(f"ratios must sum to 1, got {self.ratios}")
+        check_ratios(self.ratios)
 
     def config_hash(self) -> str:
         payload = json.dumps(self.raw, sort_keys=True).encode("utf-8")

@@ -49,13 +49,6 @@ def encode_step(s: int, y: int, k: int) -> int:
     return s + y * k
 
 
-def decode_step(x: int, k: int) -> Tuple[int, int]:
-    """Inverse of encode_step: (x mod K, x div K)."""
-    if not 0 <= x < 2 * k:
-        raise ValueError(f"token {x} out of range [0, {2 * k})")
-    return x % k, x // k
-
-
 # ---------------------------------------------------------------------------
 # batching
 
@@ -355,17 +348,6 @@ def mastery_trajectory(model: DktModel, sequence: StudentSequence) -> MasteryTra
     return MasteryTrajectory(
         user_id=sequence.user_id, p=probs[live], steps=list(sequence.steps)
     )
-
-
-def predict_next(
-    model: DktModel, prefix: StudentSequence, next_skill: int
-) -> float:
-    """Probability of answering a next_skill item correctly after the given
-    prefix (the last trajectory row at the next skill's column)."""
-    if not 0 <= next_skill < model.k:
-        raise ValueError(f"unknown skill index {next_skill} (K={model.k})")
-    traj = mastery_trajectory(model, prefix)
-    return float(traj.p[-1, next_skill])
 
 
 def predict_records(

@@ -480,6 +480,12 @@ def _partition_sizes(n: int, ratios: Sequence[float]) -> List[int]:
     return base
 
 
+def check_ratios(ratios: Sequence[float]) -> None:
+    """The split ratios sum to 1 and each lies in [0, 1]."""
+    if abs(sum(ratios) - 1.0) > 1e-9 or not all(0.0 <= r <= 1.0 for r in ratios):
+        raise ValueError(f"ratios must sum to 1 with each in [0, 1], got {ratios}")
+
+
 def split_students(
     sequences: Sequence[StudentSequence],
     ratios: Tuple[float, float, float] = (0.8, 0.1, 0.1),
@@ -487,8 +493,7 @@ def split_students(
 ) -> DatasetSplit:
     """Student-level split: deterministic seeded shuffle of the sorted user
     list, then a contiguous partition by ratio."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {ratios}")
+    check_ratios(ratios)
     ordered = sorted(sequences, key=lambda s: s.user_id)
     n = len(ordered)
     if n < len(ratios):
@@ -510,18 +515,10 @@ def split_students(
 # statistics
 
 
-def summarize(data: "Sequence[StudentSequence] | DatasetSplit") -> DatasetStats:
-    """Record/student/quiz/skill counts and per-entity interaction means.
-
-    A DatasetSplit is summarized over all of its partitions pooled; use
-    summarize_split for the per-partition view.
-    """
-    if isinstance(data, DatasetSplit):
-        sequences: List[StudentSequence] = [
-            s for part in data.partitions().values() for s in part
-        ]
-    else:
-        sequences = list(data)
+def summarize(sequences: Sequence[StudentSequence]) -> DatasetStats:
+    """Record/student/quiz/skill counts and per-entity interaction means of
+    a sequence set; ``summarize_split`` gives the per-partition view of a
+    split."""
     steps = flatten_steps(sequences)
     n_records = len(steps)
     if n_records == 0:

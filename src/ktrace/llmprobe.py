@@ -89,6 +89,12 @@ class ProbeConfig:
     def __post_init__(self):
         if self.max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
+        if not self.timeout > 0:  # NaN fails too
+            raise ValueError("timeout must be > 0")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if not self.backoff >= 0:
+            raise ValueError("backoff must be >= 0")
         if self.logprob_depth < 2:
             raise ValueError("logprob_depth must cover at least the two answer tokens")
         if self.history_limit is not None and self.history_limit < 1:
@@ -227,11 +233,14 @@ def resolve_logit_pair(top_logprobs: Dict[str, float]) -> LogitPair:
 
 class ProbeClient:
     """Issues completion requests with retries, bounded concurrency, and an
-    on-disk cache keyed by content hash of (model, prompt, request params).
+    on-disk cache. A prompt's cache key is the SHA-256 of its request body
+    as sorted-key JSON, worked out by ``query_keys`` from the history lines;
+    ``fetch_many`` answers the keys.
 
     The cache is one append-only JSON-lines file, ``<cache_dir>/cache.jsonl``,
-    one sorted-key ``{"key", "top_logprobs"}`` object per line, indexed when
-    the client opens: each key maps to its top-k map and its raw line.
+    one sorted-key ``{"key", "top_logprobs"}`` object per line, indexed by
+    ``_open_cache`` when the client opens: each key maps to its top-k map and
+    its line.
     ``audit`` holds a ``(key, cached, line)`` per answer, the line its cache
     line with ``"cached"`` spliced in: a hand-edited line is audited as
     written. Telemetry: ``request_count`` counts network attempts (cache hits
@@ -255,14 +264,12 @@ class ProbeClient:
         self.audit: List[Tuple[str, bool, str]] = []
         # Only the prompt varies between requests, so the JSON that the cache
         # key hashes is the prompt's JSON string between a fixed head and tail.
-        params = json.dumps(self._body(""), sort_keys=True)
-        head, _, self._key_tail = params.partition('"prompt": ""')
-        self._key_head = head + '"prompt": '
+        head, _, tail = json.dumps(self._body(""), sort_keys=True).partition('"prompt": ""')
         # what every rendered prompt's key hashes before its first history line
         self._key_start = hashlib.sha256(
-            (self._key_head + '"').encode("utf-8") + _json_escape(f"{SYSTEM_MESSAGE}\n\n{USER_HEAD}")
+            (head + '"prompt": "').encode("utf-8") + _json_escape(f"{SYSTEM_MESSAGE}\n\n{USER_HEAD}")
         )
-        self._key_end = ('"' + self._key_tail).encode("utf-8")
+        self._key_end = ('"' + tail).encode("utf-8")
         self._cache_file: Optional[Path] = None
         self._cache: Dict[str, Tuple[Dict[str, float], str]] = {}
         if config.cache_dir:
@@ -272,14 +279,9 @@ class ProbeClient:
 
     # -- caching ------------------------------------------------------------
 
-    def _cache_key(self, prompt: PromptRecord) -> str:
-        """SHA-256 of the request parameters as sorted-key JSON."""
-        payload = self._key_head + json.dumps(prompt.text) + self._key_tail
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
     def query_keys(self, history: History, queries: Queries) -> List[str]:
-        """The ``_cache_key`` of each query's prompt, from the history lines
-        alone (no prompt is rendered); counts the truncated prompts.
+        """The cache key of each query's prompt, from the history lines alone
+        (no prompt is rendered); counts the truncated prompts.
 
         JSON escapes a string one character at a time, so the escape of a
         text is the escapes of its pieces joined. One SHA-256 state runs over
@@ -434,10 +436,6 @@ class ProbeClient:
             "truncated_prompts": self.truncated_prompts,
         }
 
-    def request_logits(self, prompt: PromptRecord, use_cache: bool = True) -> LogitPair:
-        top = self.fetch_many([self._cache_key(prompt)], lambda misses: [prompt], use_cache)[0]
-        return resolve_logit_pair(top)
-
 
 def _json_escape(text: str) -> bytes:
     """``text`` as ``json.dumps`` writes it inside a string's quotes."""
@@ -454,43 +452,33 @@ def _audit_line(cached: bool, cache_line: str) -> str:
 
 
 def _open_cache(path: Path) -> Dict[str, Tuple[Dict[str, float], str]]:
-    """Index the cache file by key: top-k map and line. A trailing line that a
-    crash left torn (no final newline, or not parseable) is cut off, so the
-    next append starts a line of its own; any other unparseable line is
-    skipped; a later entry wins. A key not indexed is fetched again."""
+    """Index the cache file by key: top-k map and line, read one line at a
+    time, each stripped of JSON whitespace and holding one JSON object. A
+    trailing line that a crash left torn (no final newline, or not
+    parseable) is cut off, so the next append starts a line of its own; any
+    other unparseable line is skipped; a later entry wins. A key not indexed
+    is fetched again."""
     try:
         data = path.read_bytes()
     except FileNotFoundError:
         return {}
-    # Most files are one entry per line and nothing else: one scan per line.
-    # (A json.loads of the lines joined into an array could merge two lines.)
-    try:
-        *lines, tail = data.decode("utf-8").split("\n")
-        if tail:
-            raise ValueError("a torn trailing line")
-        scan, index = json.JSONDecoder().scan_once, {}
-        for line in lines:
-            entry, end = scan(line, 0)
-            if end != len(line) or type(entry["top_logprobs"]) is not dict:
-                raise ValueError("not one entry per line")
-            index[entry["key"]] = (entry["top_logprobs"], line)
-        return index
-    except (StopIteration, ValueError, KeyError, TypeError):
-        pass
     *lines, tail = data.split(b"\n")
     index = {}
     keep = len(data) - len(tail)
-    decode = json.JSONDecoder().decode
+    scan = json.JSONDecoder().scan_once
     for n, line in enumerate(lines, start=1):
         try:
-            text = line.decode("utf-8")
-            entry = decode(text)
-            index[entry["key"]] = (dict(entry["top_logprobs"]), text.strip())
-        except (ValueError, KeyError, TypeError):
-            if n == len(lines) and not tail:
-                keep -= len(line) + 1
-            else:
-                log.warning("%s: line %d is not a cache entry; skipped", path, n)
+            text = line.decode("utf-8").strip(" \t\r")
+            entry, end = scan(text, 0)
+            if end == len(text):
+                index[entry["key"]] = (dict(entry["top_logprobs"]), text)
+                continue
+        except (StopIteration, ValueError, KeyError, TypeError):
+            pass
+        if n == len(lines) and not tail:
+            keep -= len(line) + 1
+        else:
+            log.warning("%s: line %d is not a cache entry; skipped", path, n)
     if keep < len(data):
         log.warning("%s: cut a torn trailing entry (%d bytes)", path, len(data) - keep)
         os.truncate(path, keep)
@@ -631,16 +619,6 @@ class StabilityReport:
             "n_resolution_mismatches": self.n_resolution_mismatches,
             "stable": self.stable,
         }
-
-
-def double_run_deltas(
-    client: ProbeClient, user_id: str, steps: Sequence[DisplayStep], tag: str
-) -> StabilityReport:
-    """``stability_reports`` for one student, after a first pass through the
-    cache."""
-    students = [(user_id, steps)]
-    first, _ = probe_sequences(client, students, tag)
-    return stability_reports(client, students, first, tag)[0]
 
 
 def stability_reports(

@@ -151,7 +151,9 @@ def read_prediction_dump(path: str | Path) -> Predictions:
     the first repeated key in file order."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: no header row")
         if tuple(header) != PRED_COLUMNS:
             raise ValueError(f"{path}: unexpected dump header {header}")
         rows = list(reader)
@@ -198,7 +200,9 @@ def read_trajectory(path: str | Path) -> MasteryTrajectory:
     """Load a trajectory file; every row must have the header's cell count."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: no header row")
         rows = list(reader)
     if not rows:
         raise ValueError(f"{path}: empty trajectory file")

@@ -198,12 +198,3 @@ def write_oracle_sidecar(path: str | Path, corpus: SynthCorpus) -> None:
             probs = corpus.oracle[seq.user_id]
             fh.write("\t".join([seq.user_id] + [repr(p) for p in probs]) + "\n")
 
-
-def read_oracle_sidecar(path: str | Path) -> Dict[str, List[float]]:
-    out: Dict[str, List[float]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            cells = line.rstrip("\n").split("\t")
-            if cells and cells[0]:
-                out[cells[0]] = [float(c) for c in cells[1:]]
-    return out

@@ -76,7 +76,7 @@ def test_criterion_2_encoding_and_mask():
         for s in range(k):
             for y in (0, 1):
                 x = dkt.encode_step(s, y, k)
-                assert dkt.decode_step(x, k) == (s, y)
+                assert divmod(x, k) == (y, s)
                 tokens.add(x)
         assert tokens == set(range(2 * k))
 
@@ -324,7 +324,9 @@ def test_criterion_6_probe_contract(tmp_path):
                 assert rec.p == pytest.approx(expected, abs=1e-12)
 
             # double-run stability harness: zero deltas at temperature 0
-            report = llmprobe.double_run_deltas(client, "stu", steps, tag="llm")
+            students = [("stu", steps)]
+            first, _ = llmprobe.probe_sequences(client, students, tag="llm")
+            (report,) = llmprobe.stability_reports(client, students, first, tag="llm")
             assert report.stable
             assert report.max_delta == 0.0
 

@@ -428,7 +428,6 @@ def expected_audit(cache_text: str, calls: list) -> list:
     later line wins); the first miss of a key in a call is fetched, its
     repeats are hits, and later calls hit it too; a call that bypasses the
     cache fetches every prompt."""
-    from ktrace.llmprobe import ProbeClient, ProbeConfig
     from mockllm import logits_from_prompt
 
     cache = {}
@@ -438,12 +437,13 @@ def expected_audit(cache_text: str, calls: list) -> list:
             cache[entry["key"]] = entry["top_logprobs"]
         except ValueError:
             pass
-    client = ProbeClient(ProbeConfig(endpoint="http://unused", model="mock-model"))
     entries = []
     for prompts, use_cache in calls:
         fetched = {}
         for prompt in prompts:
-            key = client._cache_key(prompt)
+            body = {"model": "mock-model", "prompt": prompt.text, "max_tokens": 1,
+                    "temperature": 0.0, "logprobs": 20}
+            key = hashlib.sha256(json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()
             if use_cache and key in cache:
                 entries.append((key, True, cache[key]))
             else:
@@ -731,6 +731,19 @@ def test_evaluate_all_tags_missing_fails(tmp_path):
     cfg_path = write_config(tmp_path / "c.json", cfg_payload)
     assert main(["synth", "--config", cfg_path]) == 0
     assert main(["evaluate", "--config", cfg_path]) == 1
+
+
+def test_evaluate_names_an_empty_dump(tmp_path, capsys):
+    cfg_payload = synth_config(tmp_path)
+    cfg_payload["evaluate"] = {"tags": ["oracle"]}
+    cfg_path = write_config(tmp_path / "c.json", cfg_payload)
+    assert main(["synth", "--config", cfg_path]) == 0
+    dump = Workspace(tmp_path / "ws").dump_path("oracle")
+    dump.write_bytes(b"")
+    capsys.readouterr()
+    assert main(["evaluate", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert str(dump) in err and "no header row" in err
 
 
 def test_evaluate_refuses_mismatched_vocab_hashes(tmp_path):

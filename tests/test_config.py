@@ -195,11 +195,17 @@ def test_each_section_accepts_exactly_its_keys(tmp_path, section):
         ({"synth": {"n_students": 5}}, "'k'"),
         ({"probe": {"endpoint": "e", "model": "m", "history_limit": 0}}, "history_limit"),
         ({"probe": {"endpoint": "e", "model": "m", "history_limit": -1}}, "history_limit"),
+        ({"ratios": [1.2, -0.1, -0.1]}, "ratios"),
+        ({"probe": {"endpoint": "e", "model": "m", "max_retries": -1}}, "max_retries"),
+        ({"probe": {"endpoint": "e", "model": "m", "timeout": 0}}, "timeout"),
+        ({"probe": {"endpoint": "e", "model": "m", "backoff": -1}}, "backoff"),
+        ({"probe": {"endpoint": "e", "model": "m", "backoff": float("nan")}}, "backoff"),
     ],
     ids=[
         "tags-string", "students-string", "int-true", "int-false", "rate-true",
         "section-list", "section-string", "ratio-string", "concurrency-0", "missing-k",
-        "history-limit-0", "history-limit-negative",
+        "history-limit-0", "history-limit-negative", "ratio-negative", "retries-negative",
+        "timeout-0", "backoff-negative", "backoff-nan",
     ],
 )
 def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, extra, named):

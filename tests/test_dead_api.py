@@ -1,0 +1,61 @@
+"""No dead API: every function, class and method that ``src/ktrace`` defines
+is loaded by some code in ``src/ktrace`` or ``perfbench``.
+
+A definition counts as loaded when its name is read as a variable, as an
+attribute, or appears as an identifier string (the names ``perfbench/tracer.py``
+hands to ``Tracer.wrap``). Tests do not count: a function only a test calls
+is dead code kept alive by its test.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+KEEP = {
+    # the public reader of the checkpoint.npz that `ktrace train` writes
+    "load_checkpoint",
+    # the reference the fused BCE gradient is checked against in tests
+    "masked_bce_backward",
+}
+
+
+def loaded_names(tree: ast.AST) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            names.add(node.value)
+    return names
+
+
+def defined_names(tree: ast.Module) -> list:
+    """Top-level functions and classes, and the methods of those classes,
+    dunders aside, as ``name`` or ``Class.name``."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    names = []
+    for node in tree.body:
+        if isinstance(node, kinds):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [
+                f"{node.name}.{member.name}" for member in node.body
+                if isinstance(member, kinds) and not (member.name[:2] == member.name[-2:] == "__")
+            ]
+    return names
+
+
+def test_every_definition_in_ktrace_is_loaded():
+    sources = sorted((ROOT / "src" / "ktrace").glob("*.py"))
+    readers = sources + sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in readers}
+    loaded = set().union(*map(loaded_names, trees.values()))
+    defined = [(path.stem, name) for path in sources for name in defined_names(trees[path])]
+    assert KEEP <= {name.rpartition(".")[2] for _, name in defined}, "the keep-list names a deleted definition"
+    dead = [f"{module}.{name}" for module, name in defined if name.rpartition(".")[2] not in loaded | KEEP]
+    assert not dead, f"defined in src/ktrace but loaded by no code in src/ktrace or perfbench: {dead}"

@@ -12,11 +12,9 @@ from ktrace.dkt import (
     EarlyStopping,
     TrainConfig,
     build_batch,
-    decode_step,
     encode_step,
     load_checkpoint,
     mastery_trajectory,
-    predict_next,
     predict_records,
     save_checkpoint,
     train,
@@ -64,7 +62,7 @@ def test_encode_decode_round_trip_exhaustive_k149():
         for y in (0, 1):
             x = encode_step(s, y, k)
             assert 0 <= x < 2 * k
-            assert decode_step(x, k) == (s, y)
+            assert divmod(x, k) == (y, s)
             seen.add(x)
     assert len(seen) == 2 * k  # bijection onto [0, 2K)
 
@@ -165,26 +163,10 @@ def test_early_stopping_requires_strict_improvement():
 
 def test_zero_model_predicts_half():
     model = DktModel.zeros(k=5, embedding_dim=4, hidden_dim=6)
-    p = predict_next(model, seq("u1", [(0, 1), (2, 0)]), next_skill=3)
+    p = mastery_trajectory(model, seq("u1", [(0, 1), (2, 0)])).p[-1, 3]
     assert p == 0.5
     traj = mastery_trajectory(model, seq("u1", [(0, 1), (2, 0), (4, 1)]))
     assert np.array_equal(traj.p, np.full((3, 5), 0.5))
-
-
-def test_predict_next_matches_trajectory():
-    rng = np.random.default_rng(1)
-    cfg = TrainConfig(embedding_dim=4, hidden_dim=6, seed=9)
-    model = DktModel.init(3, cfg)
-    prefix = seq("u1", [(0, 1), (1, 0), (2, 1)])
-    traj = mastery_trajectory(model, prefix)
-    for skill in range(3):
-        assert predict_next(model, prefix, skill) == traj.p[-1, skill]
-
-
-def test_predict_next_unknown_skill_errors():
-    model = DktModel.zeros(k=3, embedding_dim=4, hidden_dim=6)
-    with pytest.raises(ValueError, match="unknown skill"):
-        predict_next(model, seq("u1", [(0, 1)]), next_skill=3)
 
 
 def test_trajectory_causality_prefix_rows_bit_identical():
@@ -365,8 +347,7 @@ def test_train_learns_toy_structure():
     assert log[0].train_loss > log[-1].train_loss or len(log) < 3
     # after training, skill 0 should look easier than skill 1
     probe = seq("probe", [(0, 1), (1, 0), (0, 1), (1, 0)])
-    p_easy = predict_next(model, probe, 0)
-    p_hard = predict_next(model, probe, 1)
+    p_easy, p_hard = mastery_trajectory(model, probe).p[-1, :2]
     assert p_easy > p_hard
 
 

@@ -282,7 +282,7 @@ def test_summarize_average_per_student():
 def test_summarize_accepts_split_and_partitions():
     seqs = _ten_students()
     split = split_students(seqs, seed=1)
-    pooled = ingest.summarize(split)
+    pooled = ingest.summarize([s for part in split.partitions().values() for s in part])
     assert pooled.n_records == sum(len(s) for s in seqs)
     per_part = ingest.summarize_split(split)
     assert set(per_part) == {"train", "val", "test"}

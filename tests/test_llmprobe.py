@@ -19,7 +19,6 @@ from ktrace.llmprobe import (
     ProbeConfig,
     ProbeError,
     UnresolvableLogitsError,
-    double_run_deltas,
     display_steps,
     prob_from_logits,
     probe_mastery,
@@ -28,6 +27,7 @@ from ktrace.llmprobe import (
     render_prompt,
     render_prompts,
     resolve_logit_pair,
+    stability_reports,
     _step_probability,
 )
 
@@ -184,6 +184,18 @@ def test_render_prompts_equal_one_prompt_renders():
     assert compared > 2000
 
 
+def request_key(model, prompt):
+    """The cache key: SHA-256 of the request body as sorted-key JSON."""
+    payload = {
+        "model": model,
+        "prompt": prompt.text,
+        "max_tokens": 1,
+        "temperature": 0.0,
+        "logprobs": 20,
+    }
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("model", ["test-model", 'a "prompt": "" model', 'ü"prompt": ""\U0001F600'])
 def test_prompt_keys_equal_cache_keys(model):
     rng = np.random.default_rng(16)
@@ -194,7 +206,7 @@ def test_prompt_keys_equal_cache_keys(model):
         for limit in LIMITS:
             client = ProbeClient(ProbeConfig(endpoint="http://unused", model=model, history_limit=limit))
             prompts = render_prompts(history, queries, limit)
-            assert client.query_keys(history, queries) == [client._cache_key(p) for p in prompts]
+            assert client.query_keys(history, queries) == [request_key(model, p) for p in prompts]
             compared += len(prompts)
     assert compared > 2000
 
@@ -318,16 +330,17 @@ def test_request_logits_passthrough_from_server():
         return {"0": -0.105, "1": -2.303}
 
     with MockLLMServer(script) as server:
-        pair = ProbeClient(probe_config(server.endpoint)).request_logits(
-            render_prompt([], ("1", "A"))
-        )
+        prompt = render_prompt([], ("1", "A"))
+        (top,) = ProbeClient(probe_config(server.endpoint)).fetch_many(["k"], lambda misses: [prompt])
+    pair = resolve_logit_pair(top)
     assert pair.l0 == pytest.approx(-0.105)
     assert pair.l1 == pytest.approx(-2.303)
 
 
 def test_request_body_matches_wire_contract():
     with MockLLMServer() as server:
-        ProbeClient(probe_config(server.endpoint)).request_logits(render_prompt([], ("1", "A")))
+        prompt = render_prompt([], ("1", "A"))
+        ProbeClient(probe_config(server.endpoint)).fetch_many(["k"], lambda misses: [prompt])
         body = server.seen_bodies[0]
     assert body["model"] == "test-model"
     assert body["max_tokens"] == 1
@@ -339,22 +352,15 @@ def test_request_body_matches_wire_contract():
 @pytest.mark.parametrize("model", ["test-model", "", 'a "prompt": "" model'])
 def test_cache_key_hashes_sorted_request_json(model):
     client = ProbeClient(ProbeConfig(endpoint="http://unused", model=model))
-    for prompt in (render_prompt([], ("1", "A")), render_prompt([("7", SKILL, 1)], ("8", "Ä \"q\""))):
-        payload = {
-            "model": model,
-            "prompt": prompt.text,
-            "max_tokens": 1,
-            "temperature": 0.0,
-            "logprobs": 20,
-        }
-        expected = hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
-        assert client._cache_key(prompt) == expected
+    for history, item in (([], ("1", "A")), ([("7", SKILL, 1)], ("8", "Ä \"q\""))):
+        prompt = render_prompt(history, item)
+        assert client.query_keys(history, [(len(history), item)]) == [request_key(model, prompt)]
 
 
 def test_unreachable_endpoint_raises_probe_error():
     config = probe_config("http://127.0.0.1:9/v1/completions", max_retries=0, timeout=0.2)
     with pytest.raises(ProbeError):
-        ProbeClient(config).request_logits(render_prompt([], ("1", "A")))
+        ProbeClient(config).fetch_many(["k"], lambda misses: [render_prompt([], ("1", "A"))])
 
 
 def test_client_error_is_not_retried():
@@ -380,7 +386,7 @@ def test_client_error_is_not_retried():
         host, port = server.server_address
         client = ProbeClient(probe_config(f"http://{host}:{port}/v1/completions", max_retries=2))
         with pytest.raises(ProbeError, match=r"rejected request \(400\): unknown model"):
-            client.request_logits(render_prompt([], ("1", "A")))
+            client.fetch_many(["k"], lambda misses: [render_prompt([], ("1", "A"))])
     finally:
         server.shutdown()
         server.server_close()
@@ -641,7 +647,7 @@ def test_retries_count_attempts_beyond_the_first():
 
     with MockLLMServer(script) as server:
         client = ProbeClient(probe_config(server.endpoint, max_retries=1))
-        client.request_logits(render_prompt([], ("1", "A")))
+        client.fetch_many(["k"], lambda misses: [render_prompt([], ("1", "A"))])
     assert client.request_count == 2
     assert client.retries == 1
     assert len(client.fetch_latencies_ms) == 1
@@ -680,7 +686,9 @@ def test_double_run_stability_reports_zero_deltas(tmp_path):
     with MockLLMServer() as server:
         config = probe_config(server.endpoint, cache_dir=str(tmp_path / "cache"))
         client = ProbeClient(config)
-        report = double_run_deltas(client, "u1", toy_steps(5), tag="llm")
+        students = [("u1", toy_steps(5))]
+        first, _ = probe_sequences(client, students, tag="llm")
+        (report,) = stability_reports(client, students, first, tag="llm")
     assert report.n_steps == 4
     assert report.max_delta == 0.0
     assert report.n_nonzero == 0
@@ -696,7 +704,9 @@ def test_double_run_detects_unstable_server(tmp_path):
 
     with MockLLMServer(script) as server:
         client = ProbeClient(probe_config(server.endpoint, max_concurrent=1))
-        report = double_run_deltas(client, "u1", toy_steps(3), tag="llm")
+        students = [("u1", toy_steps(3))]
+        first, _ = probe_sequences(client, students, tag="llm")
+        (report,) = stability_reports(client, students, first, tag="llm")
     assert report.max_delta > 0
     assert not report.stable
 

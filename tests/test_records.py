@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,14 @@ def test_dump_rejects_unknown_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError, match="header"):
         read_prediction_dump(path)
+
+
+@pytest.mark.parametrize("reader", [read_prediction_dump, read_trajectory])
+def test_empty_file_error_names_the_file(tmp_path, reader):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: no header row")):
+        reader(path)
 
 
 def test_trajectory_round_trip_with_nan(tmp_path):

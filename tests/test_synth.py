@@ -11,7 +11,6 @@ from ktrace.synth import (
     oracle_auc,
     oracle_probabilities,
     oracle_records,
-    read_oracle_sidecar,
     write_oracle_sidecar,
 )
 
@@ -245,5 +244,6 @@ def test_oracle_sidecar_round_trip(tmp_path):
     corpus = generate(spec)
     path = tmp_path / "oracle.tsv"
     write_oracle_sidecar(path, corpus)
-    loaded = read_oracle_sidecar(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    loaded = {user: [float(p) for p in probs] for user, *probs in (line.split("\t") for line in lines)}
     assert loaded == corpus.oracle
