@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import os
@@ -153,9 +154,10 @@ def _lock_holder_is_dead(lock_path: Path) -> bool:
     return False
 
 
-def write_json(path: Path, payload: dict) -> None:
+def write_json(path: Path, payload: object) -> None:
+    """Sorted, indented JSON; a dataclass is written as its fields."""
     with ingest.atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=dataclasses.asdict)
         fh.write("\n")
 
 
@@ -172,7 +174,7 @@ def load_split_sequences(ws: Workspace) -> Dict[str, List[ingest.StudentSequence
 
 def load_vocab(ws: Workspace) -> ingest.Vocab:
     with open(ws.vocab_path, "r", encoding="utf-8") as fh:
-        return ingest.Vocab.from_json_dict(json.load(fh))
+        return ingest.Vocab(**{name: tuple(ids) for name, ids in json.load(fh).items()})
 
 
 def representative_quizzes(
@@ -232,7 +234,7 @@ def write_prepared_workspace(
     stage: str = "prepare",
 ) -> None:
     ingest.write_sequences(ws.sequences_path, indexed)
-    write_json(ws.vocab_path, vocab.to_json_dict())
+    write_json(ws.vocab_path, vocab)
     write_json(
         ws.split_path,
         {
@@ -243,15 +245,9 @@ def write_prepared_workspace(
             "test": [s.user_id for s in split.test],
         },
     )
-    write_json(
-        ws.stats_path,
-        {
-            name: None if stats is None else stats.to_dict()
-            for name, stats in stats_by_column.items()
-        },
-    )
+    write_json(ws.stats_path, stats_by_column)
     if filter_report is not None:
-        write_json(ws.root / "filter_report.json", filter_report.to_dict())
+        write_json(ws.root / "filter_report.json", filter_report)
     ingest.write_rejects(ws.root / "rejects.csv", rejects)
     write_json(
         ws.repr_quiz_path,
@@ -335,7 +331,7 @@ def cmd_synth(cfg: RunConfig) -> int:
         write_prediction_dump(
             ws.dump_path("oracle"), synth.oracle_records(corpus, split.test)
         )
-        write_json(ws.root / "generative_spec.json", cfg.synth.to_dict())
+        write_json(ws.root / "generative_spec.json", cfg.synth)
 
         print_stats_table(stats_by_column)
         print(
@@ -365,21 +361,9 @@ def cmd_train(cfg: RunConfig) -> int:
         wall = time.perf_counter() - t0
 
         dkt.save_checkpoint(model, ws.checkpoint_path)
+        best = min(e.val_loss for e in log)
         write_json(
-            ws.training_log_path,
-            {
-                "epochs": [
-                    {
-                        "epoch": e.epoch,
-                        "train_loss": e.train_loss,
-                        "val_loss": e.val_loss,
-                        "seconds": e.seconds,
-                    }
-                    for e in log
-                ],
-                "best_val_loss": min(e.val_loss for e in log),
-                "config": cfg.dkt.to_dict(),
-            },
+            ws.training_log_path, {"epochs": log, "best_val_loss": best, "config": cfg.dkt}
         )
 
         predictions, mastery = dkt.predict_records(model, parts["test"], tag="dkt")
@@ -399,7 +383,6 @@ def cmd_train(cfg: RunConfig) -> int:
             "train",
             {"config_hash": cfg.config_hash(), "vocab_hash": vocab_hash, "seed": cfg.seed},
         )
-        best = min(e.val_loss for e in log)
         print(
             f"trained {len(log)} epochs in {wall:.1f}s; best validation loss {best:.4f}; "
             f"test dump: {len(predictions)} predictions"
@@ -437,13 +420,9 @@ def cmd_probe(cfg: RunConfig, tag_override: Optional[str] = None) -> int:
             for user_id in test_users
         ]
         preds, all_errors = llmprobe.probe_sequences(client, students, tag)
-        stability: List[dict] = []
+        stability: List[llmprobe.StabilityReport] = []
         if cfg.probe.stability_check:
-            reports = llmprobe.stability_reports(client, students, preds, tag)
-            stability = [
-                {"user_id": user_id, **report.to_dict()}
-                for (user_id, _), report in zip(students, reports)
-            ]
+            stability = llmprobe.stability_reports(client, students, preds, tag)
 
         mastery_paths: List[Predictions] = []
         for user_id in cfg.probe.mastery_students:
@@ -492,7 +471,7 @@ def cmd_probe(cfg: RunConfig, tag_override: Optional[str] = None) -> int:
             f"({coverage['unresolved']} unresolved), {client.request_count} network requests"
         )
         if stability:
-            worst = max(s["max_delta"] for s in stability)
+            worst = max(s.max_delta for s in stability)
             print(f"double-run stability: max probability delta {worst}")
     return 0
 
@@ -517,23 +496,22 @@ def evaluate_tag(
         return result
     result["auc"] = analysis.auc
     result["youden"] = {"threshold": analysis.youden_threshold, "j": analysis.j_stat}
-    result["confusion"] = evaluation.confusion_metrics(preds, section.threshold).to_dict()
+    result["confusion"] = evaluation.confusion_metrics(preds, section.threshold)
 
     roc_path = ws.report_path(f"roc_{tag}.csv")
     roc_rows = "".join(f"{fpr!r},{tpr!r},{thr!r}\n" for fpr, tpr, thr in analysis.roc)
     with ingest.atomic_open(roc_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("fpr,tpr,threshold\n" + roc_rows)
 
-    stage_table = evaluation.stage_errors(
+    result["stage_errors"] = evaluation.stage_errors(
         preds, analysis.youden_threshold, macro=section.stage_macro
     )
-    result["stage_errors"] = [row.to_dict() for row in stage_table]
 
     mastery_path = ws.dump_path(tag, "mastery")
     if mastery_path.exists():
         mastery = read_prediction_dump(mastery_path)
         try:
-            result["coherence"] = evaluation.coherence_report(mastery).to_dict()
+            result["coherence"] = evaluation.coherence_report(mastery)
         except ValueError as exc:
             result["coherence_error"] = str(exc)
 
@@ -591,15 +569,15 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         for tag, outcome in results.items():
             line = f"{tag}: "
             if "auc" in outcome:
-                line += f"AUC {outcome['auc']:.4f}, accuracy {outcome['confusion']['accuracy']:.4f}"
+                line += f"AUC {outcome['auc']:.4f}, accuracy {outcome['confusion'].accuracy:.4f}"
                 line += f", t* {outcome['youden']['threshold']:.4f}"
             else:
                 line += outcome.get("auc_error", "no metrics")
             if "coherence" in outcome:
                 coh = outcome["coherence"]
                 line += (
-                    f", volatility {coh['volatility']:.4f}, "
-                    f"inconsistency {coh['inconsistency']:.4f}"
+                    f", volatility {coh.volatility:.4f}, "
+                    f"inconsistency {coh.inconsistency:.4f}"
                 )
             print(line)
         print(f"reports written to {ws.report_path('metrics.json').parent}")

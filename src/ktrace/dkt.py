@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import List, Sequence, Tuple
 
@@ -183,8 +183,15 @@ class TrainConfig:
     max_epochs: int = 100
     seed: int = 0
 
-    def to_dict(self) -> dict:
-        return dict(vars(self))
+    def __post_init__(self):
+        for name in ("embedding_dim", "hidden_dim", "batch_size", "max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.max_t < 2:
+            raise ValueError("max_t must be >= 2")
+        for name in ("learning_rate", "clip_norm"):
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise ValueError(f"{name} must be > 0")
 
 
 @dataclass
@@ -200,7 +207,7 @@ class DktModel:
     @classmethod
     def init(cls, k: int, cfg: TrainConfig, vocab_hash: str = "") -> "DktModel":
         net = nncore.init_net(2 * k, cfg.embedding_dim, cfg.hidden_dim, k, seed=cfg.seed)
-        return cls(net=net, k=k, vocab_hash=vocab_hash, config=cfg.to_dict())
+        return cls(net=net, k=k, vocab_hash=vocab_hash, config=asdict(cfg))
 
     @classmethod
     def zeros(cls, k: int, embedding_dim: int = 64, hidden_dim: int = 128) -> "DktModel":
@@ -315,9 +322,8 @@ def train(
                 seconds=seconds,
             )
         )
-        improved = val_loss < stopper.best_loss
         stop = stopper.update(epoch, val_loss)
-        if improved:
+        if stopper.best_epoch == epoch:
             best_net = net.copy()
         if stop:
             break

@@ -112,9 +112,6 @@ class ClassMetrics:
     f1: float
     support: int
 
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
 
 @dataclass
 class ConfusionMetrics:
@@ -123,15 +120,6 @@ class ConfusionMetrics:
     threshold: float
     counts: Dict[str, int]
     zero_division_flags: List[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "threshold": self.threshold,
-            "per_class": {str(c): m.to_dict() for c, m in self.per_class.items()},
-            "counts": self.counts,
-            "zero_division_flags": self.zero_division_flags,
-        }
 
 
 def confusion_metrics(preds: Predictions, threshold: float = 0.5) -> ConfusionMetrics:
@@ -207,9 +195,6 @@ class ProfileStageErrors:
     stage: str
     error: float
     n: int
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
 
 
 def stage_errors(
@@ -311,14 +296,6 @@ class CoherenceReport:
     inconsistency: float
     n_update_pairs: int
     per_student: Dict[str, Dict[str, float]]
-
-    def to_dict(self) -> dict:
-        return {
-            "volatility": self.volatility,
-            "inconsistency": self.inconsistency,
-            "n_update_pairs": self.n_update_pairs,
-            "per_student": self.per_student,
-        }
 
 
 def coherence_report(mastery: Predictions) -> CoherenceReport:

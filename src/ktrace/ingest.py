@@ -12,9 +12,6 @@ fills an ``InteractionColumns`` (one list per field, in file order); one
 stable sort of the single-skill rows by (user_id, order_id, problem_id, row
 index) then feeds both the ordered sequences and the skill-name pass, and
 the raw-log statistics are set and sum reductions over the columns.
-``InteractionColumns`` is also the record API: indexing it builds an
-``InteractionRecord``, and the functions that take records accept a plain
-record list by converting it to columns.
 """
 
 from __future__ import annotations
@@ -25,8 +22,7 @@ import hashlib
 import json
 import os
 import re
-from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from collections import Counter
 from itertools import chain
@@ -55,19 +51,6 @@ class ColumnMappingError(ValueError):
 
 
 @dataclass(frozen=True)
-class InteractionRecord:
-    """One logged student attempt."""
-
-    order_id: int
-    user_id: str
-    problem_id: str
-    skill_raw: str   # raw skill-id field; may be empty or comma-separated
-    skill_name: str
-    correct: int
-    row_index: int   # 1-based data-row number in the source file
-
-
-@dataclass(frozen=True)
 class RejectedRow:
     line_number: int
     reason: str
@@ -75,42 +58,21 @@ class RejectedRow:
 
 
 @dataclass(eq=False)
-class InteractionColumns(SequenceABC):
-    """Parsed rows as parallel per-field lists, in file order.
-
-    As a sequence it is the record API: ``len()`` is O(1), an item is an
-    ``InteractionRecord`` built on access, and it compares equal to a list of
-    the same records. Treat it as read-only once built: ``ordered`` is cached.
-    """
+class InteractionColumns:
+    """Parsed rows as parallel per-field lists, in file order: one row per
+    logged student attempt. Treat it as read-only once built: ``ordered`` is
+    cached."""
 
     order_id: List[int] = field(default_factory=list)
     user_id: List[str] = field(default_factory=list)
     problem_id: List[str] = field(default_factory=list)
-    skill_raw: List[str] = field(default_factory=list)
+    skill_raw: List[str] = field(default_factory=list)   # may be empty or comma-separated
     skill_name: List[str] = field(default_factory=list)
     correct: List[int] = field(default_factory=list)
-    row_index: List[int] = field(default_factory=list)
-
-    @classmethod
-    def from_records(cls, records: Iterable[InteractionRecord]) -> "InteractionColumns":
-        rows = list(map(attrgetter(*_RECORD_FIELDS), records))
-        return cls(*map(list, zip(*rows))) if rows else cls()
+    row_index: List[int] = field(default_factory=list)   # 1-based data-row number in the file
 
     def __len__(self) -> int:
         return len(self.row_index)
-
-    def __getitem__(self, i: int) -> InteractionRecord:
-        return InteractionRecord(*(getattr(self, name)[i] for name in _RECORD_FIELDS))
-
-    def __iter__(self) -> Iterator[InteractionRecord]:
-        return map(InteractionRecord, *(getattr(self, name) for name in _RECORD_FIELDS))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (InteractionColumns, list, tuple)):
-            return len(self) == len(other) and list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
 
     @cached_property
     def ordered(self) -> List[int]:
@@ -123,15 +85,6 @@ class InteractionColumns(SequenceABC):
         return keep
 
 
-_RECORD_FIELDS = tuple(f.name for f in fields(InteractionRecord))
-
-
-def _columnar(records: Iterable[InteractionRecord]) -> InteractionColumns:
-    if isinstance(records, InteractionColumns):
-        return records
-    return InteractionColumns.from_records(records)
-
-
 @dataclass
 class ParseResult:
     columns: InteractionColumns
@@ -140,7 +93,7 @@ class ParseResult:
 
     @property
     def records(self) -> InteractionColumns:
-        """The parsed rows through the record API (records build on access)."""
+        """``columns``, under the name ``perfbench/tracer.py`` reads."""
         return self.columns
 
 
@@ -158,10 +111,6 @@ class StudentSequence:
     def __len__(self) -> int:
         return len(self.steps)
 
-    @property
-    def labels(self) -> List[int]:
-        return [y for _, _, y in self.steps]
-
 
 @dataclass
 class FilterReport:
@@ -171,9 +120,6 @@ class FilterReport:
     short_students: int = 0
     kept_records: int = 0
     kept_students: int = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -203,21 +149,6 @@ class Vocab:
         ).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "skill_ids": list(self.skill_ids),
-            "quiz_ids": list(self.quiz_ids),
-            "skill_names": list(self.skill_names),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Vocab":
-        return cls(
-            skill_ids=tuple(d["skill_ids"]),
-            quiz_ids=tuple(d["quiz_ids"]),
-            skill_names=tuple(d["skill_names"]),
-        )
-
 
 @dataclass
 class DatasetSplit:
@@ -242,9 +173,6 @@ class DatasetStats:
     avg_per_skill: float = 0.0
     n_correct: int = 0
     n_incorrect: int = 0
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +302,7 @@ def parse_interactions(
 
 
 def filter_and_order(
-    records: Iterable[InteractionRecord],
+    cols: InteractionColumns,
 ) -> Tuple[List[StudentSequence], FilterReport]:
     """Apply the preprocessing filters and build ordered raw-id sequences.
 
@@ -383,7 +311,6 @@ def filter_and_order(
     than three interactions. The surviving rows are grouped per student and
     sorted by (order_id, problem_id, row_index).
     """
-    cols = _columnar(records)
     order = cols.ordered
     report = FilterReport(missing_skill=cols.skill_raw.count(""))
     report.multi_skill = len(cols) - report.missing_skill - len(order)
@@ -406,11 +333,10 @@ def filter_and_order(
     return sequences, report
 
 
-def collect_skill_names(records: Iterable[InteractionRecord]) -> Dict[str, str]:
+def collect_skill_names(cols: InteractionColumns) -> Dict[str, str]:
     """First non-empty display name per raw skill id, in deterministic
     (user, order, problem, row) traversal order. Rows of students that the
     length filter drops still name their skills."""
-    cols = _columnar(records)
     # walking backwards, the last name met per skill is the first one forwards
     backwards = cols.ordered[::-1]
     named = filter(itemgetter(1), zip(map(cols.skill_raw.__getitem__, backwards),
@@ -545,10 +471,9 @@ def summarize_split(split: DatasetSplit) -> Dict[str, DatasetStats]:
     return {name: summarize(part) for name, part in split.partitions().items()}
 
 
-def summarize_records(records: Iterable[InteractionRecord]) -> DatasetStats:
-    """Stats over raw parsed records (the pre-filter view). Comma-separated
+def summarize_records(cols: InteractionColumns) -> DatasetStats:
+    """Stats over the raw parsed rows (the pre-filter view). Comma-separated
     skill cells contribute each component id to the distinct-skill count."""
-    cols = _columnar(records)
     n = len(cols)
     if not n:
         return DatasetStats()

@@ -37,7 +37,7 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -564,10 +564,9 @@ def probe_sequence(
     user_id: str,
     steps: Sequence[DisplayStep],
     tag: str,
-    use_cache: bool = True,
 ) -> Tuple[Predictions, List[str]]:
     """``probe_sequences`` for one student."""
-    return probe_sequences(client, [(user_id, steps)], tag, use_cache=use_cache)
+    return probe_sequences(client, [(user_id, steps)], tag)
 
 
 def probe_mastery(
@@ -576,7 +575,6 @@ def probe_mastery(
     steps: Sequence[DisplayStep],
     skill_names: Sequence[str],
     representative_quiz: Sequence[str],
-    use_cache: bool = True,
 ) -> MasteryTrajectory:
     """Full T x K mastery matrix: after each observed step, one probe per
     skill with that skill's representative item as the next quiz. Issues
@@ -591,7 +589,7 @@ def probe_mastery(
         for t in range(1, len(steps) + 1)
         for skill in range(k)
     ]
-    tops = _fetch_tops(client, [(_history_triples(steps), queries)], use_cache)
+    tops = _fetch_tops(client, [(_history_triples(steps), queries)], use_cache=True)
     p = np.array([_step_probability(top)[0] for top in tops]).reshape(len(steps), k)
     return MasteryTrajectory(
         user_id=user_id, p=p, steps=[(s.skill, -1, s.y) for s in steps]
@@ -600,25 +598,17 @@ def probe_mastery(
 
 @dataclass
 class StabilityReport:
-    """Outcome of the double-run comparison at temperature 0."""
+    """Outcome of one student's double-run comparison at temperature 0."""
 
+    user_id: str
     n_steps: int
     max_delta: float
     n_nonzero: int
     n_resolution_mismatches: int
+    stable: bool = field(init=False)
 
-    @property
-    def stable(self) -> bool:
-        return self.max_delta == 0.0 and self.n_resolution_mismatches == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "n_steps": self.n_steps,
-            "max_delta": self.max_delta,
-            "n_nonzero": self.n_nonzero,
-            "n_resolution_mismatches": self.n_resolution_mismatches,
-            "stable": self.stable,
-        }
+    def __post_init__(self):
+        self.stable = self.max_delta == 0.0 and self.n_resolution_mismatches == 0
 
 
 def stability_reports(
@@ -640,10 +630,11 @@ def stability_reports(
     delta = np.where(unresolved_a | unresolved_b, 0.0, np.abs(first.p - second.p))
     reports: List[StabilityReport] = []
     end = 0
-    for _, steps in students:
+    for user_id, steps in students:
         start, end = end, end + len(steps) - 1
         reports.append(
             StabilityReport(
+                user_id=user_id,
                 n_steps=end - start,
                 max_delta=float(delta[start:end].max(initial=0.0)),
                 n_nonzero=int(np.count_nonzero(delta[start:end])),

@@ -67,19 +67,6 @@ class GenerativeSpec:
             if g >= 0.5 or s >= 0.5:
                 raise ValueError("p_guess and p_slip must be < 0.5")
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "p_init": list(self.p_init),
-            "p_learn": list(self.p_learn),
-            "p_guess": list(self.p_guess),
-            "p_slip": list(self.p_slip),
-            "n_students": self.n_students,
-            "mean_length": self.mean_length,
-            "min_length": self.min_length,
-            "seed": self.seed,
-        }
-
 
 @dataclass
 class SynthCorpus:

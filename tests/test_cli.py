@@ -222,6 +222,15 @@ def test_synth_then_train_end_to_end(tmp_path, capsys):
     assert ws.sequences_path.exists()
     assert ws.oracle_path.exists()
     assert ws.dump_path("oracle").exists()
+    # the spec written as its fields, each rate broadcast to one value per skill
+    assert (ws.root / "generative_spec.json").read_text(encoding="utf-8") == (
+        '{\n  "k": 3,\n  "mean_length": 8.0,\n  "min_length": 4,\n  "n_students": 40,\n'
+        '  "p_guess": [\n    0.2,\n    0.2,\n    0.2\n  ],\n'
+        '  "p_init": [\n    0.3,\n    0.3,\n    0.3\n  ],\n'
+        '  "p_learn": [\n    0.25,\n    0.25,\n    0.25\n  ],\n'
+        '  "p_slip": [\n    0.1,\n    0.1,\n    0.1\n  ],\n'
+        '  "seed": 11\n}\n'
+    )
 
     assert main(["train", "--config", cfg_path]) == 0
     out = capsys.readouterr().out
@@ -230,7 +239,14 @@ def test_synth_then_train_end_to_end(tmp_path, capsys):
 
     log = json.loads(ws.training_log_path.read_text())
     assert 1 <= len(log["epochs"]) <= 3
-    assert all("val_loss" in e for e in log["epochs"])
+    assert set(log) == {"epochs", "best_val_loss", "config"}
+    assert all(set(e) == {"epoch", "train_loss", "val_loss", "seconds"} for e in log["epochs"])
+    assert [e["epoch"] for e in log["epochs"]] == list(range(1, len(log["epochs"]) + 1))
+    assert log["best_val_loss"] == min(e["val_loss"] for e in log["epochs"])
+    assert log["config"] == {
+        "embedding_dim": 8, "hidden_dim": 12, "learning_rate": 0.005, "batch_size": 16,
+        "max_t": 20, "clip_norm": 5.0, "patience": 3, "max_epochs": 3, "seed": 11,
+    }
 
     preds = read_prediction_dump(ws.dump_path("dkt"))
     split = json.loads(ws.split_path.read_text())
@@ -344,9 +360,15 @@ def test_probe_stability_flag_reports_zero_deltas(tmp_path):
         assert main(["probe", "--config", cfg_path]) == 0
         ws = Workspace(tmp_path / "ws")
         report = json.loads((ws.root / "probe_report_llm.json").read_text())
-        assert report["stability"]
-        assert all(s["max_delta"] == 0.0 for s in report["stability"])
-        assert all(s["stable"] for s in report["stability"])
+        split = json.loads(ws.split_path.read_text())
+        from ktrace.ingest import read_sequences
+
+        sequences = {s.user_id: s for s in read_sequences(ws.sequences_path)}
+        assert report["stability"] == [
+            {"user_id": u, "n_steps": len(sequences[u]) - 1, "max_delta": 0.0, "n_nonzero": 0,
+             "n_resolution_mismatches": 0, "stable": True}
+            for u in split["test"]
+        ]
 
 
 def test_warm_stability_check_renders_only_the_uncached_rerun(tmp_path, monkeypatch):

@@ -200,12 +200,24 @@ def test_each_section_accepts_exactly_its_keys(tmp_path, section):
         ({"probe": {"endpoint": "e", "model": "m", "timeout": 0}}, "timeout"),
         ({"probe": {"endpoint": "e", "model": "m", "backoff": -1}}, "backoff"),
         ({"probe": {"endpoint": "e", "model": "m", "backoff": float("nan")}}, "backoff"),
+        ({"dkt": {"embedding_dim": 0}}, "embedding_dim"),
+        ({"dkt": {"hidden_dim": 0}}, "hidden_dim"),
+        ({"dkt": {"batch_size": 0}}, "batch_size"),
+        ({"dkt": {"max_epochs": 0}}, "max_epochs"),
+        ({"dkt": {"patience": 0}}, "patience"),
+        ({"dkt": {"max_t": 1}}, "max_t"),
+        ({"dkt": {"learning_rate": 0}}, "learning_rate"),
+        ({"dkt": {"learning_rate": float("nan")}}, "learning_rate"),
+        ({"dkt": {"clip_norm": -1}}, "clip_norm"),
+        ({"dkt": {"clip_norm": float("nan")}}, "clip_norm"),
     ],
     ids=[
         "tags-string", "students-string", "int-true", "int-false", "rate-true",
         "section-list", "section-string", "ratio-string", "concurrency-0", "missing-k",
         "history-limit-0", "history-limit-negative", "ratio-negative", "retries-negative",
-        "timeout-0", "backoff-negative", "backoff-nan",
+        "timeout-0", "backoff-negative", "backoff-nan", "embedding-dim-0", "hidden-dim-0",
+        "batch-size-0", "max-epochs-0", "patience-0", "max-t-1", "learning-rate-0",
+        "learning-rate-nan", "clip-norm-negative", "clip-norm-nan",
     ],
 )
 def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, extra, named):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -463,7 +464,12 @@ def test_checkpoint_round_trip(tmp_path):
     loaded = load_checkpoint(path, expect_vocab_hash="abc123")
     assert loaded.k == 4
     assert loaded.vocab_hash == "abc123"
-    assert loaded.config == cfg.to_dict()
+    assert loaded.config == asdict(cfg)
+    # the meta config is the TrainConfig written as its fields
+    assert set(loaded.config) == {
+        "embedding_dim", "hidden_dim", "learning_rate", "batch_size", "max_t",
+        "clip_norm", "patience", "max_epochs", "seed",
+    }
     for name, arr in model.net.flat().items():
         assert np.array_equal(arr, loaded.net.flat()[name])
 

@@ -37,20 +37,21 @@ def make_rows(user: str, n: int, skill: str = "7", start_order: int = 1) -> str:
 
 def test_parse_single_valid_row():
     result = parse("10,u1,p1,1,33,Box and Whisker\n")
-    assert len(result.records) == 1
+    assert len(result.columns) == 1
     assert result.rejects == []
-    rec = result.records[0]
-    assert rec.order_id == 10
-    assert rec.user_id == "u1"
-    assert rec.problem_id == "p1"
-    assert rec.correct == 1
-    assert rec.skill_raw == "33"
-    assert rec.skill_name == "Box and Whisker"
+    cols = result.columns
+    assert cols.order_id == [10]
+    assert cols.user_id == ["u1"]
+    assert cols.problem_id == ["p1"]
+    assert cols.correct == [1]
+    assert cols.skill_raw == ["33"]
+    assert cols.skill_name == ["Box and Whisker"]
+    assert cols.row_index == [1]
 
 
 def test_parse_rejects_correct_out_of_domain():
     result = parse("10,u1,p1,2,33,Box and Whisker\n")
-    assert result.records == []
+    assert len(result.columns) == 0
     assert len(result.rejects) == 1
     assert result.rejects[0].reason == "bad correct"
     assert result.rejects[0].line_number == 2
@@ -65,7 +66,7 @@ def test_parse_rejects_missing_order_and_user():
 
 def test_parse_accepts_float_encoded_correct():
     result = parse("1,u1,p1,1.0,33,n\n2,u1,p2,0.0,33,n\n")
-    assert [r.correct for r in result.records] == [1, 0]
+    assert result.columns.correct == [1, 0]
 
 
 def test_parse_missing_required_column_is_config_error():
@@ -86,19 +87,19 @@ def test_parse_custom_column_mapping():
             "skill_name": "sname",
         },
     )
-    assert len(result.records) == 1
-    assert result.records[0].user_id == "u9"
+    assert len(result.columns) == 1
+    assert result.columns.user_id == ["u9"]
 
 
 def test_parse_drops_fully_identical_duplicate_rows():
     result = parse("1,u1,p1,1,33,n\n1,u1,p1,1,33,n\n")
-    assert len(result.records) == 1
+    assert len(result.columns) == 1
     assert result.duplicates_dropped == 1
 
 
 def test_parse_keeps_repeated_order_ids_with_differences():
     result = parse("1,u1,p1,1,33,n\n1,u1,p2,1,33,n\n")
-    assert len(result.records) == 2
+    assert len(result.columns) == 2
 
 
 def test_parse_tab_delimited():
@@ -107,7 +108,7 @@ def test_parse_tab_delimited():
         "1\tu1\tp1\t1\t33\tn\n"
     )
     result = parse_interactions(stream, delimiter="\t")
-    assert len(result.records) == 1
+    assert len(result.columns) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +117,9 @@ def test_parse_tab_delimited():
 
 def test_filter_removes_short_students():
     result = parse(make_rows("u1", 2))
-    sequences, report = filter_and_order(result.records)
+    assert len(result.columns) == 2
+    assert result.columns.user_id == ["u1", "u1"]
+    sequences, report = filter_and_order(result.columns)
     assert sequences == []
     assert report.short_students == 1
     assert report.short_student_rows == 2
@@ -124,7 +127,7 @@ def test_filter_removes_short_students():
 
 def test_filter_drops_multi_skill_rows():
     result = parse("1,u1,p1,1,\"10,12\",combo\n" + make_rows("u1", 3, start_order=2))
-    sequences, report = filter_and_order(result.records)
+    sequences, report = filter_and_order(result.columns)
     assert report.multi_skill == 1
     assert len(sequences) == 1
     assert len(sequences[0]) == 3
@@ -132,7 +135,9 @@ def test_filter_drops_multi_skill_rows():
 
 def test_filter_drops_missing_skill_rows():
     result = parse("1,u1,p1,1,,\n" + make_rows("u1", 3, start_order=2))
-    sequences, report = filter_and_order(result.records)
+    cols = result.columns
+    assert (cols.skill_raw[0], cols.skill_name[0], cols.row_index[0]) == ("", "", 1)
+    sequences, report = filter_and_order(cols)
     assert report.missing_skill == 1
     assert len(sequences[0]) == 3
 
@@ -144,29 +149,18 @@ def test_filter_orders_by_order_id_with_tie_breaks():
         "1,u1,pC,1,3,n\n"
     )
     result = parse(text)
-    sequences, _ = filter_and_order(result.records)
+    sequences, _ = filter_and_order(result.columns)
     quizzes = [q for _, q, _ in sequences[0].steps]
     assert quizzes == ["pC", "pA", "pB"]
 
 
 def test_filter_is_idempotent():
     result = parse(make_rows("u2", 4) + make_rows("u1", 3, skill="9"))
-    sequences, _ = filter_and_order(result.records)
-    # rebuild records from the filtered sequences and run the filters again
-    rebuilt = []
-    for seq in sequences:
-        for i, (skill, quiz, y) in enumerate(seq.steps):
-            rebuilt.append(
-                ingest.InteractionRecord(
-                    order_id=i,
-                    user_id=seq.user_id,
-                    problem_id=quiz,
-                    skill_raw=skill,
-                    skill_name="",
-                    correct=y,
-                    row_index=i,
-                )
-            )
+    sequences, _ = filter_and_order(result.columns)
+    # rebuild parsed columns from the filtered sequences and run the filters again
+    rows = [(i, seq.user_id, quiz, skill, "", y, i)
+            for seq in sequences for i, (skill, quiz, y) in enumerate(seq.steps)]
+    rebuilt = ingest.InteractionColumns(*map(list, zip(*rows)))
     again, report = filter_and_order(rebuilt)
     assert [(s.user_id, s.steps) for s in again] == [(s.user_id, s.steps) for s in sequences]
     assert report.missing_skill == report.multi_skill == report.short_students == 0
@@ -180,8 +174,8 @@ def test_vocab_first_appearance_order():
     result = parse(
         "1,u1,p1,1,A,Alpha\n2,u1,p2,0,B,Beta\n3,u1,p1,1,A,Alpha\n"
     )
-    sequences, _ = filter_and_order(result.records)
-    vocab = build_vocab(sequences, collect_skill_names(result.records))
+    sequences, _ = filter_and_order(result.columns)
+    vocab = build_vocab(sequences, collect_skill_names(result.columns))
     assert vocab.skill_to_index == {"A": 0, "B": 1}
     assert vocab.k == 2
     assert vocab.skill_names == ("Alpha", "Beta")
@@ -189,7 +183,7 @@ def test_vocab_first_appearance_order():
 
 def test_vocab_rebuild_is_identical():
     result = parse(make_rows("u1", 3) + make_rows("u2", 4, skill="9"))
-    sequences, _ = filter_and_order(result.records)
+    sequences, _ = filter_and_order(result.columns)
     v1 = build_vocab(sequences)
     v2 = build_vocab(sequences)
     assert v1 == v2
@@ -198,7 +192,7 @@ def test_vocab_rebuild_is_identical():
 
 def test_index_sequences_round_trip():
     result = parse(make_rows("u1", 3) + make_rows("u2", 4, skill="9"))
-    sequences, _ = filter_and_order(result.records)
+    sequences, _ = filter_and_order(result.columns)
     vocab = build_vocab(sequences)
     indexed = index_sequences(sequences, vocab)
     for raw_seq, idx_seq in zip(sequences, indexed):
@@ -214,7 +208,7 @@ def test_index_sequences_round_trip():
 
 def _ten_students():
     text = "".join(make_rows(f"u{i:02d}", 3, start_order=1) for i in range(10))
-    sequences, _ = filter_and_order(parse(text).records)
+    sequences, _ = filter_and_order(parse(text).columns)
     return sequences
 
 
@@ -272,7 +266,7 @@ def test_summarize_empty_is_all_zero():
 
 def test_summarize_average_per_student():
     text = make_rows("u1", 3) + make_rows("u2", 5)
-    sequences, _ = filter_and_order(parse(text).records)
+    sequences, _ = filter_and_order(parse(text).columns)
     stats = summarize(sequences)
     assert stats.n_students == 2
     assert stats.n_records == 8
@@ -291,7 +285,7 @@ def test_summarize_accepts_split_and_partitions():
 
 def test_summarize_correct_plus_incorrect_is_total():
     text = make_rows("u1", 7) + make_rows("u2", 4, skill="9")
-    sequences, _ = filter_and_order(parse(text).records)
+    sequences, _ = filter_and_order(parse(text).columns)
     stats = summarize(sequences)
     assert stats.n_correct + stats.n_incorrect == stats.n_records
 
@@ -302,7 +296,7 @@ def test_summarize_correct_plus_incorrect_is_total():
 
 def test_sequence_file_round_trip(tmp_path):
     text = make_rows("u1", 3) + make_rows("u2", 4, skill="9")
-    sequences, _ = filter_and_order(parse(text).records)
+    sequences, _ = filter_and_order(parse(text).columns)
     vocab = build_vocab(sequences)
     indexed = index_sequences(sequences, vocab)
     path = tmp_path / "sequences.txt"
@@ -313,7 +307,7 @@ def test_sequence_file_round_trip(tmp_path):
 
 def test_sequence_file_bytes_are_deterministic(tmp_path):
     text = make_rows("u1", 3)
-    sequences, _ = filter_and_order(parse(text).records)
+    sequences, _ = filter_and_order(parse(text).columns)
     indexed = index_sequences(sequences, build_vocab(sequences))
     p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
     write_sequences(p1, indexed)
@@ -322,7 +316,7 @@ def test_sequence_file_bytes_are_deterministic(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# order keys, the record view and file safety
+# order keys and file safety
 
 
 def test_parse_rejects_infinite_order_id():
@@ -330,54 +324,39 @@ def test_parse_rejects_infinite_order_id():
     assert [(r.line_number, r.reason) for r in result.rejects] == [
         (2, "bad order_id"), (3, "bad order_id"), (4, "bad order_id")
     ]
-    assert [r.problem_id for r in result.records] == ["p4"]
+    assert result.columns.problem_id == ["p4"]
 
 
 def test_parse_order_ids_above_2_pow_53_stay_exact():
     result = parse(
         "9007199254740993,u1,pA,1,3,n\n9007199254740992,u1,pB,1,3,n\n12.0,u1,pC,0,3,n\n"
     )
-    assert [r.order_id for r in result.records] == [9007199254740993, 9007199254740992, 12]
-    sequences, _ = filter_and_order(result.records)
+    assert result.columns.order_id == [9007199254740993, 9007199254740992, 12]
+    sequences, _ = filter_and_order(result.columns)
     assert [q for _, q, _ in sequences[0].steps] == ["pC", "pB", "pA"]
 
 
-def test_record_view_len_builds_no_record(monkeypatch):
-    result = parse(make_rows("u1", 4))
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("an InteractionRecord was built")
-
-    monkeypatch.setattr(ingest.InteractionRecord, "__init__", refuse)
-    assert len(result.records) == 4
-    assert result.records.user_id == ["u1"] * 4
-    filter_and_order(result.records)
-    collect_skill_names(result.records)
-    ingest.summarize_records(result.records)
-
-
-def test_record_view_items_and_equality():
-    result = parse("2,u1,p1,1,33,n\n1,u2,p2,0,,\n")
-    records = list(result.records)
-    assert result.records == records and records == result.records
-    assert result.records[-1] == records[1]
-    assert result.records != records[:1]
-    assert records[1] == ingest.InteractionRecord(1, "u2", "p2", "", "", 0, 2)
-
-
-def test_record_list_and_columns_give_the_same_sequences_and_names():
+def test_filter_sequences_names_and_raw_stats_of_a_mixed_log():
     text = (
         "5,u2,pB,1,4,\n5,u2,pA,0,4,Four\n1,u1,p1,1,\"4,5\",Both\n"
         "2,u1,p2,1,5,Five\n3,u1,p3,0,5,\n4,u1,p4,1,4,Other\n1,u3,p9,1,6,Six\n"
         + make_rows("u2", 2, skill="6", start_order=7)
     )
-    columns = parse(text).records
-    records = list(columns)
-    assert filter_and_order(records) == filter_and_order(columns)
-    assert collect_skill_names(records) == collect_skill_names(columns) == {
-        "4": "Other", "5": "Five", "6": "Skill 6"
-    }
-    assert ingest.summarize_records(records) == ingest.summarize_records(columns)
+    columns = parse(text).columns
+    sequences, report = filter_and_order(columns)
+    assert [(s.user_id, s.steps) for s in sequences] == [
+        ("u1", [("5", "p2", 1), ("5", "p3", 0), ("4", "p4", 1)]),
+        ("u2", [("4", "pA", 0), ("4", "pB", 1), ("6", "q0", 0), ("6", "q1", 1)]),
+    ]
+    assert report == ingest.FilterReport(
+        missing_skill=0, multi_skill=1, short_student_rows=1, short_students=1,
+        kept_records=7, kept_students=2,
+    )
+    assert collect_skill_names(columns) == {"4": "Other", "5": "Five", "6": "Skill 6"}
+    assert ingest.summarize_records(columns) == ingest.DatasetStats(
+        n_records=9, n_students=3, n_quizzes=9, n_skills=3, avg_per_student=3.0,
+        avg_per_quiz=1.0, avg_per_skill=3.0, n_correct=6, n_incorrect=3,
+    )
 
 
 def test_read_sequences_rejects_cells_without_three_values(tmp_path):

@@ -171,7 +171,7 @@ def test_empirical_rate_matches_oracle_mean_within_3_sigma():
                           n_students=400, mean_length=30, seed=11)
     corpus = generate(spec)
     probs = np.concatenate([np.array(corpus.oracle[s.user_id]) for s in corpus.sequences])
-    labels = np.concatenate([np.array(s.labels) for s in corpus.sequences])
+    labels = np.concatenate([np.array(s.steps)[:, 2] for s in corpus.sequences])
     sigma = float(np.sqrt((probs * (1 - probs)).sum())) / len(probs)
     assert abs(labels.mean() - probs.mean()) <= 3 * sigma
 
