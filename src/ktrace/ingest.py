@@ -21,14 +21,15 @@ import csv
 import hashlib
 import json
 import os
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from collections import Counter
 from itertools import chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple
+from typing import (
+    Callable, Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple,
+)
 
 import numpy as np
 
@@ -175,6 +176,25 @@ class DatasetStats:
     n_incorrect: int = 0
 
 
+class _Memo(dict):
+    """key -> ``make(key)``, computed on the first lookup of each distinct
+    key and shared by every later one. A ``make`` that raises stores nothing.
+
+    The step stream repeats heavily (the proxy log has about 1,200 distinct
+    steps among 56,000), so building, formatting and parsing each distinct
+    step once leaves one tuple or string per distinct value."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -247,9 +267,10 @@ def parse_interactions(
     # a digest instead of the raw row keeps memory flat on wide files; copying
     # one configured hasher is cheaper than constructing one per row
     hasher = hashlib.blake2b(digest_size=16)
-    # one string object per distinct id or name: the columns then hold
-    # pointers to a few thousand strings, not a fresh string per cell
-    share = {}.setdefault
+    # raw id or name cell -> its stripped text, one string object per distinct
+    # cell: the columns then hold pointers to a few thousand strings, not a
+    # fresh string per cell
+    text = _Memo(str.strip).__getitem__
     seen: set = set()
     duplicates = 0
 
@@ -267,31 +288,30 @@ def parse_interactions(
         seen.add(key)
 
         cells = row if len(row) >= width else row + [""] * (width - len(row))
-        user_id, order_cell, correct_cell, problem_id, skill_raw, skill_name = map(
-            str.strip, cells_of(cells)
-        )
+        user_cell, order_cell, correct_cell, problem_cell, skill_cell, name_cell = cells_of(cells)
+        user_id = text(user_cell)
         if not user_id:
             rejects.append(RejectedRow(row_index + 1, "missing user_id", delimiter.join(row)))
             continue
         try:
-            order_id = _parse_order_id(order_cell)
+            order_id = _parse_order_id(order_cell.strip())
         except ValueError:
             rejects.append(RejectedRow(row_index + 1, "bad order_id", delimiter.join(row)))
             continue
         correct = _CORRECT_FAST.get(correct_cell)
         if correct is None:
             try:
-                correct = _parse_correct(correct_cell)
+                correct = _parse_correct(correct_cell.strip())
             except ValueError:
                 rejects.append(RejectedRow(row_index + 1, "bad correct", delimiter.join(row)))
                 continue
 
-        add_user(share(user_id, user_id))
+        add_user(user_id)
         add_order(order_id)
         add_correct(correct)
-        add_problem(share(problem_id, problem_id))
-        add_skill(share(skill_raw, skill_raw))
-        add_name(share(skill_name, skill_name))
+        add_problem(text(problem_cell))
+        add_skill(text(skill_cell))
+        add_name(text(name_cell))
         add_row(row_index)
 
     return ParseResult(columns=cols, rejects=rejects, duplicates_dropped=duplicates)
@@ -376,20 +396,12 @@ def build_vocab(
 
 
 def index_sequences(sequences: Sequence[StudentSequence], vocab: Vocab) -> List[StudentSequence]:
-    """Convert raw-id sequences to dense-index sequences."""
-    skill_index = vocab.skill_to_index.__getitem__
-    quiz_index = vocab.quiz_to_index.__getitem__
-    return [
-        StudentSequence(
-            user_id=seq.user_id,
-            steps=list(zip(
-                map(skill_index, map(_SKILL, seq.steps)),
-                map(quiz_index, map(_QUIZ, seq.steps)),
-                map(_LABEL, seq.steps),
-            )),
-        )
-        for seq in sequences
-    ]
+    """Convert raw-id sequences to dense-index sequences; equal raw steps map
+    to one shared dense tuple."""
+    skill_index, quiz_index = vocab.skill_to_index, vocab.quiz_to_index
+    dense = _Memo(lambda step: (skill_index[step[0]], quiz_index[step[1]], step[2])).__getitem__
+    return [StudentSequence(user_id=seq.user_id, steps=list(map(dense, seq.steps)))
+            for seq in sequences]
 
 
 # ---------------------------------------------------------------------------
@@ -518,43 +530,39 @@ def atomic_open(path: str | Path, mode: str = "w", **kwargs) -> Iterator:
 
 def write_sequences(path: str | Path, sequences: Sequence[StudentSequence]) -> None:
     """One student per line: user_id, then tab-separated s,q,y triplets."""
-    step_cell = "%s,%s,%s".__mod__
+    cell_of = _Memo("%s,%s,%s".__mod__).__getitem__
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(
-            "\t".join([seq.user_id, *map(step_cell, seq.steps)]) + "\n" for seq in sequences
+            "\t".join([seq.user_id, *map(cell_of, seq.steps)]) + "\n" for seq in sequences
         )
 
 
-# user id, then zero or more tab-separated cells of exactly three values
-_SEQUENCE_LINE = re.compile(r"[^\t\n]*(?:\t[^\t\n,]*,[^\t\n,]*,[^\t\n,]*)*\n?")
-
-
-class _IntCache(dict):
-    """str -> int, parsing each distinct string once."""
-
-    def __missing__(self, key: str) -> int:
-        value = self[key] = int(key)
-        return value
+def _parse_step(cell: str) -> Tuple[int, int, int]:
+    s, q, y = cell.split(",")
+    return int(s), int(q), int(y)
 
 
 def read_sequences(
     path: str | Path, users: Optional[Collection[str]] = None
 ) -> List[StudentSequence]:
     """The sequences of ``path`` in file order; with ``users``, only theirs,
-    and the lines of other students are skipped unparsed."""
+    and the lines of other students are skipped unparsed. Equal cells share
+    one step tuple. A cell that is not three integers raises ValueError
+    naming the file and line."""
     out: List[StudentSequence] = []
-    to_int = _IntCache().__getitem__
+    step_of = _Memo(_parse_step).__getitem__
     with open(path, "r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             if line == "\n":
                 continue
-            if users is not None and line.partition("\t")[0].rstrip("\n") not in users:
+            user_id, tab, cells = line.rstrip("\n").partition("\t")
+            if users is not None and user_id not in users:
                 continue
-            if not _SEQUENCE_LINE.fullmatch(line):
-                raise ValueError(f"{path}: line {line_number}: a step cell must hold s,q,y")
-            user_id, _, cells = line.rstrip("\n").partition("\t")
-            values = map(to_int, cells.replace("\t", ",").split(",")) if cells else iter(())
-            out.append(StudentSequence(user_id=user_id, steps=list(zip(values, values, values))))
+            try:
+                steps = list(map(step_of, cells.split("\t"))) if tab else []
+            except ValueError:
+                raise ValueError(f"{path}: line {line_number}: a step cell must hold s,q,y") from None
+            out.append(StudentSequence(user_id=user_id, steps=steps))
     return out
 
 

@@ -210,6 +210,7 @@ def test_each_section_accepts_exactly_its_keys(tmp_path, section):
         ({"dkt": {"learning_rate": float("nan")}}, "learning_rate"),
         ({"dkt": {"clip_norm": -1}}, "clip_norm"),
         ({"dkt": {"clip_norm": float("nan")}}, "clip_norm"),
+        ({"seed": -1}, "config.seed"),
     ],
     ids=[
         "tags-string", "students-string", "int-true", "int-false", "rate-true",
@@ -217,7 +218,7 @@ def test_each_section_accepts_exactly_its_keys(tmp_path, section):
         "history-limit-0", "history-limit-negative", "ratio-negative", "retries-negative",
         "timeout-0", "backoff-negative", "backoff-nan", "embedding-dim-0", "hidden-dim-0",
         "batch-size-0", "max-epochs-0", "patience-0", "max-t-1", "learning-rate-0",
-        "learning-rate-nan", "clip-norm-negative", "clip-norm-nan",
+        "learning-rate-nan", "clip-norm-negative", "clip-norm-nan", "seed-negative",
     ],
 )
 def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, extra, named):

@@ -1,5 +1,6 @@
-"""No dead API: every function, class and method that ``src/ktrace`` defines
-is loaded by some code in ``src/ktrace`` or ``perfbench``.
+"""No dead API: every function, class, method and module-level constant that
+``src/ktrace`` defines is loaded by some code in ``src/ktrace`` or
+``perfbench``, and every module of ``src/ktrace`` loads each name it imports.
 
 A definition counts as loaded when its name is read as a variable, as an
 attribute, or appears as an identifier string (the names ``perfbench/tracer.py``
@@ -10,6 +11,7 @@ is dead code kept alive by its test.
 from __future__ import annotations
 
 import ast
+import functools
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,12 +52,52 @@ def defined_names(tree: ast.Module) -> list:
     return names
 
 
-def test_every_definition_in_ktrace_is_loaded():
+def constant_names(tree: ast.Module) -> list:
+    """Names bound by top-level assignments, dunders aside."""
+    targets = [
+        target for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    ]
+    return [
+        node.id for target in targets for node in ast.walk(target)
+        if isinstance(node, ast.Name) and not (node.id[:2] == node.id[-2:] == "__")
+    ]
+
+
+def imported_names(tree: ast.Module) -> list:
+    """Names bound by top-level imports; ``__future__`` switches aside."""
+    return [
+        alias.asname or alias.name.partition(".")[0]
+        for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+
+
+@functools.cache
+def parsed() -> tuple:
+    """The sources of ``src/ktrace``, the syntax tree of every reader file,
+    and every name those files load."""
     sources = sorted((ROOT / "src" / "ktrace").glob("*.py"))
     readers = sources + sorted((ROOT / "perfbench").glob("*.py"))
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in readers}
-    loaded = set().union(*map(loaded_names, trees.values()))
+    return sources, trees, set().union(*map(loaded_names, trees.values()))
+
+
+def test_every_definition_in_ktrace_is_loaded():
+    sources, trees, loaded = parsed()
     defined = [(path.stem, name) for path in sources for name in defined_names(trees[path])]
     assert KEEP <= {name.rpartition(".")[2] for _, name in defined}, "the keep-list names a deleted definition"
     dead = [f"{module}.{name}" for module, name in defined if name.rpartition(".")[2] not in loaded | KEEP]
     assert not dead, f"defined in src/ktrace but loaded by no code in src/ktrace or perfbench: {dead}"
+
+
+def test_every_constant_and_import_in_ktrace_is_loaded():
+    sources, trees, loaded = parsed()
+    dead = [f"{path.stem}.{name}" for path in sources for name in constant_names(trees[path])
+            if name not in loaded]
+    assert not dead, f"constants of src/ktrace loaded by no code in src/ktrace or perfbench: {dead}"
+    # an import must serve the module that makes it, not a namesake elsewhere
+    unused = [f"{path.stem}: {name}" for path in sources for name in imported_names(trees[path])
+              if name not in loaded_names(trees[path])]
+    assert not unused, f"imports of src/ktrace that their module never loads: {unused}"

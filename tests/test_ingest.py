@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import io
+import random
 
 import pytest
 
 from ktrace import ingest
 from ktrace.ingest import (
     ColumnMappingError,
+    StudentSequence,
     build_vocab,
     collect_skill_names,
     filter_and_order,
@@ -368,6 +370,44 @@ def test_read_sequences_rejects_cells_without_three_values(tmp_path):
         path.write_text(bad)
         with pytest.raises(ValueError):
             read_sequences(path)
+
+
+@pytest.mark.parametrize(
+    "bad", ["1,2,x", "1,2,3\t,,", "1,2", "1,2,3,4", "1,2,3\t", ",,"],
+    ids=["non-integer", "empty-values", "two-values", "four-values", "empty-cell", "only-commas"],
+)
+def test_read_sequences_names_file_and_line_of_a_bad_cell(tmp_path, bad):
+    path = tmp_path / "sequences.txt"
+    path.write_text(f"u0\t1,2,3\nu1\t{bad}\n")
+    with pytest.raises(ValueError, match=r"sequences\.txt: line 2: a step cell must hold s,q,y$"):
+        read_sequences(path)
+
+
+def test_sequence_codec_shares_one_tuple_per_distinct_step(tmp_path):
+    rng = random.Random(7)
+    # a few repeated steps plus steps that occur once, as raw ids
+    common = [(f"s{i % 3}", f"q{i}", i % 2) for i in range(5)]
+    raw = [
+        StudentSequence(f"u{u}", [
+            rng.choice(common) if rng.random() < 0.7 else (f"s{u}", f"once{u}_{t}", rng.randrange(2))
+            for t in range(rng.randrange(3, 30))
+        ])
+        for u in range(40)
+    ]
+    indexed = index_sequences(raw, build_vocab(raw))
+    path = tmp_path / "sequences.txt"
+    write_sequences(path, indexed)
+    expected = "".join(
+        "\t".join([seq.user_id, *("%s,%s,%s" % step for step in seq.steps)]) + "\n"
+        for seq in indexed
+    )
+    assert path.read_text(encoding="utf-8") == expected
+    loaded = read_sequences(path)
+    assert [(s.user_id, s.steps) for s in loaded] == [(s.user_id, s.steps) for s in indexed]
+    for sequences in (indexed, loaded):
+        steps = ingest.flatten_steps(sequences)
+        assert len(steps) > len(set(steps)) > len(common)
+        assert len({id(step) for step in steps}) == len(set(steps))
 
 
 def test_read_sequences_reads_only_wanted_users_and_checks_their_lines(tmp_path):
