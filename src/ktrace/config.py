@@ -70,7 +70,7 @@ class RunConfig:
         check_ratios(self.ratios)
         # dkt and synth seed numpy generators, which take no negative seed
         if self.seed < 0:
-            raise ConfigError(f"config.seed: expected a non-negative integer, got {self.seed}")
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
     def config_hash(self) -> str:
         payload = json.dumps(self.raw, sort_keys=True).encode("utf-8")
@@ -146,8 +146,6 @@ def _section(cls, section: dict, where: str, **fixed):
             raise ConfigError(f"missing required key {f.name!r} in {where}")
     try:
         return cls(**values)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 

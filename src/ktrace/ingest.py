@@ -21,6 +21,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from collections import Counter
@@ -180,9 +181,8 @@ class _Memo(dict):
     """key -> ``make(key)``, computed on the first lookup of each distinct
     key and shared by every later one. A ``make`` that raises stores nothing.
 
-    The step stream repeats heavily (the proxy log has about 1,200 distinct
-    steps among 56,000), so building, formatting and parsing each distinct
-    step once leaves one tuple or string per distinct value."""
+    Its keys are cells that repeat: the id and name cells of a log and the
+    integers of ``sequences.txt``."""
 
     __slots__ = ("make",)
 
@@ -396,12 +396,20 @@ def build_vocab(
 
 
 def index_sequences(sequences: Sequence[StudentSequence], vocab: Vocab) -> List[StudentSequence]:
-    """Convert raw-id sequences to dense-index sequences; equal raw steps map
-    to one shared dense tuple."""
-    skill_index, quiz_index = vocab.skill_to_index, vocab.quiz_to_index
-    dense = _Memo(lambda step: (skill_index[step[0]], quiz_index[step[1]], step[2])).__getitem__
-    return [StudentSequence(user_id=seq.user_id, steps=list(map(dense, seq.steps)))
-            for seq in sequences]
+    """Convert raw-id sequences to dense-index sequences."""
+    skill_index = vocab.skill_to_index.__getitem__
+    quiz_index = vocab.quiz_to_index.__getitem__
+    return [
+        StudentSequence(
+            user_id=seq.user_id,
+            steps=list(zip(
+                map(skill_index, map(_SKILL, seq.steps)),
+                map(quiz_index, map(_QUIZ, seq.steps)),
+                map(_LABEL, seq.steps),
+            )),
+        )
+        for seq in sequences
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -530,36 +538,37 @@ def atomic_open(path: str | Path, mode: str = "w", **kwargs) -> Iterator:
 
 def write_sequences(path: str | Path, sequences: Sequence[StudentSequence]) -> None:
     """One student per line: user_id, then tab-separated s,q,y triplets."""
-    cell_of = _Memo("%s,%s,%s".__mod__).__getitem__
+    step_cell = "%s,%s,%s".__mod__
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(
-            "\t".join([seq.user_id, *map(cell_of, seq.steps)]) + "\n" for seq in sequences
+            "\t".join([seq.user_id, *map(step_cell, seq.steps)]) + "\n" for seq in sequences
         )
 
 
-def _parse_step(cell: str) -> Tuple[int, int, int]:
-    s, q, y = cell.split(",")
-    return int(s), int(q), int(y)
+# user id, then zero or more tab-separated cells of exactly three values
+_SEQUENCE_LINE = re.compile(r"[^\t\n]*(?:\t[^\t\n,]*,[^\t\n,]*,[^\t\n,]*)*\n?")
 
 
 def read_sequences(
     path: str | Path, users: Optional[Collection[str]] = None
 ) -> List[StudentSequence]:
     """The sequences of ``path`` in file order; with ``users``, only theirs,
-    and the lines of other students are skipped unparsed. Equal cells share
-    one step tuple. A cell that is not three integers raises ValueError
-    naming the file and line."""
+    and the lines of other students are skipped unparsed. A cell that is not
+    three integers raises ValueError naming the file and line."""
     out: List[StudentSequence] = []
-    step_of = _Memo(_parse_step).__getitem__
+    to_int = _Memo(int).__getitem__
     with open(path, "r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             if line == "\n":
                 continue
-            user_id, tab, cells = line.rstrip("\n").partition("\t")
-            if users is not None and user_id not in users:
+            if users is not None and line.partition("\t")[0].rstrip("\n") not in users:
                 continue
+            user_id, _, cells = line.rstrip("\n").partition("\t")
+            values = map(to_int, cells.replace("\t", ",").split(",")) if cells else iter(())
             try:
-                steps = list(map(step_of, cells.split("\t"))) if tab else []
+                if not _SEQUENCE_LINE.fullmatch(line):
+                    raise ValueError
+                steps = list(zip(values, values, values))
             except ValueError:
                 raise ValueError(f"{path}: line {line_number}: a step cell must hold s,q,y") from None
             out.append(StudentSequence(user_id=user_id, steps=steps))

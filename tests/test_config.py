@@ -210,7 +210,7 @@ def test_each_section_accepts_exactly_its_keys(tmp_path, section):
         ({"dkt": {"learning_rate": float("nan")}}, "learning_rate"),
         ({"dkt": {"clip_norm": -1}}, "clip_norm"),
         ({"dkt": {"clip_norm": float("nan")}}, "clip_norm"),
-        ({"seed": -1}, "config.seed"),
+        ({"seed": -1}, "seed"),
     ],
     ids=[
         "tags-string", "students-string", "int-true", "int-false", "rate-true",
