@@ -10,7 +10,9 @@ imputed: steps whose tokens cannot be resolved are flagged unresolved.
 A student's prompts are keyed from its history lines, each formatted,
 JSON-escaped and hashed once (``ProbeClient.query_keys``), and only the cache
 misses are rendered (``render_prompts``): a pass costs time linear in the
-histories, and a fully cached pass renders no prompt text.
+histories, and a fully cached pass renders no prompt text. Misses stream
+through a fixed window of fetches, so a pass holds a window of prompts, not
+all of them.
 
 Wire protocol: HTTP POST with a JSON body in the shape of widely deployed
 completion endpoints ({"model", "prompt", "max_tokens": 1, "temperature": 0,
@@ -25,8 +27,9 @@ against the system trust store.
 from __future__ import annotations
 
 import bisect
+import collections
+import contextlib
 import hashlib
-import http.client
 import itertools
 import json
 import logging
@@ -34,13 +37,11 @@ import math
 import os
 import threading
 import time
-import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +50,10 @@ from .records import PROB_FLOOR, MasteryTrajectory, Predictions, step_rows
 log = logging.getLogger(__name__)
 
 CACHE_FILE = "cache.jsonl"
+
+# Fetches submitted but not yet answered, per pool thread: the window of
+# prompts a pass holds at once.
+FETCH_WINDOW = 16
 
 SYSTEM_MESSAGE = (
     "You are a classification model. Output only a single token: either 0 or 1. "
@@ -240,7 +245,7 @@ class ProbeClient:
     The cache is one append-only JSON-lines file, ``<cache_dir>/cache.jsonl``,
     one sorted-key ``{"key", "top_logprobs"}`` object per line, indexed by
     ``_open_cache`` when the client opens: each key maps to its top-k map and
-    its line.
+    its line. ``fetch_many`` appends the lines of its fetches in ask order.
     ``audit`` holds a ``(key, cached, line)`` per answer, the line its cache
     line with ``"cached"`` spliced in: a hand-edited line is audited as
     written. Telemetry: ``request_count`` counts network attempts (cache hits
@@ -253,9 +258,8 @@ class ProbeClient:
 
     def __init__(self, config: ProbeConfig):
         self.config = config
-        self._opener: Optional[urllib.request.OpenerDirector] = None  # built for the first miss
-        self._write_lock = threading.Lock()
-        self._count_lock = threading.Lock()
+        self._opener = None  # a urllib opener, built for the first miss
+        self._count_lock = threading.Lock()  # the counts the pool threads update
         self.request_count = 0
         self.retries = 0
         self.cache_hits = 0
@@ -276,6 +280,11 @@ class ProbeClient:
             Path(config.cache_dir).mkdir(parents=True, exist_ok=True)
             self._cache_file = Path(config.cache_dir) / CACHE_FILE
             self._cache = _open_cache(self._cache_file)
+
+    @property
+    def window(self) -> int:
+        """The most fetches ``fetch_many`` keeps submitted but not answered."""
+        return FETCH_WINDOW * self.config.max_concurrent
 
     # -- caching ------------------------------------------------------------
 
@@ -325,6 +334,11 @@ class ProbeClient:
         }
 
     def _post(self, prompt: PromptRecord) -> Dict[str, float]:
+        # imported here, so commands that send no request never load ssl and http
+        import http.client
+        import urllib.error
+        import urllib.request
+
         data = json.dumps(self._body(prompt.text)).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(self.config.max_retries + 1):
@@ -354,34 +368,32 @@ class ProbeClient:
             f"probe failed after {self.config.max_retries + 1} attempts: {last_error}"
         )
 
-    def fetch_top_logprobs(self, prompt: PromptRecord, key: str, use_cache: bool) -> Dict[str, float]:
-        """Post ``prompt``, cache its answer under ``key`` when ``use_cache``,
-        and record the fetch, audited from the cache line it wrote."""
+    def fetch_top_logprobs(self, prompt: PromptRecord) -> Dict[str, float]:
+        """Post ``prompt`` (with retries) and record the fetch's wall time."""
         start = time.perf_counter()
         top = self._post(prompt)
         fetch_ms = 1e3 * (time.perf_counter() - start)
-        line = _cache_line(key, top)
-        if use_cache and self._cache_file is not None:
-            with self._write_lock, open(self._cache_file, "a", encoding="utf-8", newline="\n") as fh:
-                fh.write(line + "\n")
-                self._cache[key] = (top, line)
         with self._count_lock:
             self.fetch_latencies_ms.append(fetch_ms)
-            self.audit.append((key, False, _audit_line(False, line)))
         return top
 
     def fetch_many(
-        self, keys: Sequence[str], render: Callable[[List[int]], List[PromptRecord]],
+        self, keys: Sequence[str], render: Callable[[List[int]], Iterable[PromptRecord]],
         use_cache: bool = True,
     ) -> List[Dict[str, float]]:
         """Top-k maps for the prompts whose cache keys are ``keys``, in order.
 
         Hits are answered on the calling thread, recorded in one batch.
-        ``render(misses)`` returns the prompts at the indices ``misses``, sent
-        by ``fetch_top_logprobs`` on one pool of ``max_concurrent`` threads, a
+        ``render(misses)`` yields the prompts at the indices ``misses``, a
         prompt repeated within the call once; with no miss nothing is
-        rendered and no pool or opener is built. A ``ProbeError`` cancels the
-        fetches not yet started and propagates; finished ones stay cached.
+        rendered and no pool or opener is built. Each prompt is taken from
+        ``render`` only when fewer than ``window`` fetches are in flight,
+        and sent by ``fetch_top_logprobs`` on one pool of ``max_concurrent``
+        threads. The calling thread takes the answers in ask order and, when
+        ``use_cache``, appends and flushes their cache lines, so the file
+        repeats byte for byte. A ``ProbeError`` stops the submitting, cancels
+        the fetches not yet started, writes the lines of the ones that
+        finished and propagates.
         """
         tops: List[Optional[Dict[str, float]]] = [None] * len(keys)
         hits: List[Tuple[str, bool, str]] = []
@@ -400,26 +412,57 @@ class ProbeClient:
                 fetched_as[key] = i
                 misses.append(i)
         if misses:
-            prompts = render(misses)
-            if self._opener is None:
-                self._opener = urllib.request.build_opener()  # proxies from the environment
-            pool = ThreadPoolExecutor(max_workers=self.config.max_concurrent)
-            try:
-                futures = [
-                    pool.submit(self.fetch_top_logprobs, prompt, keys[i], use_cache)
-                    for i, prompt in zip(misses, prompts)
-                ]
-                for i, future in zip(misses, futures):
-                    tops[i] = future.result()
-            finally:
-                pool.shutdown(cancel_futures=True)
+            self._fetch_misses(keys, misses, render(misses), tops, use_cache)
         for i, j in repeats:
             tops[i] = tops[j]
             hits.append((keys[i], True, _audit_line(True, _cache_line(keys[i], tops[j]))))
-        with self._count_lock:
-            self.cache_hits += len(hits)
-            self.audit += hits
+        self.cache_hits += len(hits)
+        self.audit += hits
         return tops  # type: ignore[return-value]
+
+    def _fetch_misses(
+        self, keys: Sequence[str], misses: List[int], prompts: Iterable[PromptRecord],
+        tops: List[Optional[Dict[str, float]]], use_cache: bool,
+    ) -> None:
+        """Send ``prompts``, the prompts of the keys at ``misses``, through a
+        window of fetches, and answer each into ``tops`` in ask order."""
+        import urllib.request
+
+        if self._opener is None:
+            self._opener = urllib.request.build_opener()  # proxies from the environment
+        prompts = iter(prompts)
+        pending: collections.deque = collections.deque()  # (index, future), in ask order
+        with contextlib.ExitStack() as stack:
+            out = None
+            if use_cache and self._cache_file is not None:
+                out = stack.enter_context(open(self._cache_file, "a", encoding="utf-8", newline="\n"))
+            pool = ThreadPoolExecutor(max_workers=self.config.max_concurrent)
+            stack.callback(pool.shutdown, cancel_futures=True)
+
+            def answer(i: int, top: Dict[str, float]) -> None:
+                line = _cache_line(keys[i], top)
+                if out is not None:
+                    out.write(line + "\n")
+                    out.flush()
+                    self._cache[keys[i]] = (top, line)
+                self.audit.append((keys[i], False, _audit_line(False, line)))
+                tops[i] = top
+
+            try:
+                for i in misses:
+                    if len(pending) == self.window:
+                        j, future = pending.popleft()
+                        answer(j, future.result())
+                    pending.append((i, pool.submit(self.fetch_top_logprobs, next(prompts))))
+                while pending:
+                    j, future = pending.popleft()
+                    answer(j, future.result())
+            except ProbeError:
+                pool.shutdown(cancel_futures=True)  # waits for the fetches running
+                for j, future in pending:
+                    if not future.cancelled() and future.exception() is None:
+                        answer(j, future.result())
+                raise
 
     def telemetry(self) -> dict:
         """The run's counts for the probe report; latency percentiles are
@@ -510,17 +553,17 @@ def _fetch_tops(
     client: ProbeClient, students: Sequence[Tuple[History, Queries]], use_cache: bool
 ) -> List[Dict[str, float]]:
     """Top-k maps for the (history, queries) of each student, in order, from
-    one ``fetch_many``; only the misses are rendered, per student."""
+    one ``fetch_many``; only the misses are rendered, per student, in slices
+    of at most the client's window."""
     keys = [key for history, queries in students for key in client.query_keys(history, queries)]
     starts = list(itertools.accumulate((len(queries) for _, queries in students), initial=0))
 
-    def render(misses: List[int]) -> List[PromptRecord]:
-        prompts: List[PromptRecord] = []
+    def render(misses: List[int]) -> Iterable[PromptRecord]:
         for s, group in itertools.groupby(misses, key=lambda i: bisect.bisect_right(starts, i) - 1):
             history, queries = students[s]
             asked = [queries[i - starts[s]] for i in group]
-            prompts += render_prompts(history, asked, client.config.history_limit)
-        return prompts
+            for at in range(0, len(asked), client.window):
+                yield from render_prompts(history, asked[at:at + client.window], client.config.history_limit)
 
     return client.fetch_many(keys, render, use_cache)
 

@@ -194,6 +194,14 @@ def test_cli_imports_without_requests():
     assert done.returncode == 0, done.stderr.decode()
 
 
+def test_cli_imports_no_http_stack():
+    code = "import sys, ktrace.cli; print(sorted({'ssl', 'http.client', 'email'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.decode().strip() == "[]"
+
+
 def test_prepare_requires_data_section(tmp_path):
     cfg_path = write_config(tmp_path / "c.json", {"workspace": str(tmp_path / "ws")})
     assert main(["prepare", "--config", cfg_path]) == 2

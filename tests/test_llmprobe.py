@@ -4,11 +4,14 @@ import hashlib
 import json
 import math
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from ktrace.llmprobe import (
+    FETCH_WINDOW,
     HISTORY_HEADER,
     PROB_FLOOR,
     SYSTEM_MESSAGE,
@@ -680,6 +683,84 @@ def test_probe_resumes_from_cache_after_mid_run_failure(tmp_path):
         assert errors == []
         assert len(records) == 4
         assert client.request_count == 2
+
+
+def jittered(body):
+    """The default answer, after 0-4 ms picked by the prompt's hash, so
+    fetches sent together finish out of order."""
+    time.sleep(hashlib.sha256(body["prompt"].encode("utf-8")).digest()[1] % 5 / 1000)
+    return logits_from_prompt(body["prompt"])
+
+
+def next_quiz_queries(n: int):
+    """A 3-step history and ``n`` queries over all of it, one per next quiz:
+    ``n`` distinct short prompts."""
+    history = [(str(i), SKILL, i % 2) for i in range(3)]
+    return history, [(3, (str(100 + q), SKILL)) for q in range(n)]
+
+
+def test_cold_runs_write_identical_cache_files_in_ask_order(tmp_path):
+    history, queries = next_quiz_queries(60)
+    files = []
+    with MockLLMServer(jittered) as server:
+        for run in range(2):
+            config = probe_config(server.endpoint, cache_dir=str(tmp_path / f"c{run}"), max_concurrent=2)
+            client = ProbeClient(config)
+            keys = client.query_keys(history, queries)
+            client.fetch_many(keys, lambda misses: render_prompts(history, [queries[i] for i in misses]))
+            files.append((tmp_path / f"c{run}" / "cache.jsonl").read_bytes())
+    assert files[0] == files[1]
+    assert [json.loads(line)["key"] for line in files[0].splitlines()] == keys
+
+
+def test_fetch_many_streams_prompts_through_a_window():
+    history, queries = next_quiz_queries(520)
+    handed, gaps = 0, []
+    window = FETCH_WINDOW * 2
+    with MockLLMServer() as server:
+        client = ProbeClient(probe_config(server.endpoint, max_concurrent=2))
+        keys = client.query_keys(history, queries)
+
+        def render(misses):
+            nonlocal handed
+            for prompt in render_prompts(history, [queries[i] for i in misses]):
+                handed += 1
+                gaps.append(handed - server.hit_count)
+                yield prompt
+
+        tops = client.fetch_many(keys, render)
+        assert server.hit_count == len(queries)
+    assert tops == [logits_from_prompt(p.text) for p in render_prompts(history, queries)]
+    assert handed == len(queries)
+    assert max(gaps) <= 2 * window
+    assert client.window == window
+
+
+def test_failed_fetch_leaves_one_cache_line_per_answered_prompt_in_ask_order(tmp_path):
+    history, queries = next_quiz_queries(200)
+    prompts = render_prompts(history, queries)
+    answered, lock = set(), threading.Lock()
+
+    def script(body):
+        top = jittered(body)
+        if body["prompt"] == prompts[70].text:
+            raise ServerFailure()
+        with lock:
+            answered.add(body["prompt"])
+        return top
+
+    cache = tmp_path / "cache" / "cache.jsonl"
+    with MockLLMServer(script) as server:
+        config = probe_config(server.endpoint, cache_dir=str(cache.parent), max_concurrent=2, max_retries=0)
+        client = ProbeClient(config)
+        keys = client.query_keys(history, queries)
+        with pytest.raises(ProbeError, match="500"):
+            client.fetch_many(keys, lambda misses: iter([prompts[i] for i in misses]))
+        sent = server.hit_count
+    assert 71 <= sent <= 71 + FETCH_WINDOW * 2  # submitting stopped at the failure
+    assert len(answered) == sent - 1
+    written = [json.loads(line)["key"] for line in cache.read_text(encoding="utf-8").splitlines()]
+    assert written == [key for key, p in zip(keys, prompts) if p.text in answered]
 
 
 def test_double_run_stability_reports_zero_deltas(tmp_path):
