@@ -57,7 +57,6 @@ class EvalSection:
 class RunConfig:
     workspace: str
     seed: int = 0
-    determinism: bool = False
     ratios: Tuple[float, float, float] = (0.8, 0.1, 0.1)
     data: Optional[DataConfig] = None
     dkt: TrainConfig = field(default_factory=TrainConfig)
@@ -153,8 +152,7 @@ def _section(cls, section: dict, where: str, **fixed):
 def _probe_section(section: dict, top: RunConfig) -> ProbeSection:
     """The flat ``probe`` object holds the keys of ``ProbeConfig`` and of
     ``ProbeSection`` plus the file-only ``cache`` switch, which puts the
-    cache in the workspace. ``cache_dir`` and ``auth_token_env`` are not
-    read from the file, and ``determinism`` forces one connection."""
+    cache in the workspace. ``cache_dir`` is not read from the file."""
     client_keys = {f.name for f in fields(ProbeConfig)}
     rest = {k: v for k, v in section.items() if k not in client_keys}
     cache = _value(rest.pop("cache", True), bool, "config.probe.cache")
@@ -163,10 +161,7 @@ def _probe_section(section: dict, top: RunConfig) -> ProbeSection:
         {k: v for k, v in section.items() if k in client_keys},
         "config.probe",
         cache_dir=str(Path(top.workspace) / "probe_cache") if cache else None,
-        auth_token_env=ProbeConfig.auth_token_env,
     )
-    if top.determinism:
-        client = replace(client, max_concurrent=1)
     return _section(ProbeSection, rest, "config.probe", probe=client)
 
 

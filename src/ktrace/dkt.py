@@ -11,8 +11,12 @@ Training, validation and inference share one window rule: a sequence is cut
 into consecutive ``max_t`` windows and the hidden state restarts at zero at
 each window. Training and validation drop trailing 1-step windows (they hold
 no target); inference keeps them, and predicts a window's first step from
-the previous window's last row. Inference runs windows sorted by length in
-batches, skipping padded cells, and reads out only the skills it reports.
+the previous window's last row. All of them gather their (B, T) batches
+from one flat encoding of the steps (``_encode_windows``, ``_window_cells``),
+with each step's next skill and label from ``_next_step``; a padded cell
+holds its row's first step, and no loss, gradient or reported probability
+reads it. Inference runs windows sorted by length in batches, skipping
+padded cells, and reads out only the skills it reports.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -53,39 +57,17 @@ def encode_step(s: int, y: int, k: int) -> int:
 # batching
 
 
-@dataclass
-class EncodedBatch:
-    """Padded model inputs for a group of sequence windows.
-
-    ``x`` holds interaction tokens, ``s``/``y`` the parallel skill indices
-    and labels, ``w`` the validity mask (1 where a next-step target exists
-    within the row). Padded cells carry ``pad_index`` in x and s and 0 in w.
-    """
+class Batch(NamedTuple):
+    """Model inputs for a group of sequence windows: interaction tokens, the
+    next step's skill and label at each cell, the validity mask (1 where a
+    next-step target exists within the row) and the true window lengths.
+    Padded cells hold the row's first step, with w = 0."""
 
     x: Array         # (B, T) int
-    s: Array         # (B, T) int
-    y: Array         # (B, T) int
+    s_next: Array    # (B, T) int
+    y_next: Array    # (B, T) int
     w: Array         # (B, T) float, entries in {0, 1}
-    lengths: Array   # (B,) true window lengths
-    pad_index: int
-    k: int
-
-    def lookup_tokens(self) -> Array:
-        """Token matrix safe to feed to the embedding: padding cells are
-        remapped to token 0 (their outputs are masked, so the value never
-        reaches the loss)."""
-        return np.where(self.x == self.pad_index, 0, self.x)
-
-    def next_skills(self) -> Array:
-        """Target skill at position t is the skill of step t+1 in-row."""
-        out = np.zeros_like(self.s)
-        out[:, :-1] = self.s[:, 1:]
-        return np.where(out == self.pad_index, 0, out)
-
-    def next_labels(self) -> Array:
-        out = np.zeros_like(self.y)
-        out[:, :-1] = self.y[:, 1:]
-        return out.astype(np.float64)
+    lengths: Array   # (B,)
 
 
 def _window_spans(n_steps: int, max_t: int) -> Tuple[Array, Array]:
@@ -93,16 +75,6 @@ def _window_spans(n_steps: int, max_t: int) -> Tuple[Array, Array]:
     sequence; the hidden state is not carried across windows."""
     starts = np.arange(0, n_steps, max_t, dtype=np.int64)
     return starts, np.minimum(n_steps - starts, max_t)
-
-
-def _encode_steps(steps: Sequence[Tuple[int, int, int]], k: int) -> Tuple[Array, Array]:
-    """Skill and token arrays of a step list, checked like ``encode_step``."""
-    arr = np.asarray(steps, dtype=np.int64).reshape(-1, 3)
-    skills, labels = arr[:, 0], arr[:, 2]
-    bad = np.flatnonzero((skills < 0) | (skills >= k) | ((labels != 0) & (labels != 1)))
-    if bad.size:
-        encode_step(int(skills[bad[0]]), int(labels[bad[0]]), k)  # raises
-    return skills, skills + labels * k
 
 
 def _window_cells(starts: Array, lengths: Array) -> Tuple[Array, Array]:
@@ -122,23 +94,32 @@ def _encode_windows(
 ) -> Tuple[Array, Array, Array, Array, Array]:
     """Flat step arrays of a sequence set and the spans of its windows.
 
-    Returns the skill and token of every step, all sequences concatenated;
-    the sequence boundaries into them (``offsets[i]`` is where sequence i
-    starts, the last entry is the total); and the flat start and length of
-    every ``max_t`` window.
+    Returns the skill and token of every step, all sequences concatenated
+    and checked like ``encode_step``; the sequence boundaries into them
+    (``offsets[i]`` is where sequence i starts, the last entry is the
+    total); and the flat start and length of every ``max_t`` window.
     """
     sizes = np.array([len(seq) for seq in sequences], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    skills, tokens = _encode_steps([step for seq in sequences for step in seq.steps], k)
+    steps = [step for seq in sequences for step in seq.steps]
+    skills, _, labels = np.asarray(steps, dtype=np.int64).reshape(-1, 3).T
+    bad = np.flatnonzero((skills < 0) | (skills >= k) | ((labels != 0) & (labels != 1)))
+    if bad.size:
+        encode_step(int(skills[bad[0]]), int(labels[bad[0]]), k)  # raises
     spans = [_window_spans(n, max_t) for n in sizes]
     starts = np.concatenate([off + st for off, (st, _) in zip(offsets, spans)])
     lengths = np.concatenate([n for _, n in spans])
-    return skills, tokens, offsets, starts, lengths
+    return skills, skills + labels * k, offsets, starts, lengths
 
 
-def build_batch(
-    sequences: Sequence[StudentSequence], k: int, max_t: int
-) -> EncodedBatch:
+def _next_step(values: Array, offsets: Array) -> Array:
+    """The value of each flat step's next step, 0 at each sequence's last step."""
+    out = np.append(values[1:], 0)
+    out[offsets[1:] - 1] = 0
+    return out
+
+
+def build_batch(sequences: Sequence[StudentSequence], k: int, max_t: int) -> Batch:
     """Encode a group of sequences into one padded batch.
 
     Sequences longer than ``max_t`` are split into consecutive windows; the
@@ -151,19 +132,16 @@ def build_batch(
             raise ValueError(
                 f"sequence for student {seq.user_id} has {len(seq)} steps; need >= 2"
             )
-    skills, tokens, _, starts, lengths = _encode_windows(sequences, k, max_t)
+    skills, tokens, offsets, starts, lengths = _encode_windows(sequences, k, max_t)
     keep = lengths >= 2  # a trailing window of length 1 holds no next-step target
     starts, lengths = starts[keep], lengths[keep]
-    cells, live = _window_cells(starts, lengths)
-    pad = 2 * k
-    return EncodedBatch(
-        x=np.where(live, tokens[cells], pad),
-        s=np.where(live, skills[cells], pad),
-        y=np.where(live, tokens[cells] // k, 0),
-        w=(np.arange(live.shape[1]) < lengths[:, None] - 1).astype(np.float64),
+    cells, _ = _window_cells(starts, lengths)
+    return Batch(
+        x=tokens[cells],
+        s_next=_next_step(skills, offsets)[cells],
+        y_next=_next_step(tokens // k, offsets)[cells],
+        w=(np.arange(cells.shape[1]) < lengths[:, None] - 1).astype(np.float64),
         lengths=lengths,
-        pad_index=pad,
-        k=k,
     )
 
 
@@ -209,11 +187,6 @@ class DktModel:
         net = nncore.init_net(2 * k, cfg.embedding_dim, cfg.hidden_dim, k, seed=cfg.seed)
         return cls(net=net, k=k, vocab_hash=vocab_hash, config=asdict(cfg))
 
-    @classmethod
-    def zeros(cls, k: int, embedding_dim: int = 64, hidden_dim: int = 128) -> "DktModel":
-        net = nncore.zero_net(2 * k, embedding_dim, hidden_dim, k)
-        return cls(net=net, k=k)
-
 
 @dataclass
 class EpochStats:
@@ -252,9 +225,7 @@ def _dataset_loss(
     count = 0.0
     for start in range(0, len(sequences), cfg.batch_size):
         batch = build_batch(sequences[start : start + cfg.batch_size], k, cfg.max_t)
-        loss = nncore.net_loss(
-            net, batch.lookup_tokens(), batch.next_skills(), batch.next_labels(), batch.w
-        )
+        loss = nncore.net_loss(net, batch.x, batch.s_next, batch.y_next, batch.w)
         n_valid = float(batch.w.sum())
         total += loss * n_valid
         count += n_valid
@@ -298,7 +269,7 @@ def train(
                 {name: arr.astype(np.float32) for name, arr in net.flat().items()}
             )
             loss, grads = nncore.net_loss_and_grads(
-                compute, batch.lookup_tokens(), batch.next_skills(), batch.next_labels(), batch.w
+                compute, batch.x, batch.s_next, batch.y_next, batch.w
             )
             if not np.isfinite(loss):
                 raise TrainingDiverged(
@@ -336,11 +307,6 @@ def train(
 # inference
 
 
-def _model_setting(model: DktModel, name: str) -> int:
-    """A training setting of the model, or its TrainConfig default."""
-    return int(model.config.get(name, getattr(TrainConfig(), name)))
-
-
 def mastery_trajectory(model: DktModel, sequence: StudentSequence) -> MasteryTrajectory:
     """Full T x K probability matrix under the inference window rule: the
     hidden state restarts every ``max_t`` steps. Row t is computed from the
@@ -348,8 +314,8 @@ def mastery_trajectory(model: DktModel, sequence: StudentSequence) -> MasteryTra
     truncating the input reproduces a prefix of the rows bit-identically)."""
     if len(sequence) < 1:
         raise ValueError("sequence must have at least one step")
-    _, tokens = _encode_steps(sequence.steps, model.k)
-    cells, live = _window_cells(*_window_spans(len(tokens), _model_setting(model, "max_t")))
+    _, tokens, _, starts, lengths = _encode_windows([sequence], model.k, model.config["max_t"])
+    cells, live = _window_cells(starts, lengths)
     probs = nncore.net_forward(model.net, tokens[cells])
     return MasteryTrajectory(
         user_id=sequence.user_id, p=probs[live], steps=list(sequence.steps)
@@ -373,18 +339,18 @@ def predict_records(
     if not sequences:
         empty = Predictions([], [], [], [], [], [])
         return empty, empty
-    max_t = _model_setting(model, "max_t")
-    batch_size = _model_setting(model, "batch_size")
     if any(len(seq) < 1 for seq in sequences):
         raise ValueError("sequence must have at least one step")
-    skills, tokens, offsets, starts, lengths = _encode_windows(sequences, model.k, max_t)
-    next_skills = np.append(skills[1:], 0)
-    next_skills[offsets[1:] - 1] = 0  # a sequence's last step has no next step
+    skills, tokens, offsets, starts, lengths = _encode_windows(
+        sequences, model.k, model.config["max_t"]
+    )
+    next_skills = _next_step(skills, offsets)
 
     order = np.argsort(-lengths, kind="stable")
 
     p_mastery = np.empty(len(skills))
     p_next = np.empty(len(skills))  # p_next[i]: prediction for step i + 1
+    batch_size = model.config["batch_size"]
     for lo in range(0, len(order), batch_size):
         rows = order[lo : lo + batch_size]
         cells, live = _window_cells(starts[rows], lengths[rows])

@@ -17,11 +17,11 @@ all of them.
 Wire protocol: HTTP POST with a JSON body in the shape of widely deployed
 completion endpoints ({"model", "prompt", "max_tokens": 1, "temperature": 0,
 "logprobs": depth}), responses carrying choices[0].logprobs.top_logprobs[0]
-as a token -> logprob map. The endpoint path and auth token are
-configuration; identical (model, prompt) pairs are cached on disk. The
-transport is the standard library's ``urllib.request``: proxies come from
-the ``*_proxy`` environment variables and HTTPS certificates are verified
-against the system trust store.
+as a token -> logprob map. The endpoint path is configuration and the
+bearer token, if any, is read from ``AUTH_TOKEN_ENV``; identical (model,
+prompt) pairs are cached on disk. The transport is the standard library's
+``urllib.request``: proxies come from the ``*_proxy`` environment variables
+and HTTPS certificates are verified against the system trust store.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ from .records import PROB_FLOOR, MasteryTrajectory, Predictions, step_rows
 log = logging.getLogger(__name__)
 
 CACHE_FILE = "cache.jsonl"
+
+# The environment variable holding the endpoint's bearer token, if any.
+AUTH_TOKEN_ENV = "KTRACE_API_TOKEN"
 
 # Fetches submitted but not yet answered, per pool thread: the window of
 # prompts a pass holds at once.
@@ -89,7 +92,6 @@ class ProbeConfig:
     logprob_depth: int = 20
     history_limit: int = 100
     cache_dir: Optional[str] = None
-    auth_token_env: str = "KTRACE_API_TOKEN"
 
     def __post_init__(self):
         if self.max_concurrent < 1:
@@ -319,7 +321,7 @@ class ProbeClient:
 
     def _headers(self) -> Dict[str, str]:
         headers = {"Content-Type": "application/json"}
-        token = os.environ.get(self.config.auth_token_env)
+        token = os.environ.get(AUTH_TOKEN_ENV)
         if token:
             headers["Authorization"] = f"Bearer {token}"
         return headers

@@ -135,18 +135,6 @@ def init_net(n_tokens: int, d_emb: int, d_h: int, n_out: int, seed: int = 0) -> 
     )
 
 
-def zero_net(n_tokens: int, d_emb: int, d_h: int, n_out: int) -> DktNet:
-    """All-zero parameters; the readout then outputs 0.5 everywhere."""
-    return DktNet(
-        embedding=np.zeros((n_tokens, d_emb)),
-        gru=GruParams(
-            w=np.zeros((d_emb, 3 * d_h)), u=np.zeros((d_h, 3 * d_h)), b=np.zeros(3 * d_h)
-        ),
-        w_out=np.zeros((d_h, n_out)),
-        b_out=np.zeros(n_out),
-    )
-
-
 # ---------------------------------------------------------------------------
 # embedding
 

@@ -360,7 +360,6 @@ def _pipeline_hashes(tmp_path: Path, run: int) -> dict:
             {
                 "workspace": str(ws_dir),
                 "seed": 5,
-                "determinism": True,
                 "data": {"raw_path": str(csv_path)},
                 "dkt": {
                     "embedding_dim": 8,

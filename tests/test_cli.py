@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from ktrace.records import (
     write_trajectory,
 )
 
-from mockllm import MockLLMServer
+from mockllm import MockLLMServer, logits_from_prompt
 from predtable import Row, predictions_of, rows_of
 
 
@@ -542,6 +543,38 @@ def test_warm_probe_counts_the_truncated_prompts_of_the_cold_one(tmp_path):
             counts.append(json.loads(report.read_text())["truncated_prompts"])
     assert counts[0] > 0
     assert counts[1] == counts[0]
+
+
+def test_probe_artifacts_do_not_depend_on_concurrency(tmp_path):
+    """Four connections or one write the same dumps, trajectory, cache and
+    audit, though answers finish out of order: each pass takes them in ask
+    order. Only the latencies in the report and the config hash differ."""
+
+    def jittered(body):
+        time.sleep(hashlib.sha256(body["prompt"].encode("utf-8")).digest()[1] % 4 / 1000)
+        return logits_from_prompt(body["prompt"])
+
+    runs = []
+    with MockLLMServer(jittered) as server:
+        for max_concurrent in (4, 1):
+            root = tmp_path / f"c{max_concurrent}"
+            root.mkdir()
+            payload = probe_payload(
+                root, server.endpoint, max_concurrent=max_concurrent, stability_check=True
+            )
+            assert main(["synth", "--config", write_config(root / "c.json", payload)]) == 0
+            ws = Workspace(root / "ws")
+            payload["probe"]["mastery_students"] = json.loads(ws.split_path.read_text())["test"][:1]
+            assert main(["probe", "--config", write_config(root / "c.json", payload)]) == 0
+            globs = ("dumps/*.csv", "trajectories/*/*.csv", "probe_cache/*", "probe_audit/*")
+            runs.append({
+                str(path.relative_to(ws.root)): path.read_bytes()
+                for pattern in globs for path in sorted(ws.root.glob(pattern))
+            })
+    assert runs[0] == runs[1]
+    assert {name.partition("/")[0] for name in runs[0]} == {
+        "dumps", "trajectories", "probe_cache", "probe_audit"
+    }
 
 
 def test_probe_mastery_students_trajectories(tmp_path):

@@ -27,7 +27,6 @@ EVAL_DEFAULTS = {
 EVERY_KEY = {
     "workspace": "w",
     "seed": 7,
-    "determinism": False,
     "ratios": [0.7, 0.2, 0.1],
     "data": {
         "raw_path": "r.csv", "delimiter": ";", "encoding": "latin-1",
@@ -70,32 +69,29 @@ def loaded(tmp_path: Path, payload: dict) -> dict:
 @pytest.mark.parametrize("sections", [{}, {"data": None, "probe": None, "synth": None}])
 def test_bare_config_loads_every_default(tmp_path, sections):
     assert loaded(tmp_path, {"workspace": "w", **sections}) == {
-        "workspace": "w", "seed": 0, "determinism": False, "ratios": (0.8, 0.1, 0.1),
+        "workspace": "w", "seed": 0, "ratios": (0.8, 0.1, 0.1),
         "data": None, "dkt": {**TRAIN_DEFAULTS, "seed": 0}, "probe": None, "synth": None,
         "evaluate": EVAL_DEFAULTS,
     }
 
 
-@pytest.mark.parametrize("determinism, max_concurrent", [(False, 4), (True, 1)])
-def test_minimal_sections_load_their_defaults(tmp_path, determinism, max_concurrent):
+def test_minimal_sections_load_their_defaults(tmp_path):
     payload = {
         "workspace": "w",
         "seed": 3,
-        "determinism": determinism,
         "data": {"raw_path": "r.csv"},
         "probe": {"endpoint": "e", "model": "m"},
         "synth": {"k": 2, "n_students": 5},
     }
     assert loaded(tmp_path, payload) == {
-        "workspace": "w", "seed": 3, "determinism": determinism, "ratios": (0.8, 0.1, 0.1),
+        "workspace": "w", "seed": 3, "ratios": (0.8, 0.1, 0.1),
         "data": {"raw_path": "r.csv", "delimiter": ",", "encoding": "utf-8", "columns": {}},
         "dkt": {**TRAIN_DEFAULTS, "seed": 3},
         "probe": {
             "probe": {
                 "endpoint": "e", "model": "m", "timeout": 60.0, "max_retries": 3,
-                "backoff": 0.5, "max_concurrent": max_concurrent, "logprob_depth": 20,
+                "backoff": 0.5, "max_concurrent": 4, "logprob_depth": 20,
                 "history_limit": 100, "cache_dir": str(Path("w") / "probe_cache"),
-                "auth_token_env": "KTRACE_API_TOKEN",
             },
             "tag": "llm", "mastery_students": [], "stability_check": False,
         },
@@ -108,11 +104,9 @@ def test_minimal_sections_load_their_defaults(tmp_path, determinism, max_concurr
     }
 
 
-@pytest.mark.parametrize("determinism, max_concurrent", [(False, 3), (True, 1)])
-def test_every_key_loads(tmp_path, determinism, max_concurrent):
-    payload = {**copy.deepcopy(EVERY_KEY), "determinism": determinism}
-    assert loaded(tmp_path, payload) == {
-        "workspace": "w", "seed": 7, "determinism": determinism, "ratios": (0.7, 0.2, 0.1),
+def test_every_key_loads(tmp_path):
+    assert loaded(tmp_path, copy.deepcopy(EVERY_KEY)) == {
+        "workspace": "w", "seed": 7, "ratios": (0.7, 0.2, 0.1),
         "data": {
             "raw_path": "r.csv", "delimiter": ";", "encoding": "latin-1",
             "columns": {"user_id": "uid", "order_id": "5"},
@@ -124,8 +118,8 @@ def test_every_key_loads(tmp_path, determinism, max_concurrent):
         "probe": {
             "probe": {
                 "endpoint": "http://e", "model": "m", "timeout": 3.0, "max_retries": 2,
-                "backoff": 1.0, "max_concurrent": max_concurrent, "logprob_depth": 5,
-                "history_limit": 10, "cache_dir": None, "auth_token_env": "KTRACE_API_TOKEN",
+                "backoff": 1.0, "max_concurrent": 3, "logprob_depth": 5,
+                "history_limit": 10, "cache_dir": None,
             },
             "tag": "x", "mastery_students": ["1", "2"], "stability_check": True,
         },
@@ -142,7 +136,7 @@ def test_every_key_loads(tmp_path, determinism, max_concurrent):
 
 
 ACCEPTED_KEYS = {
-    None: {"workspace", "seed", "determinism", "ratios", "data", "dkt", "probe", "synth", "evaluate"},
+    None: {"workspace", "seed", "ratios", "data", "dkt", "probe", "synth", "evaluate"},
     "data": {"raw_path", "delimiter", "encoding", "columns"},
     "dkt": {
         "embedding_dim", "hidden_dim", "learning_rate", "batch_size", "max_t", "clip_norm",
@@ -162,7 +156,7 @@ NOT_KEYS = {
     None: {"raw"},
     "data": set(),
     "dkt": {"seed"},
-    "probe": {"probe", "cache_dir", "auth_token_env"},
+    "probe": {"probe", "cache_dir"},
     "synth": {"seed"},
     "evaluate": set(),
 }

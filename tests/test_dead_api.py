@@ -4,8 +4,9 @@
 
 A definition counts as loaded when its name is read as a variable, as an
 attribute, or appears as an identifier string (the names ``perfbench/tracer.py``
-hands to ``Tracer.wrap``). Tests do not count: a function only a test calls
-is dead code kept alive by its test.
+hands to ``Tracer.wrap``). An attribute of numpy does not count: ``np.zeros``
+keeps no ``zeros`` of ours alive. Tests do not count: a function only a test
+calls is dead code kept alive by its test.
 """
 
 from __future__ import annotations
@@ -24,13 +25,17 @@ KEEP = {
 }
 
 
+NUMPY = {"np", "numpy"}
+
+
 def loaded_names(tree: ast.AST) -> set:
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            names.add(node.attr)
+            if not (isinstance(node.value, ast.Name) and node.value.id in NUMPY):
+                names.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
             names.add(node.value)
     return names

@@ -38,6 +38,13 @@ def random_sequences(rng: np.random.Generator, n: int, k: int, min_len=2, max_le
     return out
 
 
+def zero_model(k: int, embedding_dim: int, hidden_dim: int) -> DktModel:
+    """All-zero parameters; the readout then outputs 0.5 everywhere."""
+    model = DktModel.init(k, TrainConfig(embedding_dim=embedding_dim, hidden_dim=hidden_dim))
+    model.net = nncore.from_flat({n: np.zeros_like(a) for n, a in model.net.flat().items()})
+    return model
+
+
 # ---------------------------------------------------------------------------
 # encoding
 
@@ -77,10 +84,8 @@ def test_build_batch_hand_example():
     batch = build_batch([seq("u1", [(2, 1), (2, 0), (5, 1)])], k, max_t=50)
     assert batch.x.tolist() == [[12, 2, 15]]
     assert batch.w.tolist() == [[1.0, 1.0, 0.0]]
-    s_next = batch.next_skills()
-    y_next = batch.next_labels()
-    assert (s_next[0, 0], y_next[0, 0]) == (2, 0.0)
-    assert (s_next[0, 1], y_next[0, 1]) == (5, 1.0)
+    assert (batch.s_next[0, 0], batch.y_next[0, 0]) == (2, 0)
+    assert (batch.s_next[0, 1], batch.y_next[0, 1]) == (5, 1)
 
 
 def test_build_batch_equal_lengths_mask_rows():
@@ -105,9 +110,12 @@ def test_build_batch_token_identity_on_valid_cells():
     k = 6
     sequences = random_sequences(rng, 5, k)
     batch = build_batch(sequences, k, max_t=20)
-    for i in range(batch.x.shape[0]):
-        for t in range(batch.lengths[i]):
-            assert batch.x[i, t] == batch.s[i, t] + batch.y[i, t] * k
+    for i, student in enumerate(sequences):
+        tokens = [s + y * k for s, _, y in student.steps]
+        assert batch.x[i, : len(student)].tolist() == tokens
+        # the target at each valid cell is the next step's token, split in two
+        valid = batch.w[i] > 0
+        assert (batch.s_next[i, valid] + batch.y_next[i, valid] * k).tolist() == tokens[1:]
 
 
 def test_build_batch_windowing_splits_and_drops_singletons():
@@ -120,14 +128,14 @@ def test_build_batch_windowing_splits_and_drops_singletons():
     assert batch.w.sum() == 4.0
 
 
-def test_build_batch_padding_uses_sentinel():
+def test_build_batch_padded_cells_hold_in_range_inputs():
     k = 5
     batch = build_batch([seq("a", [(0, 1), (1, 0), (2, 1)]), seq("b", [(3, 0), (4, 1)])], k, 10)
-    assert batch.pad_index == 10
-    assert batch.x[1, 2] == batch.pad_index
-    assert batch.s[1, 2] == batch.pad_index
+    assert batch.x[1, 2] == batch.x[1, 0] == 3  # the row's first step
+    assert 0 <= batch.x.min() and batch.x.max() < 2 * k
+    assert 0 <= batch.s_next.min() and batch.s_next.max() < k
+    assert set(np.unique(batch.y_next)) <= {0, 1}
     assert batch.w[1, 2] == 0.0
-    assert batch.lookup_tokens().max() < 2 * k
 
 
 def test_build_batch_empty_input_errors():
@@ -163,7 +171,7 @@ def test_early_stopping_requires_strict_improvement():
 
 
 def test_zero_model_predicts_half():
-    model = DktModel.zeros(k=5, embedding_dim=4, hidden_dim=6)
+    model = zero_model(k=5, embedding_dim=4, hidden_dim=6)
     p = mastery_trajectory(model, seq("u1", [(0, 1), (2, 0)])).p[-1, 3]
     assert p == 0.5
     traj = mastery_trajectory(model, seq("u1", [(0, 1), (2, 0), (4, 1)]))
@@ -190,7 +198,7 @@ def test_batched_forward_matches_per_student_runs():
         seq("c", [(2, 1), (2, 0), (2, 1)]),
     ]
     batch = build_batch(sequences, 4, max_t=10)
-    probs = nncore.net_forward(model.net, batch.lookup_tokens())
+    probs = nncore.net_forward(model.net, batch.x)
     for i, s in enumerate(sequences):
         solo = mastery_trajectory(model, s)
         np.testing.assert_allclose(probs[i, : len(s)], solo.p, atol=1e-12, rtol=0)
@@ -234,7 +242,7 @@ def test_forward_matches_scalar_reference():
 def test_predict_records_clamps_saturated_outputs(tmp_path):
     from ktrace.records import read_prediction_dump, write_prediction_dump
 
-    model = DktModel.zeros(k=2, embedding_dim=3, hidden_dim=4)
+    model = zero_model(k=2, embedding_dim=3, hidden_dim=4)
     model.net.b_out[:] = [50.0, -50.0]  # sigmoid rounds to exactly 1.0 / 0.0
     preds, mastery = predict_records(model, [seq("u1", [(0, 1), (1, 0), (0, 1)])], tag="dkt")
     assert all(0.0 < r.p < 1.0 for r in rows_of(preds) + rows_of(mastery))
@@ -244,7 +252,7 @@ def test_predict_records_clamps_saturated_outputs(tmp_path):
 
 
 def test_predict_records_counts_and_alignment():
-    model = DktModel.zeros(k=4, embedding_dim=4, hidden_dim=5)
+    model = zero_model(k=4, embedding_dim=4, hidden_dim=5)
     sequences = [seq("u1", [(0, 1), (1, 0), (2, 1)]), seq("u2", [(3, 0), (3, 1)])]
     preds, mastery = map(rows_of, predict_records(model, sequences, tag="dkt"))
     assert len(preds) == (3 - 1) + (2 - 1)
@@ -269,7 +277,7 @@ def test_predict_records_long_student_matches_windowed_batch():
     student = seq("long", steps)
     batch = build_batch([student], k, max_t=max_t)  # windows of 4, 4, 3
     assert batch.lengths.tolist() == [4, 4, 3]
-    probs = nncore.net_forward(model.net, batch.lookup_tokens())
+    probs = nncore.net_forward(model.net, batch.x)
     rows = np.concatenate([probs[i, :n] for i, n in enumerate(batch.lengths)])
 
     preds, mastery = map(rows_of, predict_records(model, [student], tag="dkt"))

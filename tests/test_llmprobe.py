@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ktrace.llmprobe import (
+    AUTH_TOKEN_ENV,
     FETCH_WINDOW,
     HISTORY_HEADER,
     PROB_FLOOR,
@@ -395,6 +396,44 @@ def test_client_error_is_not_retried():
         server.server_close()
     assert client.request_count == 1
     assert client.retries == 0
+
+
+@pytest.mark.parametrize("token", ["s3cret-token", None])
+def test_bearer_token_comes_from_the_environment(monkeypatch, token):
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    seen = []
+
+    class Answer(BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            seen.append(self.headers.get("Authorization"))
+            body = json.dumps(
+                {"choices": [{"text": "1", "logprobs": {"top_logprobs": [{"0": -2.0, "1": -0.1}]}}]}
+            ).encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    if token is None:
+        monkeypatch.delenv(AUTH_TOKEN_ENV, raising=False)
+    else:
+        monkeypatch.setenv(AUTH_TOKEN_ENV, token)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Answer)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        host, port = server.server_address
+        client = ProbeClient(probe_config(f"http://{host}:{port}/v1/completions"))
+        client.fetch_many(["k"], lambda misses: [render_prompt([], ("1", "A"))])
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert seen == [None if token is None else f"Bearer {token}"]
 
 
 def test_config_rejects_nonzero_temperature():

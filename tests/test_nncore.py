@@ -25,7 +25,6 @@ from ktrace.nncore import (
     net_loss_and_grads,
     net_forward,
     readout,
-    zero_net,
 )
 
 
@@ -362,12 +361,6 @@ def test_linear_only_composite_grad_error_tiny():
     assert err < 1e-7
 
 
-def test_zero_net_outputs_half_everywhere():
-    net = zero_net(10, 3, 4, 5)
-    probs = nncore.net_forward(net, np.array([[0, 3, 9]]))
-    assert np.array_equal(probs, np.full((1, 3, 5), 0.5))
-
-
 def test_loss_gradient_zero_at_masked_probabilities():
     rng = np.random.default_rng(17)
     k = 4
@@ -454,7 +447,7 @@ def test_target_skill_readout_matches_dense_reference():
     w = np.zeros((b, t_len))
     for i, length in enumerate((8, 5, 2)):
         w[i, : length - 1] = 1.0
-        x_idx[i, length:] = 0  # padding remapped to token 0, as build_batch does
+        x_idx[i, length:] = 0  # padded cells hold some valid token
         s_next[i, length - 1 :] = 0
 
     ref_loss, ref = dense_loss_and_grads(net, x_idx, s_next, y_next, w)
@@ -464,6 +457,35 @@ def test_target_skill_readout_matches_dense_reference():
     assert grads.keys() == ref.keys() == net.flat().keys()
     for name, g in grads.items():
         np.testing.assert_allclose(g, ref[name], atol=1e-12, rtol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_cells_past_the_last_target_never_reach_loss_or_gradients(dtype):
+    """Whatever valid tokens, skills and labels the cells past a row's last
+    target hold, the loss and every gradient stay bit-identical to zeros
+    there: a batch may fill its padded cells with any in-range step."""
+    rng = np.random.default_rng(33)
+    k, t_len = 6, 9
+    net = init_net(2 * k, 3, 5, k, seed=34)
+    net.b_out[:] = rng.normal(size=k)  # a dead cell's readout then depends on its skill
+    net = nncore.from_flat({name: arr.astype(dtype) for name, arr in net.flat().items()})
+    spans = np.array([5, 8, 1, 0, 5])  # rows unsorted, one without a target
+    b = len(spans)
+    w = (np.arange(t_len) < spans[:, None]).astype(np.float64)
+    dead = w == 0
+    highs = (2 * k, k, 2)  # token, skill and label ranges
+    zeroed = [np.where(dead, 0, rng.integers(0, hi, size=(b, t_len))) for hi in highs]
+    loss = net_loss(net, *zeroed, w)
+    step_loss, grads = net_loss_and_grads(net, *zeroed, w)
+    for _ in range(5):
+        filled = [np.where(dead, rng.integers(0, hi, size=(b, t_len)), a)
+                  for a, hi in zip(zeroed, highs)]
+        assert net_loss(net, *filled, w) == loss
+        got_loss, got = net_loss_and_grads(net, *filled, w)
+        assert got_loss == step_loss
+        assert got.keys() == grads.keys()
+        for name, g in got.items():
+            assert np.array_equal(g, grads[name]), name
 
 
 def test_training_step_never_allocates_a_dense_readout():
