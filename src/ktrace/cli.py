@@ -28,6 +28,7 @@ import numpy as np
 from . import dkt, evaluation, ingest, llmprobe, nncore, synth
 from .config import ConfigError, EvalSection, RunConfig, load_config
 from .records import (
+    MasteryTrajectory,
     Predictions,
     read_prediction_dump,
     read_trajectory,
@@ -101,10 +102,14 @@ class Workspace:
         with open(self.manifest_path, "r", encoding="utf-8") as fh:
             return json.load(fh)
 
-    def update_manifest(self, stage: str, entry: dict) -> None:
+    def commit_stage(self, stage: str, cfg: RunConfig, vocab_hash: str) -> None:
+        """Record ``stage`` in the manifest: a stage's last write, made once
+        all of its files are in place."""
         manifest = self.read_manifest()
         manifest["version"] = MANIFEST_VERSION
-        manifest.setdefault("stages", {})[stage] = entry
+        manifest.setdefault("stages", {})[stage] = {
+            "config_hash": cfg.config_hash(), "vocab_hash": vocab_hash, "seed": cfg.seed,
+        }
         write_json(self.manifest_path, manifest)
 
     @contextlib.contextmanager
@@ -208,8 +213,8 @@ STAT_ROWS = [
 ]
 
 
-def print_stats_table(stats_by_column: Dict[str, Optional[ingest.DatasetStats]]) -> None:
-    columns = [name for name, stats in stats_by_column.items() if stats is not None]
+def print_stats_table(stats_by_column: Dict[str, ingest.DatasetStats]) -> None:
+    columns = list(stats_by_column)
     header = f"{'Statistic':<34}" + "".join(f"{c:>14}" for c in columns)
     print(header)
     print("-" * len(header))
@@ -224,15 +229,15 @@ def print_stats_table(stats_by_column: Dict[str, Optional[ingest.DatasetStats]])
 
 def write_prepared_workspace(
     ws: Workspace,
-    cfg: RunConfig,
     indexed: List[ingest.StudentSequence],
     vocab: ingest.Vocab,
     split: ingest.DatasetSplit,
-    stats_by_column: Dict[str, Optional[ingest.DatasetStats]],
+    stats_by_column: Dict[str, ingest.DatasetStats],
     rejects: Sequence[ingest.RejectedRow] = (),
     filter_report: Optional[ingest.FilterReport] = None,
-    stage: str = "prepare",
 ) -> None:
+    """Write the files ``prepare`` and ``synth`` share; the caller commits
+    its stage once its own files are written too."""
     ingest.write_sequences(ws.sequences_path, indexed)
     write_json(ws.vocab_path, vocab)
     write_json(
@@ -252,10 +257,6 @@ def write_prepared_workspace(
     write_json(
         ws.repr_quiz_path,
         {"repr_quiz": representative_quizzes(split.train, vocab.k)},
-    )
-    ws.update_manifest(
-        stage,
-        {"config_hash": cfg.config_hash(), "vocab_hash": vocab.content_hash(), "seed": cfg.seed},
     )
 
 
@@ -287,9 +288,10 @@ def cmd_prepare(cfg: RunConfig) -> int:
             **ingest.summarize_split(split),
         }
         write_prepared_workspace(
-            ws, cfg, indexed, vocab, split, stats_by_column,
+            ws, indexed, vocab, split, stats_by_column,
             rejects=parsed.rejects, filter_report=filter_report,
         )
+        ws.commit_stage("prepare", cfg, vocab.content_hash())
 
         print_stats_table(stats_by_column)
         print(
@@ -324,14 +326,13 @@ def cmd_synth(cfg: RunConfig) -> int:
             "preprocessed": ingest.summarize(corpus.sequences),
             **ingest.summarize_split(split),
         }
-        write_prepared_workspace(
-            ws, cfg, corpus.sequences, vocab, split, stats_by_column, stage="synth",
-        )
+        write_prepared_workspace(ws, corpus.sequences, vocab, split, stats_by_column)
         synth.write_oracle_sidecar(ws.oracle_path, corpus)
         write_prediction_dump(
             ws.dump_path("oracle"), synth.oracle_records(corpus, split.test)
         )
         write_json(ws.root / "generative_spec.json", cfg.synth)
+        ws.commit_stage("synth", cfg, vocab.content_hash())
 
         print_stats_table(stats_by_column)
         print(
@@ -379,10 +380,7 @@ def cmd_train(cfg: RunConfig) -> int:
             traj = dkt.mastery_trajectory(model, seq)
             write_trajectory(ws.trajectory_path("dkt", user_id), traj)
 
-        ws.update_manifest(
-            "train",
-            {"config_hash": cfg.config_hash(), "vocab_hash": vocab_hash, "seed": cfg.seed},
-        )
+        ws.commit_stage("train", cfg, vocab_hash)
         print(
             f"trained {len(log)} epochs in {wall:.1f}s; best validation loss {best:.4f}; "
             f"test dump: {len(predictions)} predictions"
@@ -431,10 +429,8 @@ def cmd_probe(cfg: RunConfig, tag_override: Optional[str] = None) -> int:
                 print(f"warning: mastery student {user_id} not found; skipped")
                 continue
             steps = llmprobe.display_steps(seq.steps, vocab.skill_names, vocab.quiz_ids)
-            traj = llmprobe.probe_mastery(
-                client, seq.user_id, steps, vocab.skill_names, repr_quiz
-            )
-            traj.steps = list(seq.steps)  # restore real quiz indices
+            p = llmprobe.probe_mastery(client, steps, vocab.skill_names, repr_quiz)
+            traj = MasteryTrajectory(user_id=user_id, p=p, steps=list(seq.steps))
             write_trajectory(ws.trajectory_path(tag, user_id), traj)
             mastery_paths.append(traj.practiced_path(tag))
 
@@ -458,14 +454,7 @@ def cmd_probe(cfg: RunConfig, tag_override: Optional[str] = None) -> int:
         with ingest.atomic_open(audit_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(f"{line}\n" for _, _, line in sorted(client.audit, key=itemgetter(0, 1)))
 
-        ws.update_manifest(
-            f"probe:{tag}",
-            {
-                "config_hash": cfg.config_hash(),
-                "vocab_hash": vocab.content_hash(),
-                "seed": cfg.seed,
-            },
-        )
+        ws.commit_stage(f"probe:{tag}", cfg, vocab.content_hash())
         print(
             f"probed {len(test_users)} students -> {len(preds)} records "
             f"({coverage['unresolved']} unresolved), {client.request_count} network requests"

@@ -45,7 +45,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 
 import numpy as np
 
-from .records import PROB_FLOOR, MasteryTrajectory, Predictions, step_rows
+from .records import PROB_FLOOR, Predictions, step_rows
 
 log = logging.getLogger(__name__)
 
@@ -110,11 +110,11 @@ class ProbeConfig:
 
 @dataclass(frozen=True)
 class PromptRecord:
+    """One rendered prompt: the system and user messages, and whether the
+    history in ``user`` was cut to ``history_limit``."""
+
     system: str
     user: str
-    history_length: int
-    next_quiz: str
-    next_skill_name: str
     truncated: bool = False
 
     @property
@@ -183,9 +183,6 @@ def render_prompts(
             PromptRecord(
                 system=SYSTEM_MESSAGE,
                 user=USER_HEAD + "".join(shown) + _next_quiz_line(next_quiz, next_skill),
-                history_length=len(shown),
-                next_quiz=next_quiz,
-                next_skill_name=next_skill,
                 truncated=truncated,
             )
         )
@@ -616,14 +613,14 @@ def probe_sequence(
 
 def probe_mastery(
     client: ProbeClient,
-    user_id: str,
     steps: Sequence[DisplayStep],
     skill_names: Sequence[str],
     representative_quiz: Sequence[str],
-) -> MasteryTrajectory:
-    """Full T x K mastery matrix: after each observed step, one probe per
-    skill with that skill's representative item as the next quiz. Issues
-    exactly T * K prompts; unresolved cells are NaN."""
+) -> np.ndarray:
+    """The (T, K) mastery matrix of one student's ``steps``: row t probes
+    every skill after the first t + 1 steps, with that skill's representative
+    item as the next quiz. Issues exactly T * K prompts; unresolved cells are
+    NaN."""
     if len(steps) < 1:
         raise ValueError("probe_mastery needs at least 1 step")
     k = len(skill_names)
@@ -635,10 +632,7 @@ def probe_mastery(
         for skill in range(k)
     ]
     tops = _fetch_tops(client, [(_history_triples(steps), queries)], use_cache=True)
-    p = np.array([_step_probability(top)[0] for top in tops]).reshape(len(steps), k)
-    return MasteryTrajectory(
-        user_id=user_id, p=p, steps=[(s.skill, -1, s.y) for s in steps]
-    )
+    return np.array([_step_probability(top)[0] for top in tops]).reshape(len(steps), k)
 
 
 @dataclass

@@ -10,9 +10,10 @@ here on purpose.
 
 The GRU runs as one fused kernel on its packed parameters W (d_in, 3h),
 U (h, 3h) and b (3h,), gate order z|r|h, and each step gathers its input
-projection from the token table ``embedding @ W + b``. Given row lengths in
-non-increasing order, the kernel runs step t on the live prefix of rows only
-and leaves padded cells at zero. Training and validation (``net_loss``,
+projection from the token table ``embedding @ W + b``. Every row's hidden
+state starts at zero: the kernel takes no initial state and returns no
+gradient for one. Given row lengths in non-increasing order, the kernel runs
+step t on the live prefix of rows only and leaves padded cells at zero. Training and validation (``net_loss``,
 ``net_loss_and_grads``) sort the rows by the span of their targets, skip the
 cells past it, and read out only each step's target skill, so they never
 build a (B, T, K) tensor. Batched inference (``net_target_probs``) reads out
@@ -189,10 +190,10 @@ def input_table(embedding: Array, p: GruParams) -> Array:
 
 @dataclass
 class GruTape:
-    """Forward intermediates for one batch, recorded for the backward pass."""
+    """Forward intermediates for one batch, recorded for the backward pass.
+    The hidden state before step 0 is zero, so it is not recorded."""
 
     x: Array       # (B, T, d_in)
-    h0: Array      # (B, d_h)
     z: Array       # (B, T, d_h)
     r: Array       # (B, T, d_h)
     hcand: Array   # (B, T, d_h)
@@ -221,13 +222,13 @@ def _live_rows(lengths: Array | None, b: int, t_len: int) -> Array:
 def gru_forward(
     x: Array,
     p: GruParams,
-    h0: Array | None = None,
     tokens: Array | None = None,
     table: Array | None = None,
     lengths: Array | None = None,
     tape: bool = True,
 ) -> Tuple[Array, GruTape | None]:
-    """Run the GRU recurrence over a (B, T, d_in) batch.
+    """Run the GRU recurrence over a (B, T, d_in) batch from a zero hidden
+    state.
 
     When ``tokens`` (B, T) and its ``input_table`` are given, ``x`` must be
     ``embedding[tokens]`` and each step gathers its input projection from the
@@ -245,16 +246,12 @@ def gru_forward(
     d_h = p.d_h
     if d_in != p.d_in:
         raise ValueError(f"input width {d_in} does not match GRU d_in {p.d_in}")
-    if h0 is None:
-        h0 = np.zeros((b, d_h), dtype=dtype)
-    else:
-        h0 = np.broadcast_to(np.asarray(h0, dtype=dtype), (b, d_h)).copy()
     live = _live_rows(lengths, b, t_len)
 
     u_zr, u_c = p.u[:, : 2 * d_h], p.u[:, 2 * d_h :]
     gates = np.zeros((b, t_len, 3 * d_h), dtype=dtype) if tape else None  # z | r | candidate
     h = np.zeros((b, t_len, d_h), dtype=dtype)
-    h_prev = h0
+    h_prev = np.zeros((b, d_h), dtype=dtype)
     for t in range(t_len):
         n = live[t]
         if n == 0:
@@ -278,23 +275,23 @@ def gru_forward(
     if not tape:
         return h, None
     return h, GruTape(
-        x=x, h0=h0, z=gates[..., :d_h], r=gates[..., d_h : 2 * d_h],
+        x=x, z=gates[..., :d_h], r=gates[..., d_h : 2 * d_h],
         hcand=gates[..., 2 * d_h :], h=h, live=live,
     )
 
 
-def gru_backward(p: GruParams, tape: GruTape, dh: Array) -> Tuple[Dict[str, Array], Array, Array]:
+def gru_backward(p: GruParams, tape: GruTape, dh: Array) -> Tuple[Dict[str, Array], Array]:
     """Backpropagate through time.
 
     ``dh`` holds dL/dh_t for every step (same shape as the forward hidden
     states); its entries at dead cells are ignored, and dL/dx there is
-    zero. Returns (parameter grads keyed like GruParams.flat(), dL/dx,
-    dL/dh0). Gradients come back in the packed z|r|h layout of the
-    parameters: three weight-gradient matmuls per step, over the step's live
-    rows only. The two blocks of dU accumulate in contiguous buffers joined
-    once at the end: an add into a column slice of one (h, 3h) array is
-    strided and about three times slower. Everything runs in the dtype of
-    ``p.u``.
+    zero. Returns (parameter grads keyed like GruParams.flat(), dL/dx); the
+    zero initial state takes no gradient. Gradients come back in the packed
+    z|r|h layout of the parameters: three weight-gradient matmuls per step,
+    over the step's live rows only. The two blocks of dU accumulate in
+    contiguous buffers joined once at the end: an add into a column slice of
+    one (h, 3h) array is strided and about three times slower. Everything
+    runs in the dtype of ``p.u``.
     """
     dtype = p.u.dtype
     dh = np.asarray(dh, dtype=dtype)
@@ -314,7 +311,7 @@ def gru_backward(p: GruParams, tape: GruTape, dh: Array) -> Tuple[Dict[str, Arra
         n = tape.live[t]
         if n == 0:
             continue
-        h_prev = tape.h[:n, t - 1] if t > 0 else tape.h0[:n]
+        h_prev = tape.h[:n, t - 1] if t > 0 else np.zeros((n, d_h), dtype=dtype)
         zt, rt, ct = tape.z[:n, t], tape.r[:n, t], tape.hcand[:n, t]
         da = da_buf[:n]
 
@@ -333,7 +330,7 @@ def gru_backward(p: GruParams, tape: GruTape, dh: Array) -> Tuple[Dict[str, Arra
         dx[:n, t] = da @ p.w.T
         carry[:n] = (dht - dct) + drh * rt + da[:, :h2] @ u_zr.T
 
-    return {"w": d_w, "u": np.concatenate([d_uzr, d_uc], axis=1), "b": d_b}, dx, carry
+    return {"w": d_w, "u": np.concatenate([d_uzr, d_uc], axis=1), "b": d_b}, dx
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +471,7 @@ def net_loss_and_grads(
     }
     dh = net.w_out.T[s_next]
     dh *= d_logit[..., None]
-    gru_grads, dx_emb, _ = gru_backward(net.gru, gru_tape, dh)
+    gru_grads, dx_emb = gru_backward(net.gru, gru_tape, dh)
     grads.update(gru_grads)
     grads["embedding"] = embed_lookup_backward(x_idx, dx_emb, net.n_tokens)
     return loss, grads
@@ -516,17 +513,20 @@ def clip_global_norm(grads: Dict[str, Array], max_norm: float = 5.0) -> Dict[str
     return {name: g * scale for name, g in grads.items()}
 
 
+ADAM_BETA1 = 0.9  # decay of the first-moment average
+ADAM_BETA2 = 0.999  # decay of the second-moment average
+ADAM_EPS = 1e-8  # added to the root of the second moment
+
+
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the step counter."""
+    """First/second moment accumulators, the step counter and the learning
+    rate; the decays and epsilon are the ``ADAM_*`` constants."""
 
     m: Dict[str, Array]
     v: Dict[str, Array]
     t: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: Dict[str, Array], lr: float = 1e-3) -> "AdamState":
@@ -543,16 +543,16 @@ def adam_update(
     """One bias-corrected Adam step. Returns fresh parameter arrays; the
     state object is updated in place and returned for convenience."""
     state.t += 1
-    c1 = 1.0 - state.beta1 ** state.t
-    c2 = 1.0 - state.beta2 ** state.t
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
     out: Dict[str, Array] = {}
     for name, p in params.items():
         g = grads[name]
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (g * g)
         m_hat = state.m[name] / c1
         v_hat = state.v[name] / c2
-        out[name] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        out[name] = p - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return out, state
 
 
@@ -597,18 +597,15 @@ def grad_check(
     y_next: Array,
     w: Array,
     eps: float = 1e-5,
-    grad_fn: Callable[[DktNet], Dict[str, Array]] | None = None,
 ) -> float:
-    """Verify the full-stack backward pass against central differences.
+    """Verify ``net_loss_and_grads`` against central differences of
+    ``net_loss``: the largest relative error over every parameter entry
+    (``fd_max_rel_error``).
 
     Intended for tiny dimensions only (every parameter entry costs two
-    forward passes). ``grad_fn`` exists so tests can inject a corrupted
-    backward and confirm the harness notices.
+    forward passes).
     """
-    if grad_fn is None:
-        analytic = net_loss_and_grads(net, x_idx, s_next, y_next, w)[1]
-    else:
-        analytic = grad_fn(net)
+    analytic = net_loss_and_grads(net, x_idx, s_next, y_next, w)[1]
     return fd_max_rel_error(
         lambda: net_loss(net, x_idx, s_next, y_next, w),
         net.flat(),

@@ -146,36 +146,31 @@ def generate(spec: GenerativeSpec) -> SynthCorpus:
     return SynthCorpus(spec=spec, sequences=sequences, oracle=oracle, mastery=mastery)
 
 
-def oracle_records(
-    corpus: SynthCorpus, sequences: Sequence[StudentSequence] | None = None, skip_first: bool = True
-) -> Predictions:
-    """Oracle probabilities in the shared dump schema.
-
-    ``skip_first`` drops each student's t=0 position so the rows line up with
-    next-step prediction dumps (which have no cold-start target). Noise-free
-    specs can produce exact 0/1 probabilities; those are nudged inside the
-    open interval the schema requires.
+def oracle_records(corpus: SynthCorpus, sequences: Sequence[StudentSequence]) -> Predictions:
+    """Oracle probabilities of ``sequences`` (students of ``corpus``) in the
+    shared dump schema, at next-step positions t = 1..T-1: each student's
+    t = 0 position has no target in a next-step prediction dump, so it is
+    dropped and the rows line up with the trainer's and the probe's.
+    Noise-free specs can produce exact 0/1 probabilities; those are nudged
+    inside the open interval the schema requires.
     """
-    seqs = corpus.sequences if sequences is None else sequences
-    first = 1 if skip_first else 0
-    steps = np.array(flatten_steps(seqs), dtype=np.int64).reshape(-1, 3)
+    steps = np.array(flatten_steps(sequences), dtype=np.int64).reshape(-1, 3)
     probs = np.fromiter(
-        chain.from_iterable(corpus.oracle[seq.user_id][first:] for seq in seqs), np.float64
+        chain.from_iterable(corpus.oracle[seq.user_id][1:] for seq in sequences), np.float64
     )
     return step_rows(
-        [seq.user_id for seq in seqs], [len(seq) for seq in seqs],
-        steps[:, 0], steps[:, 2], probs, "oracle", first_step=first,
+        [seq.user_id for seq in sequences], [len(seq) for seq in sequences],
+        steps[:, 0], steps[:, 2], probs, "oracle", first_step=1,
     )
 
 
-def oracle_auc(
-    corpus: SynthCorpus, sequences: Sequence[StudentSequence] | None = None, skip_first: bool = True
-) -> float:
-    """AUC the Bayes oracle achieves on its own observations: the ceiling any
-    predictor can approach in expectation."""
+def oracle_auc(corpus: SynthCorpus, sequences: Sequence[StudentSequence]) -> float:
+    """AUC the Bayes oracle achieves on the next-step positions of
+    ``sequences`` (``oracle_records``): the ceiling any predictor can
+    approach there in expectation."""
     from .evaluation import roc_auc
 
-    return roc_auc(oracle_records(corpus, sequences, skip_first=skip_first)).auc
+    return roc_auc(oracle_records(corpus, sequences)).auc
 
 
 def write_oracle_sidecar(path: str | Path, corpus: SynthCorpus) -> None:

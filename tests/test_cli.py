@@ -269,6 +269,20 @@ def test_synth_then_train_end_to_end(tmp_path, capsys):
     assert len(mastery) == sum(len(sequences[u]) for u in split["test"])
 
 
+def test_synth_commits_its_manifest_entry_after_its_oracle_files(tmp_path, monkeypatch, capsys):
+    """A synth that fails writing its oracle files leaves no synth entry."""
+    from ktrace import synth
+
+    def failing_sidecar(path, corpus):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(synth, "write_oracle_sidecar", failing_sidecar)
+    cfg_path = write_config(tmp_path / "c.json", synth_config(tmp_path))
+    assert main(["synth", "--config", cfg_path]) == 1
+    assert capsys.readouterr().err == "error: synth: disk full\n"
+    assert "synth" not in Workspace(tmp_path / "ws").read_manifest()["stages"]
+
+
 def test_train_on_empty_workspace_names_the_command(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "c.json", synth_config(tmp_path))
     assert main(["train", "--config", cfg_path]) == 1
@@ -847,6 +861,24 @@ def test_gradcheck_command_passes(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+
+
+def test_gradcheck_command_fails_on_a_wrong_gradient(monkeypatch, capsys):
+    from ktrace import nncore
+
+    net_loss_and_grads = nncore.net_loss_and_grads
+
+    def flipped(*args):
+        """The gradients with the sign of b_out's largest entry flipped."""
+        loss, grads = net_loss_and_grads(*args)
+        grads["b_out"] = grads["b_out"].copy()
+        grads["b_out"][np.argmax(np.abs(grads["b_out"]))] *= -1.0
+        return loss, grads
+
+    monkeypatch.setattr(nncore, "net_loss_and_grads", flipped)
+    assert main(["gradcheck"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL: error above 1e-4" in out and "PASS" not in out
 
 
 def test_representative_quizzes_most_frequent_with_tie_break():

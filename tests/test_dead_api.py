@@ -1,12 +1,16 @@
 """No dead API: every function, class, method and module-level constant that
 ``src/ktrace`` defines is loaded by some code in ``src/ktrace`` or
-``perfbench``, and every module of ``src/ktrace`` loads each name it imports.
+``perfbench``, every module of ``src/ktrace`` loads each name it imports, and
+every defaulted parameter of a ``src/ktrace`` function or method is passed by
+some call in ``src/ktrace`` or ``perfbench``.
 
 A definition counts as loaded when its name is read as a variable, as an
 attribute, or appears as an identifier string (the names ``perfbench/tracer.py``
 hands to ``Tracer.wrap``). An attribute of numpy does not count: ``np.zeros``
-keeps no ``zeros`` of ours alive. Tests do not count: a function only a test
-calls is dead code kept alive by its test.
+keeps no ``zeros`` of ours alive. A parameter counts as passed when a call to a
+function of that name (a class's name for ``__init__``) sets it by keyword or
+by position, or spreads ``*``/``**`` arguments it may reach. Tests do not count:
+a function or a knob only a test uses is dead code kept alive by its test.
 """
 
 from __future__ import annotations
@@ -106,3 +110,58 @@ def test_every_constant_and_import_in_ktrace_is_loaded():
     unused = [f"{path.stem}: {name}" for path in sources for name in imported_names(trees[path])
               if name not in loaded_names(trees[path])]
     assert not unused, f"imports of src/ktrace that their module never loads: {unused}"
+
+
+def defaulted_parameters(tree: ast.Module) -> list:
+    """``(call name, parameter, positional index or None)`` for each defaulted
+    parameter of every function and method in ``tree``, nested ones included.
+    A method's index skips ``self``/``cls``, as a call through an instance or
+    class passes it; ``__init__`` is called by its class's name."""
+    owners = {
+        member: node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for member in node.body
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        if node in owners and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+        ):
+            positional = positional[1:]
+        name = owners[node].name if node in owners and node.name == "__init__" else node.name
+        for index, arg in enumerate(positional):
+            if index >= len(positional) - len(args.defaults):
+                found.append((name, arg.arg, index))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found.append((name, arg.arg, None))
+    return found
+
+
+def passes(call: ast.Call, parameter: str, index) -> bool:
+    """Whether ``call`` sets ``parameter`` (at ``index`` when positional)."""
+    if any(kw.arg is None or kw.arg == parameter for kw in call.keywords):
+        return True
+    if index is None:
+        return False
+    return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_defaulted_parameter_in_ktrace_is_passed():
+    sources, trees, _ = parsed()
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = [
+        f"{path.stem}.{name}({parameter})"
+        for path in sources for name, parameter, index in defaulted_parameters(trees[path])
+        if name not in KEEP and not any(passes(call, parameter, index) for call in calls.get(name, ()))
+    ]
+    assert not unset, f"defaulted parameters no call in src/ktrace or perfbench passes: {unset}"

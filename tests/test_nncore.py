@@ -118,16 +118,21 @@ def test_gru_t1_equals_single_cell():
     assert np.allclose(h[0], expected, atol=0, rtol=0)
 
 
-def test_gru_sequence_equals_stepwise_application():
+def test_gru_prefix_run_reproduces_the_full_runs_rows():
+    """Step t reads only steps 0..t: a run over x[:, :t] gives the first t
+    rows of the full run bit for bit, with input matmuls and with the token
+    table (what dkt.mastery_trajectory relies on)."""
     rng = np.random.default_rng(4)
-    p = random_gru(rng, 3, 4)
-    x = rng.normal(size=(5, 3))
-    (h_full,), _ = gru_forward(x[None], p)
-    h_prev = np.zeros(4)
-    for t in range(5):
-        (step,), _ = gru_forward(x[None, t : t + 1], p, h0=h_prev)
-        h_prev = step[0]
-        assert np.array_equal(h_full[t], h_prev)
+    net = init_net(10, 3, 4, 5, seed=4)
+    tokens = rng.integers(0, 10, size=(2, 6))
+    x = net.embedding[tokens]
+    table = nncore.input_table(net.embedding, net.gru)
+    h_full, _ = gru_forward(x, net.gru)
+    h_table, _ = gru_forward(x, net.gru, tokens=tokens, table=table)
+    for t in range(1, 7):
+        assert np.array_equal(gru_forward(x[:, :t], net.gru)[0], h_full[:, :t])
+        h_prefix, _ = gru_forward(x[:, :t], net.gru, tokens=tokens[:, :t], table=table)
+        assert np.array_equal(h_prefix, h_table[:, :t])
 
 
 def test_gru_nonfinite_raises_with_step_index():
@@ -151,7 +156,7 @@ def test_gru_gradients_match_finite_differences():
         return float((h * coef).sum())
 
     _, tape = gru_forward(x, p)
-    grads, dx, _ = gru_backward(p, tape, coef)
+    grads, dx = gru_backward(p, tape, coef)
     tensors = dict(p.flat())
     tensors["x"] = x
     analytic = dict(grads)
@@ -327,19 +332,20 @@ def test_full_stack_grad_check_small_net():
     assert err < 1e-4
 
 
-def test_grad_check_detects_sign_flip():
+def test_grad_check_detects_sign_flip(monkeypatch):
     rng = np.random.default_rng(15)
     k = 4
     net = init_net(2 * k, 3, 4, k, seed=22)
     x_idx, s_next, y_next, w = random_batch(rng, 2, 5, k)
 
-    def corrupted(n):
-        grads = net_loss_and_grads(n, x_idx, s_next, y_next, w)[1]
+    def corrupted(*args):
+        loss, grads = net_loss_and_grads(*args)
         grads["w_out"] = grads["w_out"].copy()
         grads["w_out"][0, 0] = -grads["w_out"][0, 0]
-        return grads
+        return loss, grads
 
-    err = grad_check(net, x_idx, s_next, y_next, w, eps=1e-5, grad_fn=corrupted)
+    monkeypatch.setattr(nncore, "net_loss_and_grads", corrupted)
+    err = grad_check(net, x_idx, s_next, y_next, w, eps=1e-5)
     assert err > 1e-2
 
 
@@ -430,7 +436,7 @@ def dense_loss_and_grads(net, x_idx, s_next, y_next, w):
         "w_out": h.reshape(-1, net.d_h).T @ d_logits.reshape(-1, k),
         "b_out": d_logits.reshape(-1, k).sum(axis=0),
     }
-    gru_grads, dx, _ = gru_backward(net.gru, tape, d_logits @ net.w_out.T)
+    gru_grads, dx = gru_backward(net.gru, tape, d_logits @ net.w_out.T)
     ref.update(gru_grads)
     ref["embedding"] = embed_lookup_backward(x_idx, dx, net.n_tokens)
     return ref_loss, ref
@@ -576,14 +582,14 @@ def test_gru_lengths_skip_dead_cells():
     live = np.arange(6)[None, :] < lengths[:, None]
 
     h, tape = gru_forward(x, p, lengths=lengths)
-    grads, dx, dh0 = gru_backward(p, tape, coef)
-    assert not h[~live].any() and not dx[~live].any() and not dh0[4].any()
+    grads, dx = gru_backward(p, tape, coef)
+    assert not h[~live].any() and not dx[~live].any()
     for i, n in enumerate(lengths[:4]):
         (h_row,), _ = gru_forward(x[i : i + 1, :n], p)
         np.testing.assert_allclose(h[i, :n], h_row, atol=1e-14, rtol=0)
     # dense reference: every cell computed, dead cells given zero gradient
     _, dense_tape = gru_forward(x, p)
-    ref, ref_dx, _ = gru_backward(p, dense_tape, np.where(live[..., None], coef, 0.0))
+    ref, ref_dx = gru_backward(p, dense_tape, np.where(live[..., None], coef, 0.0))
     np.testing.assert_allclose(dx, np.where(live[..., None], ref_dx, 0.0), atol=1e-12, rtol=0)
     for name, g in grads.items():
         np.testing.assert_allclose(g, ref[name], atol=1e-12, rtol=0, err_msg=name)
@@ -641,23 +647,23 @@ def test_gru_float32_params_compute_in_float32():
 
     h64, tape64 = gru_forward(x, p64, lengths=lengths)
     h32, tape32 = gru_forward(x, p32, lengths=lengths)
-    tape_arrays = (tape32.x, tape32.h0, tape32.z, tape32.r, tape32.hcand, tape32.h)
+    tape_arrays = (tape32.x, tape32.z, tape32.r, tape32.hcand, tape32.h)
     assert h32.dtype == np.float32
     assert [a.dtype for a in tape_arrays] == [np.dtype(np.float32)] * len(tape_arrays)
     np.testing.assert_allclose(h32, h64, atol=1e-5, rtol=0)
     for arr in (h32, tape32.z, tape32.r, tape32.hcand):
         assert not arr[~live].any()
 
-    grads64, dx64, dh0_64 = gru_backward(p64, tape64, coef)
-    grads32, dx32, dh0_32 = gru_backward(p32, tape32, coef)
+    grads64, dx64 = gru_backward(p64, tape64, coef)
+    grads32, dx32 = gru_backward(p32, tape32, coef)
     assert grads32.keys() == grads64.keys()
     pairs = [(grads32[name], grads64[name], name) for name in grads64]
-    pairs += [(dx32, dx64, "dx"), (dh0_32, dh0_64, "dh0")]
+    pairs.append((dx32, dx64, "dx"))
     for got, want, name in pairs:
         assert got.dtype == np.float32, name
         scale = np.abs(want).max()
         np.testing.assert_allclose(got, want, atol=1e-3 * scale, rtol=0, err_msg=name)
-    assert not dx32[~live].any() and not dh0_32[4].any()
+    assert not dx32[~live].any()
 
 
 def test_saturated_float32_net_keeps_a_finite_float64_loss():

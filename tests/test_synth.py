@@ -196,20 +196,20 @@ def test_fully_deterministic_process_has_auc_one():
     spec = GenerativeSpec(k=2, p_init=0.0, p_learn=1.0, p_guess=0.0, p_slip=0.0,
                           n_students=30, mean_length=8, seed=13)
     corpus = generate(spec)
-    assert oracle_auc(corpus, skip_first=False) == pytest.approx(1.0)
+    assert oracle_auc(corpus, corpus.sequences) == pytest.approx(1.0)
 
 
 def test_symmetric_noise_auc_strictly_between_half_and_one():
     spec = GenerativeSpec(k=2, p_init=0.5, p_learn=0.2, p_guess=0.2, p_slip=0.2,
                           n_students=200, mean_length=20, seed=14)
     corpus = generate(spec)
-    auc = oracle_auc(corpus)
+    auc = oracle_auc(corpus, corpus.sequences)
     assert 0.5 < auc < 1.0
 
 
 def test_reference_spec_oracle_auc_pinned():
     corpus = generate(REFERENCE_SPEC)
-    assert oracle_auc(corpus) == pytest.approx(REFERENCE_ORACLE_AUC, abs=1e-9)
+    assert oracle_auc(corpus, corpus.sequences) == pytest.approx(REFERENCE_ORACLE_AUC, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +220,7 @@ def test_oracle_records_skip_first_counts():
     spec = GenerativeSpec(k=2, p_init=0.3, p_learn=0.2, p_guess=0.2, p_slip=0.1,
                           n_students=5, mean_length=6, seed=15)
     corpus = generate(spec)
-    records = oracle_records(corpus)
+    records = oracle_records(corpus, corpus.sequences)
     assert len(records) == sum(len(s) - 1 for s in corpus.sequences)
     assert all(r.step >= 1 for r in rows_of(records))
 
@@ -231,7 +231,7 @@ def test_oracle_records_from_noise_free_spec_survive_dump_round_trip(tmp_path):
     spec = GenerativeSpec(k=2, p_init=1.0, p_learn=0.0, p_guess=0.0, p_slip=0.0,
                           n_students=4, mean_length=6, seed=20)
     corpus = generate(spec)
-    records = oracle_records(corpus)
+    records = oracle_records(corpus, corpus.sequences)
     assert all(0.0 < r.p < 1.0 for r in rows_of(records))
     path = tmp_path / "oracle.csv"
     write_prediction_dump(path, records)
