@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from collections import Counter
 from operator import itemgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -182,18 +181,15 @@ def load_vocab(ws: Workspace) -> ingest.Vocab:
         return ingest.Vocab(**{name: tuple(ids) for name, ids in json.load(fh).items()})
 
 
-def representative_quizzes(
-    train_seqs: Sequence[ingest.StudentSequence], k: int
-) -> List[int]:
+def representative_quizzes(train: ingest.StepTable, k: int) -> List[int]:
     """Most frequent training-split quiz index per skill; ties break toward
     the smaller quiz index. Skills unseen in training fall back to quiz 0."""
-    counts = Counter(map(itemgetter(0, 1), ingest.flatten_steps(train_seqs)))
-    best: Dict[int, tuple] = {}
-    for (skill, quiz), n in counts.items():
-        rank = (-n, quiz)
-        if skill not in best or rank < best[skill]:
-            best[skill] = rank
-    return [best[skill][1] if skill in best else 0 for skill in range(k)]
+    position, _, counts = ingest.distinct_rows(train.skill, train.quiz)
+    skill, quiz = train.skill[position], train.quiz[position]
+    # rank each skill's pairs by count, then quiz index; the best is written last
+    last_best = np.lexsort((-quiz, counts))
+    best = dict(zip(skill[last_best].tolist(), quiz[last_best].tolist()))
+    return [best.get(skill, 0) for skill in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +225,7 @@ def print_stats_table(stats_by_column: Dict[str, ingest.DatasetStats]) -> None:
 
 def write_prepared_workspace(
     ws: Workspace,
-    indexed: List[ingest.StudentSequence],
+    table: ingest.StepTable,
     vocab: ingest.Vocab,
     split: ingest.DatasetSplit,
     stats_by_column: Dict[str, ingest.DatasetStats],
@@ -238,16 +234,16 @@ def write_prepared_workspace(
 ) -> None:
     """Write the files ``prepare`` and ``synth`` share; the caller commits
     its stage once its own files are written too."""
-    ingest.write_sequences(ws.sequences_path, indexed)
+    ingest.write_sequences(ws.sequences_path, table)
     write_json(ws.vocab_path, vocab)
     write_json(
         ws.split_path,
         {
             "seed": split.seed,
             "ratios": list(split.ratios),
-            "train": [s.user_id for s in split.train],
-            "val": [s.user_id for s in split.val],
-            "test": [s.user_id for s in split.test],
+            "train": split.train.user_ids,
+            "val": split.val.user_ids,
+            "test": split.test.user_ids,
         },
     )
     write_json(ws.stats_path, stats_by_column)
@@ -273,22 +269,18 @@ def cmd_prepare(cfg: RunConfig) -> int:
             parsed = ingest.parse_interactions(
                 fh, columns=cfg.data.columns or None, delimiter=cfg.data.delimiter
             )
-        # filter_and_order and collect_skill_names share the columns' one sort
-        raw_sequences, filter_report = ingest.filter_and_order(parsed.columns)
-        if not raw_sequences:
+        table, vocab, filter_report = ingest.filter_and_order(parsed.columns)
+        if not table:
             raise ConfigError("no students survived preprocessing")
-        names = ingest.collect_skill_names(parsed.columns)
-        vocab = ingest.build_vocab(raw_sequences, names)
-        indexed = ingest.index_sequences(raw_sequences, vocab)
-        split = ingest.split_students(indexed, cfg.ratios, cfg.seed)
+        split = ingest.split_students(table, cfg.ratios, cfg.seed)
 
         stats_by_column = {
             "original": ingest.summarize_records(parsed.columns),
-            "preprocessed": ingest.summarize(indexed),
+            "preprocessed": ingest.summarize(table),
             **ingest.summarize_split(split),
         }
         write_prepared_workspace(
-            ws, indexed, vocab, split, stats_by_column,
+            ws, table, vocab, split, stats_by_column,
             rejects=parsed.rejects, filter_report=filter_report,
         )
         ws.commit_stage("prepare", cfg, vocab.content_hash())
@@ -316,17 +308,15 @@ def cmd_synth(cfg: RunConfig) -> int:
     ws = Workspace(cfg.workspace)
     with ws.lock():
         corpus = synth.generate(cfg.synth)
-        vocab = ingest.Vocab(
-            skill_ids=tuple(str(i) for i in range(cfg.synth.k)),
-            quiz_ids=tuple(str(i) for i in range(cfg.synth.k)),
-            skill_names=tuple(corpus.skill_names()),
-        )
-        split = ingest.split_students(corpus.sequences, cfg.ratios, cfg.seed)
+        ids = tuple(map(str, range(cfg.synth.k)))  # quiz index equals skill index
+        vocab = ingest.Vocab(skill_ids=ids, quiz_ids=ids, skill_names=tuple(corpus.skill_names()))
+        table = ingest.StepTable.from_sequences(corpus.sequences)
+        split = ingest.split_students(table, cfg.ratios, cfg.seed)
         stats_by_column = {
-            "preprocessed": ingest.summarize(corpus.sequences),
+            "preprocessed": ingest.summarize(table),
             **ingest.summarize_split(split),
         }
-        write_prepared_workspace(ws, corpus.sequences, vocab, split, stats_by_column)
+        write_prepared_workspace(ws, table, vocab, split, stats_by_column)
         synth.write_oracle_sidecar(ws.oracle_path, corpus)
         write_prediction_dump(
             ws.dump_path("oracle"), synth.oracle_records(corpus, split.test)

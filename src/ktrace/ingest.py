@@ -7,11 +7,12 @@ All steps are deterministic: student order is lexicographic on user_id,
 within-student order breaks order_id ties by (order_id, problem_id, file row
 index).
 
-The log is held in columns, not one object per row. ``parse_interactions``
-fills an ``InteractionColumns`` (one list per field, in file order); one
-stable sort of the single-skill rows by (user_id, order_id, problem_id, row
-index) then feeds both the ordered sequences and the skill-name pass, and
-the raw-log statistics are set and sum reductions over the columns.
+No object is made per row or per step. ``parse_interactions`` fills one
+list per field (``InteractionColumns``). ``filter_and_order`` ranks the
+user, problem and skill cells and computes on those integer codes (stable
+sorts, a ``bincount``, first appearances) to build a ``StepTable``: user
+ids, offsets and flat skill/quiz/label arrays, which the split, the
+statistics and ``write_sequences`` read.
 """
 
 from __future__ import annotations
@@ -23,10 +24,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
-from collections import Counter
-from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import (
     Callable, Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple,
@@ -62,8 +60,7 @@ class RejectedRow:
 @dataclass(eq=False)
 class InteractionColumns:
     """Parsed rows as parallel per-field lists, in file order: one row per
-    logged student attempt. Treat it as read-only once built: ``ordered`` is
-    cached."""
+    logged student attempt."""
 
     order_id: List[int] = field(default_factory=list)
     user_id: List[str] = field(default_factory=list)
@@ -75,16 +72,6 @@ class InteractionColumns:
 
     def __len__(self) -> int:
         return len(self.row_index)
-
-    @cached_property
-    def ordered(self) -> List[int]:
-        """Positions of the single-skill rows (skill field non-empty and
-        without a comma), sorted by (user_id, order_id, problem_id,
-        row_index). The sort is stable: exact ties keep their input order."""
-        keep = [i for i, s in enumerate(self.skill_raw) if s and "," not in s]
-        keys = list(zip(self.user_id, self.order_id, self.problem_id, self.row_index))
-        keep.sort(key=keys.__getitem__)
-        return keep
 
 
 @dataclass
@@ -101,17 +88,52 @@ class ParseResult:
 
 @dataclass
 class StudentSequence:
-    """Chronologically ordered (skill, quiz, correctness) triplets.
-
-    Skill and quiz entries are raw string ids straight out of
-    filter_and_order and dense integer indices after index_sequences.
-    """
+    """Chronologically ordered (skill, quiz, correctness) triplets of dense
+    integer indices."""
 
     user_id: str
     steps: list  # [(skill, quiz, correct), ...]
 
     def __len__(self) -> int:
         return len(self.steps)
+
+
+@dataclass(eq=False)
+class StepTable:
+    """Indexed sequences as one flat step table: student i is ``user_ids[i]``
+    with rows ``offsets[i]:offsets[i + 1]`` of the non-negative ``skill``,
+    ``quiz`` and ``label`` arrays. Iterating yields StudentSequences."""
+
+    user_ids: List[str]
+    offsets: np.ndarray  # int64, one entry more than user_ids
+    skill: np.ndarray
+    quiz: np.ndarray
+    label: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.user_ids)
+
+    def __iter__(self) -> Iterator[StudentSequence]:
+        steps = list(zip(self.skill.tolist(), self.quiz.tolist(), self.label.tolist()))
+        bounds = self.offsets.tolist()
+        for user_id, start, stop in zip(self.user_ids, bounds, bounds[1:]):
+            yield StudentSequence(user_id, steps[start:stop])
+
+    @classmethod
+    def from_sequences(cls, sequences: Sequence[StudentSequence]) -> "StepTable":
+        """The table of indexed ``sequences``, in their order."""
+        steps = np.array([step for seq in sequences for step in seq.steps], dtype=np.int64)
+        skill, quiz, label = steps.reshape(-1, 3).T
+        offsets = np.cumsum([0, *map(len, sequences)], dtype=np.int64)
+        return cls([seq.user_id for seq in sequences], offsets, skill, quiz, label)
+
+    def take(self, students: np.ndarray) -> "StepTable":
+        """The table of the students at positions ``students``, in that order."""
+        sizes = np.diff(self.offsets)[students]
+        offsets = np.cumsum([0, *sizes], dtype=np.int64)
+        rows = np.arange(offsets[-1]) + np.repeat(self.offsets[students] - offsets[:-1], sizes)
+        return StepTable([self.user_ids[i] for i in students], offsets,
+                         self.skill[rows], self.quiz[rows], self.label[rows])
 
 
 @dataclass
@@ -126,7 +148,8 @@ class FilterReport:
 
 @dataclass(frozen=True)
 class Vocab:
-    """Dense zero-based skill and quiz indices plus display names."""
+    """Raw skill and quiz ids and skill display names, each at its dense
+    zero-based index."""
 
     skill_ids: Tuple[str, ...]
     quiz_ids: Tuple[str, ...]
@@ -135,14 +158,6 @@ class Vocab:
     @property
     def k(self) -> int:
         return len(self.skill_ids)
-
-    @cached_property
-    def skill_to_index(self) -> Dict[str, int]:
-        return {s: i for i, s in enumerate(self.skill_ids)}
-
-    @cached_property
-    def quiz_to_index(self) -> Dict[str, int]:
-        return {q: i for i, q in enumerate(self.quiz_ids)}
 
     def content_hash(self) -> str:
         payload = json.dumps(
@@ -154,13 +169,13 @@ class Vocab:
 
 @dataclass
 class DatasetSplit:
-    train: List[StudentSequence]
-    val: List[StudentSequence]
-    test: List[StudentSequence]
+    train: StepTable
+    val: StepTable
+    test: StepTable
     seed: int
     ratios: Tuple[float, float, float]
 
-    def partitions(self) -> Dict[str, List[StudentSequence]]:
+    def partitions(self) -> Dict[str, StepTable]:
         return {"train": self.train, "val": self.val, "test": self.test}
 
 
@@ -318,98 +333,89 @@ def parse_interactions(
 
 
 # ---------------------------------------------------------------------------
-# filtering and ordering
+# filtering, ordering and indexing
 
 
-def filter_and_order(
-    cols: InteractionColumns,
-) -> Tuple[List[StudentSequence], FilterReport]:
-    """Apply the preprocessing filters and build ordered raw-id sequences.
+def _rank_codes(column: Sequence) -> Tuple[list, np.ndarray]:
+    """The sorted distinct values of ``column`` and, per cell, the index of
+    its value among them: integer codes that sort as the cells do."""
+    values = sorted(set(column))
+    index = {value: i for i, value in enumerate(values)}
+    return values, np.fromiter(map(index.__getitem__, column), np.int32, len(column))
 
-    Drops rows with an empty skill field, rows whose skill field holds a
-    comma-separated list (multi-skill items), and students left with fewer
-    than three interactions. The surviving rows are grouped per student and
-    sorted by (order_id, problem_id, row_index).
+
+def _first_appearance(codes: np.ndarray, n_codes: int) -> Tuple[list, np.ndarray, np.ndarray]:
+    """The codes of ``range(n_codes)`` in ``codes`` by first appearance, each
+    cell's index among them, and the position of each one's first cell."""
+    first = np.full(n_codes, len(codes), np.int64)
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    present = np.argsort(first, kind="stable")[: np.count_nonzero(first < len(codes))]
+    dense = np.empty(n_codes, np.int32)
+    dense[present] = np.arange(len(present))
+    return present.tolist(), dense[codes], first[present]
+
+
+def filter_and_order(cols: InteractionColumns) -> Tuple[StepTable, Vocab, FilterReport]:
+    """Apply the preprocessing filters and build the indexed step table.
+
+    Drops rows with an empty skill field or a comma-separated list of skills
+    (multi-skill items), and students left with fewer than three rows.
+    Students come in user_id order, each one's rows sorted by (order_id,
+    problem_id, row index); skills and quizzes get dense indices in order of
+    first appearance there. A skill is named by its first non-empty name in
+    that order over all single-skill rows, short students' rows included.
     """
-    order = cols.ordered
+    users, user = _rank_codes(cols.user_id)
+    problems, problem = _rank_codes(cols.problem_id)
+    skills, skill = _rank_codes(cols.skill_raw)
+    single = np.array([bool(s) and "," not in s for s in skills], dtype=bool)
+    rows = np.flatnonzero(single[skill])
     report = FilterReport(missing_skill=cols.skill_raw.count(""))
-    report.multi_skill = len(cols) - report.missing_skill - len(order)
+    report.multi_skill = len(cols) - report.missing_skill - len(rows)
+    try:
+        order = np.array(cols.order_id, dtype=np.int64)[rows]
+    except OverflowError:  # ids past int64 sort by their ranks
+        order = _rank_codes(cols.order_id)[1][rows]
+    # sort by (user, order_id), then by problem_id inside each (user,
+    # order_id) group; both sorts are stable, so exact ties keep file order
+    by_order = np.lexsort((order, user[rows]))
+    rows, order = rows[by_order], order[by_order]
+    new_group = np.ones(len(rows), dtype=bool)
+    new_group[1:] = (user[rows[1:]] != user[rows[:-1]]) | (order[1:] != order[:-1])
+    rows = rows[np.argsort(np.cumsum(new_group) * len(problems) + problem[rows], kind="stable")]
 
-    steps = list(zip(*(map(column.__getitem__, order)
-                       for column in (cols.skill_raw, cols.problem_id, cols.correct))))
-    sequences: List[StudentSequence] = []
-    start = 0
-    # a Counter keeps first-seen order, which is the sorted user order
-    for user_id, n in Counter(map(cols.user_id.__getitem__, order)).items():
-        if n < MIN_INTERACTIONS:
-            report.short_students += 1
-            report.short_student_rows += n
-        else:
-            sequences.append(StudentSequence(user_id=user_id, steps=steps[start:start + n]))
-        start += n
+    named = rows[np.fromiter(map(bool, cols.skill_name), bool, len(cols))[rows]]
+    name_codes, _, first = _first_appearance(skill[named], len(skills))
+    names = dict(zip(name_codes, map(cols.skill_name.__getitem__, named[first].tolist())))
 
-    report.kept_students = len(sequences)
-    report.kept_records = sum(map(len, sequences))
-    return sequences, report
+    counts = np.bincount(user[rows], minlength=len(users))
+    short = (counts > 0) & (counts < MIN_INTERACTIONS)
+    report.short_students = int(short.sum())
+    report.short_student_rows = int(counts[short].sum())
+    kept = counts >= MIN_INTERACTIONS
+    rows = rows[kept[user[rows]]]
+    report.kept_students, report.kept_records = int(kept.sum()), len(rows)
 
-
-def collect_skill_names(cols: InteractionColumns) -> Dict[str, str]:
-    """First non-empty display name per raw skill id, in deterministic
-    (user, order, problem, row) traversal order. Rows of students that the
-    length filter drops still name their skills."""
-    # walking backwards, the last name met per skill is the first one forwards
-    backwards = cols.ordered[::-1]
-    named = filter(itemgetter(1), zip(map(cols.skill_raw.__getitem__, backwards),
-                                      map(cols.skill_name.__getitem__, backwards)))
-    return dict(named)
-
-
-# ---------------------------------------------------------------------------
-# vocabulary
-
-
-def flatten_steps(sequences: Iterable[StudentSequence]) -> List[tuple]:
-    """Every (skill, quiz, correct) step of ``sequences``, in order."""
-    return list(chain.from_iterable(seq.steps for seq in sequences))
+    skill_codes, skill_index, _ = _first_appearance(skill[rows], len(skills))
+    quiz_codes, quiz_index, _ = _first_appearance(problem[rows], len(problems))
+    table = StepTable([users[u] for u in np.flatnonzero(kept).tolist()],
+                      np.cumsum([0, *counts[kept]], dtype=np.int64),
+                      skill_index, quiz_index, np.array(cols.correct, dtype=np.int8)[rows])
+    vocab = Vocab(tuple(skills[c] for c in skill_codes), tuple(problems[c] for c in quiz_codes),
+                  tuple(names.get(c, skills[c]) for c in skill_codes))
+    return table, vocab, report
 
 
-_SKILL, _QUIZ, _LABEL = itemgetter(0), itemgetter(1), itemgetter(2)
-
-
-def build_vocab(
-    sequences: Sequence[StudentSequence],
-    skill_names: Mapping[str, str] | None = None,
-) -> Vocab:
-    """Assign dense zero-based indices in first-appearance order over the
-    user_id-sorted student list. Rebuilding from identical input yields an
-    identical Vocab."""
-    if not sequences:
-        raise ValueError("build_vocab: no sequences")
-    steps = flatten_steps(sorted(sequences, key=attrgetter("user_id")))
-    skill_ids = tuple(dict.fromkeys(map(_SKILL, steps)))
-    names = skill_names or {}
-    return Vocab(
-        skill_ids=skill_ids,
-        quiz_ids=tuple(dict.fromkeys(map(_QUIZ, steps))),
-        skill_names=tuple(names.get(s) or str(s) for s in skill_ids),
-    )
-
-
-def index_sequences(sequences: Sequence[StudentSequence], vocab: Vocab) -> List[StudentSequence]:
-    """Convert raw-id sequences to dense-index sequences."""
-    skill_index = vocab.skill_to_index.__getitem__
-    quiz_index = vocab.quiz_to_index.__getitem__
-    return [
-        StudentSequence(
-            user_id=seq.user_id,
-            steps=list(zip(
-                map(skill_index, map(_SKILL, seq.steps)),
-                map(quiz_index, map(_QUIZ, seq.steps)),
-                map(_LABEL, seq.steps),
-            )),
-        )
-        for seq in sequences
-    ]
+def distinct_rows(*columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of the non-negative integer ``columns``: a position
+    holding each one, every position's index among them, and their counts."""
+    codes = np.zeros(len(columns[0]), np.int64)
+    for column in columns:
+        codes = codes * (int(column.max(initial=0)) + 1) + column
+    _, inverse, counts = np.unique(codes, return_inverse=True, return_counts=True)
+    position = np.empty(len(counts), np.int64)
+    position[inverse] = np.arange(len(codes))  # any one position of each row will do
+    return position, inverse.reshape(-1), counts
 
 
 # ---------------------------------------------------------------------------
@@ -433,25 +439,25 @@ def check_ratios(ratios: Sequence[float]) -> None:
 
 
 def split_students(
-    sequences: Sequence[StudentSequence],
+    sequences: StepTable | Sequence[StudentSequence],
     ratios: Tuple[float, float, float] = (0.8, 0.1, 0.1),
     seed: int = 0,
 ) -> DatasetSplit:
     """Student-level split: deterministic seeded shuffle of the sorted user
-    list, then a contiguous partition by ratio."""
+    list, then a contiguous partition by ratio into three step tables."""
     check_ratios(ratios)
-    ordered = sorted(sequences, key=lambda s: s.user_id)
-    n = len(ordered)
+    table = sequences if isinstance(sequences, StepTable) else StepTable.from_sequences(sequences)
+    n = len(table)
     if n < len(ratios):
         raise ValueError(f"cannot split {n} students into {len(ratios)} partitions")
+    ordered = np.array(sorted(range(n), key=table.user_ids.__getitem__), dtype=np.int64)
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    shuffled = [ordered[i] for i in perm]
+    shuffled = ordered[rng.permutation(n)]
     n_train, n_val, _ = _partition_sizes(n, ratios)
     return DatasetSplit(
-        train=shuffled[:n_train],
-        val=shuffled[n_train : n_train + n_val],
-        test=shuffled[n_train + n_val :],
+        train=table.take(shuffled[:n_train]),
+        val=table.take(shuffled[n_train : n_train + n_val]),
+        test=table.take(shuffled[n_train + n_val :]),
         seed=seed,
         ratios=tuple(ratios),
     )
@@ -461,18 +467,17 @@ def split_students(
 # statistics
 
 
-def summarize(sequences: Sequence[StudentSequence]) -> DatasetStats:
+def summarize(table: StepTable) -> DatasetStats:
     """Record/student/quiz/skill counts and per-entity interaction means of
-    a sequence set; ``summarize_split`` gives the per-partition view of a
+    a step table; ``summarize_split`` gives the per-partition view of a
     split."""
-    steps = flatten_steps(sequences)
-    n_records = len(steps)
+    n_records = len(table.skill)
     if n_records == 0:
         return DatasetStats()
-    n_quizzes = len(set(map(_QUIZ, steps)))
-    n_skills = len(set(map(_SKILL, steps)))
-    n_correct = sum(map(_LABEL, steps))
-    n_students = len(sequences)
+    n_quizzes = int(np.count_nonzero(np.bincount(table.quiz)))
+    n_skills = int(np.count_nonzero(np.bincount(table.skill)))
+    n_correct = int(table.label.sum())
+    n_students = len(table)
     return DatasetStats(
         n_records=n_records,
         n_students=n_students,
@@ -536,13 +541,18 @@ def atomic_open(path: str | Path, mode: str = "w", **kwargs) -> Iterator:
         raise
 
 
-def write_sequences(path: str | Path, sequences: Sequence[StudentSequence]) -> None:
-    """One student per line: user_id, then tab-separated s,q,y triplets."""
-    step_cell = "%s,%s,%s".__mod__
+def write_sequences(path: str | Path, table: StepTable) -> None:
+    """One student per line: user_id, then tab-separated s,q,y triplets. The
+    text of each distinct step is built once and shared by its repeats."""
+    columns = (table.skill, table.quiz, table.label)
+    position, inverse, _ = distinct_rows(*columns)
+    distinct = zip(*(column[position].tolist() for column in columns))
+    cells = np.array(["%d,%d,%d" % step for step in distinct], dtype=object)[inverse]
+    del position, inverse
+    bounds = table.offsets.tolist()
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(
-            "\t".join([seq.user_id, *map(step_cell, seq.steps)]) + "\n" for seq in sequences
-        )
+        for user_id, start, stop in zip(table.user_ids, bounds, bounds[1:]):
+            fh.write("\t".join([user_id, *cells[start:stop].tolist()]) + "\n")
 
 
 # user id, then zero or more tab-separated cells of exactly three values

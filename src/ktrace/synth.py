@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .ingest import StudentSequence, atomic_open, flatten_steps
+from .ingest import StudentSequence, atomic_open
 from .records import Predictions, step_rows
 
 Params = Union[float, Sequence[float]]
@@ -154,7 +154,7 @@ def oracle_records(corpus: SynthCorpus, sequences: Sequence[StudentSequence]) ->
     Noise-free specs can produce exact 0/1 probabilities; those are nudged
     inside the open interval the schema requires.
     """
-    steps = np.array(flatten_steps(sequences), dtype=np.int64).reshape(-1, 3)
+    steps = np.array([step for seq in sequences for step in seq.steps], np.int64).reshape(-1, 3)
     probs = np.fromiter(
         chain.from_iterable(corpus.oracle[seq.user_id][1:] for seq in sequences), np.float64
     )

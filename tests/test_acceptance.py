@@ -232,10 +232,8 @@ def test_criterion_5_paper_scale_reproduction(tmp_path):
         raw_path = Path(os.environ[ASSISTMENTS_ENV])
         with open(raw_path, "r", encoding="latin-1", newline="") as fh:
             parsed = ingest.parse_interactions(fh)
-        sequences, _ = ingest.filter_and_order(parsed.records)
-        vocab = ingest.build_vocab(sequences, ingest.collect_skill_names(parsed.records))
-        indexed = ingest.index_sequences(sequences, vocab)
-        stats = ingest.summarize(indexed)
+        table, vocab, _ = ingest.filter_and_order(parsed.columns)
+        stats = ingest.summarize(table)
 
         assert stats.n_records == 450146
         assert stats.n_students == 7981
@@ -243,7 +241,7 @@ def test_criterion_5_paper_scale_reproduction(tmp_path):
         assert stats.n_correct == 260902
         assert stats.n_incorrect == 189244
 
-        split = split_students(indexed, (0.8, 0.1, 0.1), seed=7)
+        split = split_students(table, (0.8, 0.1, 0.1), seed=7)
         n = stats.n_students
         assert abs(len(split.train) - 0.8 * n) <= 1
         assert abs(len(split.val) - 0.1 * n) <= 1

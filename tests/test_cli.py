@@ -13,7 +13,7 @@ import pytest
 
 from ktrace.cli import Workspace, WorkspaceLocked, main, representative_quizzes, write_json
 from ktrace.config import ConfigError, load_config
-from ktrace.ingest import StudentSequence
+from ktrace.ingest import StepTable, StudentSequence
 from ktrace.evaluation import roc_auc
 from ktrace.records import (
     MasteryTrajectory,
@@ -887,4 +887,4 @@ def test_representative_quizzes_most_frequent_with_tie_break():
         StudentSequence("b", [(0, 2, 1), (1, 9, 0), (1, 7, 0)]),
     ]
     # skill 0: quiz 5 x2, quiz 2 x2 -> tie, smaller quiz index wins
-    assert representative_quizzes(seqs, k=3) == [2, 7, 0]
+    assert representative_quizzes(StepTable.from_sequences(seqs), k=3) == [2, 7, 0]

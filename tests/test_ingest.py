@@ -8,11 +8,9 @@ import pytest
 from ktrace import ingest
 from ktrace.ingest import (
     ColumnMappingError,
+    StepTable,
     StudentSequence,
-    build_vocab,
-    collect_skill_names,
     filter_and_order,
-    index_sequences,
     parse_interactions,
     read_sequences,
     split_students,
@@ -31,6 +29,16 @@ def make_rows(user: str, n: int, skill: str = "7", start_order: int = 1) -> str:
     return "".join(
         f"{start_order + i},{user},q{i},{i % 2},{skill},Skill {skill}\n" for i in range(n)
     )
+
+
+def raw_sequences(columns):
+    """The students of ``filter_and_order``'s table with raw skill and quiz
+    ids: ``(user_id, [(skill, quiz, correct), ...])`` each."""
+    table, vocab, _ = filter_and_order(columns)
+    return [
+        (seq.user_id, [(vocab.skill_ids[s], vocab.quiz_ids[q], y) for s, q, y in seq.steps])
+        for seq in table
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -121,27 +129,27 @@ def test_filter_removes_short_students():
     result = parse(make_rows("u1", 2))
     assert len(result.columns) == 2
     assert result.columns.user_id == ["u1", "u1"]
-    sequences, report = filter_and_order(result.columns)
-    assert sequences == []
+    table, _, report = filter_and_order(result.columns)
+    assert list(table) == []
     assert report.short_students == 1
     assert report.short_student_rows == 2
 
 
 def test_filter_drops_multi_skill_rows():
     result = parse("1,u1,p1,1,\"10,12\",combo\n" + make_rows("u1", 3, start_order=2))
-    sequences, report = filter_and_order(result.columns)
+    table, _, report = filter_and_order(result.columns)
     assert report.multi_skill == 1
-    assert len(sequences) == 1
-    assert len(sequences[0]) == 3
+    assert len(table) == 1
+    assert [len(seq) for seq in table] == [3]
 
 
 def test_filter_drops_missing_skill_rows():
     result = parse("1,u1,p1,1,,\n" + make_rows("u1", 3, start_order=2))
     cols = result.columns
     assert (cols.skill_raw[0], cols.skill_name[0], cols.row_index[0]) == ("", "", 1)
-    sequences, report = filter_and_order(cols)
+    table, _, report = filter_and_order(cols)
     assert report.missing_skill == 1
-    assert len(sequences[0]) == 3
+    assert [len(seq) for seq in table] == [3]
 
 
 def test_filter_orders_by_order_id_with_tie_breaks():
@@ -151,20 +159,20 @@ def test_filter_orders_by_order_id_with_tie_breaks():
         "1,u1,pC,1,3,n\n"
     )
     result = parse(text)
-    sequences, _ = filter_and_order(result.columns)
-    quizzes = [q for _, q, _ in sequences[0].steps]
+    (_, steps), = raw_sequences(result.columns)
+    quizzes = [q for _, q, _ in steps]
     assert quizzes == ["pC", "pA", "pB"]
 
 
 def test_filter_is_idempotent():
     result = parse(make_rows("u2", 4) + make_rows("u1", 3, skill="9"))
-    sequences, _ = filter_and_order(result.columns)
+    sequences = raw_sequences(result.columns)
     # rebuild parsed columns from the filtered sequences and run the filters again
-    rows = [(i, seq.user_id, quiz, skill, "", y, i)
-            for seq in sequences for i, (skill, quiz, y) in enumerate(seq.steps)]
+    rows = [(i, user_id, quiz, skill, "", y, i)
+            for user_id, steps in sequences for i, (skill, quiz, y) in enumerate(steps)]
     rebuilt = ingest.InteractionColumns(*map(list, zip(*rows)))
-    again, report = filter_and_order(rebuilt)
-    assert [(s.user_id, s.steps) for s in again] == [(s.user_id, s.steps) for s in sequences]
+    assert raw_sequences(rebuilt) == sequences
+    _, _, report = filter_and_order(rebuilt)
     assert report.missing_skill == report.multi_skill == report.short_students == 0
 
 
@@ -176,29 +184,28 @@ def test_vocab_first_appearance_order():
     result = parse(
         "1,u1,p1,1,A,Alpha\n2,u1,p2,0,B,Beta\n3,u1,p1,1,A,Alpha\n"
     )
-    sequences, _ = filter_and_order(result.columns)
-    vocab = build_vocab(sequences, collect_skill_names(result.columns))
-    assert vocab.skill_to_index == {"A": 0, "B": 1}
+    table, vocab, _ = filter_and_order(result.columns)
+    assert vocab.skill_ids == ("A", "B")
+    assert table.skill.tolist() == [0, 1, 0]
     assert vocab.k == 2
     assert vocab.skill_names == ("Alpha", "Beta")
 
 
 def test_vocab_rebuild_is_identical():
     result = parse(make_rows("u1", 3) + make_rows("u2", 4, skill="9"))
-    sequences, _ = filter_and_order(result.columns)
-    v1 = build_vocab(sequences)
-    v2 = build_vocab(sequences)
+    _, v1, _ = filter_and_order(result.columns)
+    _, v2, _ = filter_and_order(result.columns)
     assert v1 == v2
     assert v1.content_hash() == v2.content_hash()
 
 
 def test_index_sequences_round_trip():
     result = parse(make_rows("u1", 3) + make_rows("u2", 4, skill="9"))
-    sequences, _ = filter_and_order(result.columns)
-    vocab = build_vocab(sequences)
-    indexed = index_sequences(sequences, vocab)
-    for raw_seq, idx_seq in zip(sequences, indexed):
-        for (s_raw, q_raw, y_raw), (s, q, y) in zip(raw_seq.steps, idx_seq.steps):
+    table, vocab, _ = filter_and_order(result.columns)
+    raw = [[("7", f"q{i}", i % 2) for i in range(3)], [("9", f"q{i}", i % 2) for i in range(4)]]
+    assert [seq.user_id for seq in table] == ["u1", "u2"]
+    for raw_steps, idx_seq in zip(raw, table, strict=True):
+        for (s_raw, q_raw, y_raw), (s, q, y) in zip(raw_steps, idx_seq.steps, strict=True):
             assert vocab.skill_ids[s] == s_raw
             assert vocab.quiz_ids[q] == q_raw
             assert y == y_raw
@@ -210,8 +217,8 @@ def test_index_sequences_round_trip():
 
 def _ten_students():
     text = "".join(make_rows(f"u{i:02d}", 3, start_order=1) for i in range(10))
-    sequences, _ = filter_and_order(parse(text).columns)
-    return sequences
+    table, _, _ = filter_and_order(parse(text).columns)
+    return table
 
 
 def test_split_sizes_8_1_1():
@@ -245,7 +252,7 @@ def test_split_record_counts_sum():
 
 
 def test_split_too_few_students_errors():
-    seqs = _ten_students()[:2]
+    seqs = _ten_students().take([0, 1])
     with pytest.raises(ValueError, match="partitions"):
         split_students(seqs, (0.8, 0.1, 0.1), seed=0)
 
@@ -260,7 +267,7 @@ def test_split_ratios_must_sum_to_one():
 
 
 def test_summarize_empty_is_all_zero():
-    stats = summarize([])
+    stats = summarize(StepTable.from_sequences([]))
     assert stats.n_records == 0
     assert stats.n_students == 0
     assert stats.avg_per_student == 0.0
@@ -268,8 +275,8 @@ def test_summarize_empty_is_all_zero():
 
 def test_summarize_average_per_student():
     text = make_rows("u1", 3) + make_rows("u2", 5)
-    sequences, _ = filter_and_order(parse(text).columns)
-    stats = summarize(sequences)
+    table, _, _ = filter_and_order(parse(text).columns)
+    stats = summarize(table)
     assert stats.n_students == 2
     assert stats.n_records == 8
     assert stats.avg_per_student == pytest.approx(4.0)
@@ -278,7 +285,9 @@ def test_summarize_average_per_student():
 def test_summarize_accepts_split_and_partitions():
     seqs = _ten_students()
     split = split_students(seqs, seed=1)
-    pooled = ingest.summarize([s for part in split.partitions().values() for s in part])
+    pooled = ingest.summarize(
+        StepTable.from_sequences([s for part in split.partitions().values() for s in part])
+    )
     assert pooled.n_records == sum(len(s) for s in seqs)
     per_part = ingest.summarize_split(split)
     assert set(per_part) == {"train", "val", "test"}
@@ -287,8 +296,8 @@ def test_summarize_accepts_split_and_partitions():
 
 def test_summarize_correct_plus_incorrect_is_total():
     text = make_rows("u1", 7) + make_rows("u2", 4, skill="9")
-    sequences, _ = filter_and_order(parse(text).columns)
-    stats = summarize(sequences)
+    table, _, _ = filter_and_order(parse(text).columns)
+    stats = summarize(table)
     assert stats.n_correct + stats.n_incorrect == stats.n_records
 
 
@@ -298,36 +307,35 @@ def test_summarize_correct_plus_incorrect_is_total():
 
 def test_sequence_file_round_trip(tmp_path):
     text = make_rows("u1", 3) + make_rows("u2", 4, skill="9")
-    parsed, _ = filter_and_order(parse(text).columns)
     rng = random.Random(7)
     # a few repeated steps plus steps that occur once, as raw ids
     common = [(f"s{i % 3}", f"q{i}", i % 2) for i in range(5)]
-    mixed = [
-        StudentSequence(f"u{u}", [
+    mixed = "".join(
+        f"{t},u{u},{q},{y},{s},\n"
+        for u in range(40)
+        for t, (s, q, y) in enumerate(
             rng.choice(common) if rng.random() < 0.7 else (f"s{u}", f"once{u}_{t}", rng.randrange(2))
             for t in range(rng.randrange(3, 30))
-        ])
-        for u in range(40)
-    ]
+        )
+    )
     path = tmp_path / "sequences.txt"
-    for sequences in (parsed, mixed):
-        indexed = index_sequences(sequences, build_vocab(sequences))
-        write_sequences(path, indexed)
+    for log in (text, mixed):
+        table, _, _ = filter_and_order(parse(log).columns)
+        write_sequences(path, table)
         assert path.read_text(encoding="utf-8") == "".join(
             "\t".join([seq.user_id, *("%s,%s,%s" % step for step in seq.steps)]) + "\n"
-            for seq in indexed
+            for seq in table
         )
         loaded = read_sequences(path)
-        assert [(s.user_id, s.steps) for s in loaded] == [(s.user_id, s.steps) for s in indexed]
+        assert [(s.user_id, s.steps) for s in loaded] == [(s.user_id, s.steps) for s in table]
 
 
 def test_sequence_file_bytes_are_deterministic(tmp_path):
     text = make_rows("u1", 3)
-    sequences, _ = filter_and_order(parse(text).columns)
-    indexed = index_sequences(sequences, build_vocab(sequences))
+    table, _, _ = filter_and_order(parse(text).columns)
     p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-    write_sequences(p1, indexed)
-    write_sequences(p2, indexed)
+    write_sequences(p1, table)
+    write_sequences(p2, table)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -348,8 +356,8 @@ def test_parse_order_ids_above_2_pow_53_stay_exact():
         "9007199254740993,u1,pA,1,3,n\n9007199254740992,u1,pB,1,3,n\n12.0,u1,pC,0,3,n\n"
     )
     assert result.columns.order_id == [9007199254740993, 9007199254740992, 12]
-    sequences, _ = filter_and_order(result.columns)
-    assert [q for _, q, _ in sequences[0].steps] == ["pC", "pB", "pA"]
+    (_, steps), = raw_sequences(result.columns)
+    assert [q for _, q, _ in steps] == ["pC", "pB", "pA"]
 
 
 def test_filter_sequences_names_and_raw_stats_of_a_mixed_log():
@@ -359,8 +367,8 @@ def test_filter_sequences_names_and_raw_stats_of_a_mixed_log():
         + make_rows("u2", 2, skill="6", start_order=7)
     )
     columns = parse(text).columns
-    sequences, report = filter_and_order(columns)
-    assert [(s.user_id, s.steps) for s in sequences] == [
+    _, vocab, report = filter_and_order(columns)
+    assert raw_sequences(columns) == [
         ("u1", [("5", "p2", 1), ("5", "p3", 0), ("4", "p4", 1)]),
         ("u2", [("4", "pA", 0), ("4", "pB", 1), ("6", "q0", 0), ("6", "q1", 1)]),
     ]
@@ -368,7 +376,7 @@ def test_filter_sequences_names_and_raw_stats_of_a_mixed_log():
         missing_skill=0, multi_skill=1, short_student_rows=1, short_students=1,
         kept_records=7, kept_students=2,
     )
-    assert collect_skill_names(columns) == {"4": "Other", "5": "Five", "6": "Skill 6"}
+    assert dict(zip(vocab.skill_ids, vocab.skill_names)) == {"4": "Other", "5": "Five", "6": "Skill 6"}
     assert ingest.summarize_records(columns) == ingest.DatasetStats(
         n_records=9, n_students=3, n_quizzes=9, n_skills=3, avg_per_student=3.0,
         avg_per_quiz=1.0, avg_per_skill=3.0, n_correct=6, n_incorrect=3,
@@ -399,9 +407,12 @@ def test_read_sequences_reads_only_wanted_users_and_checks_their_lines(tmp_path)
 
 def test_failed_write_keeps_previous_file(tmp_path):
     path = tmp_path / "sequences.txt"
-    write_sequences(path, [ingest.StudentSequence("u1", [(0, 0, 1)])])
+    write_sequences(path, StepTable.from_sequences([StudentSequence("u1", [(0, 0, 1)])]))
     before = path.read_bytes()
-    torn = [ingest.StudentSequence("u1", [(0, 0, 1)]), ingest.StudentSequence("u2", [(0, 1)])]
+    # the second line cannot be written: its user id is not text
+    torn = StepTable.from_sequences(
+        [StudentSequence("u1", [(0, 0, 1)]), StudentSequence(None, [(0, 1, 0)])]
+    )
     with pytest.raises(TypeError):
         write_sequences(path, torn)
     assert path.read_bytes() == before

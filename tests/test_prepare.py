@@ -59,6 +59,18 @@ ADVERSARIAL_LOG = "\n".join([
 ]) + "\n"
 
 
+# ann: order ids past 2**64 that int64 cannot hold, in reversed file order,
+# with a tie on one of them that problem_id breaks
+BEYOND_INT64_LOG = "\n".join([
+    HEADER,
+    f"{2**64 + 1},ann,pA,1,10,",
+    f"{2**64},ann,pC,0,10,Ten",
+    f"{2**64},ann,pB,1,11,",
+    "7,ann,pD,0,11,",
+    *(f"{t},s{u},p{t},{(t + u) % 2},{10 + (t + u) % 3}," for u in range(6) for t in range(1, 5)),
+]) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # the per-record reference
 
@@ -286,3 +298,18 @@ def test_prepare_artifacts_match_per_record_reference(tmp_path, capsys):
     pz, pa = vocab["quiz_ids"].index("pZ"), vocab["quiz_ids"].index("pA")
     assert [cell.split(",")[1] for cell in bob.split("\t")[-2:]] == [str(pz), str(pa)]
 
+
+
+def test_prepare_orders_ids_beyond_int64_like_the_reference(tmp_path, capsys):
+    seed = 4
+    ws_dir = run_prepare(tmp_path, BEYOND_INT64_LOG, seed)
+    printed = capsys.readouterr().out
+    expected, expected_stdout = reference_prepare(BEYOND_INT64_LOG, seed)
+
+    for name, text in expected.items():
+        assert (ws_dir / name).read_bytes() == text.encode("utf-8"), name
+    assert printed == expected_stdout + f"workspace ready: {ws_dir}\n"
+    vocab = json.loads(expected["vocab.json"])
+    ann = next(line for line in expected["sequences.txt"].splitlines() if line.startswith("ann"))
+    quizzes = [vocab["quiz_ids"][int(cell.split(",")[1])] for cell in ann.split("\t")[1:]]
+    assert quizzes == ["pD", "pB", "pC", "pA"]
