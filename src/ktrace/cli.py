@@ -170,10 +170,14 @@ def read_split(ws: Workspace) -> Dict[str, List[str]]:
         return json.load(fh)
 
 
-def load_split_sequences(ws: Workspace) -> Dict[str, List[ingest.StudentSequence]]:
-    sequences = {s.user_id: s for s in ingest.read_sequences(ws.sequences_path)}
+def load_split_sequences(ws: Workspace, table: ingest.StepTable) -> Dict[str, ingest.StepTable]:
+    """The split's train, val and test students of ``table``, one table each."""
+    position = {user_id: i for i, user_id in enumerate(table.user_ids)}
     split_info = read_split(ws)
-    return {part: [sequences[u] for u in split_info[part]] for part in ("train", "val", "test")}
+    return {
+        part: table.take(np.array([position[u] for u in split_info[part]], dtype=np.int64))
+        for part in ("train", "val", "test")
+    }
 
 
 def load_vocab(ws: Workspace) -> ingest.Vocab:
@@ -341,7 +345,8 @@ def cmd_synth(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     ws = Workspace(cfg.workspace)
     with ws.lock():
-        parts = load_split_sequences(ws)
+        table = ingest.read_sequences(ws.sequences_path)
+        parts = load_split_sequences(ws, table)
         vocab = load_vocab(ws)
         vocab_hash = vocab.content_hash()
 
@@ -361,13 +366,11 @@ def cmd_train(cfg: RunConfig) -> int:
         write_prediction_dump(ws.dump_path("dkt"), predictions)
         write_prediction_dump(ws.dump_path("dkt", "mastery"), mastery)
 
-        by_user = {s.user_id: s for part in parts.values() for s in part}
         for user_id in cfg.evaluate.heatmap_students:
-            seq = by_user.get(user_id)
-            if seq is None:
+            if user_id not in table.user_ids:
                 print(f"warning: heatmap student {user_id} not found; skipped")
                 continue
-            traj = dkt.mastery_trajectory(model, seq)
+            traj = dkt.mastery_trajectory(model, table.take([table.user_ids.index(user_id)]))
             write_trajectory(ws.trajectory_path("dkt", user_id), traj)
 
         ws.commit_stage("train", cfg, vocab_hash)

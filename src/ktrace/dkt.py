@@ -11,11 +11,11 @@ Training, validation and inference share one window rule: a sequence is cut
 into consecutive ``max_t`` windows and the hidden state restarts at zero at
 each window. Training and validation drop trailing 1-step windows (they hold
 no target); inference keeps them, and predicts a window's first step from
-the previous window's last row. All of them gather their (B, T) batches
-from one flat encoding of the steps (``_encode_windows``, ``_window_cells``),
-with each step's next skill and label from ``_next_step``; a padded cell
-holds its row's first step, and no loss, gradient or reported probability
-reads it. Inference runs windows sorted by length in batches, skipping
+the previous window's last row. All of them take a ``StepTable`` and
+gather their (B, T) batches from its flat step arrays (``_encode_windows``,
+``_window_cells``), with each step's next skill and label from
+``_next_step``; a padded cell holds its row's first step, and no loss,
+gradient or reported probability reads it. Inference runs windows sorted by length in batches, skipping
 padded cells, and reads out only the skills it reports.
 """
 
@@ -25,12 +25,12 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
 from . import nncore
-from .ingest import StudentSequence, atomic_open
+from .ingest import StepTable, atomic_open
 from .records import MasteryTrajectory, Predictions, step_rows
 
 Array = np.ndarray
@@ -70,13 +70,6 @@ class Batch(NamedTuple):
     lengths: Array   # (B,)
 
 
-def _window_spans(n_steps: int, max_t: int) -> Tuple[Array, Array]:
-    """Start and length of each non-overlapping consecutive window of a
-    sequence; the hidden state is not carried across windows."""
-    starts = np.arange(0, n_steps, max_t, dtype=np.int64)
-    return starts, np.minimum(n_steps - starts, max_t)
-
-
 def _window_cells(starts: Array, lengths: Array) -> Tuple[Array, Array]:
     """Flat step index of every cell of a window batch, and its live mask.
 
@@ -89,27 +82,22 @@ def _window_cells(starts: Array, lengths: Array) -> Tuple[Array, Array]:
     return np.where(live, starts[:, None] + cols[None, :], starts[:, None]), live
 
 
-def _encode_windows(
-    sequences: Sequence[StudentSequence], k: int, max_t: int
-) -> Tuple[Array, Array, Array, Array, Array]:
-    """Flat step arrays of a sequence set and the spans of its windows.
-
-    Returns the skill and token of every step, all sequences concatenated
-    and checked like ``encode_step``; the sequence boundaries into them
-    (``offsets[i]`` is where sequence i starts, the last entry is the
-    total); and the flat start and length of every ``max_t`` window.
-    """
-    sizes = np.array([len(seq) for seq in sequences], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    steps = [step for seq in sequences for step in seq.steps]
-    skills, _, labels = np.asarray(steps, dtype=np.int64).reshape(-1, 3).T
+def _encode_windows(table: StepTable, k: int, max_t: int) -> Tuple[Array, Array, Array, Array]:
+    """The skill and token of every step of ``table``, checked like
+    ``encode_step``, and the flat start and length of every window: each
+    student's steps are cut into consecutive ``max_t`` windows, and the
+    hidden state is not carried across windows."""
+    skills = table.skill.astype(np.int64)
+    labels = table.label.astype(np.int64)
     bad = np.flatnonzero((skills < 0) | (skills >= k) | ((labels != 0) & (labels != 1)))
     if bad.size:
         encode_step(int(skills[bad[0]]), int(labels[bad[0]]), k)  # raises
-    spans = [_window_spans(n, max_t) for n in sizes]
-    starts = np.concatenate([off + st for off, (st, _) in zip(offsets, spans)])
-    lengths = np.concatenate([n for _, n in spans])
-    return skills, skills + labels * k, offsets, starts, lengths
+    windows = -(-np.diff(table.offsets) // max_t)  # per student, rounded up
+    # each window's index within its student's windows
+    index = np.arange(windows.sum()) - np.repeat(np.cumsum(windows) - windows, windows)
+    starts = np.repeat(table.offsets[:-1], windows) + index * max_t
+    lengths = np.minimum(np.repeat(table.offsets[1:], windows) - starts, max_t)
+    return skills, skills + labels * k, starts, lengths
 
 
 def _next_step(values: Array, offsets: Array) -> Array:
@@ -119,27 +107,27 @@ def _next_step(values: Array, offsets: Array) -> Array:
     return out
 
 
-def build_batch(sequences: Sequence[StudentSequence], k: int, max_t: int) -> Batch:
-    """Encode a group of sequences into one padded batch.
+def build_batch(table: StepTable, k: int, max_t: int) -> Batch:
+    """Encode the students of a step table into one padded batch.
 
     Sequences longer than ``max_t`` are split into consecutive windows; the
     hidden state is not carried across windows.
     """
-    if not sequences:
+    if not table:
         raise ValueError("build_batch: empty input")
-    for seq in sequences:
-        if len(seq) < 2:
-            raise ValueError(
-                f"sequence for student {seq.user_id} has {len(seq)} steps; need >= 2"
-            )
-    skills, tokens, offsets, starts, lengths = _encode_windows(sequences, k, max_t)
+    sizes = np.diff(table.offsets)
+    short = np.flatnonzero(sizes < 2)
+    if short.size:
+        i = short[0]
+        raise ValueError(f"sequence for student {table.user_ids[i]} has {sizes[i]} steps; need >= 2")
+    skills, tokens, starts, lengths = _encode_windows(table, k, max_t)
     keep = lengths >= 2  # a trailing window of length 1 holds no next-step target
     starts, lengths = starts[keep], lengths[keep]
     cells, _ = _window_cells(starts, lengths)
     return Batch(
         x=tokens[cells],
-        s_next=_next_step(skills, offsets)[cells],
-        y_next=_next_step(tokens // k, offsets)[cells],
+        s_next=_next_step(skills, table.offsets)[cells],
+        y_next=_next_step(tokens // k, table.offsets)[cells],
         w=(np.arange(cells.shape[1]) < lengths[:, None] - 1).astype(np.float64),
         lengths=lengths,
     )
@@ -217,14 +205,13 @@ class EarlyStopping:
         return self.bad_epochs >= self.patience
 
 
-def _dataset_loss(
-    net: nncore.DktNet, sequences: Sequence[StudentSequence], k: int, cfg: TrainConfig
-) -> float:
-    """Mean masked BCE over all valid positions of a sequence set."""
+def _dataset_loss(net: nncore.DktNet, table: StepTable, k: int, cfg: TrainConfig) -> float:
+    """Mean masked BCE over all valid positions of a step table."""
     total = 0.0
     count = 0.0
-    for start in range(0, len(sequences), cfg.batch_size):
-        batch = build_batch(sequences[start : start + cfg.batch_size], k, cfg.max_t)
+    students = np.arange(len(table))
+    for start in range(0, len(table), cfg.batch_size):
+        batch = build_batch(table.take(students[start : start + cfg.batch_size]), k, cfg.max_t)
         loss = nncore.net_loss(net, batch.x, batch.s_next, batch.y_next, batch.w)
         n_valid = float(batch.w.sum())
         total += loss * n_valid
@@ -235,8 +222,8 @@ def _dataset_loss(
 
 
 def train(
-    train_seqs: Sequence[StudentSequence],
-    val_seqs: Sequence[StudentSequence],
+    train_table: StepTable,
+    val_table: StepTable,
     k: int,
     cfg: TrainConfig | None = None,
     vocab_hash: str = "",
@@ -245,7 +232,7 @@ def train(
     stopping on validation loss; returns the best-validation checkpoint and
     the per-epoch log. Each step computes on a float32 copy of the float64
     master weights; clipping, Adam, validation and the checkpoint are float64."""
-    if not train_seqs or not val_seqs:
+    if not train_table or not val_table:
         raise ValueError("train and validation sets must be nonempty")
     cfg = cfg or TrainConfig()
     model = DktModel.init(k, cfg, vocab_hash=vocab_hash)
@@ -256,14 +243,13 @@ def train(
     best_net = net.copy()
     log: List[EpochStats] = []
 
-    train_list = list(train_seqs)
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
-        order = rng.permutation(len(train_list))
+        order = rng.permutation(len(train_table))
         epoch_total = 0.0
         epoch_count = 0.0
         for batch_no, start in enumerate(range(0, len(order), cfg.batch_size)):
-            chunk = [train_list[i] for i in order[start : start + cfg.batch_size]]
+            chunk = train_table.take(order[start : start + cfg.batch_size])
             batch = build_batch(chunk, k, cfg.max_t)
             compute = nncore.from_flat(
                 {name: arr.astype(np.float32) for name, arr in net.flat().items()}
@@ -283,7 +269,7 @@ def train(
             epoch_total += loss * n_valid
             epoch_count += n_valid
 
-        val_loss = _dataset_loss(net, list(val_seqs), k, cfg)
+        val_loss = _dataset_loss(net, val_table, k, cfg)
         seconds = time.perf_counter() - t0
         log.append(
             EpochStats(
@@ -307,25 +293,25 @@ def train(
 # inference
 
 
-def mastery_trajectory(model: DktModel, sequence: StudentSequence) -> MasteryTrajectory:
-    """Full T x K probability matrix under the inference window rule: the
-    hidden state restarts every ``max_t`` steps. Row t is computed from the
-    steps of its window up to t only (the recurrence is causal, so
-    truncating the input reproduces a prefix of the rows bit-identically)."""
+def mastery_trajectory(model: DktModel, student: StepTable) -> MasteryTrajectory:
+    """Full T x K probability matrix of the one student in ``student``,
+    under the inference window rule: the hidden state restarts every
+    ``max_t`` steps. Row t is computed from the steps of its window up to t
+    only (the recurrence is causal, so truncating the input reproduces a
+    prefix of the rows bit-identically)."""
+    (sequence,) = student
     if len(sequence) < 1:
         raise ValueError("sequence must have at least one step")
-    _, tokens, _, starts, lengths = _encode_windows([sequence], model.k, model.config["max_t"])
+    _, tokens, starts, lengths = _encode_windows(student, model.k, model.config["max_t"])
     cells, live = _window_cells(starts, lengths)
     probs = nncore.net_forward(model.net, tokens[cells])
-    return MasteryTrajectory(
-        user_id=sequence.user_id, p=probs[live], steps=list(sequence.steps)
-    )
+    return MasteryTrajectory(user_id=sequence.user_id, p=probs[live], steps=sequence.steps)
 
 
 def predict_records(
-    model: DktModel, sequences: Sequence[StudentSequence], tag: str
+    model: DktModel, table: StepTable, tag: str
 ) -> Tuple[Predictions, Predictions]:
-    """Next-step prediction and mastery-path tables for a sequence set.
+    """Next-step prediction and mastery-path tables for a step table.
 
     Every sequence is cut into ``max_t`` windows (the training window rule,
     trailing 1-step windows kept). The windows are sorted by length and run
@@ -336,15 +322,14 @@ def predict_records(
     the previous window's last cell. Saturated sigmoid outputs (exact
     0.0/1.0 in float64) are nudged back inside (0, 1).
     """
-    if not sequences:
+    if not table:
         empty = Predictions([], [], [], [], [], [])
         return empty, empty
-    if any(len(seq) < 1 for seq in sequences):
+    sizes = np.diff(table.offsets)
+    if not sizes.all():
         raise ValueError("sequence must have at least one step")
-    skills, tokens, offsets, starts, lengths = _encode_windows(
-        sequences, model.k, model.config["max_t"]
-    )
-    next_skills = _next_step(skills, offsets)
+    skills, tokens, starts, lengths = _encode_windows(table, model.k, model.config["max_t"])
+    next_skills = _next_step(skills, table.offsets)
 
     order = np.argsort(-lengths, kind="stable")
 
@@ -359,12 +344,10 @@ def predict_records(
         )
         p_mastery[cells[live]] = at_skill[live]
         p_next[cells[live]] = at_next[live]
-    users = [seq.user_id for seq in sequences]
-    sizes = np.diff(offsets)
     y = tokens // model.k
-    p_next = np.delete(p_next, offsets[1:] - 1)  # a sequence's last step predicts no step
-    predictions = step_rows(users, sizes, skills, y, p_next, tag, first_step=1)
-    mastery = step_rows(users, sizes, skills, y, p_mastery, tag)
+    p_next = np.delete(p_next, table.offsets[1:] - 1)  # a sequence's last step predicts no step
+    predictions = step_rows(table.user_ids, sizes, skills, y, p_next, tag, first_step=1)
+    mastery = step_rows(table.user_ids, sizes, skills, y, p_mastery, tag)
     return predictions, mastery
 
 

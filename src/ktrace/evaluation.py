@@ -365,22 +365,24 @@ def _inconsistent_cells(
     return [(int(t), traj.steps[t][0]) for t in np.sort(order[at[mismatch]])]
 
 
-_HEX = np.array([f"{i:02x}" for i in range(256)])
 _XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 
 
 def _cell_colors(p: np.ndarray) -> np.ndarray:
     """Cell colours of a probability grid: low mastery -> warm, high mastery
     -> cool, NaN -> grey. p is clipped to [0, 1]; each channel rounds half to
-    even, as Python's ``round`` does."""
+    even, as Python's ``round`` does. Each distinct colour is formatted once."""
     p = np.asarray(p, dtype=np.float64)
     nan = np.isnan(p)
     p = np.clip(np.where(nan, 0.0, p), 0.0, 1.0)
-    r, g, b = (
-        _HEX[np.round(low + (high - low) * p).astype(np.intp)]
-        for low, high in ((214, 49), (96, 110), (77, 160))
+    rgb = sum(
+        np.round(low + (high - low) * p).astype(np.int64) << shift
+        for low, high, shift in ((214, 49, 16), (96, 110, 8), (77, 160, 0))
     )
-    return np.where(nan, "#cccccc", np.char.add(np.char.add(np.char.add("#", r), g), b))
+    rgb[nan] = 0xCCCCCC
+    codes, inverse = np.unique(rgb, return_inverse=True)
+    colors = np.array(["#%06x" % code for code in codes.tolist()], dtype=object)
+    return colors[inverse].reshape(p.shape)
 
 
 def heatmap_export(

@@ -12,7 +12,9 @@ list per field (``InteractionColumns``). ``filter_and_order`` ranks the
 user, problem and skill cells and computes on those integer codes (stable
 sorts, a ``bincount``, first appearances) to build a ``StepTable``: user
 ids, offsets and flat skill/quiz/label arrays, which the split, the
-statistics and ``write_sequences`` read.
+statistics and ``write_sequences`` read. ``read_sequences`` gives the same
+table back from ``sequences.txt``, and training and inference read its
+arrays; iterating a table yields one ``StudentSequence`` per student.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import hashlib
 import json
 import os
 import re
+from array import array
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
@@ -68,10 +71,9 @@ class InteractionColumns:
     skill_raw: List[str] = field(default_factory=list)   # may be empty or comma-separated
     skill_name: List[str] = field(default_factory=list)
     correct: List[int] = field(default_factory=list)
-    row_index: List[int] = field(default_factory=list)   # 1-based data-row number in the file
 
     def __len__(self) -> int:
-        return len(self.row_index)
+        return len(self.correct)
 
 
 @dataclass
@@ -88,8 +90,8 @@ class ParseResult:
 
 @dataclass
 class StudentSequence:
-    """Chronologically ordered (skill, quiz, correctness) triplets of dense
-    integer indices."""
+    """One student's chronologically ordered (skill, quiz, correctness)
+    triplets of dense integer indices: what iterating a StepTable yields."""
 
     user_id: str
     steps: list  # [(skill, quiz, correct), ...]
@@ -197,7 +199,7 @@ class _Memo(dict):
     key and shared by every later one. A ``make`` that raises stores nothing.
 
     Its keys are cells that repeat: the id and name cells of a log and the
-    integers of ``sequences.txt``."""
+    integer texts of ``sequences.txt``, so each distinct one is parsed once."""
 
     __slots__ = ("make",)
 
@@ -277,7 +279,6 @@ def parse_interactions(
     add_user, add_order = cols.user_id.append, cols.order_id.append
     add_correct, add_problem = cols.correct.append, cols.problem_id.append
     add_skill, add_name = cols.skill_raw.append, cols.skill_name.append
-    add_row = cols.row_index.append
     rejects: List[RejectedRow] = []
     # a digest instead of the raw row keeps memory flat on wide files; copying
     # one configured hasher is cheaper than constructing one per row
@@ -327,7 +328,6 @@ def parse_interactions(
         add_problem(text(problem_cell))
         add_skill(text(skill_cell))
         add_name(text(name_cell))
-        add_row(row_index)
 
     return ParseResult(columns=cols, rejects=rejects, duplicates_dropped=duplicates)
 
@@ -439,14 +439,13 @@ def check_ratios(ratios: Sequence[float]) -> None:
 
 
 def split_students(
-    sequences: StepTable | Sequence[StudentSequence],
+    table: StepTable,
     ratios: Tuple[float, float, float] = (0.8, 0.1, 0.1),
     seed: int = 0,
 ) -> DatasetSplit:
     """Student-level split: deterministic seeded shuffle of the sorted user
     list, then a contiguous partition by ratio into three step tables."""
     check_ratios(ratios)
-    table = sequences if isinstance(sequences, StepTable) else StepTable.from_sequences(sequences)
     n = len(table)
     if n < len(ratios):
         raise ValueError(f"cannot split {n} students into {len(ratios)} partitions")
@@ -559,13 +558,14 @@ def write_sequences(path: str | Path, table: StepTable) -> None:
 _SEQUENCE_LINE = re.compile(r"[^\t\n]*(?:\t[^\t\n,]*,[^\t\n,]*,[^\t\n,]*)*\n?")
 
 
-def read_sequences(
-    path: str | Path, users: Optional[Collection[str]] = None
-) -> List[StudentSequence]:
-    """The sequences of ``path`` in file order; with ``users``, only theirs,
-    and the lines of other students are skipped unparsed. A cell that is not
-    three integers raises ValueError naming the file and line."""
-    out: List[StudentSequence] = []
+def read_sequences(path: str | Path, users: Optional[Collection[str]] = None) -> StepTable:
+    """The step table of ``path``, students in file order; with ``users``,
+    only theirs, and the lines of other students are skipped unparsed. A cell
+    that is not three integers within int64 raises ValueError naming the file
+    and line."""
+    user_ids: List[str] = []
+    ends = [0]
+    values = array("q")  # the s, q, y integers of every step: one flat int64 buffer
     to_int = _Memo(int).__getitem__
     with open(path, "r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
@@ -574,15 +574,17 @@ def read_sequences(
             if users is not None and line.partition("\t")[0].rstrip("\n") not in users:
                 continue
             user_id, _, cells = line.rstrip("\n").partition("\t")
-            values = map(to_int, cells.replace("\t", ",").split(",")) if cells else iter(())
             try:
                 if not _SEQUENCE_LINE.fullmatch(line):
                     raise ValueError
-                steps = list(zip(values, values, values))
-            except ValueError:
+                if cells:
+                    values.extend(map(to_int, cells.replace("\t", ",").split(",")))
+            except (ValueError, OverflowError):
                 raise ValueError(f"{path}: line {line_number}: a step cell must hold s,q,y") from None
-            out.append(StudentSequence(user_id=user_id, steps=steps))
-    return out
+            user_ids.append(user_id)
+            ends.append(len(values))
+    skill, quiz, label = np.frombuffer(values, np.int64).reshape(-1, 3).T
+    return StepTable(user_ids, np.array(ends, np.int64) // 3, skill, quiz, label)
 
 
 def write_rejects(path: str | Path, rejects: Sequence[RejectedRow]) -> None:

@@ -126,8 +126,6 @@ class PromptRecord:
 class LogitPair:
     l0: float
     l1: float
-    token0: str
-    token1: str
 
 
 class DisplayStep(NamedTuple):
@@ -215,11 +213,11 @@ def resolve_logit_pair(top_logprobs: Dict[str, float]) -> LogitPair:
     Bare "0"/"1" are preferred; single-leading-space variants are accepted
     when a bare token is absent. Both tokens must resolve.
     """
-    resolved: Dict[str, Tuple[str, float]] = {}
+    resolved: Dict[str, float] = {}
     for digit, variants in TOKEN_VARIANTS.items():
         for variant in variants:
             if variant in top_logprobs:
-                resolved[digit] = (variant, float(top_logprobs[variant]))
+                resolved[digit] = float(top_logprobs[variant])
                 break
     missing = [d for d in ("0", "1") if d not in resolved]
     if missing:
@@ -227,12 +225,7 @@ def resolve_logit_pair(top_logprobs: Dict[str, float]) -> LogitPair:
             f"unresolvable logits: token(s) {missing} absent from returned top-k "
             f"({sorted(top_logprobs)[:10]}...)"
         )
-    return LogitPair(
-        l0=resolved["0"][1],
-        l1=resolved["1"][1],
-        token0=resolved["0"][0],
-        token1=resolved["1"][0],
-    )
+    return LogitPair(l0=resolved["0"], l1=resolved["1"])
 
 
 class ProbeClient:

@@ -20,7 +20,7 @@ import pytest
 
 from ktrace import dkt, evaluation, llmprobe, nncore, synth
 from ktrace.cli import main
-from ktrace.ingest import split_students
+from ktrace.ingest import StepTable, StudentSequence, split_students
 
 from mockllm import MockLLMServer, logits_from_prompt
 from predtable import predictions_of, rows_of
@@ -103,8 +103,8 @@ def test_criterion_2_encoding_and_mask():
                     (int(rng.integers(0, kk)), 0, int(rng.integers(0, 2)))
                     for _ in range(t_len)
                 ]
-                seqs.append(dkt.StudentSequence(user_id=f"u{i}", steps=steps))
-            batch = dkt.build_batch(seqs, kk, max_t=16)
+                seqs.append(StudentSequence(user_id=f"u{i}", steps=steps))
+            batch = dkt.build_batch(StepTable.from_sequences(seqs), kk, max_t=16)
             assert batch.w.sum() == sum(batch.lengths - 1)
             assert batch.w.sum() == sum(len(s) - 1 for s in seqs)
 
@@ -160,7 +160,7 @@ def test_criterion_3_metric_oracles():
 def test_criterion_4_synthetic_end_to_end():
     with criterion(4, "synthetic end-to-end", limit_s=300.0):
         corpus = synth.generate(REFERENCE_SPEC)
-        split = split_students(corpus.sequences, (0.8, 0.1, 0.1), seed=7)
+        split = split_students(StepTable.from_sequences(corpus.sequences), (0.8, 0.1, 0.1), seed=7)
         oracle_auc = synth.oracle_auc(corpus, split.test)
 
         cfg = dkt.TrainConfig(
@@ -270,7 +270,7 @@ def test_criterion_6_probe_contract(tmp_path):
         rng = np.random.default_rng(3)
         for _ in range(300):
             l0, l1 = rng.uniform(-50, 50, size=2)
-            got = llmprobe.prob_from_logits(llmprobe.LogitPair(l0, l1, "0", "1"))
+            got = llmprobe.prob_from_logits(llmprobe.LogitPair(l0, l1))
             expected = math.exp(l1) / (math.exp(l0) + math.exp(l1))
             assert abs(got - expected) < 1e-12
 

@@ -20,13 +20,17 @@ from ktrace.dkt import (
     save_checkpoint,
     train,
 )
-from ktrace.ingest import StudentSequence
+from ktrace.ingest import StepTable, StudentSequence
 
 from predtable import rows_of
 
 
 def seq(user: str, steps) -> StudentSequence:
     return StudentSequence(user_id=user, steps=[(s, s, y) for s, y in steps])
+
+
+def table(sequences) -> StepTable:
+    return StepTable.from_sequences(list(sequences))
 
 
 def random_sequences(rng: np.random.Generator, n: int, k: int, min_len=2, max_len=12):
@@ -81,7 +85,7 @@ def test_encode_decode_round_trip_exhaustive_k149():
 
 def test_build_batch_hand_example():
     k = 10
-    batch = build_batch([seq("u1", [(2, 1), (2, 0), (5, 1)])], k, max_t=50)
+    batch = build_batch(table([seq("u1", [(2, 1), (2, 0), (5, 1)])]), k, max_t=50)
     assert batch.x.tolist() == [[12, 2, 15]]
     assert batch.w.tolist() == [[1.0, 1.0, 0.0]]
     assert (batch.s_next[0, 0], batch.y_next[0, 0]) == (2, 0)
@@ -91,7 +95,7 @@ def test_build_batch_hand_example():
 def test_build_batch_equal_lengths_mask_rows():
     k = 4
     sequences = [seq(f"u{i}", [(0, 1), (1, 0), (2, 1), (3, 0)]) for i in range(3)]
-    batch = build_batch(sequences, k, max_t=10)
+    batch = build_batch(table(sequences), k, max_t=10)
     assert np.all(batch.w.sum(axis=1) == 3.0)
 
 
@@ -100,7 +104,7 @@ def test_build_batch_mask_count_is_sum_of_lengths_minus_one():
     for _ in range(25):
         k = int(rng.integers(2, 8))
         sequences = random_sequences(rng, int(rng.integers(1, 9)), k)
-        batch = build_batch(sequences, k, max_t=20)
+        batch = build_batch(table(sequences), k, max_t=20)
         expected = sum(len(s) - 1 for s in sequences)
         assert batch.w.sum() == expected
 
@@ -109,7 +113,7 @@ def test_build_batch_token_identity_on_valid_cells():
     rng = np.random.default_rng(8)
     k = 6
     sequences = random_sequences(rng, 5, k)
-    batch = build_batch(sequences, k, max_t=20)
+    batch = build_batch(table(sequences), k, max_t=20)
     for i, student in enumerate(sequences):
         tokens = [s + y * k for s, _, y in student.steps]
         assert batch.x[i, : len(student)].tolist() == tokens
@@ -121,7 +125,7 @@ def test_build_batch_token_identity_on_valid_cells():
 def test_build_batch_windowing_splits_and_drops_singletons():
     k = 3
     steps = [(i % k, i % 2) for i in range(7)]
-    batch = build_batch([seq("u1", steps)], k, max_t=3)
+    batch = build_batch(table([seq("u1", steps)]), k, max_t=3)
     # 7 steps -> windows of 3, 3, 1; the singleton is dropped
     assert batch.x.shape[0] == 2
     assert batch.lengths.tolist() == [3, 3]
@@ -130,7 +134,8 @@ def test_build_batch_windowing_splits_and_drops_singletons():
 
 def test_build_batch_padded_cells_hold_in_range_inputs():
     k = 5
-    batch = build_batch([seq("a", [(0, 1), (1, 0), (2, 1)]), seq("b", [(3, 0), (4, 1)])], k, 10)
+    sequences = [seq("a", [(0, 1), (1, 0), (2, 1)]), seq("b", [(3, 0), (4, 1)])]
+    batch = build_batch(table(sequences), k, 10)
     assert batch.x[1, 2] == batch.x[1, 0] == 3  # the row's first step
     assert 0 <= batch.x.min() and batch.x.max() < 2 * k
     assert 0 <= batch.s_next.min() and batch.s_next.max() < k
@@ -140,7 +145,34 @@ def test_build_batch_padded_cells_hold_in_range_inputs():
 
 def test_build_batch_empty_input_errors():
     with pytest.raises(ValueError, match="empty"):
-        build_batch([], 3, 10)
+        build_batch(table([]), 3, 10)
+
+
+def test_build_batch_names_a_student_with_fewer_than_two_steps():
+    sequences = [seq("u1", [(0, 1), (1, 0)]), seq("u2", [(2, 1)]), seq("u3", [])]
+    with pytest.raises(ValueError, match=r"^sequence for student u2 has 1 steps; need >= 2$"):
+        build_batch(table(sequences), 3, 10)
+
+
+def test_inference_rejects_a_student_with_no_steps():
+    model = zero_model(k=3, embedding_dim=4, hidden_dim=5)
+    with pytest.raises(ValueError, match="^sequence must have at least one step$"):
+        predict_records(model, table([seq("u1", [(0, 1)]), seq("u2", [])]), tag="dkt")
+    with pytest.raises(ValueError, match="^sequence must have at least one step$"):
+        mastery_trajectory(model, table([seq("u2", [])]))
+
+
+@pytest.mark.parametrize("steps, message", [
+    ([(0, 1), (3, 0)], r"^skill index 3 out of range \[0, 3\)$"),
+    ([(-1, 1), (0, 0)], r"^skill index -1 out of range \[0, 3\)$"),
+    ([(0, 1), (1, 2)], r"^correctness must be 0 or 1, got 2$"),
+])
+def test_batching_and_inference_reject_out_of_range_steps(steps, message):
+    model = zero_model(k=3, embedding_dim=4, hidden_dim=5)
+    with pytest.raises(ValueError, match=message):
+        build_batch(table([seq("u1", [(0, 1), (1, 0)]), seq("u2", steps)]), 3, 10)
+    with pytest.raises(ValueError, match=message):
+        predict_records(model, table([seq("u1", [(0, 1)]), seq("u2", steps)]), tag="dkt")
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +204,9 @@ def test_early_stopping_requires_strict_improvement():
 
 def test_zero_model_predicts_half():
     model = zero_model(k=5, embedding_dim=4, hidden_dim=6)
-    p = mastery_trajectory(model, seq("u1", [(0, 1), (2, 0)])).p[-1, 3]
+    p = mastery_trajectory(model, table([seq("u1", [(0, 1), (2, 0)])])).p[-1, 3]
     assert p == 0.5
-    traj = mastery_trajectory(model, seq("u1", [(0, 1), (2, 0), (4, 1)]))
+    traj = mastery_trajectory(model, table([seq("u1", [(0, 1), (2, 0), (4, 1)])]))
     assert np.array_equal(traj.p, np.full((3, 5), 0.5))
 
 
@@ -182,9 +214,9 @@ def test_trajectory_causality_prefix_rows_bit_identical():
     cfg = TrainConfig(embedding_dim=4, hidden_dim=6, seed=4)
     model = DktModel.init(4, cfg)
     steps = [(0, 1), (1, 0), (2, 1), (3, 0), (1, 1)]
-    full = mastery_trajectory(model, seq("u1", steps))
+    full = mastery_trajectory(model, table([seq("u1", steps)]))
     for t in range(1, len(steps) + 1):
-        part = mastery_trajectory(model, seq("u1", steps[:t]))
+        part = mastery_trajectory(model, table([seq("u1", steps[:t])]))
         assert np.array_equal(part.p, full.p[:t])
 
 
@@ -197,10 +229,10 @@ def test_batched_forward_matches_per_student_runs():
         seq("b", [(3, 0), (0, 1)]),
         seq("c", [(2, 1), (2, 0), (2, 1)]),
     ]
-    batch = build_batch(sequences, 4, max_t=10)
+    batch = build_batch(table(sequences), 4, max_t=10)
     probs = nncore.net_forward(model.net, batch.x)
     for i, s in enumerate(sequences):
-        solo = mastery_trajectory(model, s)
+        solo = mastery_trajectory(model, table([s]))
         np.testing.assert_allclose(probs[i, : len(s)], solo.p, atol=1e-12, rtol=0)
 
 
@@ -211,7 +243,7 @@ def test_forward_matches_scalar_reference():
     cfg = TrainConfig(embedding_dim=d_in, hidden_dim=d_h, seed=11)
     model = DktModel.init(k, cfg)
     steps = [(0, 1), (1, 0), (1, 1)]
-    traj = mastery_trajectory(model, seq("u1", steps))
+    traj = mastery_trajectory(model, table([seq("u1", steps)]))
 
     net = model.net
     w_z, w_r, w_h = np.split(net.gru.w, 3, axis=1)
@@ -244,7 +276,7 @@ def test_predict_records_clamps_saturated_outputs(tmp_path):
 
     model = zero_model(k=2, embedding_dim=3, hidden_dim=4)
     model.net.b_out[:] = [50.0, -50.0]  # sigmoid rounds to exactly 1.0 / 0.0
-    preds, mastery = predict_records(model, [seq("u1", [(0, 1), (1, 0), (0, 1)])], tag="dkt")
+    preds, mastery = predict_records(model, table([seq("u1", [(0, 1), (1, 0), (0, 1)])]), tag="dkt")
     assert all(0.0 < r.p < 1.0 for r in rows_of(preds) + rows_of(mastery))
     path = tmp_path / "d.csv"
     write_prediction_dump(path, preds)
@@ -254,14 +286,14 @@ def test_predict_records_clamps_saturated_outputs(tmp_path):
 def test_predict_records_counts_and_alignment():
     model = zero_model(k=4, embedding_dim=4, hidden_dim=5)
     sequences = [seq("u1", [(0, 1), (1, 0), (2, 1)]), seq("u2", [(3, 0), (3, 1)])]
-    preds, mastery = map(rows_of, predict_records(model, sequences, tag="dkt"))
+    preds, mastery = map(rows_of, predict_records(model, table(sequences), tag="dkt"))
     assert len(preds) == (3 - 1) + (2 - 1)
     assert len(mastery) == 3 + 2
     assert all(r.model_tag == "dkt" for r in preds)
     assert [r.step for r in preds if r.user_id == "u1"] == [1, 2]
     assert [r.step for r in mastery if r.user_id == "u1"] == [0, 1, 2]
     # mastery rows match the trajectory's practiced-skill cells
-    traj = mastery_trajectory(model, sequences[0])
+    traj = mastery_trajectory(model, table([sequences[0]]))
     for rec in mastery:
         if rec.user_id == "u1":
             assert rec.p == traj.p[rec.step, rec.skill]
@@ -275,19 +307,19 @@ def test_predict_records_long_student_matches_windowed_batch():
     rng = np.random.default_rng(31)
     steps = [(int(rng.integers(0, k)), int(rng.integers(0, 2))) for _ in range(11)]
     student = seq("long", steps)
-    batch = build_batch([student], k, max_t=max_t)  # windows of 4, 4, 3
+    batch = build_batch(table([student]), k, max_t=max_t)  # windows of 4, 4, 3
     assert batch.lengths.tolist() == [4, 4, 3]
     probs = nncore.net_forward(model.net, batch.x)
     rows = np.concatenate([probs[i, :n] for i, n in enumerate(batch.lengths)])
 
-    preds, mastery = map(rows_of, predict_records(model, [student], tag="dkt"))
+    preds, mastery = map(rows_of, predict_records(model, table([student]), tag="dkt"))
     skills = [s for s, _ in steps]
     for rec in mastery:
         assert abs(rec.p - rows[rec.step, rec.skill]) < 1e-12
     for rec in preds:  # step t reads row t-1, across window boundaries too
         assert abs(rec.p - rows[rec.step - 1, skills[rec.step]]) < 1e-12
     np.testing.assert_allclose(
-        mastery_trajectory(model, student).p, rows, atol=1e-12, rtol=0
+        mastery_trajectory(model, table([student])).p, rows, atol=1e-12, rtol=0
     )
 
 
@@ -300,10 +332,10 @@ def test_predict_records_batched_matches_per_student_trajectories():
         seq(f"u{i}", [(int(rng.integers(0, k)), int(rng.integers(0, 2))) for _ in range(n)])
         for i, n in enumerate((3, 9, 2, 6, 1, 2, 5))  # 9 -> windows 4, 4, 1
     ]
-    preds, mastery = map(rows_of, predict_records(model, sequences, tag="dkt"))
+    preds, mastery = map(rows_of, predict_records(model, table(sequences), tag="dkt"))
     expected_preds, expected_mastery = [], []
     for student in sequences:
-        traj = mastery_trajectory(model, student)
+        traj = mastery_trajectory(model, table([student]))
         for t, (skill, _, y) in enumerate(student.steps):
             if t >= 1:
                 expected_preds.append((student.user_id, t, skill, y, traj.p[t - 1, skill]))
@@ -351,20 +383,20 @@ def fast_config(seed: int = 0, max_epochs: int = 8) -> TrainConfig:
 
 def test_train_learns_toy_structure():
     sequences = tiny_corpus()
-    model, log = train(sequences[:32], sequences[32:], k=3, cfg=fast_config())
+    model, log = train(table(sequences[:32]), table(sequences[32:]), k=3, cfg=fast_config())
     assert len(log) >= 1
     assert log[0].train_loss > log[-1].train_loss or len(log) < 3
     # after training, skill 0 should look easier than skill 1
     probe = seq("probe", [(0, 1), (1, 0), (0, 1), (1, 0)])
-    p_easy, p_hard = mastery_trajectory(model, probe).p[-1, :2]
+    p_easy, p_hard = mastery_trajectory(model, table([probe])).p[-1, :2]
     assert p_easy > p_hard
 
 
 def test_train_is_deterministic_under_seed(tmp_path):
     sequences = tiny_corpus()
     cfg = fast_config(seed=3, max_epochs=4)
-    m1, log1 = train(sequences[:32], sequences[32:], k=3, cfg=cfg)
-    m2, log2 = train(sequences[:32], sequences[32:], k=3, cfg=cfg)
+    m1, log1 = train(table(sequences[:32]), table(sequences[32:]), k=3, cfg=cfg)
+    m2, log2 = train(table(sequences[:32]), table(sequences[32:]), k=3, cfg=cfg)
     for name, arr in m1.net.flat().items():
         assert np.array_equal(arr, m2.net.flat()[name])
     assert [e.val_loss for e in log1] == [e.val_loss for e in log2]
@@ -384,7 +416,7 @@ def test_train_aborts_on_nonfinite_loss(monkeypatch):
 
     monkeypatch.setattr("ktrace.dkt.nncore.net_loss_and_grads", poisoned)
     with pytest.raises(dkt.TrainingDiverged, match="epoch 1, batch 0"):
-        train(sequences[:32], sequences[32:], k=3, cfg=fast_config())
+        train(table(sequences[:32]), table(sequences[32:]), k=3, cfg=fast_config())
 
 
 def test_train_steps_in_float32_on_float64_master_weights(monkeypatch, tmp_path):
@@ -414,7 +446,7 @@ def test_train_steps_in_float32_on_float64_master_weights(monkeypatch, tmp_path)
     monkeypatch.setattr("ktrace.dkt.nncore.net_loss_and_grads", step_spy)
     monkeypatch.setattr("ktrace.dkt.nncore.net_loss", val_spy)
     monkeypatch.setattr("ktrace.dkt.nncore.adam_update", adam_spy)
-    model, log = train(sequences[:32], sequences[32:], k=3, cfg=fast_config(max_epochs=2))
+    model, log = train(table(sequences[:32]), table(sequences[32:]), k=3, cfg=fast_config(max_epochs=2))
 
     float32, float64 = {np.dtype(np.float32)}, {np.dtype(np.float64)}
     assert len(step_dtypes) == len(adam_dtypes) == 2 * 2  # 32 sequences, batches of 16
@@ -444,7 +476,7 @@ def test_train_from_a_saturated_readout_does_not_diverge(monkeypatch):
         return net
 
     monkeypatch.setattr("ktrace.dkt.nncore.init_net", saturated_init)
-    model, log = train(sequences[:32], sequences[32:], k=2, cfg=fast_config(max_epochs=3))
+    model, log = train(table(sequences[:32]), table(sequences[32:]), k=2, cfg=fast_config(max_epochs=3))
     assert all(np.isfinite(e.train_loss) and np.isfinite(e.val_loss) for e in log)
     assert log[0].train_loss > 1.0  # the run did start saturated
     assert model.net.b_out[0] > -40.0 and model.net.b_out[1] < 40.0
@@ -453,10 +485,10 @@ def test_train_from_a_saturated_readout_does_not_diverge(monkeypatch):
 def test_train_returns_best_validation_checkpoint():
     sequences = tiny_corpus()
     cfg = fast_config(seed=1, max_epochs=10)
-    model, log = train(sequences[:32], sequences[32:], k=3, cfg=cfg)
+    model, log = train(table(sequences[:32]), table(sequences[32:]), k=3, cfg=cfg)
     best = min(e.val_loss for e in log)
     # recompute the returned model's validation loss; must equal the best epoch
-    val_loss = dkt._dataset_loss(model.net, sequences[32:], 3, cfg)
+    val_loss = dkt._dataset_loss(model.net, table(sequences[32:]), 3, cfg)
     assert val_loss == pytest.approx(best, abs=1e-12)
 
 

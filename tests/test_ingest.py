@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import random
 
+import numpy as np
 import pytest
 
 from ktrace import ingest
@@ -56,7 +57,6 @@ def test_parse_single_valid_row():
     assert cols.correct == [1]
     assert cols.skill_raw == ["33"]
     assert cols.skill_name == ["Box and Whisker"]
-    assert cols.row_index == [1]
 
 
 def test_parse_rejects_correct_out_of_domain():
@@ -146,7 +146,7 @@ def test_filter_drops_multi_skill_rows():
 def test_filter_drops_missing_skill_rows():
     result = parse("1,u1,p1,1,,\n" + make_rows("u1", 3, start_order=2))
     cols = result.columns
-    assert (cols.skill_raw[0], cols.skill_name[0], cols.row_index[0]) == ("", "", 1)
+    assert (cols.skill_raw[0], cols.skill_name[0]) == ("", "")
     table, _, report = filter_and_order(cols)
     assert report.missing_skill == 1
     assert [len(seq) for seq in table] == [3]
@@ -168,7 +168,7 @@ def test_filter_is_idempotent():
     result = parse(make_rows("u2", 4) + make_rows("u1", 3, skill="9"))
     sequences = raw_sequences(result.columns)
     # rebuild parsed columns from the filtered sequences and run the filters again
-    rows = [(i, user_id, quiz, skill, "", y, i)
+    rows = [(i, user_id, quiz, skill, "", y)
             for user_id, steps in sequences for i, (skill, quiz, y) in enumerate(steps)]
     rebuilt = ingest.InteractionColumns(*map(list, zip(*rows)))
     assert raw_sequences(rebuilt) == sequences
@@ -403,6 +403,32 @@ def test_read_sequences_reads_only_wanted_users_and_checks_their_lines(tmp_path)
     ]
     with pytest.raises(ValueError, match=r"sequences\.txt: line 2: a step cell must hold s,q,y"):
         read_sequences(path, users={"u2"})
+
+
+def test_read_sequences_returns_the_written_table(tmp_path):
+    path = tmp_path / "sequences.txt"
+    text = make_rows("u1", 3) + make_rows("u2", 4, skill="9") + make_rows("u0", 5, skill="8")
+    written, _, _ = filter_and_order(parse(text).columns)
+    empty_row = StepTable.from_sequences([
+        StudentSequence("a", [(1, 2, 0)]), StudentSequence("b", []), StudentSequence("c", [(3, 4, 1)]),
+    ])
+    for table in (written, empty_row):
+        write_sequences(path, table)
+        loaded = read_sequences(path)
+        assert isinstance(loaded, StepTable)
+        assert loaded.user_ids == table.user_ids
+        assert loaded.offsets.dtype == np.int64
+        for name in ("offsets", "skill", "quiz", "label"):
+            assert np.array_equal(getattr(loaded, name), getattr(table, name)), name
+    assert loaded.offsets.tolist() == [0, 1, 1, 2]
+
+
+def test_read_sequences_rejects_integers_past_int64(tmp_path):
+    path = tmp_path / "sequences.txt"
+    for cell in ("9223372036854775808,0,1", "0,-9223372036854775809,1"):
+        path.write_text(f"u1\t1,2,3\nu2\t4,5,6\t{cell}\n")
+        with pytest.raises(ValueError, match=r"sequences\.txt: line 2: a step cell must hold s,q,y$"):
+            read_sequences(path)
 
 
 def test_failed_write_keeps_previous_file(tmp_path):

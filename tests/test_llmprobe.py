@@ -225,11 +225,11 @@ def test_prompt_keys_equal_cache_keys(model):
 
 
 def test_prob_equal_logits_is_half():
-    assert prob_from_logits(LogitPair(-1.0, -1.0, "0", "1")) == pytest.approx(0.5, abs=1e-15)
+    assert prob_from_logits(LogitPair(-1.0, -1.0)) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_prob_log3_gap_is_three_quarters():
-    pair = LogitPair(l0=-2.0, l1=-2.0 + math.log(3.0), token0="0", token1="1")
+    pair = LogitPair(l0=-2.0, l1=-2.0 + math.log(3.0))
     assert prob_from_logits(pair) == pytest.approx(0.75, abs=1e-12)
 
 
@@ -237,7 +237,7 @@ def test_prob_matches_softmax_oracle_on_random_pairs():
     rng = np.random.default_rng(0)
     for _ in range(200):
         l0, l1 = rng.uniform(-50, 50, size=2)
-        got = prob_from_logits(LogitPair(l0, l1, "0", "1"))
+        got = prob_from_logits(LogitPair(l0, l1))
         expected = math.exp(l1) / (math.exp(l0) + math.exp(l1))
         assert got == pytest.approx(expected, abs=1e-12)
 
@@ -246,16 +246,16 @@ def test_prob_shift_invariance_and_monotonicity():
     rng = np.random.default_rng(1)
     for _ in range(50):
         l0, l1, c = rng.uniform(-20, 20, size=3)
-        base = prob_from_logits(LogitPair(l0, l1, "0", "1"))
-        shifted = prob_from_logits(LogitPair(l0 + c, l1 + c, "0", "1"))
+        base = prob_from_logits(LogitPair(l0, l1))
+        shifted = prob_from_logits(LogitPair(l0 + c, l1 + c))
         assert shifted == pytest.approx(base, abs=1e-12)
-        assert prob_from_logits(LogitPair(l0, l1 + 0.1, "0", "1")) > base
-        assert prob_from_logits(LogitPair(l0 + 0.1, l1, "0", "1")) < base
+        assert prob_from_logits(LogitPair(l0, l1 + 0.1)) > base
+        assert prob_from_logits(LogitPair(l0 + 0.1, l1)) < base
 
 
 def test_prob_extreme_logits_are_stable():
-    assert prob_from_logits(LogitPair(-1000.0, 0.0, "0", "1")) == pytest.approx(1.0)
-    assert prob_from_logits(LogitPair(0.0, -1000.0, "0", "1")) == pytest.approx(0.0)
+    assert prob_from_logits(LogitPair(-1000.0, 0.0)) == pytest.approx(1.0)
+    assert prob_from_logits(LogitPair(0.0, -1000.0)) == pytest.approx(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +266,17 @@ def test_resolve_passthrough():
     pair = resolve_logit_pair({"0": -0.105, "1": -2.303})
     assert pair.l0 == pytest.approx(-0.105)
     assert pair.l1 == pytest.approx(-2.303)
-    assert (pair.token0, pair.token1) == ("0", "1")
+    assert pair == LogitPair(-0.105, -2.303)
 
 
 def test_resolve_accepts_leading_space_variants():
     pair = resolve_logit_pair({" 0": -0.2, " 1": -1.5, "x": -3.0})
-    assert (pair.token0, pair.token1) == (" 0", " 1")
+    assert (pair.l0, pair.l1) == (-0.2, -1.5)
 
 
 def test_resolve_prefers_bare_tokens():
     pair = resolve_logit_pair({"0": -0.1, " 0": -9.0, "1": -0.2, " 1": -9.0})
-    assert (pair.token0, pair.token1) == ("0", "1")
+    assert (pair.l0, pair.l1) == (-0.1, -0.2)
 
 
 def test_resolve_missing_both_tokens_errors():
@@ -661,7 +661,7 @@ def test_cache_hit_is_audited_from_its_line_as_written(tmp_path):
     records, errors = probe_sequence(client, "u1", toy_steps(3), tag="llm")
     assert client.request_count == 0 and errors == []
     assert sorted(line for _, _, line in client.audit) == sorted('{"cached": true, ' + line[1:] for line in lines)
-    assert records.p[0] == prob_from_logits(LogitPair(-1.0, -2.5, "0", "1"))
+    assert records.p[0] == prob_from_logits(LogitPair(-1.0, -2.5))
 
 
 def test_fully_cached_probe_starts_no_thread(tmp_path, monkeypatch):

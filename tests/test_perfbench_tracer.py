@@ -10,8 +10,11 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from ktrace import dkt, synth
 from ktrace.dkt import TrainConfig
+from ktrace.ingest import StepTable
 from ktrace.synth import GenerativeSpec
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -27,7 +30,8 @@ def load_tracer_module():
 def test_full_trace_records_training_validation_and_inference_spans():
     tracing = load_tracer_module()
     corpus = synth.generate(GenerativeSpec(k=3, n_students=24, mean_length=10.0, seed=1))
-    train_seqs, val_seqs = corpus.sequences[:16], corpus.sequences[16:]
+    table = StepTable.from_sequences(corpus.sequences)
+    train_seqs, val_seqs = table.take(np.arange(16)), table.take(np.arange(16, len(table)))
     cfg = TrainConfig(
         embedding_dim=4, hidden_dim=6, batch_size=8, max_t=8, max_epochs=1, seed=0
     )
@@ -36,7 +40,7 @@ def test_full_trace_records_training_validation_and_inference_spans():
         tracing.install(tracer, "full")
         model, _ = dkt.train(train_seqs, val_seqs, k=3, cfg=cfg)
         dkt.predict_records(model, val_seqs, tag="dkt")
-        dkt.mastery_trajectory(model, val_seqs[0])
+        dkt.mastery_trajectory(model, val_seqs.take([0]))
     finally:
         tracer.restore()
 

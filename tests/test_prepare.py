@@ -194,7 +194,7 @@ def reference_prepare(text: str, seed: int):
         ingest.StudentSequence(user, [(skills[s], quizzes[q], y) for s, q, y in steps])
         for user, steps in raw.items()
     ]
-    split = ingest.split_students(indexed, (0.8, 0.1, 0.1), seed)
+    split = ingest.split_students(ingest.StepTable.from_sequences(indexed), (0.8, 0.1, 0.1), seed)
 
     skill_parts = {p.strip() for r in records for p in r["skill"].split(",")} - {""}
     n = len(records)
