@@ -314,17 +314,15 @@ def cmd_synth(cfg: RunConfig) -> int:
         corpus = synth.generate(cfg.synth)
         ids = tuple(map(str, range(cfg.synth.k)))  # quiz index equals skill index
         vocab = ingest.Vocab(skill_ids=ids, quiz_ids=ids, skill_names=tuple(corpus.skill_names()))
-        table = ingest.StepTable.from_sequences(corpus.sequences)
-        split = ingest.split_students(table, cfg.ratios, cfg.seed)
+        split = ingest.split_students(corpus.sequences, cfg.ratios, cfg.seed)
         stats_by_column = {
-            "preprocessed": ingest.summarize(table),
+            "preprocessed": ingest.summarize(corpus.sequences),
             **ingest.summarize_split(split),
         }
-        write_prepared_workspace(ws, table, vocab, split, stats_by_column)
+        write_prepared_workspace(ws, corpus.sequences, vocab, split, stats_by_column)
         synth.write_oracle_sidecar(ws.oracle_path, corpus)
-        write_prediction_dump(
-            ws.dump_path("oracle"), synth.oracle_records(corpus, split.test)
-        )
+        oracle = synth.oracle_records(corpus, split.test)
+        write_prediction_dump(ws.dump_path("oracle"), oracle)
         write_json(ws.root / "generative_spec.json", cfg.synth)
         ws.commit_stage("synth", cfg, vocab.content_hash())
 
@@ -332,7 +330,7 @@ def cmd_synth(cfg: RunConfig) -> int:
         print(
             f"\nsynthetic corpus: {cfg.synth.n_students} students, "
             f"oracle AUC (test, next-step positions): "
-            f"{synth.oracle_auc(corpus, split.test):.4f}"
+            f"{evaluation.roc_auc(oracle).auc:.4f}"
         )
         print(f"workspace ready: {ws.root}")
     return 0
@@ -392,38 +390,36 @@ def cmd_probe(cfg: RunConfig, tag_override: Optional[str] = None) -> int:
     with ws.lock():
         # only the test split and the mastery students are probed, so only they are read
         test_users = read_split(ws)["test"]
-        by_user = {
-            s.user_id: s
-            for s in ingest.read_sequences(
-                ws.sequences_path, users={*test_users, *cfg.probe.mastery_students}
-            )
-        }
+        table = ingest.read_sequences(
+            ws.sequences_path, users={*test_users, *cfg.probe.mastery_students}
+        )
+        position = {user_id: i for i, user_id in enumerate(table.user_ids)}
         vocab = load_vocab(ws)
         tag = tag_override or cfg.probe.tag
         client = llmprobe.ProbeClient(cfg.probe.probe)
 
         with open(ws.repr_quiz_path, "r", encoding="utf-8") as fh:
-            repr_quiz_idx = json.load(fh)["repr_quiz"]
-        repr_quiz = [str(vocab.quiz_ids[q]) for q in repr_quiz_idx]
+            repr_quiz = json.load(fh)["repr_quiz"]
 
-        students = [
-            (user_id, llmprobe.display_steps(by_user[user_id].steps, vocab.skill_names, vocab.quiz_ids))
-            for user_id in test_users
-        ]
-        preds, all_errors = llmprobe.probe_sequences(client, students, tag)
+        test = table.take(np.array([position[u] for u in test_users], dtype=np.int64))
+        preds, all_errors = llmprobe.probe_sequences(client, test, vocab, tag)
         stability: List[llmprobe.StabilityReport] = []
         if cfg.probe.stability_check:
-            stability = llmprobe.stability_reports(client, students, preds, tag)
+            stability = llmprobe.stability_reports(client, test, vocab, preds, tag)
 
-        mastery_paths: List[Predictions] = []
+        found = []
         for user_id in cfg.probe.mastery_students:
-            seq = by_user.get(user_id)
-            if seq is None:
+            if user_id in position:
+                found.append(position[user_id])
+            else:
                 print(f"warning: mastery student {user_id} not found; skipped")
-                continue
-            steps = llmprobe.display_steps(seq.steps, vocab.skill_names, vocab.quiz_ids)
-            p = llmprobe.probe_mastery(client, steps, vocab.skill_names, repr_quiz)
-            traj = MasteryTrajectory(user_id=user_id, p=p, steps=list(seq.steps))
+        mastery = table.take(np.array(found, dtype=np.int64))
+        matrices = llmprobe.probe_mastery(client, mastery, vocab, repr_quiz)
+        steps = np.column_stack((mastery.skill, mastery.quiz, mastery.label))
+        mastery_paths: List[Predictions] = []
+        # with no mastery student, zip stops at the empty matrix list
+        for user_id, p, rows in zip(mastery.user_ids, matrices, np.split(steps, mastery.offsets[1:-1])):
+            traj = MasteryTrajectory(user_id=user_id, p=p, steps=rows)
             write_trajectory(ws.trajectory_path(tag, user_id), traj)
             mastery_paths.append(traj.practiced_path(tag))
 

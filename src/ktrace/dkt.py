@@ -299,13 +299,15 @@ def mastery_trajectory(model: DktModel, student: StepTable) -> MasteryTrajectory
     ``max_t`` steps. Row t is computed from the steps of its window up to t
     only (the recurrence is causal, so truncating the input reproduces a
     prefix of the rows bit-identically)."""
-    (sequence,) = student
-    if len(sequence) < 1:
+    if len(student) != 1:
+        raise ValueError(f"mastery_trajectory takes one student, got {len(student)}")
+    if len(student.skill) < 1:
         raise ValueError("sequence must have at least one step")
     _, tokens, starts, lengths = _encode_windows(student, model.k, model.config["max_t"])
     cells, live = _window_cells(starts, lengths)
     probs = nncore.net_forward(model.net, tokens[cells])
-    return MasteryTrajectory(user_id=sequence.user_id, p=probs[live], steps=sequence.steps)
+    steps = np.column_stack((student.skill, student.quiz, student.label))
+    return MasteryTrajectory(user_id=student.user_ids[0], p=probs[live], steps=steps)
 
 
 def predict_records(

@@ -350,9 +350,8 @@ def volatility_all_skills(traj: MasteryTrajectory) -> float:
 def _skill_paths(traj: MasteryTrajectory) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The practiced steps grouped by skill (ascending), in step order within
     a skill: the step indices, and the skill and response at each."""
-    steps = np.array(traj.steps, dtype=np.int64).reshape(-1, 3)
-    order = np.argsort(steps[:, 0], kind="stable")
-    return order, steps[order, 0], steps[order, 2]
+    order = np.argsort(traj.steps[:, 0], kind="stable")
+    return order, traj.steps[order, 0], traj.steps[order, 2]
 
 
 def _inconsistent_cells(
@@ -362,7 +361,8 @@ def _inconsistent_cells(
     direction contradicts the response at t. The path keeps NaN cells, so a
     pair with a NaN side annotates nothing."""
     at, _, mismatch = _updates(traj.p[order, skill], y, skill[1:] == skill[:-1])
-    return [(int(t), traj.steps[t][0]) for t in np.sort(order[at[mismatch]])]
+    times = np.sort(order[at[mismatch]])
+    return list(zip(times.tolist(), traj.steps[times, 0].tolist()))
 
 
 _XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})

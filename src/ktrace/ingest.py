@@ -13,8 +13,10 @@ user, problem and skill cells and computes on those integer codes (stable
 sorts, a ``bincount``, first appearances) to build a ``StepTable``: user
 ids, offsets and flat skill/quiz/label arrays, which the split, the
 statistics and ``write_sequences`` read. ``read_sequences`` gives the same
-table back from ``sequences.txt``, and training and inference read its
-arrays; iterating a table yields one ``StudentSequence`` per student.
+table back from ``sequences.txt``; ``synth`` builds one directly. Training,
+inference, the LLM probe and the trajectory files read its arrays. Iterating
+a table yields one ``StudentSequence`` per student, for the oracle records
+of a synthetic corpus and for callers outside the package.
 """
 
 from __future__ import annotations
@@ -120,14 +122,6 @@ class StepTable:
         bounds = self.offsets.tolist()
         for user_id, start, stop in zip(self.user_ids, bounds, bounds[1:]):
             yield StudentSequence(user_id, steps[start:stop])
-
-    @classmethod
-    def from_sequences(cls, sequences: Sequence[StudentSequence]) -> "StepTable":
-        """The table of indexed ``sequences``, in their order."""
-        steps = np.array([step for seq in sequences for step in seq.steps], dtype=np.int64)
-        skill, quiz, label = steps.reshape(-1, 3).T
-        offsets = np.cumsum([0, *map(len, sequences)], dtype=np.int64)
-        return cls([seq.user_id for seq in sequences], offsets, skill, quiz, label)
 
     def take(self, students: np.ndarray) -> "StepTable":
         """The table of the students at positions ``students``, in that order."""

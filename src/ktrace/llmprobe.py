@@ -7,6 +7,12 @@ log-probabilities, resolves the entries for the answer tokens "0" and "1"
 the pair into a correctness probability by two-way softmax. Nothing is ever
 imputed: steps whose tokens cannot be resolved are flagged unresolved.
 
+The probing protocols take students as a ``StepTable`` and the ``Vocab``
+that names its indices. Each history's (quiz id, skill name, correctness)
+lines come from the vocabulary in one place, which rejects a step the
+vocabulary cannot name. Each protocol sends all of its students' prompts
+through one ``fetch_many``, the mastery matrices of several students too.
+
 A student's prompts are keyed from its history lines, each formatted,
 JSON-escaped and hashed once (``ProbeClient.query_keys``), and only the cache
 misses are rendered (``render_prompts``): a pass costs time linear in the
@@ -41,10 +47,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .ingest import StepTable, Vocab
 from .records import PROB_FLOOR, Predictions, step_rows
 
 log = logging.getLogger(__name__)
@@ -126,16 +133,6 @@ class PromptRecord:
 class LogitPair:
     l0: float
     l1: float
-
-
-class DisplayStep(NamedTuple):
-    """One interaction with both display strings (for the prompt) and dense
-    indices (for the emitted records)."""
-
-    quiz: str
-    skill_name: str
-    skill: int
-    y: int
 
 
 # (quiz id, skill name, correctness) per step; (n, (next quiz id, skill name)) per prompt
@@ -524,8 +521,30 @@ def _open_cache(path: Path) -> Dict[str, Tuple[Dict[str, float], str]]:
 # probing protocols
 
 
-def _history_triples(steps: Sequence[DisplayStep]) -> History:
-    return [(s.quiz, s.skill_name, s.y) for s in steps]
+def _histories(table: StepTable, vocab: Vocab) -> List[History]:
+    """Each student's (quiz id, skill name, correctness) triples, from the
+    vocabulary's tables. A step whose skill or quiz index has no vocabulary
+    entry, or whose label is not 0/1, raises ValueError naming its student."""
+    skill, quiz, label = table.skill, table.quiz, table.label
+    bad = np.flatnonzero(
+        (skill < 0) | (skill >= vocab.k) | (quiz < 0) | (quiz >= len(vocab.quiz_ids))
+        | ((label != 0) & (label != 1))
+    )
+    if bad.size:
+        i = int(bad[0])
+        student = int(np.searchsorted(table.offsets, i, side="right")) - 1
+        raise ValueError(
+            f"student {table.user_ids[student]}: step {i - int(table.offsets[student])} holds "
+            f"skill {skill[i]}, quiz {quiz[i]}, label {label[i]}; the vocabulary has "
+            f"{vocab.k} skills and {len(vocab.quiz_ids)} quizzes, and a label is 0 or 1"
+        )
+    triples = list(zip(
+        map(vocab.quiz_ids.__getitem__, quiz.tolist()),
+        map(vocab.skill_names.__getitem__, skill.tolist()),
+        label.tolist(),
+    ))
+    bounds = table.offsets.tolist()
+    return [triples[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
 def _step_probability(top: Dict[str, float]) -> Tuple[float, Optional[str]]:
@@ -561,30 +580,27 @@ def _fetch_tops(
 
 
 def probe_sequences(
-    client: ProbeClient,
-    students: Sequence[Tuple[str, Sequence[DisplayStep]]],
-    tag: str,
-    use_cache: bool = True,
+    client: ProbeClient, table: StepTable, vocab: Vocab, tag: str, use_cache: bool = True,
 ) -> Tuple[Predictions, List[str]]:
     """Next-step correctness probabilities for targets t = 1..T-1 of each
-    (user id, steps) student, with every prompt sent in one ``fetch_many``.
+    student of ``table``, with every prompt sent in one ``fetch_many``.
 
-    Emits exactly T-1 rows per student, students in the given order and
-    steps in order; unresolved steps carry NaN. Returns (table, per-step
-    error messages).
+    Emits exactly T-1 rows per student, students in table order and steps
+    in order; unresolved steps carry NaN. Returns (table, per-step error
+    messages).
     """
-    work = []
-    for user_id, steps in students:
-        if len(steps) < 2:
-            raise ValueError(f"student {user_id}: probing needs at least 2 steps, got {len(steps)}")
-        queries = [(t, (steps[t].quiz, steps[t].skill_name)) for t in range(1, len(steps))]
-        work.append((_history_triples(steps), queries))
+    sizes = np.diff(table.offsets)
+    short = np.flatnonzero(sizes < 2)
+    if short.size:
+        i = int(short[0])
+        raise ValueError(f"student {table.user_ids[i]}: probing needs at least 2 steps, got {sizes[i]}")
+    work = [
+        (history, [(t, history[t][:2]) for t in range(1, len(history))])
+        for history in _histories(table, vocab)
+    ]
     results = [_step_probability(top) for top in _fetch_tops(client, work, use_cache)]
-    every_step = [step for _, steps in students for step in steps]
     preds = step_rows(
-        [user_id for user_id, _ in students], [len(steps) for _, steps in students],
-        [s.skill for s in every_step], [s.y for s in every_step], [p for p, _ in results],
-        tag, first_step=1,
+        table.user_ids, sizes, table.skill, table.label, [p for p, _ in results], tag, first_step=1,
     )
     errors = [
         f"{user_id} t={t}: {err}"
@@ -595,37 +611,37 @@ def probe_sequences(
 
 
 def probe_sequence(
-    client: ProbeClient,
-    user_id: str,
-    steps: Sequence[DisplayStep],
-    tag: str,
+    client: ProbeClient, student: StepTable, vocab: Vocab, tag: str
 ) -> Tuple[Predictions, List[str]]:
-    """``probe_sequences`` for one student."""
-    return probe_sequences(client, [(user_id, steps)], tag)
+    """``probe_sequences`` for a one-student table."""
+    return probe_sequences(client, student, vocab, tag)
 
 
 def probe_mastery(
-    client: ProbeClient,
-    steps: Sequence[DisplayStep],
-    skill_names: Sequence[str],
-    representative_quiz: Sequence[str],
-) -> np.ndarray:
-    """The (T, K) mastery matrix of one student's ``steps``: row t probes
+    client: ProbeClient, table: StepTable, vocab: Vocab, representative_quiz: Sequence[int],
+) -> List[np.ndarray]:
+    """The (T, K) mastery matrix of each student of ``table``: row t probes
     every skill after the first t + 1 steps, with that skill's representative
-    item as the next quiz. Issues exactly T * K prompts; unresolved cells are
-    NaN."""
-    if len(steps) < 1:
-        raise ValueError("probe_mastery needs at least 1 step")
-    k = len(skill_names)
-    if len(representative_quiz) != k:
-        raise ValueError("representative_quiz must align with skill_names")
-    queries = [
-        (t, (representative_quiz[skill], skill_names[skill]))
-        for t in range(1, len(steps) + 1)
-        for skill in range(k)
+    quiz (an index into ``vocab.quiz_ids``) as the next quiz. Issues T * K
+    prompts per student, all in one ``fetch_many``, so a prompt two students
+    share is sent once; unresolved cells are NaN."""
+    k = vocab.k
+    if len(representative_quiz) != k or not all(0 <= q < len(vocab.quiz_ids) for q in representative_quiz):
+        raise ValueError(
+            f"representative_quiz must hold one vocabulary quiz index per skill: {representative_quiz}"
+        )
+    sizes = np.diff(table.offsets)
+    if not sizes.all():
+        raise ValueError(f"student {table.user_ids[np.argmin(sizes)]}: probe_mastery needs at least 1 step")
+    next_items = [(vocab.quiz_ids[q], name) for q, name in zip(representative_quiz, vocab.skill_names)]
+    work = [
+        (history, [(t, item) for t in range(1, len(history) + 1) for item in next_items])
+        for history in _histories(table, vocab)
     ]
-    tops = _fetch_tops(client, [(_history_triples(steps), queries)], use_cache=True)
-    return np.array([_step_probability(top)[0] for top in tops]).reshape(len(steps), k)
+    tops = _fetch_tops(client, work, use_cache=True)
+    p = np.array([_step_probability(top)[0] for top in tops]).reshape(-1, k)
+    bounds = table.offsets.tolist()
+    return [p[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -644,46 +660,27 @@ class StabilityReport:
 
 
 def stability_reports(
-    client: ProbeClient,
-    students: Sequence[Tuple[str, Sequence[DisplayStep]]],
-    first: Predictions,
-    tag: str,
+    client: ProbeClient, table: StepTable, vocab: Vocab, first: Predictions, tag: str,
 ) -> List[StabilityReport]:
-    """Probe ``students`` once more and report each student's probability
-    deltas against ``first``, the table a pass over the same students
-    returned.
+    """Probe the students of ``table`` once more and report each student's
+    probability deltas against ``first``, the table a pass over the same
+    students returned.
 
     The rerun bypasses the cache so its probabilities come from actual
     inference; at temperature 0 every delta should be zero.
     """
-    second, _ = probe_sequences(client, students, tag, use_cache=False)
+    second, _ = probe_sequences(client, table, vocab, tag, use_cache=False)
     unresolved_a, unresolved_b = np.isnan(first.p), np.isnan(second.p)
     mismatch = unresolved_a != unresolved_b
     delta = np.where(unresolved_a | unresolved_b, 0.0, np.abs(first.p - second.p))
-    reports: List[StabilityReport] = []
-    end = 0
-    for user_id, steps in students:
-        start, end = end, end + len(steps) - 1
-        reports.append(
-            StabilityReport(
-                user_id=user_id,
-                n_steps=end - start,
-                max_delta=float(delta[start:end].max(initial=0.0)),
-                n_nonzero=int(np.count_nonzero(delta[start:end])),
-                n_resolution_mismatches=int(np.count_nonzero(mismatch[start:end])),
-            )
-        )
-    return reports
-
-
-def display_steps(
-    sequence_steps: Sequence[Tuple[int, int, int]],
-    skill_names: Sequence[str],
-    quiz_ids: Sequence[str],
-) -> List[DisplayStep]:
-    """Dense-index steps -> display steps using the vocabulary tables."""
+    bounds = (table.offsets - np.arange(len(table.offsets))).tolist()  # T - 1 rows per student
     return [
-        DisplayStep(str(quiz_ids[quiz]) if 0 <= quiz < len(quiz_ids) else str(quiz),
-                    skill_names[skill], skill, y)
-        for skill, quiz, y in sequence_steps
+        StabilityReport(
+            user_id=user_id,
+            n_steps=end - start,
+            max_delta=float(delta[start:end].max(initial=0.0)),
+            n_nonzero=int(np.count_nonzero(delta[start:end])),
+            n_resolution_mismatches=int(np.count_nonzero(mismatch[start:end])),
+        )
+        for user_id, start, end in zip(table.user_ids, bounds, bounds[1:])
     ]

@@ -26,7 +26,7 @@ import csv
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -82,12 +82,17 @@ class MasteryTrajectory:
 
     Row t holds the predicted correctness probability for every skill after
     observing steps 0..t. ``steps`` carries the aligned (skill, quiz, y)
-    metadata. Cells a probe could not resolve are NaN.
+    metadata, one int64 row per step. Cells a probe could not resolve are NaN.
     """
 
     user_id: str
     p: np.ndarray  # (T, K)
-    steps: List[Tuple[int, int, int]]
+    steps: np.ndarray  # (T, 3)
+
+    def __post_init__(self):
+        self.steps = np.asarray(self.steps, dtype=np.int64).reshape(-1, 3)
+        if len(self.steps) != len(self.p):
+            raise ValueError(f"{self.user_id}: {len(self.steps)} steps, {len(self.p)} rows of p")
 
     @property
     def n_steps(self) -> int:
@@ -100,9 +105,9 @@ class MasteryTrajectory:
     def practiced_path(self, tag: str) -> Predictions:
         """Post-observation mastery of the practiced skill at every attempt,
         as a mastery-path table under ``tag``."""
-        steps = np.array(self.steps, dtype=np.int64).reshape(-1, 3)
-        p = self.p[np.arange(len(steps)), steps[:, 0]]
-        return step_rows([self.user_id], [len(steps)], steps[:, 0], steps[:, 2], p, tag)
+        skill, _, y = self.steps.T
+        p = self.p[np.arange(len(skill)), skill]
+        return step_rows([self.user_id], [len(skill)], skill, y, p, tag)
 
 
 def step_rows(
@@ -188,7 +193,7 @@ def write_trajectory(path: str | Path, traj: MasteryTrajectory) -> None:
     header = ["user_id", "t", "skill_idx", "quiz_idx", "y"] + [f"p_{i}" for i in range(k)]
     rows = (
         [traj.user_id, t, *step] + [NA if math.isnan(p) else repr(p) for p in probs]
-        for t, (step, probs) in enumerate(zip(traj.steps, traj.p.tolist(), strict=True))
+        for t, (step, probs) in enumerate(zip(traj.steps.tolist(), traj.p.tolist(), strict=True))
     )
     with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -217,5 +222,4 @@ def read_trajectory(path: str | Path) -> MasteryTrajectory:
     resolved = probs != NA
     p = np.full(probs.shape, np.nan)
     p[resolved] = probs[resolved].astype(np.float64)
-    steps = list(map(tuple, cells[:, 2:5].astype(np.int64).tolist()))
-    return MasteryTrajectory(user_id=rows[0][0], p=p, steps=steps)
+    return MasteryTrajectory(user_id=rows[0][0], p=p, steps=cells[:, 2:5].astype(np.int64))

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .ingest import StudentSequence, atomic_open
+from .ingest import StepTable, StudentSequence, atomic_open
 from .records import Predictions, step_rows
 
 Params = Union[float, Sequence[float]]
@@ -71,7 +71,7 @@ class GenerativeSpec:
 @dataclass
 class SynthCorpus:
     spec: GenerativeSpec
-    sequences: List[StudentSequence]           # quiz index equals skill index
+    sequences: StepTable                       # quiz index equals skill index
     oracle: Dict[str, List[float]]             # P(correct | history) per step
     mastery: Dict[str, List[int]]              # latent state at response time
 
@@ -115,8 +115,10 @@ def oracle_probabilities(
 def generate(spec: GenerativeSpec) -> SynthCorpus:
     """Simulate hidden mastery per student and emit observations plus the
     Bayes-oracle probabilities. Per-student derived seeds keep generation
-    embarrassingly parallel in principle and deterministic in any order."""
-    sequences: List[StudentSequence] = []
+    embarrassingly parallel in principle and deterministic in any order.
+    The students' steps go straight into one step table."""
+    all_skills: List[int] = []
+    all_labels: List[int] = []
     oracle: Dict[str, List[float]] = {}
     mastery: Dict[str, List[int]] = {}
     width = len(str(spec.n_students - 1))
@@ -138,22 +140,25 @@ def generate(spec: GenerativeSpec) -> SynthCorpus:
             if not learned and rng.random() < spec.p_learn[s]:
                 state[s] = True
         user_id = f"synth{i:0{width}d}"
-        sequences.append(
-            StudentSequence(user_id=user_id, steps=[(s, s, y) for s, y in zip(skills, labels)])
-        )
+        all_skills += skills
+        all_labels += labels
         oracle[user_id] = oracle_probabilities(spec, skills, labels)
         mastery[user_id] = states
-    return SynthCorpus(spec=spec, sequences=sequences, oracle=oracle, mastery=mastery)
+    skill = np.array(all_skills, dtype=np.int64)
+    offsets = np.cumsum([0, *map(len, mastery.values())], dtype=np.int64)
+    table = StepTable(list(mastery), offsets, skill, skill, np.array(all_labels, dtype=np.int64))
+    return SynthCorpus(spec=spec, sequences=table, oracle=oracle, mastery=mastery)
 
 
-def oracle_records(corpus: SynthCorpus, sequences: Sequence[StudentSequence]) -> Predictions:
-    """Oracle probabilities of ``sequences`` (students of ``corpus``) in the
-    shared dump schema, at next-step positions t = 1..T-1: each student's
-    t = 0 position has no target in a next-step prediction dump, so it is
-    dropped and the rows line up with the trainer's and the probe's.
-    Noise-free specs can produce exact 0/1 probabilities; those are nudged
-    inside the open interval the schema requires.
+def oracle_records(corpus: SynthCorpus, sequences: Iterable[StudentSequence]) -> Predictions:
+    """Oracle probabilities of ``sequences`` (students of ``corpus``, as a
+    table or a list) in the shared dump schema, at next-step positions
+    t = 1..T-1: each student's t = 0 position has no target in a next-step
+    prediction dump, so it is dropped and the rows line up with the
+    trainer's and the probe's. Noise-free specs can produce exact 0/1
+    probabilities, nudged inside the open interval the schema requires.
     """
+    sequences = list(sequences)
     steps = np.array([step for seq in sequences for step in seq.steps], np.int64).reshape(-1, 3)
     probs = np.fromiter(
         chain.from_iterable(corpus.oracle[seq.user_id][1:] for seq in sequences), np.float64
@@ -164,7 +169,7 @@ def oracle_records(corpus: SynthCorpus, sequences: Sequence[StudentSequence]) ->
     )
 
 
-def oracle_auc(corpus: SynthCorpus, sequences: Sequence[StudentSequence]) -> float:
+def oracle_auc(corpus: SynthCorpus, sequences: Iterable[StudentSequence]) -> float:
     """AUC the Bayes oracle achieves on the next-step positions of
     ``sequences`` (``oracle_records``): the ceiling any predictor can
     approach there in expectation."""
@@ -176,7 +181,6 @@ def oracle_auc(corpus: SynthCorpus, sequences: Sequence[StudentSequence]) -> flo
 def write_oracle_sidecar(path: str | Path, corpus: SynthCorpus) -> None:
     """One student per line: user_id then the per-step oracle probabilities."""
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for seq in corpus.sequences:
-            probs = corpus.oracle[seq.user_id]
-            fh.write("\t".join([seq.user_id] + [repr(p) for p in probs]) + "\n")
+        for user_id in corpus.sequences.user_ids:
+            fh.write("\t".join([user_id] + [repr(p) for p in corpus.oracle[user_id]]) + "\n")
 

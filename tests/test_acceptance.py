@@ -20,10 +20,11 @@ import pytest
 
 from ktrace import dkt, evaluation, llmprobe, nncore, synth
 from ktrace.cli import main
-from ktrace.ingest import StepTable, StudentSequence, split_students
+from ktrace.ingest import StudentSequence, Vocab, split_students
 
 from mockllm import MockLLMServer, logits_from_prompt
 from predtable import predictions_of, rows_of
+from steptable import table_of
 from test_synth import REFERENCE_SPEC
 
 
@@ -104,7 +105,7 @@ def test_criterion_2_encoding_and_mask():
                     for _ in range(t_len)
                 ]
                 seqs.append(StudentSequence(user_id=f"u{i}", steps=steps))
-            batch = dkt.build_batch(StepTable.from_sequences(seqs), kk, max_t=16)
+            batch = dkt.build_batch(table_of(seqs), kk, max_t=16)
             assert batch.w.sum() == sum(batch.lengths - 1)
             assert batch.w.sum() == sum(len(s) - 1 for s in seqs)
 
@@ -160,7 +161,7 @@ def test_criterion_3_metric_oracles():
 def test_criterion_4_synthetic_end_to_end():
     with criterion(4, "synthetic end-to-end", limit_s=300.0):
         corpus = synth.generate(REFERENCE_SPEC)
-        split = split_students(StepTable.from_sequences(corpus.sequences), (0.8, 0.1, 0.1), seed=7)
+        split = split_students(corpus.sequences, (0.8, 0.1, 0.1), seed=7)
         oracle_auc = synth.oracle_auc(corpus, split.test)
 
         cfg = dkt.TrainConfig(
@@ -293,10 +294,9 @@ def test_criterion_6_probe_contract(tmp_path):
         )
 
         # scripted endpoint: T-1 records with correct probabilities
-        steps = [
-            llmprobe.DisplayStep(quiz=str(100 + t), skill_name=skill, skill=0, y=t % 2)
-            for t in range(6)
-        ]
+        steps = [(str(100 + t), skill, t % 2) for t in range(6)]
+        student = table_of([StudentSequence("stu", [(0, t, t % 2) for t in range(6)])])
+        vocab = Vocab(skill_ids=("0",), quiz_ids=tuple(q for q, _, _ in steps), skill_names=(skill,))
         with MockLLMServer() as server:
             config = llmprobe.ProbeConfig(
                 endpoint=server.endpoint,
@@ -308,13 +308,13 @@ def test_criterion_6_probe_contract(tmp_path):
                 cache_dir=str(tmp_path / "cache"),
             )
             client = llmprobe.ProbeClient(config)
-            records, errors = llmprobe.probe_sequence(client, "stu", steps, tag="llm")
+            records, errors = llmprobe.probe_sequence(client, student, vocab, tag="llm")
             assert len(records) == len(steps) - 1
             assert errors == []
             for t, rec in enumerate(rows_of(records), start=1):
                 prompt = llmprobe.render_prompt(
-                    [(s.quiz, s.skill_name, s.y) for s in steps[:t]],
-                    (steps[t].quiz, steps[t].skill_name),
+                    steps[:t],
+                    steps[t][:2],
                     history_limit=config.history_limit,
                 )
                 top = logits_from_prompt(prompt.text)
@@ -322,9 +322,8 @@ def test_criterion_6_probe_contract(tmp_path):
                 assert rec.p == pytest.approx(expected, abs=1e-12)
 
             # double-run stability harness: zero deltas at temperature 0
-            students = [("stu", steps)]
-            first, _ = llmprobe.probe_sequences(client, students, tag="llm")
-            (report,) = llmprobe.stability_reports(client, students, first, tag="llm")
+            first, _ = llmprobe.probe_sequences(client, student, vocab, tag="llm")
+            (report,) = llmprobe.stability_reports(client, student, vocab, first, tag="llm")
             assert report.stable
             assert report.max_delta == 0.0
 

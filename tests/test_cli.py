@@ -13,7 +13,7 @@ import pytest
 
 from ktrace.cli import Workspace, WorkspaceLocked, main, representative_quizzes, write_json
 from ktrace.config import ConfigError, load_config
-from ktrace.ingest import StepTable, StudentSequence
+from ktrace.ingest import StudentSequence
 from ktrace.evaluation import roc_auc
 from ktrace.records import (
     MasteryTrajectory,
@@ -25,6 +25,7 @@ from ktrace.records import (
 
 from mockllm import MockLLMServer, logits_from_prompt
 from predtable import Row, predictions_of, rows_of
+from steptable import table_of
 
 
 def write_config(path: Path, payload: dict) -> str:
@@ -640,6 +641,54 @@ def test_probe_skips_unknown_mastery_student_with_warning(tmp_path, capsys):
     assert ws.dump_path("llm").exists()
 
 
+@pytest.mark.parametrize("cell", ["-1,0,1", "3,0,1", "0,0,2", "0,7,1"])
+def test_probe_rejects_a_step_the_vocabulary_cannot_name(tmp_path, capsys, cell):
+    """A hand-edited sequences.txt with a skill or quiz outside the
+    vocabulary's K=3, or a label other than 0/1, fails before any request."""
+    with MockLLMServer() as server:
+        cfg_path = write_config(tmp_path / "c.json", probe_payload(tmp_path, server.endpoint))
+        assert main(["synth", "--config", cfg_path]) == 0
+        ws = Workspace(tmp_path / "ws")
+        student = json.loads(ws.split_path.read_text())["test"][1]
+        lines = ws.sequences_path.read_text().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"{student}\t"))
+        user_id, first, *rest = lines[at].split("\t")
+        lines[at] = "\t".join([user_id, first, cell, *rest])
+        ws.sequences_path.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["probe", "--config", cfg_path]) == 1
+        assert server.hit_count == 0
+    assert capsys.readouterr().err.startswith(f"error: probe: student {student}: step 1 holds ")
+    assert not ws.dump_path("llm").exists()
+
+
+def test_train_probe_and_evaluate_never_iterate_a_step_table(tmp_path, monkeypatch, capsys):
+    from ktrace.ingest import StepTable
+
+    with MockLLMServer() as server:
+        payload = probe_payload(tmp_path, server.endpoint, stability_check=True)
+        assert main(["synth", "--config", write_config(tmp_path / "c.json", payload)]) == 0
+        ws = Workspace(tmp_path / "ws")
+        split = json.loads(ws.split_path.read_text())
+        students = [split["test"][0], split["train"][0]]
+        payload["probe"]["mastery_students"] = students
+        payload["evaluate"] = {"tags": ["dkt", "llm"], "heatmap_students": students}
+        cfg_path = write_config(tmp_path / "c.json", payload)
+
+        def no_iteration(self):
+            raise AssertionError("a StepTable was iterated")
+
+        monkeypatch.setattr(StepTable, "__iter__", no_iteration)
+        for command in ("train", "probe", "evaluate"):
+            assert main([command, "--config", cfg_path]) == 0, capsys.readouterr().err
+    for tag in ("dkt", "llm"):
+        for student in students:
+            assert ws.trajectory_path(tag, student).exists()
+            assert ws.report_path(f"heatmap_{tag}_{student}.svg").exists()
+    report = json.loads((ws.root / "probe_report_llm.json").read_text())
+    assert all(s["stable"] for s in report["stability"])
+
+
 def test_probe_endpoint_down_fails_clearly(tmp_path, capsys):
     payload = probe_payload(
         tmp_path, "http://127.0.0.1:9/v1/completions", timeout=0.2, max_retries=0
@@ -887,4 +936,4 @@ def test_representative_quizzes_most_frequent_with_tie_break():
         StudentSequence("b", [(0, 2, 1), (1, 9, 0), (1, 7, 0)]),
     ]
     # skill 0: quiz 5 x2, quiz 2 x2 -> tie, smaller quiz index wins
-    assert representative_quizzes(StepTable.from_sequences(seqs), k=3) == [2, 7, 0]
+    assert representative_quizzes(table_of(seqs), k=3) == [2, 7, 0]

@@ -23,6 +23,7 @@ from ktrace.dkt import (
 from ktrace.ingest import StepTable, StudentSequence
 
 from predtable import rows_of
+from steptable import table_of
 
 
 def seq(user: str, steps) -> StudentSequence:
@@ -30,7 +31,7 @@ def seq(user: str, steps) -> StudentSequence:
 
 
 def table(sequences) -> StepTable:
-    return StepTable.from_sequences(list(sequences))
+    return table_of(sequences)
 
 
 def random_sequences(rng: np.random.Generator, n: int, k: int, min_len=2, max_len=12):

@@ -465,7 +465,7 @@ def test_heatmap_matrix_file_round_trip(tmp_path):
     loaded = read_trajectory(tmp_path / "m.csv")
     assert loaded.user_id == "s1"
     assert np.array_equal(loaded.p, traj.p)
-    assert loaded.steps == traj.steps
+    assert np.array_equal(loaded.steps, traj.steps)
 
 
 def reference_cell_color(p: float) -> str:

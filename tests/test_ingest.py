@@ -19,6 +19,8 @@ from ktrace.ingest import (
     write_sequences,
 )
 
+from steptable import table_of
+
 HEADER = "order_id,user_id,problem_id,correct,skill_id,skill_name\n"
 
 
@@ -267,7 +269,7 @@ def test_split_ratios_must_sum_to_one():
 
 
 def test_summarize_empty_is_all_zero():
-    stats = summarize(StepTable.from_sequences([]))
+    stats = summarize(table_of([]))
     assert stats.n_records == 0
     assert stats.n_students == 0
     assert stats.avg_per_student == 0.0
@@ -286,7 +288,7 @@ def test_summarize_accepts_split_and_partitions():
     seqs = _ten_students()
     split = split_students(seqs, seed=1)
     pooled = ingest.summarize(
-        StepTable.from_sequences([s for part in split.partitions().values() for s in part])
+        table_of([s for part in split.partitions().values() for s in part])
     )
     assert pooled.n_records == sum(len(s) for s in seqs)
     per_part = ingest.summarize_split(split)
@@ -409,7 +411,7 @@ def test_read_sequences_returns_the_written_table(tmp_path):
     path = tmp_path / "sequences.txt"
     text = make_rows("u1", 3) + make_rows("u2", 4, skill="9") + make_rows("u0", 5, skill="8")
     written, _, _ = filter_and_order(parse(text).columns)
-    empty_row = StepTable.from_sequences([
+    empty_row = table_of([
         StudentSequence("a", [(1, 2, 0)]), StudentSequence("b", []), StudentSequence("c", [(3, 4, 1)]),
     ])
     for table in (written, empty_row):
@@ -433,10 +435,10 @@ def test_read_sequences_rejects_integers_past_int64(tmp_path):
 
 def test_failed_write_keeps_previous_file(tmp_path):
     path = tmp_path / "sequences.txt"
-    write_sequences(path, StepTable.from_sequences([StudentSequence("u1", [(0, 0, 1)])]))
+    write_sequences(path, table_of([StudentSequence("u1", [(0, 0, 1)])]))
     before = path.read_bytes()
     # the second line cannot be written: its user id is not text
-    torn = StepTable.from_sequences(
+    torn = table_of(
         [StudentSequence("u1", [(0, 0, 1)]), StudentSequence(None, [(0, 1, 0)])]
     )
     with pytest.raises(TypeError):

@@ -18,13 +18,12 @@ from ktrace.llmprobe import (
     PROB_FLOOR,
     SYSTEM_MESSAGE,
     USER_INTRO,
-    DisplayStep,
     LogitPair,
     ProbeClient,
     ProbeConfig,
     ProbeError,
     UnresolvableLogitsError,
-    display_steps,
+    _histories,
     prob_from_logits,
     probe_mastery,
     probe_sequence,
@@ -36,8 +35,10 @@ from ktrace.llmprobe import (
     _step_probability,
 )
 
+from ktrace.ingest import StudentSequence, Vocab
 from mockllm import MockLLMServer, ServerFailure, logits_from_prompt
 from predtable import rows_of
+from steptable import table_of
 
 SKILL = "Addition and Subtraction Integers"
 
@@ -69,11 +70,18 @@ def probe_config(endpoint: str, **kwargs) -> ProbeConfig:
     return ProbeConfig(**defaults)
 
 
-def toy_steps(n: int = 3) -> list:
-    return [
-        DisplayStep(quiz=str(3948 + i), skill_name=SKILL, skill=0, y=(i + 1) % 2)
-        for i in range(n)
-    ]
+TOY_VOCAB = Vocab(skill_ids=("0",), quiz_ids=tuple(str(3948 + i) for i in range(8)), skill_names=(SKILL,))
+
+
+def toy_step_list(n: int = 3) -> list:
+    """``n`` steps of skill 0 on quizzes 3948, 3949, ... of ``TOY_VOCAB``,
+    correct, incorrect, correct, ..."""
+    return [(0, i, (i + 1) % 2) for i in range(n)]
+
+
+def toy_steps(n: int = 3):
+    """A one-student table of ``toy_step_list(n)``."""
+    return table_of([StudentSequence("u1", toy_step_list(n))])
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +462,7 @@ def test_config_rejects_nonzero_temperature():
 def test_probe_sequence_emits_t_minus_one_records():
     with MockLLMServer() as server:
         client = ProbeClient(probe_config(server.endpoint))
-        records, errors = probe_sequence(client, "u1", toy_steps(3), tag="llm")
+        records, errors = probe_sequence(client, toy_steps(3), TOY_VOCAB, tag="llm")
     assert len(records) == 2
     assert errors == []
     assert [r.step for r in rows_of(records)] == [1, 2]
@@ -464,21 +472,21 @@ def test_probe_sequence_emits_t_minus_one_records():
 def test_client_counts_truncated_prompts():
     with MockLLMServer() as server:
         client = ProbeClient(probe_config(server.endpoint, history_limit=1))
-        probe_sequence(client, "u1", toy_steps(4), tag="llm")
+        probe_sequence(client, toy_steps(4), TOY_VOCAB, tag="llm")
     assert client.truncated_prompts == 2  # histories of 2 and 3 steps
 
 
 def test_probe_sequence_requires_two_steps():
     client = ProbeClient(probe_config("http://unused"))
     with pytest.raises(ValueError):
-        probe_sequence(client, "u1", toy_steps(1), tag="llm")
+        probe_sequence(client, toy_steps(1), TOY_VOCAB, tag="llm")
 
 
 def test_probe_sequences_names_the_student_too_short_to_probe():
     client = ProbeClient(probe_config("http://unused"))
-    students = [("u1", toy_steps(3)), ("u7", toy_steps(1))]
+    students = table_of([StudentSequence("u1", toy_step_list(3)), StudentSequence("u7", toy_step_list(1))])
     with pytest.raises(ValueError, match=r"student u7: probing needs at least 2 steps, got 1"):
-        probe_sequences(client, students, tag="llm")
+        probe_sequences(client, students, TOY_VOCAB, tag="llm")
 
 
 def test_probe_sequence_marks_unresolved_steps():
@@ -492,7 +500,7 @@ def test_probe_sequence_marks_unresolved_steps():
 
     with MockLLMServer(script) as server:
         client = ProbeClient(probe_config(server.endpoint, max_concurrent=1))
-        records, errors = probe_sequence(client, "u1", toy_steps(3), tag="llm")
+        records, errors = probe_sequence(client, toy_steps(3), TOY_VOCAB, tag="llm")
     assert len(records) == 2
     assert rows_of(records)[0].p is None
     assert rows_of(records)[1].p == pytest.approx(0.5)
@@ -507,7 +515,7 @@ def test_probe_sequence_clamps_saturated_probabilities(tmp_path):
 
     with MockLLMServer(script) as server:
         client = ProbeClient(probe_config(server.endpoint))
-        records, _ = probe_sequence(client, "u1", toy_steps(3), tag="llm")
+        records, _ = probe_sequence(client, toy_steps(3), TOY_VOCAB, tag="llm")
     assert all(0.0 < r.p < 1.0 for r in rows_of(records))
     path = tmp_path / "sat.csv"
     write_prediction_dump(path, records)
@@ -519,7 +527,7 @@ def test_probe_sequence_round_trips_through_dump(tmp_path):
 
     with MockLLMServer() as server:
         client = ProbeClient(probe_config(server.endpoint))
-        records, _ = probe_sequence(client, "u1", toy_steps(4), tag="llm")
+        records, _ = probe_sequence(client, toy_steps(4), TOY_VOCAB, tag="llm")
     path = tmp_path / "llm.predictions.csv"
     write_prediction_dump(path, records)
     assert rows_of(read_prediction_dump(path)) == rows_of(records)
@@ -529,10 +537,10 @@ def test_probe_cache_eliminates_repeat_requests(tmp_path):
     with MockLLMServer() as server:
         config = probe_config(server.endpoint, cache_dir=str(tmp_path / "cache"))
         client = ProbeClient(config)
-        first, _ = probe_sequence(client, "u1", toy_steps(4), tag="llm")
+        first, _ = probe_sequence(client, toy_steps(4), TOY_VOCAB, tag="llm")
         assert server.hit_count == 3
         client2 = ProbeClient(config)
-        second, _ = probe_sequence(client2, "u1", toy_steps(4), tag="llm")
+        second, _ = probe_sequence(client2, toy_steps(4), TOY_VOCAB, tag="llm")
         assert server.hit_count == 3  # warm cache: zero network requests
         assert client2.request_count == 0
     assert [r.p for r in rows_of(first)] == [r.p for r in rows_of(second)]
@@ -542,11 +550,11 @@ def test_probe_treats_torn_cache_entry_as_miss(tmp_path):
     cache = tmp_path / "cache" / "cache.jsonl"
     with MockLLMServer() as server:
         config = probe_config(server.endpoint, cache_dir=str(cache.parent))
-        first, _ = probe_sequence(ProbeClient(config), "u1", toy_steps(4), tag="llm")
+        first, _ = probe_sequence(ProbeClient(config), toy_steps(4), TOY_VOCAB, tag="llm")
         lines = cache.read_text(encoding="utf-8").splitlines(keepends=True)
         cache.write_text("".join(lines[:-1]) + lines[-1][:7], encoding="utf-8")
         client = ProbeClient(config)
-        second, errors = probe_sequence(client, "u1", toy_steps(4), tag="llm")
+        second, errors = probe_sequence(client, toy_steps(4), TOY_VOCAB, tag="llm")
         assert errors == []
         assert client.request_count == 1
     assert [r.p for r in rows_of(first)] == [r.p for r in rows_of(second)]
@@ -559,13 +567,13 @@ def test_probe_cache_reads_old_and_new_entries_after_cutting_torn_line(tmp_path)
     steps = toy_steps(4)
     with MockLLMServer() as server:
         config = probe_config(server.endpoint, cache_dir=str(cache.parent))
-        probe_sequence(ProbeClient(config), "u1", steps[:3], tag="llm")
+        probe_sequence(ProbeClient(config), toy_steps(3), TOY_VOCAB, tag="llm")
         with open(cache, "a", encoding="utf-8") as fh:
             fh.write('{"key": "0123", "top_lo')  # an append a crash cut short
-        probe_sequence(ProbeClient(config), "u1", steps, tag="llm")
+        probe_sequence(ProbeClient(config), steps, TOY_VOCAB, tag="llm")
         assert server.hit_count == 3
         client = ProbeClient(config)
-        records, errors = probe_sequence(client, "u1", steps, tag="llm")
+        records, errors = probe_sequence(client, steps, TOY_VOCAB, tag="llm")
         assert client.request_count == 0
         assert server.hit_count == 3
     assert errors == [] and len(records) == 3
@@ -652,13 +660,13 @@ def test_cache_hit_is_audited_from_its_line_as_written(tmp_path):
     cache = tmp_path / "cache" / "cache.jsonl"
     with MockLLMServer() as server:
         config = probe_config(server.endpoint, cache_dir=str(cache.parent), max_concurrent=1)
-        probe_sequence(ProbeClient(config), "u1", toy_steps(3), tag="llm")
+        probe_sequence(ProbeClient(config), toy_steps(3), TOY_VOCAB, tag="llm")
     lines = cache.read_text(encoding="utf-8").splitlines()  # in step order
     key = json.loads(lines[0])["key"]
     lines[0] = f'{{"top_logprobs": {{"1": -2.5,  "0": -1}}, "key": "{key}"}}'  # edited by hand
     cache.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
     client = ProbeClient(config)
-    records, errors = probe_sequence(client, "u1", toy_steps(3), tag="llm")
+    records, errors = probe_sequence(client, toy_steps(3), TOY_VOCAB, tag="llm")
     assert client.request_count == 0 and errors == []
     assert sorted(line for _, _, line in client.audit) == sorted('{"cached": true, ' + line[1:] for line in lines)
     assert records.p[0] == prob_from_logits(LogitPair(-1.0, -2.5))
@@ -672,10 +680,10 @@ def test_fully_cached_probe_starts_no_thread(tmp_path, monkeypatch):
 
     with MockLLMServer() as server:
         config = probe_config(server.endpoint, cache_dir=str(tmp_path / "cache"))
-        first, _ = probe_sequence(ProbeClient(config), "u1", toy_steps(4), tag="llm")
+        first, _ = probe_sequence(ProbeClient(config), toy_steps(4), TOY_VOCAB, tag="llm")
         monkeypatch.setattr(llmprobe, "ThreadPoolExecutor", no_pool)
         client = ProbeClient(config)
-        second, errors = probe_sequence(client, "u1", toy_steps(4), tag="llm")
+        second, errors = probe_sequence(client, toy_steps(4), TOY_VOCAB, tag="llm")
         assert server.hit_count == 3
     assert errors == []
     assert client.request_count == 0
@@ -718,12 +726,12 @@ def test_probe_resumes_from_cache_after_mid_run_failure(tmp_path):
             max_retries=0,
         )
         with pytest.raises(ProbeError):
-            probe_sequence(ProbeClient(config), "u1", steps, tag="llm")
+            probe_sequence(ProbeClient(config), steps, TOY_VOCAB, tag="llm")
         # the two completed prompts are cached; a rerun against the healed
         # server only fetches the remainder
         state["healthy"] = True
         client = ProbeClient(config)
-        records, errors = probe_sequence(client, "u1", steps, tag="llm")
+        records, errors = probe_sequence(client, steps, TOY_VOCAB, tag="llm")
         assert errors == []
         assert len(records) == 4
         assert client.request_count == 2
@@ -811,9 +819,9 @@ def test_double_run_stability_reports_zero_deltas(tmp_path):
     with MockLLMServer() as server:
         config = probe_config(server.endpoint, cache_dir=str(tmp_path / "cache"))
         client = ProbeClient(config)
-        students = [("u1", toy_steps(5))]
-        first, _ = probe_sequences(client, students, tag="llm")
-        (report,) = stability_reports(client, students, first, tag="llm")
+        students = toy_steps(5)
+        first, _ = probe_sequences(client, students, TOY_VOCAB, tag="llm")
+        (report,) = stability_reports(client, students, TOY_VOCAB, first, tag="llm")
     assert report.n_steps == 4
     assert report.max_delta == 0.0
     assert report.n_nonzero == 0
@@ -829,9 +837,9 @@ def test_double_run_detects_unstable_server(tmp_path):
 
     with MockLLMServer(script) as server:
         client = ProbeClient(probe_config(server.endpoint, max_concurrent=1))
-        students = [("u1", toy_steps(3))]
-        first, _ = probe_sequences(client, students, tag="llm")
-        (report,) = stability_reports(client, students, first, tag="llm")
+        students = toy_steps(3)
+        first, _ = probe_sequences(client, students, TOY_VOCAB, tag="llm")
+        (report,) = stability_reports(client, students, TOY_VOCAB, first, tag="llm")
     assert report.max_delta > 0
     assert not report.stable
 
@@ -840,18 +848,50 @@ def test_double_run_detects_unstable_server(tmp_path):
 # probe_mastery
 
 
+# the toy quizzes, then the representative quizzes 101, 202, 5 and 999
+MASTERY_QUIZZES = (*TOY_VOCAB.quiz_ids, "101", "202", "5", "999")
+
+
+def mastery_vocab(skill_names) -> Vocab:
+    ids = tuple(map(str, range(len(skill_names))))
+    return Vocab(skill_ids=ids, quiz_ids=MASTERY_QUIZZES, skill_names=tuple(skill_names))
+
+
 def test_probe_mastery_request_volume_and_shape():
+    vocab = mastery_vocab(["A", "B"])
+    representative_quiz = [MASTERY_QUIZZES.index("101"), MASTERY_QUIZZES.index("202")]
     with MockLLMServer() as server:
         client = ProbeClient(probe_config(server.endpoint))
-        p = probe_mastery(
-            client,
-            toy_steps(3),
-            skill_names=["A", "B"],
-            representative_quiz=["101", "202"],
-        )
+        (p,) = probe_mastery(client, toy_steps(3), vocab, representative_quiz)
         assert server.hit_count == 3 * 2
     assert p.shape == (3, 2)
     assert not np.isnan(p).any()
+
+    # two students whose first two steps are the same: rows 0 and 1 share
+    # their prompts, which one call sends once
+    u1, u2 = toy_step_list(3), toy_step_list(2) + [(1, 2, 0), (0, 1, 1)]
+    students = [StudentSequence("u1", u1), StudentSequence("u2", u2)]
+    distinct = {
+        (tuple(steps[:t]), skill) for steps in (u1, u2) for t in range(1, len(steps) + 1) for skill in (0, 1)
+    }
+    with MockLLMServer() as server:
+
+        def probe(table):
+            return probe_mastery(ProbeClient(probe_config(server.endpoint)), table, vocab, representative_quiz)
+
+        both = probe(table_of(students))
+        assert server.hit_count == len(distinct) == 2 * 3 + 2 * 2
+        alone = [probe(table_of([student]))[0] for student in students]
+    assert [m.shape for m in both] == [(3, 2), (4, 2)]
+    for matrix, single in zip(both, alone, strict=True):
+        assert np.array_equal(matrix, single)
+
+
+@pytest.mark.parametrize("representative_quiz", [[4], [4, 5, 6], [4, -1], [4, len(MASTERY_QUIZZES)]])
+def test_probe_mastery_rejects_a_representative_quiz_the_vocabulary_cannot_name(representative_quiz):
+    client = ProbeClient(probe_config("http://unused"))
+    with pytest.raises(ValueError, match="representative_quiz must hold one vocabulary quiz index per skill"):
+        probe_mastery(client, toy_steps(2), mastery_vocab(["A", "B"]), representative_quiz)
 
 
 def test_probe_mastery_cell_matches_probe_sequence_when_quiz_aligns():
@@ -859,14 +899,9 @@ def test_probe_mastery_cell_matches_probe_sequence_when_quiz_aligns():
     with MockLLMServer() as server:
         config = probe_config(server.endpoint)
         client = ProbeClient(config)
-        records, _ = probe_sequence(client, "u1", steps, tag="llm")
+        records, _ = probe_sequence(client, steps, TOY_VOCAB, tag="llm")
         # representative quiz for skill 0 set to the actual next quiz at t=1
-        p = probe_mastery(
-            client,
-            steps,
-            skill_names=[SKILL],
-            representative_quiz=[steps[1].quiz],
-        )
+        (p,) = probe_mastery(client, steps, TOY_VOCAB, representative_quiz=[int(steps.quiz[1])])
     assert p[0, 0] == pytest.approx(records.p[0], abs=1e-15)
 
 
@@ -878,25 +913,32 @@ def test_probe_mastery_flags_unresolved_cells():
 
     with MockLLMServer(script) as server:
         client = ProbeClient(probe_config(server.endpoint, max_concurrent=1))
-        p = probe_mastery(
+        (p,) = probe_mastery(
             client,
             toy_steps(2),
-            skill_names=["A", "B"],
-            representative_quiz=["5", "999"],
+            mastery_vocab(["A", "B"]),
+            representative_quiz=[MASTERY_QUIZZES.index("5"), MASTERY_QUIZZES.index("999")],
         )
     assert np.isnan(p[:, 1]).all()
     assert set(zip(*np.nonzero(np.isnan(p)))) == {(0, 1), (1, 1)}
 
 
 # ---------------------------------------------------------------------------
-# display conversion
+# histories from the vocabulary
 
 
-def test_display_steps_uses_vocab_tables():
-    steps = display_steps(
-        [(0, 1, 1), (1, 0, 0)],
-        skill_names=["Alpha", "Beta"],
-        quiz_ids=["q100", "q200"],
+def test_histories_use_vocab_tables():
+    (steps,) = _histories(
+        table_of([StudentSequence("u1", [(0, 1, 1), (1, 0, 0)])]),
+        Vocab(skill_ids=("a", "b"), quiz_ids=("q100", "q200"), skill_names=("Alpha", "Beta")),
     )
-    assert steps[0] == DisplayStep(quiz="q200", skill_name="Alpha", skill=0, y=1)
-    assert steps[1] == DisplayStep(quiz="q100", skill_name="Beta", skill=1, y=0)
+    assert steps[0] == ("q200", "Alpha", 1)
+    assert steps[1] == ("q100", "Beta", 0)
+
+
+@pytest.mark.parametrize("bad_step", [(-1, 0, 1), (1, 0, 1), (0, 3, 1), (0, -1, 1), (0, 0, 2)])
+def test_histories_reject_a_step_the_vocabulary_cannot_name(bad_step):
+    vocab = Vocab(skill_ids=("a",), quiz_ids=("q0", "q1", "q2"), skill_names=("Alpha",))
+    table = table_of([StudentSequence("u1", [(0, 0, 1)]), StudentSequence("u2", [(0, 1, 0), bad_step])])
+    with pytest.raises(ValueError, match=r"^student u2: step 1 holds "):
+        _histories(table, vocab)

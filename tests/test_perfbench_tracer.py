@@ -14,7 +14,6 @@ import numpy as np
 
 from ktrace import dkt, synth
 from ktrace.dkt import TrainConfig
-from ktrace.ingest import StepTable
 from ktrace.synth import GenerativeSpec
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -30,7 +29,7 @@ def load_tracer_module():
 def test_full_trace_records_training_validation_and_inference_spans():
     tracing = load_tracer_module()
     corpus = synth.generate(GenerativeSpec(k=3, n_students=24, mean_length=10.0, seed=1))
-    table = StepTable.from_sequences(corpus.sequences)
+    table = corpus.sequences
     train_seqs, val_seqs = table.take(np.arange(16)), table.take(np.arange(16, len(table)))
     cfg = TrainConfig(
         embedding_dim=4, hidden_dim=6, batch_size=8, max_t=8, max_epochs=1, seed=0
@@ -55,12 +54,16 @@ def test_full_trace_records_training_validation_and_inference_spans():
 def test_light_trace_records_one_fetch_per_miss_and_a_warm_pass_none(tmp_path, monkeypatch):
     import urllib.request
 
-    from ktrace.llmprobe import DisplayStep, ProbeClient, ProbeConfig, probe_sequences
+    from ktrace.ingest import StudentSequence, Vocab
+    from ktrace.llmprobe import ProbeClient, ProbeConfig, probe_sequences
     from mockllm import MockLLMServer
+    from steptable import table_of
 
     tracing = load_tracer_module()
-    steps = [DisplayStep(quiz=str(i % 3), skill_name="A", skill=0, y=i % 2) for i in range(6)]
-    students = [("u1", steps), ("u2", steps[:4])]  # u2's prompts repeat u1's first three
+    steps = [(0, i % 3, i % 2) for i in range(6)]
+    # u2's prompts repeat u1's first three
+    students = table_of([StudentSequence("u1", steps), StudentSequence("u2", steps[:4])])
+    vocab = Vocab(skill_ids=("0",), quiz_ids=("0", "1", "2"), skill_names=("A",))
     tracer = tracing.Tracer()
     with MockLLMServer() as server:
         config = ProbeConfig(
@@ -70,7 +73,7 @@ def test_light_trace_records_one_fetch_per_miss_and_a_warm_pass_none(tmp_path, m
         try:
             tracing.install(tracer, "light")
             cold = ProbeClient(config)
-            probe_sequences(cold, students, tag="llm")
+            probe_sequences(cold, students, vocab, tag="llm")
             cold_spans = len(tracer.by_name("llmprobe.fetch"))
 
             def no_opener(*args, **kwargs):
@@ -78,7 +81,7 @@ def test_light_trace_records_one_fetch_per_miss_and_a_warm_pass_none(tmp_path, m
 
             monkeypatch.setattr(urllib.request, "build_opener", no_opener)
             warm = ProbeClient(config)
-            probe_sequences(warm, students, tag="llm")
+            probe_sequences(warm, students, vocab, tag="llm")
         finally:
             tracer.restore()
         hits = server.hit_count

@@ -17,6 +17,8 @@ from ktrace import ingest
 from ktrace.cli import STAT_ROWS, main
 from ktrace.ingest import parse_interactions
 
+from steptable import table_of
+
 HEADER = "order_id,user_id,problem_id,correct,skill_id,skill_name"
 
 ADVERSARIAL_LOG = "\n".join([
@@ -194,7 +196,7 @@ def reference_prepare(text: str, seed: int):
         ingest.StudentSequence(user, [(skills[s], quizzes[q], y) for s, q, y in steps])
         for user, steps in raw.items()
     ]
-    split = ingest.split_students(ingest.StepTable.from_sequences(indexed), (0.8, 0.1, 0.1), seed)
+    split = ingest.split_students(table_of(indexed), (0.8, 0.1, 0.1), seed)
 
     skill_parts = {p.strip() for r in records for p in r["skill"].split(",")} - {""}
     n = len(records)

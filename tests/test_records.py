@@ -124,7 +124,7 @@ def test_trajectory_round_trip_with_nan(tmp_path):
     write_trajectory(path, traj)
     loaded = read_trajectory(path)
     assert loaded.user_id == "u9"
-    assert loaded.steps == traj.steps
+    assert np.array_equal(loaded.steps, traj.steps)
     assert np.isnan(loaded.p[0, 1])
     assert loaded.p[1, 1] == 0.4
 

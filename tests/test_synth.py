@@ -225,6 +225,18 @@ def test_oracle_records_skip_first_counts():
     assert all(r.step >= 1 for r in rows_of(records))
 
 
+def test_oracle_records_of_a_table_equal_those_of_its_student_list():
+    # `synth` passes its test split as a step table, perfbench a list of its students
+    spec = GenerativeSpec(k=3, n_students=12, mean_length=7, seed=4)
+    corpus = generate(spec)
+    table = corpus.sequences.take(np.array([5, 0, 11, 3]))
+    from_table = oracle_records(corpus, table)
+    from_list = oracle_records(corpus, list(table))
+    assert len(from_table) == sum(len(s) - 1 for s in table)
+    for got, want in zip(from_table.columns(), from_list.columns(), strict=True):
+        assert np.array_equal(got, want)
+
+
 def test_oracle_records_from_noise_free_spec_survive_dump_round_trip(tmp_path):
     from ktrace.records import read_prediction_dump, write_prediction_dump
 
