@@ -170,12 +170,23 @@ def read_split(ws: Workspace) -> Dict[str, List[str]]:
         return json.load(fh)
 
 
+def split_rows(ws: Workspace, position: Dict[str, int], users: Sequence[str]) -> np.ndarray:
+    """The table positions, by ``position``, of the ``split.json`` students ``users``."""
+    try:
+        return np.array([position[u] for u in users], dtype=np.int64)
+    except KeyError as exc:
+        raise ValueError(
+            f"{ws.split_path} lists student {exc.args[0]!r}, "
+            f"which {ws.sequences_path} does not hold"
+        ) from None
+
+
 def load_split_sequences(ws: Workspace, table: ingest.StepTable) -> Dict[str, ingest.StepTable]:
     """The split's train, val and test students of ``table``, one table each."""
     position = {user_id: i for i, user_id in enumerate(table.user_ids)}
     split_info = read_split(ws)
     return {
-        part: table.take(np.array([position[u] for u in split_info[part]], dtype=np.int64))
+        part: table.take(split_rows(ws, position, split_info[part]))
         for part in ("train", "val", "test")
     }
 
@@ -383,7 +394,7 @@ def cmd_train(cfg: RunConfig) -> int:
 # probe
 
 
-def cmd_probe(cfg: RunConfig, tag_override: Optional[str] = None) -> int:
+def cmd_probe(cfg: RunConfig) -> int:
     if cfg.probe is None:
         raise ConfigError("probe requires a config.probe section")
     ws = Workspace(cfg.workspace)
@@ -395,13 +406,13 @@ def cmd_probe(cfg: RunConfig, tag_override: Optional[str] = None) -> int:
         )
         position = {user_id: i for i, user_id in enumerate(table.user_ids)}
         vocab = load_vocab(ws)
-        tag = tag_override or cfg.probe.tag
+        tag = cfg.probe.tag
         client = llmprobe.ProbeClient(cfg.probe.probe)
 
         with open(ws.repr_quiz_path, "r", encoding="utf-8") as fh:
             repr_quiz = json.load(fh)["repr_quiz"]
 
-        test = table.take(np.array([position[u] for u in test_users], dtype=np.int64))
+        test = table.take(split_rows(ws, position, test_users))
         preds, all_errors = llmprobe.probe_sequences(client, test, vocab, tag)
         stability: List[llmprobe.StabilityReport] = []
         if cfg.probe.stability_check:
@@ -633,14 +644,13 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar="PATH=VALUE",
                 help="override a config entry (dotted path, JSON value); repeatable",
             )
-        if name == "probe":
-            p.add_argument("--tag", default=None, help="override the dump tag")
     return parser
 
 
 COMMANDS = {
     "prepare": cmd_prepare,
     "train": cmd_train,
+    "probe": cmd_probe,
     "evaluate": cmd_evaluate,
     "synth": cmd_synth,
 }
@@ -652,8 +662,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "gradcheck":
             return cmd_gradcheck(None)
         cfg = load_config(args.config, overrides=args.override)
-        if args.command == "probe":
-            return cmd_probe(cfg, tag_override=args.tag)
         return COMMANDS[args.command](cfg)
     except (ConfigError, ingest.ColumnMappingError) as exc:
         print(f"configuration error: {args.command}: {exc}", file=sys.stderr)

@@ -43,6 +43,14 @@ class ProbeSection:
     mastery_students: List[str] = field(default_factory=list)
     stability_check: bool = False
 
+    def __post_init__(self):
+        # each student gets one trajectory and one set of mastery dump rows
+        seen = set()
+        for user_id in self.mastery_students:
+            if user_id in seen:
+                raise ValueError(f"mastery_students lists {user_id!r} twice")
+            seen.add(user_id)
+
 
 @dataclass
 class EvalSection:

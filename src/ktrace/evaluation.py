@@ -203,14 +203,10 @@ def stage_errors(
     """Error rate per (profile, stage) cell at the given threshold.
 
     Positions are each student's resolved predictions in step order, split
-    into early/middle/late thirds. Micro-averaging pools mismatches over
-    positions; the macro flag averages per-student rates instead. Cells with
-    no data are omitted.
+    into early/middle/late thirds; a cell keeps each student's (mismatches,
+    positions). Micro-averaging pools them, the macro flag averages the
+    per-student rates, and ``n`` counts positions. Empty cells are omitted.
     """
-    mism: Dict[Tuple[str, str], List[float]] = {}
-    counts: Dict[Tuple[str, str], int] = {}
-    per_student_rates: Dict[Tuple[str, str], List[float]] = {}
-
     cols = preds.resolved()
     order = np.lexsort((cols.step, cols.user))
     labels = cols.y[order]
@@ -218,32 +214,27 @@ def stage_errors(
     # split at each student's first row; the piece before row 0 is empty
     _, first = np.unique(cols.user[order], return_index=True)
     students = zip(np.split(labels, first)[1:], np.split(wrong, first)[1:])
+    cells: Dict[Tuple[str, str], List[Tuple[int, int]]] = {}
     for y_student, wrong_student in students:
         group = classify_profile(y_student.tolist())
         start = 0
         for stage, size in zip(STAGES, stage_sizes(len(y_student))):
-            if size == 0:
-                continue
-            n_wrong = int(wrong_student[start : start + size].sum())
+            if size:
+                n_wrong = int(wrong_student[start : start + size].sum())
+                cells.setdefault((group, stage), []).append((n_wrong, size))
             start += size
-            key = (group, stage)
-            mism.setdefault(key, []).append(n_wrong)
-            counts[key] = counts.get(key, 0) + size
-            per_student_rates.setdefault(key, []).append(n_wrong / size)
 
     out: List[ProfileStageErrors] = []
     for group in (SWITCHING, STABLE):
         for stage in STAGES:
-            key = (group, stage)
-            if key not in counts:
-                continue
-            if macro:
-                error = sum(per_student_rates[key]) / len(per_student_rates[key])
-            else:
-                error = sum(mism[key]) / counts[key]
-            out.append(
-                ProfileStageErrors(group=group, stage=stage, error=error, n=counts[key])
-            )
+            pairs = cells.get((group, stage))
+            if pairs:
+                n = sum(size for _, size in pairs)
+                if macro:
+                    error = sum(n_wrong / size for n_wrong, size in pairs) / len(pairs)
+                else:
+                    error = sum(n_wrong for n_wrong, _ in pairs) / n
+                out.append(ProfileStageErrors(group=group, stage=stage, error=error, n=n))
     return out
 
 

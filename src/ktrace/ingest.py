@@ -187,6 +187,17 @@ class DatasetStats:
     n_correct: int = 0
     n_incorrect: int = 0
 
+    @classmethod
+    def of(cls, n_records: int, n_students: int, n_quizzes: int, n_skills: int,
+           n_correct: int) -> "DatasetStats":
+        """The stats of these counts: interactions per student, quiz and
+        skill (0.0 with none of them), and all zeros with no records."""
+        if not n_records:
+            return cls()
+        means = [n_records / n if n else 0.0 for n in (n_students, n_quizzes, n_skills)]
+        return cls(n_records, n_students, n_quizzes, n_skills, *means,
+                   n_correct, n_records - n_correct)
+
 
 class _Memo(dict):
     """key -> ``make(key)``, computed on the first lookup of each distinct
@@ -464,23 +475,9 @@ def summarize(table: StepTable) -> DatasetStats:
     """Record/student/quiz/skill counts and per-entity interaction means of
     a step table; ``summarize_split`` gives the per-partition view of a
     split."""
-    n_records = len(table.skill)
-    if n_records == 0:
-        return DatasetStats()
-    n_quizzes = int(np.count_nonzero(np.bincount(table.quiz)))
-    n_skills = int(np.count_nonzero(np.bincount(table.skill)))
-    n_correct = int(table.label.sum())
-    n_students = len(table)
-    return DatasetStats(
-        n_records=n_records,
-        n_students=n_students,
-        n_quizzes=n_quizzes,
-        n_skills=n_skills,
-        avg_per_student=n_records / n_students,
-        avg_per_quiz=n_records / n_quizzes,
-        avg_per_skill=n_records / n_skills,
-        n_correct=n_correct,
-        n_incorrect=n_records - n_correct,
+    return DatasetStats.of(
+        len(table.skill), len(table), int(np.count_nonzero(np.bincount(table.quiz))),
+        int(np.count_nonzero(np.bincount(table.skill))), int(table.label.sum()),
     )
 
 
@@ -492,24 +489,11 @@ def summarize_split(split: DatasetSplit) -> Dict[str, DatasetStats]:
 def summarize_records(cols: InteractionColumns) -> DatasetStats:
     """Stats over the raw parsed rows (the pre-filter view). Comma-separated
     skill cells contribute each component id to the distinct-skill count."""
-    n = len(cols)
-    if not n:
-        return DatasetStats()
-    n_users = len(set(cols.user_id))
-    n_quizzes = len(set(cols.problem_id))
     skills = {part.strip() for cell in set(cols.skill_raw) for part in cell.split(",")}
     skills.discard("")
-    n_correct = sum(cols.correct)
-    return DatasetStats(
-        n_records=n,
-        n_students=n_users,
-        n_quizzes=n_quizzes,
-        n_skills=len(skills),
-        avg_per_student=n / n_users,
-        avg_per_quiz=n / n_quizzes if n_quizzes else 0.0,
-        avg_per_skill=n / len(skills) if skills else 0.0,
-        n_correct=n_correct,
-        n_incorrect=n - n_correct,
+    return DatasetStats.of(
+        len(cols), len(set(cols.user_id)), len(set(cols.problem_id)), len(skills),
+        sum(cols.correct),
     )
 
 

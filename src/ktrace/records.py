@@ -150,6 +150,16 @@ def write_prediction_dump(path: str | Path, preds: Predictions) -> None:
         )
 
 
+def _check_cell_counts(path: str | Path, rows: Sequence[list], width: int) -> None:
+    """Every row after the header has the header's ``width`` cells; the
+    error names the first line that does not."""
+    ragged = next((t for t, row in enumerate(rows) if len(row) != width), None)
+    if ragged is not None:
+        raise ValueError(
+            f"{path}: line {ragged + 2} has {len(rows[ragged])} cells, the header has {width}"
+        )
+
+
 def read_prediction_dump(path: str | Path) -> Predictions:
     """Load a dump, validating the header, probability range, and the
     (user_id, t, model_tag) uniqueness invariant; a duplicate error names
@@ -162,9 +172,7 @@ def read_prediction_dump(path: str | Path) -> Predictions:
         if tuple(header) != PRED_COLUMNS:
             raise ValueError(f"{path}: unexpected dump header {header}")
         rows = list(reader)
-    ragged = next((row for row in rows if len(row) != len(PRED_COLUMNS)), None)
-    if ragged is not None:
-        raise ValueError(f"{path}: expected {len(PRED_COLUMNS)} cells, got {ragged}")
+    _check_cell_counts(path, rows, len(PRED_COLUMNS))
     cells = np.array(rows, dtype=object).reshape(-1, len(PRED_COLUMNS))
     p_text = cells[:, 4]
     resolved = p_text != NA
@@ -211,12 +219,7 @@ def read_trajectory(path: str | Path) -> MasteryTrajectory:
         rows = list(reader)
     if not rows:
         raise ValueError(f"{path}: empty trajectory file")
-    ragged = next((t for t, row in enumerate(rows) if len(row) != len(header)), None)
-    if ragged is not None:
-        raise ValueError(
-            f"{path}: line {ragged + 2} has {len(rows[ragged])} cells, "
-            f"the header has {len(header)}"
-        )
+    _check_cell_counts(path, rows, len(header))
     cells = np.array(rows, dtype=object)
     probs = cells[:, 5:]
     resolved = probs != NA

@@ -689,6 +689,61 @@ def test_train_probe_and_evaluate_never_iterate_a_step_table(tmp_path, monkeypat
     assert all(s["stable"] for s in report["stability"])
 
 
+def test_probe_rejects_a_repeated_mastery_student_before_any_request(tmp_path, capsys):
+    with MockLLMServer() as server:
+        payload = probe_payload(tmp_path, server.endpoint)
+        cfg_path = write_config(tmp_path / "c.json", payload)
+        assert main(["synth", "--config", cfg_path]) == 0
+        ws = Workspace(tmp_path / "ws")
+        student = json.loads(ws.split_path.read_text())["test"][0]
+        payload["probe"]["mastery_students"] = [student, student]
+        cfg_path = write_config(tmp_path / "c.json", payload)
+        capsys.readouterr()
+        assert main(["probe", "--config", cfg_path]) == 2
+        assert server.hit_count == 0
+    assert capsys.readouterr().err == (
+        f"configuration error: probe: config.probe: mastery_students lists {student!r} twice\n"
+    )
+    assert not ws.dump_path("llm").exists()
+    assert "probe:llm" not in ws.read_manifest()["stages"]
+
+
+@pytest.mark.parametrize("command", ["train", "probe"])
+def test_a_split_student_missing_from_sequences_is_named(tmp_path, capsys, command):
+    with MockLLMServer() as server:
+        cfg_path = write_config(tmp_path / "c.json", probe_payload(tmp_path, server.endpoint))
+        assert main(["synth", "--config", cfg_path]) == 0
+        ws = Workspace(tmp_path / "ws")
+        split = json.loads(ws.split_path.read_text())
+        split["test"].insert(1, "ghost")
+        ws.split_path.write_text(json.dumps(split))
+        capsys.readouterr()
+        assert main([command, "--config", cfg_path]) == 1
+        assert server.hit_count == 0
+    assert capsys.readouterr().err == (
+        f"error: {command}: {ws.split_path} lists student 'ghost', "
+        f"which {ws.sequences_path} does not hold\n"
+    )
+
+
+def test_probe_tag_comes_from_the_config_alone(tmp_path, capsys):
+    """The dump tag is ``probe.tag``, set in the file or by ``--override``;
+    the manifest entry records the hash of the config that named it."""
+    with MockLLMServer() as server:
+        cfg_path = write_config(tmp_path / "c.json", probe_payload(tmp_path, server.endpoint))
+        assert main(["synth", "--config", cfg_path]) == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["probe", "--config", cfg_path, "--tag", "other"])
+        assert excinfo.value.code == 2
+        override = ["--override", "probe.tag=other"]
+        assert main(["probe", "--config", cfg_path, *override]) == 0
+    ws = Workspace(tmp_path / "ws")
+    assert ws.dump_path("other").exists()
+    assert not ws.dump_path("llm").exists()
+    cfg = load_config(cfg_path, overrides=["probe.tag=other"])
+    assert ws.read_manifest()["stages"]["probe:other"]["config_hash"] == cfg.config_hash()
+
+
 def test_probe_endpoint_down_fails_clearly(tmp_path, capsys):
     payload = probe_payload(
         tmp_path, "http://127.0.0.1:9/v1/completions", timeout=0.2, max_retries=0

@@ -205,6 +205,10 @@ def test_each_section_accepts_exactly_its_keys(tmp_path, section):
         ({"dkt": {"clip_norm": -1}}, "clip_norm"),
         ({"dkt": {"clip_norm": float("nan")}}, "clip_norm"),
         ({"seed": -1}, "seed"),
+        ({"probe": {"endpoint": "e", "model": "m", "mastery_students": ["81439", "7", "81439"]}},
+         "config.probe: mastery_students lists '81439' twice\n"),
+        ({"probe": {"endpoint": "e", "model": "m", "mastery_students": [7, "7"]}},
+         "config.probe: mastery_students lists '7' twice\n"),
     ],
     ids=[
         "tags-string", "students-string", "int-true", "int-false", "rate-true",
@@ -213,6 +217,7 @@ def test_each_section_accepts_exactly_its_keys(tmp_path, section):
         "timeout-0", "backoff-negative", "backoff-nan", "embedding-dim-0", "hidden-dim-0",
         "batch-size-0", "max-epochs-0", "patience-0", "max-t-1", "learning-rate-0",
         "learning-rate-nan", "clip-norm-negative", "clip-norm-nan", "seed-negative",
+        "students-repeated", "students-repeated-as-int-and-str",
     ],
 )
 def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, extra, named):

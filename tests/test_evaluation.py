@@ -257,6 +257,42 @@ def test_stage_errors_macro_vs_micro():
     assert macro[("stable", "early")] == pytest.approx(0.5)  # mean of 1.0 and 0.0
 
 
+def test_stage_errors_exact_micro_and_macro_values():
+    # stable: a1 (1 position), b2 (2) and e10 (10); switching: c3 (3) and d10 (10)
+    students = {
+        "a1": ([1], [0.1]),
+        "b2": ([0, 0], [0.9, 0.1]),
+        "c3": ([0, 1, 0], [0.1] * 3),
+        "d10": ([1, 0] * 5, [0.9] * 10),
+        "e10": ([1] * 10, [0.1, 0.9, 0.9, 0.9, 0.9, 0.9, 0.1, 0.1, 0.9, 0.9]),
+    }
+    records = [
+        rec(user, 2 * t + 1, y, p)
+        for user, (labels, probs) in students.items()
+        for t, (y, p) in enumerate(zip(labels, probs))
+    ]
+    preds = predictions_of(records[::-1])  # stage order comes from the steps
+    micro = [(r.group, r.stage, r.error, r.n) for r in stage_errors(preds, 0.5)]
+    assert micro == [
+        ("switching", "early", 1 / 4, 4),
+        ("switching", "middle", 3 / 4, 4),
+        ("switching", "late", 2 / 5, 5),
+        ("stable", "early", 3 / 6, 6),
+        ("stable", "middle", 0 / 3, 3),
+        ("stable", "late", 2 / 4, 4),
+    ]
+    # per-student rates averaged in user-id order
+    macro = [(r.group, r.stage, r.error, r.n) for r in stage_errors(preds, 0.5, macro=True)]
+    assert macro == [
+        ("switching", "early", (0 / 1 + 1 / 3) / 2, 4),
+        ("switching", "middle", (1 / 1 + 2 / 3) / 2, 4),
+        ("switching", "late", (0 / 1 + 2 / 4) / 2, 5),
+        ("stable", "early", (1 / 1 + 1 / 2 + 1 / 3) / 3, 6),
+        ("stable", "middle", 0 / 3, 3),
+        ("stable", "late", 2 / 4, 4),
+    ]
+
+
 def test_stage_position_counts_partition_per_student():
     rng = np.random.default_rng(6)
     records = []

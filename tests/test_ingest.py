@@ -296,6 +296,39 @@ def test_summarize_accepts_split_and_partitions():
     assert sum(st.n_records for st in per_part.values()) == pooled.n_records
 
 
+def test_summarize_exact_values():
+    table = table_of([
+        StudentSequence("u1", [(0, 0, 1), (1, 2, 0)]),
+        StudentSequence("u2", [(0, 2, 1), (0, 4, 1), (1, 0, 0), (0, 2, 1), (0, 0, 0)]),
+        StudentSequence("u3", [(1, 4, 1)]),
+    ])
+    assert summarize(table) == ingest.DatasetStats(
+        n_records=8, n_students=3, n_quizzes=3, n_skills=2, avg_per_student=8 / 3,
+        avg_per_quiz=8 / 3, avg_per_skill=4.0, n_correct=5, n_incorrect=3,
+    )
+
+
+def test_summarize_records_exact_values():
+    # a comma-separated skill cell counts each of its ids, an empty cell none;
+    # u1 and u2 repeat
+    text = (
+        "1,u1,p1,1,\"4,5\",Both\n2,u1,p2,0,,\n3,u2,p1,1,4,Four\n4,u1,p3,1,6,Six\n"
+        "5,u3,p4,0,5,Five\n6,u2,p2,1,6,Six\n7,u3,p1,0,4,Four\n"
+    )
+    assert ingest.summarize_records(parse(text).columns) == ingest.DatasetStats(
+        n_records=7, n_students=3, n_quizzes=4, n_skills=3, avg_per_student=7 / 3,
+        avg_per_quiz=7 / 4, avg_per_skill=7 / 3, n_correct=4, n_incorrect=3,
+    )
+    assert ingest.summarize_records(parse("").columns) == ingest.DatasetStats()
+    # only empty skill cells: no skill, so no per-skill mean
+    assert ingest.summarize_records(parse("1,u1,p1,1,,\n2,u1,p1,0,,\n").columns) == (
+        ingest.DatasetStats(
+            n_records=2, n_students=1, n_quizzes=1, n_skills=0, avg_per_student=2.0,
+            avg_per_quiz=2.0, avg_per_skill=0.0, n_correct=1, n_incorrect=1,
+        )
+    )
+
+
 def test_summarize_correct_plus_incorrect_is_total():
     text = make_rows("u1", 7) + make_rows("u2", 4, skill="9")
     table, _, _ = filter_and_order(parse(text).columns)

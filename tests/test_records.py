@@ -109,6 +109,18 @@ def test_dump_rejects_unknown_header(tmp_path):
         read_prediction_dump(path)
 
 
+@pytest.mark.parametrize("bad_row, cells", [("u2,2,0,1,0.5", 5), ("u2,2,0,1,0.5,m,x", 7)])
+def test_dump_row_with_wrong_cell_count_names_file_and_line(tmp_path, bad_row, cells):
+    path = tmp_path / "d.csv"
+    path.write_text(
+        "user_id,t,skill_idx,y_true,p_pred,model_tag\nu1,1,0,1,0.5,m\n"
+        + bad_row + "\nu3,3,0,1,0.5,m\n"
+    )
+    message = f"{path}: line 3 has {cells} cells, the header has 6"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        read_prediction_dump(path)
+
+
 @pytest.mark.parametrize("reader", [read_prediction_dump, read_trajectory])
 def test_empty_file_error_names_the_file(tmp_path, reader):
     path = tmp_path / "empty.csv"
