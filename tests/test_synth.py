@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -186,6 +187,64 @@ def test_mastery_trace_is_monotone_per_skill():
             if skill in last:
                 assert state >= last[skill]  # no forgetting
             last[skill] = state
+
+
+# Digests of generate's step table, oracle and mastery, frozen from the
+# per-step scalar generator: any change to a draw, its order or the filter
+# arithmetic changes them.
+PINNED_CORPORA = {
+    "reference": (
+        REFERENCE_SPEC,
+        "e415b2bf7fd0298765ece3b612f708a95ad9493c258b971cf3e887c16f5aa147",
+    ),
+    "k1": (
+        GenerativeSpec(k=1, n_students=40, mean_length=3, min_length=1, seed=5),
+        "5ef0e9da7b32207608087801f12d7aeed0abc4ca0f050046ff739410b4056995",
+    ),
+    "k3-per-skill": (
+        GenerativeSpec(k=3, p_init=(0.2, 0.5, 0.8), p_learn=(0.3, 0.1, 0.2),
+                       p_guess=(0.1, 0.2, 0.3), p_slip=(0.05, 0.1, 0.2),
+                       n_students=60, mean_length=12, seed=3),
+        "8e3a68f6a16cf35e1f0b2d975020d2e58901223bd0b2377d3f3f0b7976462ecb",
+    ),
+    "k149": (
+        GenerativeSpec(k=149, n_students=300, mean_length=56, seed=1),
+        "c7913649e047a8016fb917b134c385cff8f424083de2bca13325e77b4570d7ad",
+    ),
+    "always-mastered": (
+        GenerativeSpec(k=2, p_init=1.0, p_learn=0.0, p_guess=0.0, p_slip=0.0,
+                       n_students=10, mean_length=8, seed=1),
+        "2a03bba3ff467f8a66ab9b2a4bf0e623f9788f1b953806c118bea03db7cf361e",
+    ),
+    "learn-at-once": (
+        GenerativeSpec(k=2, p_init=0.0, p_learn=1.0, p_guess=0.0, p_slip=0.0,
+                       n_students=30, mean_length=8, seed=13),
+        "3af1daddca1827b424cc15acd90167dcc91a8f07ef3cc508aa489ed807066555",
+    ),
+}
+
+
+def corpus_digest(corpus) -> str:
+    table = corpus.sequences
+    h = hashlib.sha256("\n".join(table.user_ids).encode())
+    for column in (table.offsets, table.skill, table.quiz, table.label):
+        h.update(np.asarray(column, "<i8").tobytes())
+    for user_id in table.user_ids:
+        h.update(np.asarray(corpus.oracle[user_id], "<f8").tobytes())
+        h.update(np.asarray(corpus.mastery[user_id], "<i8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CORPORA))
+def test_generated_corpus_is_pinned(name):
+    spec, digest = PINNED_CORPORA[name]
+    corpus = generate(spec)
+    table = corpus.sequences
+    assert all(col.dtype == np.int64 for col in (table.offsets, table.skill, table.label))
+    user_id = table.user_ids[0]
+    assert {type(p) for p in corpus.oracle[user_id]} == {float}
+    assert {type(m) for m in corpus.mastery[user_id]} == {int}
+    assert corpus_digest(corpus) == digest
 
 
 # ---------------------------------------------------------------------------
