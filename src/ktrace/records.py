@@ -161,9 +161,9 @@ def _check_cell_counts(path: str | Path, rows: Sequence[list], width: int) -> No
 
 
 def read_prediction_dump(path: str | Path) -> Predictions:
-    """Load a dump, validating the header, probability range, and the
-    (user_id, t, model_tag) uniqueness invariant; a duplicate error names
-    the first repeated key in file order."""
+    """Load a dump, validating the header, 0/1 labels, probability range,
+    and the (user_id, t, model_tag) uniqueness invariant; a duplicate error
+    names the first repeated key in file order."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -182,6 +182,9 @@ def read_prediction_dump(path: str | Path) -> Predictions:
     if out_of_range.size:
         raise ValueError(f"{path}: probability out of (0,1): {p_text[out_of_range[0]]}")
     step, skill, y = cells[:, 1:4].astype(np.int64).T
+    bad_label = np.flatnonzero((y != 0) & (y != 1))
+    if bad_label.size:
+        raise ValueError(f"{path}: line {bad_label[0] + 2}: y_true must be 0 or 1")
     preds = Predictions(user=cells[:, 0], step=step, skill=skill, y=y, p=p, tag=cells[:, 5])
     keys = (preds.user, preds.step, preds.tag)
     order = np.lexsort(keys[::-1])  # stable: equal keys keep file order

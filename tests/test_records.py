@@ -102,6 +102,19 @@ def test_dump_rejects_out_of_range_probability(tmp_path):
         read_prediction_dump(path)
 
 
+@pytest.mark.parametrize("label", ["2", "-1"])
+def test_dump_rejects_a_label_other_than_zero_or_one(tmp_path, label):
+    # a label of 2 would count as two positives: roc_auc read -1.0 from such a file
+    path = tmp_path / "d.csv"
+    path.write_text(
+        "user_id,t,skill_idx,y_true,p_pred,model_tag\n"
+        f"u1,1,0,1,0.5,m\nu1,2,0,0,0.25,m\nu1,3,0,{label},0.75,m\nu1,4,0,1,0.5,m\n"
+    )
+    message = f"{path}: line 4: y_true must be 0 or 1"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        read_prediction_dump(path)
+
+
 def test_dump_rejects_unknown_header(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,b,c\n1,2,3\n")
