@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -79,75 +79,195 @@ class SynthCorpus:
         return [f"Skill {i}" for i in range(self.spec.k)]
 
 
-def _filter_step(
-    belief: float, y: int, p_learn: float, p_guess: float, p_slip: float
-) -> float:
-    """Posterior over the learned state after observing y, then the learning
-    transition. ``belief`` is P(learned) before the attempt."""
-    if y == 1:
-        num = belief * (1.0 - p_slip)
-        den = num + (1.0 - belief) * p_guess
-    else:
-        num = belief * p_slip
-        den = num + (1.0 - belief) * (1.0 - p_guess)
-    post = num / den if den > 0 else belief
-    return post + (1.0 - post) * p_learn
+class _Streams:
+    """Every student's PCG64 output words in one flat array, read as numpy's
+    ``Generator`` reads them, for many students at once.
+
+    Student i's words come from ``words[i]`` and, once those run out, from
+    ``reopen(i)``: a bit generator at the state ``words[i]`` was drawn from.
+    For each student, ``random`` and ``integers`` return what
+    ``Generator.random()`` and ``Generator.integers(0, k)`` would have
+    returned from that state, called in the same order.
+    """
+
+    def __init__(self, words: List[np.ndarray], reopen: Callable[[int], np.random.BitGenerator]):
+        sizes = np.fromiter(map(len, words), np.int64, len(words))
+        self.raw = np.concatenate(words)
+        self.next = np.cumsum(sizes) - sizes   # read position of each student in raw
+        self.end = self.next + sizes
+        self.drawn = sizes                      # words taken from each student's generator
+        self.reopen = reopen
+        # PCG64 hands out 32-bit values low half first and keeps the high
+        # half for the next 32-bit request; only integers() makes those
+        self.high = np.zeros(len(sizes), np.uint64)
+        self.has_high = np.zeros(len(sizes), bool)
+
+    def _words(self, rows: np.ndarray) -> np.ndarray:
+        """The next word of each student in ``rows`` (distinct)."""
+        spent = rows[self.next[rows] == self.end[rows]]
+        if spent.size:
+            self._top_up(spent)
+        at = self.next[rows]
+        self.next[rows] = at + 1
+        return self.raw[at]
+
+    def _top_up(self, rows: np.ndarray) -> None:
+        more = []
+        for i in rows.tolist():
+            bits = self.reopen(i)
+            bits.advance(int(self.drawn[i]))
+            more.append(bits.random_raw(_TOP_UP))
+        self.next[rows] = len(self.raw) + _TOP_UP * np.arange(len(rows))
+        self.end[rows] = self.next[rows] + _TOP_UP
+        self.drawn[rows] += _TOP_UP
+        self.raw = np.concatenate([self.raw, *more])
+
+    def random(self, rows: np.ndarray) -> np.ndarray:
+        """``Generator.random()``: the top 53 bits of one word."""
+        return (self._words(rows) >> np.uint64(11)) * 2.0**-53
+
+    def _uint32(self, rows: np.ndarray) -> np.ndarray:
+        kept = self.has_high[rows]
+        out = self.high[rows]
+        fresh = rows[~kept]
+        word = self._words(fresh)
+        out[~kept] = word & _LOW32
+        self.high[fresh] = word >> np.uint64(32)
+        self.has_high[rows] = ~kept
+        return out
+
+    def integers(self, rows: np.ndarray, k: int) -> np.ndarray:
+        """``Generator.integers(0, k)`` for 1 <= k <= 2**32: Lemire's bounded
+        draw on 32-bit values (arXiv:1805.10941), redrawn while the low half
+        of the product is below (2**32 - k) % k. k == 1 draws nothing."""
+        if k == 1:
+            return np.zeros(len(rows), np.int64)
+        bound = np.uint64(k)
+        threshold = np.uint64((2**32 - k) % k)
+        product = self._uint32(rows) * bound
+        redo = np.flatnonzero((product & _LOW32) < threshold)
+        while redo.size:
+            product[redo] = self._uint32(rows[redo]) * bound
+            redo = redo[(product[redo] & _LOW32) < threshold]
+        return (product >> np.uint64(32)).astype(np.int64)
 
 
-def predictive_prob(belief: float, p_guess: float, p_slip: float) -> float:
-    return belief * (1.0 - p_slip) + (1.0 - belief) * p_guess
+_LOW32 = np.uint64(0xFFFFFFFF)
+_TOP_UP = 64  # words drawn at once for a student whose words ran out
+
+
+class _Params(NamedTuple):
+    """A spec's per-skill probabilities as float64 arrays."""
+
+    init: np.ndarray
+    learn: np.ndarray
+    guess: np.ndarray
+    slip: np.ndarray
+
+    @classmethod
+    def of(cls, spec: GenerativeSpec) -> "_Params":
+        values = (spec.p_init, spec.p_learn, spec.p_guess, spec.p_slip)
+        return cls(*(np.array(v, np.float64) for v in values))
+
+
+def _filter(
+    belief: np.ndarray, rows: np.ndarray, s: np.ndarray, y: np.ndarray, par: _Params
+) -> np.ndarray:
+    """One forward-filter step of student ``rows[j]`` on skill ``s[j]``:
+    returns P(correct) before the attempt and sets ``belief[rows, s]``, the
+    P(learned) matrix, to the posterior after observing ``y`` and the
+    learning transition. An observation of probability 0 keeps the belief."""
+    learn, guess, slip = par.learn[s], par.guess[s], par.slip[s]
+    b = belief[rows, s]
+    hit = b * (1.0 - slip)
+    p = hit + (1.0 - b) * guess
+    num = np.where(y, hit, b * slip)
+    den = np.where(y, p, num + (1.0 - b) * (1.0 - guess))
+    post = np.divide(num, den, out=b, where=den > 0)
+    belief[rows, s] = post + (1.0 - post) * learn
+    return p
 
 
 def oracle_probabilities(
     spec: GenerativeSpec, skills: Sequence[int], labels: Sequence[int]
 ) -> List[float]:
-    """Exact forward-filtered P(correct | history) before each attempt."""
-    belief = list(spec.p_init)
-    probs: List[float] = []
-    for s, y in zip(skills, labels):
-        probs.append(predictive_prob(belief[s], spec.p_guess[s], spec.p_slip[s]))
-        belief[s] = _filter_step(
-            belief[s], y, spec.p_learn[s], spec.p_guess[s], spec.p_slip[s]
-        )
-    return probs
+    """Exact forward-filtered P(correct | history) before each attempt of
+    one student."""
+    par = _Params.of(spec)
+    belief = par.init[None, :].copy()
+    one = np.zeros(1, np.int64)
+    return [
+        float(_filter(belief, one, np.array([s]), np.array([y]), par)[0])
+        for s, y in zip(skills, labels)
+    ]
+
+
+def _student(
+    spec: GenerativeSpec, i: int, init: np.ndarray
+) -> Tuple[np.random.BitGenerator, int, np.ndarray]:
+    """Student i's length and initial learned state, and its bit generator
+    after those draws."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(spec.seed, i)))
+    length = max(spec.min_length, int(rng.poisson(spec.mean_length)))
+    return rng.bit_generator, length, rng.random(spec.k) < init
 
 
 def generate(spec: GenerativeSpec) -> SynthCorpus:
     """Simulate hidden mastery per student and emit observations plus the
-    Bayes-oracle probabilities. Per-student derived seeds keep generation
-    embarrassingly parallel in principle and deterministic in any order.
-    The students' steps go straight into one step table."""
-    all_skills: List[int] = []
-    all_labels: List[int] = []
-    oracle: Dict[str, List[float]] = {}
-    mastery: Dict[str, List[int]] = {}
-    width = len(str(spec.n_students - 1))
-    for i in range(spec.n_students):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(spec.seed, i)))
-        length = max(spec.min_length, int(rng.poisson(spec.mean_length)))
-        state = rng.random(spec.k) < np.array(spec.p_init)
-        skills: List[int] = []
-        labels: List[int] = []
-        states: List[int] = []
-        for _ in range(length):
-            s = int(rng.integers(0, spec.k))
-            learned = bool(state[s])
-            p_correct = (1.0 - spec.p_slip[s]) if learned else spec.p_guess[s]
-            y = int(rng.random() < p_correct)
-            skills.append(s)
-            labels.append(y)
-            states.append(int(learned))
-            if not learned and rng.random() < spec.p_learn[s]:
-                state[s] = True
-        user_id = f"synth{i:0{width}d}"
-        all_skills += skills
-        all_labels += labels
-        oracle[user_id] = oracle_probabilities(spec, skills, labels)
-        mastery[user_id] = states
-    skill = np.array(all_skills, dtype=np.int64)
-    offsets = np.cumsum([0, *map(len, mastery.values())], dtype=np.int64)
-    table = StepTable(list(mastery), offsets, skill, skill, np.array(all_labels, dtype=np.int64))
-    return SynthCorpus(spec=spec, sequences=table, oracle=oracle, mastery=mastery)
+    Bayes-oracle probabilities, straight into one step table.
+
+    Student i draws from its own generator, ``default_rng(SeedSequence(
+    entropy=(seed, i)))``: first its length (``poisson``, at least
+    ``min_length``) and its initial state (``random(k) < p_init``), then at
+    each step the skill (``integers(0, k)``), the answer (``random() <
+    p_correct``) and, only while that skill is unlearned, the learning draw
+    (``random() < p_learn``). So the corpus is the same whatever the number
+    or order of students. The students run in lock-step over the step
+    index, each reading its own stream (``_Streams``), and the forward
+    filter runs in the same loop.
+    """
+    n, k = spec.n_students, spec.k
+    par = _Params.of(spec)
+    lengths = np.empty(n, np.int64)
+    learned = np.empty((n, k), bool)
+    words = []
+    for i in range(n):
+        bits, lengths[i], learned[i] = _student(spec, i, par.init)
+        # per step: half a word for the skill, one for the answer, at most
+        # one for the learning draw; a few spare for Lemire's redraws
+        words.append(bits.random_raw(2 * lengths[i] + (lengths[i] + 1) // 2 + 4))
+    streams = _Streams(words, lambda i: _student(spec, i, par.init)[0])
+    del words
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    order = np.argsort(-lengths, kind="stable")   # the students still running are a prefix
+    starts = offsets[order]
+    running = n - np.cumsum(np.bincount(lengths))  # students with more than t steps
+    skill = np.empty(offsets[-1], np.int64)
+    label = np.empty(offsets[-1], np.int64)
+    state = np.empty(offsets[-1], np.int8)
+    oracle = np.empty(offsets[-1], np.float64)
+    belief = np.tile(par.init, (n, 1))
+    for t in range(int(lengths.max())):
+        rows = order[: running[t]]
+        at = starts[: running[t]] + t
+        s = streams.integers(rows, k)
+        knows = learned[rows, s]
+        y = streams.random(rows) < np.where(knows, 1.0 - par.slip[s], par.guess[s])
+        learning, ls = rows[~knows], s[~knows]
+        learned[learning, ls] = streams.random(learning) < par.learn[ls]
+        skill[at], label[at], state[at] = s, y, knows
+        oracle[at] = _filter(belief, rows, s, y, par)
+    del streams, belief
+    width = len(str(n - 1))
+    user_ids = [f"synth{i:0{width}d}" for i in range(n)]
+    bounds = offsets.tolist()
+    spans = list(zip(user_ids, bounds, bounds[1:]))
+    return SynthCorpus(
+        spec=spec,
+        sequences=StepTable(user_ids, offsets, skill, skill, label),
+        oracle={u: oracle[a:b].tolist() for u, a, b in spans},
+        mastery={u: state[a:b].tolist() for u, a, b in spans},
+    )
 
 
 def oracle_records(corpus: SynthCorpus, sequences: Iterable[StudentSequence]) -> Predictions:

@@ -6,8 +6,10 @@ import itertools
 import numpy as np
 import pytest
 
+from ktrace import synth
 from ktrace.synth import (
     GenerativeSpec,
+    _Streams,
     generate,
     oracle_auc,
     oracle_probabilities,
@@ -245,6 +247,63 @@ def test_generated_corpus_is_pinned(name):
     assert {type(p) for p in corpus.oracle[user_id]} == {float}
     assert {type(m) for m in corpus.mastery[user_id]} == {int}
     assert corpus_digest(corpus) == digest
+
+
+def test_generate_tops_up_students_whose_words_run_out(monkeypatch):
+    class OneWordEach(_Streams):
+        def __init__(self, words, reopen):
+            super().__init__([w[:1] for w in words], reopen)
+
+    monkeypatch.setattr(synth, "_Streams", OneWordEach)
+    spec, digest = PINNED_CORPORA["k3-per-skill"]
+    assert corpus_digest(generate(spec)) == digest
+
+
+# ---------------------------------------------------------------------------
+# stream emulation
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 149, 3_000_000_000])
+def test_streams_draw_what_each_students_generator_draws(k):
+    # the students start with 0, 1, 3 and 400 words: the first three run out
+    # and top up from their own generators
+    seeds = [np.random.SeedSequence(entropy=(k, i)) for i in range(4)]
+    streams = _Streams(
+        [np.random.PCG64(ss).random_raw(n) for ss, n in zip(seeds, (0, 1, 3, 400))],
+        lambda i: np.random.PCG64(seeds[i]),
+    )
+    twins = [np.random.default_rng(ss) for ss in seeds]
+    plan = np.random.default_rng(k % 1000)
+    n_random = np.zeros(4, np.int64)
+    n_integers = np.zeros(4, np.int64)
+    for _ in range(300):
+        rows = np.flatnonzero(plan.random(4) < 0.7)
+        if plan.random() < 0.5:
+            got = streams.integers(rows, k)
+            want = [twins[i].integers(0, k) for i in rows]
+            n_integers[rows] += 1
+        else:
+            got = streams.random(rows)
+            want = [twins[i].random() for i in rows]
+            n_random[rows] += 1
+        assert got.tolist() == want
+    assert streams.raw.dtype == streams.high.dtype == np.uint64
+    # a word serves one random() or two 32-bit values, the second kept for
+    # the next integers(); k = 1 takes none, and a Lemire redraw one more
+    used = streams.drawn - (streams.end - streams.next)
+    values = 2 * (used - n_random) - streams.has_high
+    if k == 3_000_000_000:  # about 30% of the draws are redrawn
+        assert (values - n_integers).sum() > 0.2 * n_integers.sum()
+    else:
+        assert values.tolist() == (n_integers if k > 1 else 0 * n_integers).tolist()
+
+
+def test_impossible_observation_keeps_the_belief():
+    # p_guess 0 and belief 0: a correct answer has probability 0; the belief
+    # stays 0 and only the learning transition moves it
+    spec = GenerativeSpec(k=1, p_init=0.0, p_learn=0.5, p_guess=0.0, p_slip=0.1,
+                          n_students=1, mean_length=2, min_length=1)
+    assert oracle_probabilities(spec, [0, 0], [1, 1]) == [0.0, 0.5 * (1.0 - 0.1)]
 
 
 # ---------------------------------------------------------------------------
