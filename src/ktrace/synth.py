@@ -239,17 +239,15 @@ def generate(spec: GenerativeSpec) -> SynthCorpus:
     streams = _Streams(words, lambda i: _student(spec, i, par.init)[0])
     del words
     offsets = np.concatenate([[0], np.cumsum(lengths)])
-    order = np.argsort(-lengths, kind="stable")   # the students still running are a prefix
-    starts = offsets[order]
-    running = n - np.cumsum(np.bincount(lengths))  # students with more than t steps
     skill = np.empty(offsets[-1], np.int64)
     label = np.empty(offsets[-1], np.int64)
     state = np.empty(offsets[-1], np.int8)
     oracle = np.empty(offsets[-1], np.float64)
     belief = np.tile(par.init, (n, 1))
+    rows = np.arange(n)
     for t in range(int(lengths.max())):
-        rows = order[: running[t]]
-        at = starts[: running[t]] + t
+        rows = rows[lengths[rows] > t]   # the students with a step t
+        at = offsets[rows] + t
         s = streams.integers(rows, k)
         knows = learned[rows, s]
         y = streams.random(rows) < np.where(knows, 1.0 - par.slip[s], par.guess[s])
@@ -257,7 +255,7 @@ def generate(spec: GenerativeSpec) -> SynthCorpus:
         learned[learning, ls] = streams.random(learning) < par.learn[ls]
         skill[at], label[at], state[at] = s, y, knows
         oracle[at] = _filter(belief, rows, s, y, par)
-    del streams, belief
+    del streams, belief  # freed before the per-student lists are built
     width = len(str(n - 1))
     user_ids = [f"synth{i:0{width}d}" for i in range(n)]
     bounds = offsets.tolist()
