@@ -3,7 +3,8 @@
 Subcommands: prepare | train | probe | evaluate | gradcheck | synth. Every
 run is driven by one JSON config file plus optional --override flags (flags
 win). All artifacts live inside the configured workspace; concurrent
-invocations on the same workspace are rejected via a lock file.
+invocations on the same workspace are rejected by a ``flock`` on its
+``.lock`` file (POSIX only).
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration or input error.
 """
@@ -13,9 +14,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import fcntl
 import functools
 import json
-import os
+import shutil
 import sys
 import time
 from operator import itemgetter
@@ -98,8 +100,7 @@ class Workspace:
     def read_manifest(self) -> dict:
         if not self.manifest_path.exists():
             return {"version": MANIFEST_VERSION, "stages": {}}
-        with open(self.manifest_path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return read_json(self.manifest_path)
 
     def commit_stage(self, stage: str, cfg: RunConfig, vocab_hash: str) -> None:
         """Record ``stage`` in the manifest: a stage's last write, made once
@@ -111,51 +112,24 @@ class Workspace:
         }
         write_json(self.manifest_path, manifest)
 
+    def clear_outputs(self, tag: str) -> None:
+        """Delete ``tag``'s mastery dump and trajectories, which a run writes
+        only for the students it is asked for, so no earlier run's stay."""
+        self.dump_path(tag, "mastery").unlink(missing_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            shutil.rmtree(self.root / "trajectories" / tag)
+
     @contextlib.contextmanager
     def lock(self):
-        """Hold ``.lock`` (holding this process's PID) for the block. A lock
-        whose recorded PID no longer runs is left by a crashed run and is
-        taken over; a live PID, or a lock file with no PID in it yet, refuses."""
+        """Hold an exclusive ``flock`` on ``.lock`` for the block. The kernel
+        drops it when this process exits, however it exits; the file stays."""
         self.root.mkdir(parents=True, exist_ok=True)
-        lock_path = self.root / ".lock"
-        try:
-            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            fd = None
-            if _lock_holder_is_dead(lock_path):
-                with contextlib.suppress(FileNotFoundError):
-                    os.unlink(lock_path)
-                with contextlib.suppress(FileExistsError):
-                    fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            if fd is None:
-                raise WorkspaceLocked(
-                    f"workspace {self.root} is locked by another invocation "
-                    f"(remove {lock_path} if that run crashed)"
-                ) from None
-        try:
-            os.write(fd, str(os.getpid()).encode())
-            os.close(fd)
+        with open(self.root / ".lock", "ab") as fh:
+            try:
+                fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise WorkspaceLocked(f"workspace {self.root} is locked by another invocation") from None
             yield self
-        finally:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(lock_path)
-
-
-def _lock_holder_is_dead(lock_path: Path) -> bool:
-    """True only when the lock records a positive PID that no process has."""
-    try:
-        pid = int(lock_path.read_text(encoding="ascii"))
-    except (OSError, ValueError):
-        return False
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except PermissionError:  # alive, owned by another user
-        pass
-    return False
 
 
 def write_json(path: Path, payload: object) -> None:
@@ -165,8 +139,8 @@ def write_json(path: Path, payload: object) -> None:
         fh.write("\n")
 
 
-def read_split(ws: Workspace) -> Dict[str, List[str]]:
-    with open(ws.split_path, "r", encoding="utf-8") as fh:
+def read_json(path: Path):
+    with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -184,7 +158,7 @@ def split_rows(ws: Workspace, position: Dict[str, int], users: Sequence[str]) ->
 def load_split_sequences(ws: Workspace, table: ingest.StepTable) -> Dict[str, ingest.StepTable]:
     """The split's train, val and test students of ``table``, one table each."""
     position = {user_id: i for i, user_id in enumerate(table.user_ids)}
-    split_info = read_split(ws)
+    split_info = read_json(ws.split_path)
     return {
         part: table.take(split_rows(ws, position, split_info[part]))
         for part in ("train", "val", "test")
@@ -192,8 +166,7 @@ def load_split_sequences(ws: Workspace, table: ingest.StepTable) -> Dict[str, in
 
 
 def load_vocab(ws: Workspace) -> ingest.Vocab:
-    with open(ws.vocab_path, "r", encoding="utf-8") as fh:
-        return ingest.Vocab(**{name: tuple(ids) for name, ids in json.load(fh).items()})
+    return ingest.Vocab(**{name: tuple(ids) for name, ids in read_json(ws.vocab_path).items()})
 
 
 def representative_quizzes(train: ingest.StepTable, k: int) -> List[int]:
@@ -365,6 +338,7 @@ def cmd_train(cfg: RunConfig) -> int:
         )
         wall = time.perf_counter() - t0
 
+        ws.clear_outputs("dkt")
         dkt.save_checkpoint(model, ws.checkpoint_path)
         best = min(e.val_loss for e in log)
         write_json(
@@ -400,7 +374,7 @@ def cmd_probe(cfg: RunConfig) -> int:
     ws = Workspace(cfg.workspace)
     with ws.lock():
         # only the test split and the mastery students are probed, so only they are read
-        test_users = read_split(ws)["test"]
+        test_users = read_json(ws.split_path)["test"]
         table = ingest.read_sequences(
             ws.sequences_path, users={*test_users, *cfg.probe.mastery_students}
         )
@@ -409,8 +383,7 @@ def cmd_probe(cfg: RunConfig) -> int:
         tag = cfg.probe.tag
         client = llmprobe.ProbeClient(cfg.probe.probe)
 
-        with open(ws.repr_quiz_path, "r", encoding="utf-8") as fh:
-            repr_quiz = json.load(fh)["repr_quiz"]
+        repr_quiz = read_json(ws.repr_quiz_path)["repr_quiz"]
 
         test = table.take(split_rows(ws, position, test_users))
         preds, all_errors = llmprobe.probe_sequences(client, test, vocab, tag)
@@ -428,6 +401,7 @@ def cmd_probe(cfg: RunConfig) -> int:
         matrices = llmprobe.probe_mastery(client, mastery, vocab, repr_quiz)
         steps = np.column_stack((mastery.skill, mastery.quiz, mastery.label))
         mastery_paths: List[Predictions] = []
+        ws.clear_outputs(tag)
         # with no mastery student, zip stops at the empty matrix list
         for user_id, p, rows in zip(mastery.user_ids, matrices, np.split(steps, mastery.offsets[1:-1])):
             traj = MasteryTrajectory(user_id=user_id, p=p, steps=rows)

@@ -244,6 +244,13 @@ def _parse_order_id(value: str) -> int:
         raise ValueError(f"order_id out of range: {value!r}") from None
 
 
+def _user_id(cell: str) -> Optional[str]:
+    """The stripped id, or None if it holds a tab, CR or LF: it starts a line
+    of ``sequences.txt``, which such a character would break."""
+    user_id = cell.strip()
+    return user_id if {"\t", "\r", "\n"}.isdisjoint(user_id) else None
+
+
 def parse_interactions(
     source: TextIO | Iterable[str],
     columns: Mapping[str, str] | None = None,
@@ -251,10 +258,11 @@ def parse_interactions(
 ) -> ParseResult:
     """Read a delimited log with a header row into interaction columns.
 
-    Rows that cannot yield a structurally valid record (missing user id,
-    non-integer order key, correctness outside {0, 1}) land in the rejects
-    list with their line numbers; they are never silently dropped. Rows fully
-    identical to an earlier row are deduplicated and counted.
+    Rows that cannot yield a structurally valid record (missing user id or
+    one holding a tab, CR or LF, non-integer order key, correctness outside
+    {0, 1}) land in the rejects list with their line numbers; they are never
+    silently dropped. Rows fully identical to an earlier row are deduplicated
+    and counted.
     """
     colmap = dict(DEFAULT_COLUMNS)
     if columns:
@@ -292,6 +300,7 @@ def parse_interactions(
     # cell: the columns then hold pointers to a few thousand strings, not a
     # fresh string per cell
     text = _Memo(str.strip).__getitem__
+    user_text = _Memo(_user_id).__getitem__
     seen: set = set()
     duplicates = 0
 
@@ -310,9 +319,10 @@ def parse_interactions(
 
         cells = row if len(row) >= width else row + [""] * (width - len(row))
         user_cell, order_cell, correct_cell, problem_cell, skill_cell, name_cell = cells_of(cells)
-        user_id = text(user_cell)
+        user_id = user_text(user_cell)
         if not user_id:
-            rejects.append(RejectedRow(row_index + 1, "missing user_id", delimiter.join(row)))
+            reason = "missing user_id" if user_id == "" else "bad user_id"
+            rejects.append(RejectedRow(row_index + 1, reason, delimiter.join(row)))
             continue
         try:
             order_id = _parse_order_id(order_cell.strip())

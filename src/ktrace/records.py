@@ -26,7 +26,7 @@ import csv
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -150,29 +150,30 @@ def write_prediction_dump(path: str | Path, preds: Predictions) -> None:
         )
 
 
-def _check_cell_counts(path: str | Path, rows: Sequence[list], width: int) -> None:
-    """Every row after the header has the header's ``width`` cells; the
-    error names the first line that does not."""
-    ragged = next((t for t, row in enumerate(rows) if len(row) != width), None)
+def _read_rows(path: str | Path) -> Tuple[List[str], List[List[str]]]:
+    """The header and rows of a CSV file. Every row must have the header's
+    cell count; the error names the first line that does not."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: no header row")
+        rows = list(reader)
+    ragged = next((t for t, row in enumerate(rows) if len(row) != len(header)), None)
     if ragged is not None:
         raise ValueError(
-            f"{path}: line {ragged + 2} has {len(rows[ragged])} cells, the header has {width}"
+            f"{path}: line {ragged + 2} has {len(rows[ragged])} cells, the header has {len(header)}"
         )
+    return header, rows
 
 
 def read_prediction_dump(path: str | Path) -> Predictions:
     """Load a dump, validating the header, 0/1 labels, probability range,
     and the (user_id, t, model_tag) uniqueness invariant; a duplicate error
     names the first repeated key in file order."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: no header row")
-        if tuple(header) != PRED_COLUMNS:
-            raise ValueError(f"{path}: unexpected dump header {header}")
-        rows = list(reader)
-    _check_cell_counts(path, rows, len(PRED_COLUMNS))
+    header, rows = _read_rows(path)
+    if tuple(header) != PRED_COLUMNS:
+        raise ValueError(f"{path}: unexpected dump header {header}")
     cells = np.array(rows, dtype=object).reshape(-1, len(PRED_COLUMNS))
     p_text = cells[:, 4]
     resolved = p_text != NA
@@ -214,15 +215,9 @@ def write_trajectory(path: str | Path, traj: MasteryTrajectory) -> None:
 
 def read_trajectory(path: str | Path) -> MasteryTrajectory:
     """Load a trajectory file; every row must have the header's cell count."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: no header row")
-        rows = list(reader)
+    _, rows = _read_rows(path)
     if not rows:
         raise ValueError(f"{path}: empty trajectory file")
-    _check_cell_counts(path, rows, len(header))
     cells = np.array(rows, dtype=object)
     probs = cells[:, 5:]
     resolved = probs != NA

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import csv
 import hashlib
+import importlib.util
+import itertools
 import json
 import os
+import select
+import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -15,6 +21,7 @@ from ktrace.cli import Workspace, WorkspaceLocked, main, representative_quizzes,
 from ktrace.config import ConfigError, load_config
 from ktrace.ingest import StudentSequence
 from ktrace.evaluation import roc_auc
+from ktrace.llmprobe import FETCH_WINDOW
 from ktrace.records import (
     MasteryTrajectory,
     read_prediction_dump,
@@ -165,28 +172,74 @@ def test_prepare_bad_column_mapping_exits_2(tmp_path):
     assert main(["prepare", "--config", cfg_path]) == 2
 
 
-def test_workspace_lock_takes_over_a_dead_holder(tmp_path):
-    finished = subprocess.Popen([sys.executable, "-c", "pass"])
-    finished.wait(timeout=30)
+def test_prepare_rejects_a_user_id_sequences_txt_cannot_hold(tmp_path):
+    csv_path = tmp_path / "log.csv"
+    make_csv(csv_path)
+    bad_ids = ["stu\t98", '"stu\r99"', '"stu\n97"']
+    with open(csv_path, "a", newline="") as fh:
+        fh.writelines(f"{t},{user},p0,1,0,Skill 0\n" for user in bad_ids for t in range(1, 4))
+    payload = synth_config(tmp_path, data={"raw_path": str(csv_path)})
+    cfg_path = write_config(tmp_path / "c.json", payload)
+    assert main(["prepare", "--config", cfg_path]) == 0
     ws = Workspace(tmp_path / "ws")
-    ws.root.mkdir()
-    (ws.root / ".lock").write_text(str(finished.pid))
+    with open(ws.root / "rejects.csv", newline="") as fh:
+        rejects = list(csv.reader(fh))[1:]
+    assert [reason for _, reason, _ in rejects] == ["bad user_id"] * 9
+    assert main(["train", "--config", cfg_path]) == 0
+
+
+def child_env() -> dict:
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+
+
+def read_line(child: subprocess.Popen, timeout: float = 60.0) -> str:
+    """The child's next line of output, or "" if none comes within ``timeout``."""
+    ready, _, _ = select.select([child.stdout], [], [], timeout)
+    return child.stdout.readline() if ready else ""
+
+
+def kill(child: subprocess.Popen) -> str:
+    """SIGKILL ``child`` and return what it wrote to stderr."""
+    child.kill()
+    return child.communicate(timeout=30)[1]
+
+
+def test_workspace_lock_refuses_a_live_holder_and_not_a_killed_one(tmp_path):
+    ws = Workspace(tmp_path / "ws")
+    code = (
+        "import sys, time; from ktrace.cli import Workspace\n"
+        "with Workspace(sys.argv[1]).lock():\n"
+        "    print('locked', flush=True); time.sleep(60)\n"
+    )
+    holder = subprocess.Popen(
+        [sys.executable, "-c", code, str(ws.root)], env=child_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        assert read_line(holder) == "locked\n"
+        with pytest.raises(WorkspaceLocked) as refused:
+            with ws.lock():
+                pass
+        assert str(refused.value) == f"workspace {ws.root} is locked by another invocation"
+    finally:
+        kill(holder)
+    assert holder.returncode == -signal.SIGKILL
     with ws.lock():
-        assert (ws.root / ".lock").read_text() == str(os.getpid())
-    assert not (ws.root / ".lock").exists()
+        pass
 
 
-@pytest.mark.parametrize("holder", ["live", "", "not a pid"])
-def test_workspace_lock_refuses_live_or_unreadable_holder(tmp_path, holder):
+@pytest.mark.parametrize("leftover", ["live", "", "not a pid"])
+def test_workspace_lock_ignores_what_a_leftover_lock_file_holds(tmp_path, leftover):
     # "live" stands for this process's pid, which would make an unstable test id.
-    holder = str(os.getpid()) if holder == "live" else holder
+    leftover = str(os.getpid()) if leftover == "live" else leftover
     ws = Workspace(tmp_path / "ws")
     ws.root.mkdir()
-    (ws.root / ".lock").write_text(holder)
-    with pytest.raises(WorkspaceLocked):
-        with ws.lock():
-            pass
-    assert (ws.root / ".lock").read_text() == holder
+    (ws.root / ".lock").write_text(leftover)
+    with ws.lock():
+        pass
+    # the file stays: a run that opened it before an unlink could lock it
+    # while a newer run locks a new file of the same name
+    assert (ws.root / ".lock").read_text() == leftover
 
 
 def test_cli_imports_without_requests():
@@ -626,6 +679,174 @@ def test_probe_mastery_student_from_train_split_gets_trajectory(tmp_path):
     assert not np.isnan(trajectory.p).any()
     mastery = read_prediction_dump(ws.dump_path("llm", "mastery"))
     assert {r.user_id for r in rows_of(mastery)} == {student}
+
+
+def test_a_probe_rerun_leaves_no_mastery_output_of_an_earlier_run(tmp_path):
+    """A probe of model m1 with a mastery student, then one of m2 with none:
+    evaluate reports no coherence or heatmap for the tag, and train's files
+    for the dkt tag stay."""
+    with MockLLMServer() as server:
+        payload = probe_payload(tmp_path, server.endpoint, model="m1")
+        cfg_path = write_config(tmp_path / "c.json", payload)
+        assert main(["synth", "--config", cfg_path]) == 0
+        ws = Workspace(tmp_path / "ws")
+        student = json.loads(ws.split_path.read_text())["test"][0]
+        payload["probe"]["mastery_students"] = [student]
+        payload["evaluate"] = {"tags": ["dkt", "llm"], "heatmap_students": [student]}
+        cfg_path = write_config(tmp_path / "c.json", payload)
+        assert main(["train", "--config", cfg_path]) == 0
+        assert main(["probe", "--config", cfg_path]) == 0
+        assert ws.dump_path("llm", "mastery").exists()
+        assert ws.trajectory_path("llm", student).exists()
+
+        payload["probe"].update(model="m2", mastery_students=[])
+        cfg_path = write_config(tmp_path / "c.json", payload)
+        assert main(["probe", "--config", cfg_path]) == 0
+        assert main(["evaluate", "--config", cfg_path]) == 0
+    assert not ws.dump_path("llm", "mastery").exists()
+    assert not (ws.root / "trajectories" / "llm").exists()
+    metrics = json.loads(ws.report_path("metrics.json").read_text())
+    assert "auc" in metrics["llm"]
+    assert "coherence" not in metrics["llm"] and "heatmaps" not in metrics["llm"]
+    assert "coherence" in metrics["dkt"] and student in metrics["dkt"]["heatmaps"]
+
+
+def test_a_train_rerun_leaves_no_trajectory_of_an_earlier_run(tmp_path):
+    payload = synth_config(tmp_path)
+    assert main(["synth", "--config", write_config(tmp_path / "c.json", payload)]) == 0
+    ws = Workspace(tmp_path / "ws")
+    student = json.loads(ws.split_path.read_text())["test"][0]
+    payload["evaluate"] = {"heatmap_students": [student]}
+    assert main(["train", "--config", write_config(tmp_path / "c.json", payload)]) == 0
+    assert ws.trajectory_path("dkt", student).exists()
+    oracle = MasteryTrajectory(user_id=student, p=np.full((1, 3), 0.5), steps=[(0, 0, 1)])
+    write_trajectory(ws.trajectory_path("oracle", student), oracle)
+
+    payload["evaluate"] = {"heatmap_students": []}
+    assert main(["train", "--config", write_config(tmp_path / "c.json", payload)]) == 0
+    assert not (ws.root / "trajectories" / "dkt").exists()
+    assert ws.dump_path("dkt", "mastery").exists()
+    assert ws.trajectory_path("oracle", student).exists()
+
+
+# A ktrace command in a child process. Given a module of ktrace and a function
+# name, that function prints "ready" once it has returned and then sleeps, so
+# the child can be killed at that point.
+KILLABLE_COMMAND = """
+import importlib, sys, time
+from ktrace import cli
+command, cfg_path, *hook = sys.argv[1:]
+if hook:
+    module = importlib.import_module(f"ktrace.{hook[0]}")
+    wrapped = getattr(module, hook[1])
+
+    def ready_then_sleep(*args, **kwargs):
+        result = wrapped(*args, **kwargs)
+        print("ready", flush=True)
+        time.sleep(60)
+        return result
+
+    setattr(module, hook[1], ready_then_sleep)
+sys.exit(cli.main([command, "--config", cfg_path]))
+"""
+
+
+def start_killable(command: str, cfg_path: str, *hook: str) -> subprocess.Popen:
+    return subprocess.Popen(
+        [sys.executable, "-c", KILLABLE_COMMAND, command, cfg_path, *hook],
+        env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
+def canonical_hashes(ws: Path) -> dict:
+    """The sha256 of each file the benchmark checks (``CANONICAL_GLOBS`` of
+    ``perfbench/checks.py``) and of each trajectory, by workspace path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_checks", Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    )
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    hashes = checks.artifact_hashes(ws)
+    hashes.update({str(p.relative_to(ws)): hash_file(p) for p in ws.glob("trajectories/*/*.csv")})
+    return hashes
+
+
+@pytest.mark.parametrize("hook", [("dkt", "train"), ("cli", "write_prediction_dump")])
+def test_train_killed_inside_the_lock_reruns_to_a_clean_run_s_files(tmp_path, hook):
+    """Killed once training is done (before any write) or once the first
+    dump is written, a rerun exits 0 with the files of an unkilled run."""
+    cfg_paths = {}
+    for name in ("clean", "killed"):
+        payload = synth_config(tmp_path, workspace=str(tmp_path / name))
+        cfg_path = write_config(tmp_path / f"{name}.json", payload)
+        assert main(["synth", "--config", cfg_path]) == 0
+        student = json.loads((tmp_path / name / "split.json").read_text())["test"][0]
+        payload["evaluate"] = {"heatmap_students": [student]}
+        cfg_paths[name] = write_config(tmp_path / f"{name}.json", payload)
+    assert main(["train", "--config", cfg_paths["clean"]]) == 0
+
+    child = start_killable("train", cfg_paths["killed"], *hook)
+    try:
+        line = read_line(child)
+    finally:
+        stderr = kill(child)
+    assert line == "ready\n", stderr
+    assert child.returncode == -signal.SIGKILL
+    assert main(["train", "--config", cfg_paths["killed"]]) == 0
+    assert canonical_hashes(tmp_path / "killed") == canonical_hashes(tmp_path / "clean")
+
+
+def test_probe_killed_in_a_request_reruns_to_a_clean_run_s_files(tmp_path):
+    """The child is killed while the mock holds its 10th request, once it has
+    cached an answer. The killed run and the rerun send at most one fetch
+    window more requests than a clean run, and the rerun ends with the clean
+    run's files."""
+    held, release = threading.Event(), threading.Event()
+    calls = itertools.count(1)
+
+    def hold_the_tenth(body):
+        if next(calls) == 10:
+            held.set()
+            release.wait(timeout=60)
+        return logits_from_prompt(body["prompt"])
+
+    def requests_of(name):
+        return json.loads((tmp_path / name / "probe_report_llm.json").read_text())["network_requests"]
+
+    with MockLLMServer() as server:
+        cfg_paths = {}
+        for name in ("clean", "killed"):
+            payload = probe_payload(tmp_path, server.endpoint)
+            payload["workspace"] = str(tmp_path / name)
+            cfg_path = write_config(tmp_path / f"{name}.json", payload)
+            assert main(["synth", "--config", cfg_path]) == 0
+            student = json.loads((tmp_path / name / "split.json").read_text())["test"][0]
+            payload["probe"]["mastery_students"] = [student]
+            cfg_paths[name] = write_config(tmp_path / f"{name}.json", payload)
+        assert main(["probe", "--config", cfg_paths["clean"]]) == 0
+
+        server.script = hold_the_tenth
+        before = server.hit_count
+        child = start_killable("probe", cfg_paths["killed"])
+        cache = tmp_path / "killed" / "probe_cache" / "cache.jsonl"
+        try:
+            was_held = held.wait(timeout=60)
+            deadline = time.monotonic() + 30
+            while was_held and time.monotonic() < deadline and not (
+                cache.exists() and "\n" in cache.read_text()
+            ):
+                time.sleep(0.01)
+        finally:
+            stderr = kill(child)
+            release.set()
+        assert was_held, stderr
+        assert child.returncode == -signal.SIGKILL
+        killed_requests = server.hit_count - before
+        assert main(["probe", "--config", cfg_paths["killed"]]) == 0
+    assert 0 < requests_of("killed") < requests_of("clean")
+    window = FETCH_WINDOW * payload["probe"]["max_concurrent"]
+    assert killed_requests + requests_of("killed") <= requests_of("clean") + window
+    assert canonical_hashes(tmp_path / "killed") == canonical_hashes(tmp_path / "clean")
 
 
 def test_probe_skips_unknown_mastery_student_with_warning(tmp_path, capsys):

@@ -76,6 +76,19 @@ def test_parse_rejects_missing_order_and_user():
     assert [r.line_number for r in result.rejects] == [2, 3]
 
 
+@pytest.mark.parametrize(
+    "cell", ["u\t1", '"u\r1"', '"u\n1"', '"u\r\n1"'], ids=["tab", "cr", "lf", "crlf"]
+)
+def test_parse_rejects_a_user_id_holding_a_tab_cr_or_lf(cell):
+    """Such an id would break its line of sequences.txt; one at either end of
+    the cell is stripped like any other whitespace."""
+    result = parse(f"1,\tu0\t,p1,1,33,n\n2,{cell},p1,0,33,n\n3,{cell},p2,1,33,n\n")
+    assert [(r.line_number, r.reason) for r in result.rejects] == [
+        (3, "bad user_id"), (4, "bad user_id")
+    ]
+    assert result.columns.user_id == ["u0"]
+
+
 def test_parse_accepts_float_encoded_correct():
     result = parse("1,u1,p1,1.0,33,n\n2,u1,p2,0.0,33,n\n")
     assert result.columns.correct == [1, 0]

@@ -154,6 +154,19 @@ def test_trajectory_round_trip_with_nan(tmp_path):
     assert loaded.p[1, 1] == 0.4
 
 
+def test_a_user_id_with_a_comma_and_a_quote_round_trips(tmp_path):
+    user = 'a,"b" c'
+    path = tmp_path / "d.csv"
+    write_prediction_dump(path, predictions_of([rec(user=user, t=1), rec(user="u2", t=1)]))
+    assert [r.user_id for r in rows_of(read_prediction_dump(path))] == [user, "u2"]
+    traj = MasteryTrajectory(user_id=user, p=np.array([[0.5], [0.25]]), steps=[(0, 0, 1), (0, 1, 0)])
+    path = tmp_path / "t.csv"
+    write_trajectory(path, traj)
+    loaded = read_trajectory(path)
+    assert loaded.user_id == user
+    assert np.array_equal(loaded.steps, traj.steps) and np.array_equal(loaded.p, traj.p)
+
+
 def test_practiced_path_reads_practiced_cells():
     p = np.array([[0.2, 0.9], [0.3, 0.8], [0.4, np.nan]])
     traj = MasteryTrajectory(
