@@ -1,10 +1,11 @@
 """Command-line orchestration of the end-to-end workflow.
 
 Subcommands: prepare | train | probe | evaluate | gradcheck | synth. Every
-run is driven by one JSON config file plus optional --override flags (flags
-win). All artifacts live inside the configured workspace; concurrent
-invocations on the same workspace are rejected by a ``flock`` on its
-``.lock`` file (POSIX only).
+run but gradcheck is driven by one JSON config file plus optional --override
+flags (flags win). ``main`` checks the command's config section and input
+file, then runs the command holding a ``flock`` on the workspace's ``.lock``
+file (POSIX only) for its whole run, so a second invocation on the same
+workspace is rejected. All artifacts live inside the configured workspace.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration or input error.
 """
@@ -22,7 +23,7 @@ import sys
 import time
 from operator import itemgetter
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -144,23 +145,31 @@ def read_json(path: Path):
         return json.load(fh)
 
 
-def split_rows(ws: Workspace, position: Dict[str, int], users: Sequence[str]) -> np.ndarray:
-    """The table positions, by ``position``, of the ``split.json`` students ``users``."""
-    try:
-        return np.array([position[u] for u in users], dtype=np.int64)
-    except KeyError as exc:
+def find_students(table: ingest.StepTable, users: Sequence[str]) -> Tuple[np.ndarray, List[str]]:
+    """The positions in ``table`` of the ``users`` it holds, in their order,
+    and the ``users`` it lacks."""
+    position = {user_id: i for i, user_id in enumerate(table.user_ids)}
+    rows = [position.get(user_id, -1) for user_id in users]
+    missing = [user_id for user_id, row in zip(users, rows) if row < 0]
+    return np.array([row for row in rows if row >= 0], dtype=np.int64), missing
+
+
+def split_rows(ws: Workspace, table: ingest.StepTable, users: Sequence[str]) -> np.ndarray:
+    """The positions in ``table`` of the ``split.json`` students ``users``."""
+    rows, missing = find_students(table, users)
+    if missing:
         raise ValueError(
-            f"{ws.split_path} lists student {exc.args[0]!r}, "
+            f"{ws.split_path} lists student {missing[0]!r}, "
             f"which {ws.sequences_path} does not hold"
-        ) from None
+        )
+    return rows
 
 
 def load_split_sequences(ws: Workspace, table: ingest.StepTable) -> Dict[str, ingest.StepTable]:
     """The split's train, val and test students of ``table``, one table each."""
-    position = {user_id: i for i, user_id in enumerate(table.user_ids)}
     split_info = read_json(ws.split_path)
     return {
-        part: table.take(split_rows(ws, position, split_info[part]))
+        part: table.take(split_rows(ws, table, split_info[part]))
         for part in ("train", "val", "test")
     }
 
@@ -244,45 +253,37 @@ def write_prepared_workspace(
     )
 
 
-def cmd_prepare(cfg: RunConfig) -> int:
-    if cfg.data is None:
-        raise ConfigError("prepare requires a config.data section")
-    raw_path = Path(cfg.data.raw_path)
-    if not raw_path.exists():
-        raise ConfigError(f"input file not found: {raw_path}")
-
-    ws = Workspace(cfg.workspace)
-    with ws.lock():
-        with open(raw_path, "r", encoding=cfg.data.encoding, newline="") as fh:
-            parsed = ingest.parse_interactions(
-                fh, columns=cfg.data.columns or None, delimiter=cfg.data.delimiter
-            )
-        table, vocab, filter_report = ingest.filter_and_order(parsed.columns)
-        if not table:
-            raise ConfigError("no students survived preprocessing")
-        split = ingest.split_students(table, cfg.ratios, cfg.seed)
-
-        stats_by_column = {
-            "original": ingest.summarize_records(parsed.columns),
-            "preprocessed": ingest.summarize(table),
-            **ingest.summarize_split(split),
-        }
-        write_prepared_workspace(
-            ws, table, vocab, split, stats_by_column,
-            rejects=parsed.rejects, filter_report=filter_report,
+def cmd_prepare(cfg: RunConfig, ws: Workspace) -> int:
+    with open(cfg.data.raw_path, "r", encoding=cfg.data.encoding, newline="") as fh:
+        parsed = ingest.parse_interactions(
+            fh, columns=cfg.data.columns or None, delimiter=cfg.data.delimiter
         )
-        ws.commit_stage("prepare", cfg, vocab.content_hash())
+    table, vocab, filter_report = ingest.filter_and_order(parsed.columns)
+    if not table:
+        raise ConfigError("no students survived preprocessing")
+    split = ingest.split_students(table, cfg.ratios, cfg.seed)
 
-        print_stats_table(stats_by_column)
-        print(
-            f"\nparsed {len(parsed.columns)} records "
-            f"({len(parsed.rejects)} rejected, {parsed.duplicates_dropped} duplicates); "
-            f"kept {filter_report.kept_records} records / {filter_report.kept_students} students "
-            f"after filtering (missing skill: {filter_report.missing_skill}, "
-            f"multi-skill: {filter_report.multi_skill}, "
-            f"short: {filter_report.short_student_rows})"
-        )
-        print(f"workspace ready: {ws.root}")
+    stats_by_column = {
+        "original": ingest.summarize_records(parsed.columns),
+        "preprocessed": ingest.summarize(table),
+        **ingest.summarize_split(split),
+    }
+    write_prepared_workspace(
+        ws, table, vocab, split, stats_by_column,
+        rejects=parsed.rejects, filter_report=filter_report,
+    )
+    ws.commit_stage("prepare", cfg, vocab.content_hash())
+
+    print_stats_table(stats_by_column)
+    print(
+        f"\nparsed {len(parsed.columns)} records "
+        f"({len(parsed.rejects)} rejected, {parsed.duplicates_dropped} duplicates); "
+        f"kept {filter_report.kept_records} records / {filter_report.kept_students} students "
+        f"after filtering (missing skill: {filter_report.missing_skill}, "
+        f"multi-skill: {filter_report.multi_skill}, "
+        f"short: {filter_report.short_student_rows})"
+    )
+    print(f"workspace ready: {ws.root}")
     return 0
 
 
@@ -290,33 +291,29 @@ def cmd_prepare(cfg: RunConfig) -> int:
 # synth
 
 
-def cmd_synth(cfg: RunConfig) -> int:
-    if cfg.synth is None:
-        raise ConfigError("synth requires a config.synth section")
-    ws = Workspace(cfg.workspace)
-    with ws.lock():
-        corpus = synth.generate(cfg.synth)
-        ids = tuple(map(str, range(cfg.synth.k)))  # quiz index equals skill index
-        vocab = ingest.Vocab(skill_ids=ids, quiz_ids=ids, skill_names=tuple(corpus.skill_names()))
-        split = ingest.split_students(corpus.sequences, cfg.ratios, cfg.seed)
-        stats_by_column = {
-            "preprocessed": ingest.summarize(corpus.sequences),
-            **ingest.summarize_split(split),
-        }
-        write_prepared_workspace(ws, corpus.sequences, vocab, split, stats_by_column)
-        synth.write_oracle_sidecar(ws.oracle_path, corpus)
-        oracle = synth.oracle_records(corpus, split.test)
-        write_prediction_dump(ws.dump_path("oracle"), oracle)
-        write_json(ws.root / "generative_spec.json", cfg.synth)
-        ws.commit_stage("synth", cfg, vocab.content_hash())
+def cmd_synth(cfg: RunConfig, ws: Workspace) -> int:
+    corpus = synth.generate(cfg.synth)
+    ids = tuple(map(str, range(cfg.synth.k)))  # quiz index equals skill index
+    vocab = ingest.Vocab(skill_ids=ids, quiz_ids=ids, skill_names=tuple(corpus.skill_names()))
+    split = ingest.split_students(corpus.sequences, cfg.ratios, cfg.seed)
+    stats_by_column = {
+        "preprocessed": ingest.summarize(corpus.sequences),
+        **ingest.summarize_split(split),
+    }
+    write_prepared_workspace(ws, corpus.sequences, vocab, split, stats_by_column)
+    synth.write_oracle_sidecar(ws.oracle_path, corpus)
+    oracle = synth.oracle_records(corpus, split.test)
+    write_prediction_dump(ws.dump_path("oracle"), oracle)
+    write_json(ws.root / "generative_spec.json", cfg.synth)
+    ws.commit_stage("synth", cfg, vocab.content_hash())
 
-        print_stats_table(stats_by_column)
-        print(
-            f"\nsynthetic corpus: {cfg.synth.n_students} students, "
-            f"oracle AUC (test, next-step positions): "
-            f"{evaluation.roc_auc(oracle).auc:.4f}"
-        )
-        print(f"workspace ready: {ws.root}")
+    print_stats_table(stats_by_column)
+    print(
+        f"\nsynthetic corpus: {cfg.synth.n_students} students, "
+        f"oracle AUC (test, next-step positions): "
+        f"{evaluation.roc_auc(oracle).auc:.4f}"
+    )
+    print(f"workspace ready: {ws.root}")
     return 0
 
 
@@ -324,43 +321,37 @@ def cmd_synth(cfg: RunConfig) -> int:
 # train
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    ws = Workspace(cfg.workspace)
-    with ws.lock():
-        table = ingest.read_sequences(ws.sequences_path)
-        parts = load_split_sequences(ws, table)
-        vocab = load_vocab(ws)
-        vocab_hash = vocab.content_hash()
+def cmd_train(cfg: RunConfig, ws: Workspace) -> int:
+    table = ingest.read_sequences(ws.sequences_path)
+    parts = load_split_sequences(ws, table)
+    vocab = load_vocab(ws)
+    vocab_hash = vocab.content_hash()
 
-        t0 = time.perf_counter()
-        model, log = dkt.train(
-            parts["train"], parts["val"], vocab.k, cfg.dkt, vocab_hash=vocab_hash
-        )
-        wall = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    model, log = dkt.train(parts["train"], parts["val"], vocab.k, cfg.dkt, vocab_hash=vocab_hash)
+    wall = time.perf_counter() - t0
 
-        ws.clear_outputs("dkt")
-        dkt.save_checkpoint(model, ws.checkpoint_path)
-        best = min(e.val_loss for e in log)
-        write_json(
-            ws.training_log_path, {"epochs": log, "best_val_loss": best, "config": cfg.dkt}
-        )
+    ws.clear_outputs("dkt")
+    dkt.save_checkpoint(model, ws.checkpoint_path)
+    best = min(e.val_loss for e in log)
+    write_json(ws.training_log_path, {"epochs": log, "best_val_loss": best, "config": cfg.dkt})
 
-        predictions, mastery = dkt.predict_records(model, parts["test"], tag="dkt")
-        write_prediction_dump(ws.dump_path("dkt"), predictions)
-        write_prediction_dump(ws.dump_path("dkt", "mastery"), mastery)
+    predictions, mastery = dkt.predict_records(model, parts["test"], tag="dkt")
+    write_prediction_dump(ws.dump_path("dkt"), predictions)
+    write_prediction_dump(ws.dump_path("dkt", "mastery"), mastery)
 
-        for user_id in cfg.evaluate.heatmap_students:
-            if user_id not in table.user_ids:
-                print(f"warning: heatmap student {user_id} not found; skipped")
-                continue
-            traj = dkt.mastery_trajectory(model, table.take([table.user_ids.index(user_id)]))
-            write_trajectory(ws.trajectory_path("dkt", user_id), traj)
+    rows, missing = find_students(table, cfg.evaluate.heatmap_students)
+    for user_id in missing:
+        print(f"warning: heatmap student {user_id} not found; skipped")
+    for row in rows.tolist():
+        traj = dkt.mastery_trajectory(model, table.take([row]))
+        write_trajectory(ws.trajectory_path("dkt", table.user_ids[row]), traj)
 
-        ws.commit_stage("train", cfg, vocab_hash)
-        print(
-            f"trained {len(log)} epochs in {wall:.1f}s; best validation loss {best:.4f}; "
-            f"test dump: {len(predictions)} predictions"
-        )
+    ws.commit_stage("train", cfg, vocab_hash)
+    print(
+        f"trained {len(log)} epochs in {wall:.1f}s; best validation loss {best:.4f}; "
+        f"test dump: {len(predictions)} predictions"
+    )
     return 0
 
 
@@ -368,74 +359,64 @@ def cmd_train(cfg: RunConfig) -> int:
 # probe
 
 
-def cmd_probe(cfg: RunConfig) -> int:
-    if cfg.probe is None:
-        raise ConfigError("probe requires a config.probe section")
-    ws = Workspace(cfg.workspace)
-    with ws.lock():
-        # only the test split and the mastery students are probed, so only they are read
-        test_users = read_json(ws.split_path)["test"]
-        table = ingest.read_sequences(
-            ws.sequences_path, users={*test_users, *cfg.probe.mastery_students}
-        )
-        position = {user_id: i for i, user_id in enumerate(table.user_ids)}
-        vocab = load_vocab(ws)
-        tag = cfg.probe.tag
-        client = llmprobe.ProbeClient(cfg.probe.probe)
+def cmd_probe(cfg: RunConfig, ws: Workspace) -> int:
+    # only the test split and the mastery students are probed, so only they are read
+    test_users = read_json(ws.split_path)["test"]
+    table = ingest.read_sequences(ws.sequences_path, users={*test_users, *cfg.probe.mastery_students})
+    vocab = load_vocab(ws)
+    tag = cfg.probe.tag
+    client = llmprobe.ProbeClient(cfg.probe.probe)
 
-        repr_quiz = read_json(ws.repr_quiz_path)["repr_quiz"]
+    repr_quiz = read_json(ws.repr_quiz_path)["repr_quiz"]
 
-        test = table.take(split_rows(ws, position, test_users))
-        preds, all_errors = llmprobe.probe_sequences(client, test, vocab, tag)
-        stability: List[llmprobe.StabilityReport] = []
-        if cfg.probe.stability_check:
-            stability = llmprobe.stability_reports(client, test, vocab, preds, tag)
+    test = table.take(split_rows(ws, table, test_users))
+    preds, all_errors = llmprobe.probe_sequences(client, test, vocab, tag)
+    stability: List[llmprobe.StabilityReport] = []
+    if cfg.probe.stability_check:
+        stability = llmprobe.stability_reports(client, test, vocab, preds, tag)
 
-        found = []
-        for user_id in cfg.probe.mastery_students:
-            if user_id in position:
-                found.append(position[user_id])
-            else:
-                print(f"warning: mastery student {user_id} not found; skipped")
-        mastery = table.take(np.array(found, dtype=np.int64))
-        matrices = llmprobe.probe_mastery(client, mastery, vocab, repr_quiz)
-        steps = np.column_stack((mastery.skill, mastery.quiz, mastery.label))
-        mastery_paths: List[Predictions] = []
-        ws.clear_outputs(tag)
-        # with no mastery student, zip stops at the empty matrix list
-        for user_id, p, rows in zip(mastery.user_ids, matrices, np.split(steps, mastery.offsets[1:-1])):
-            traj = MasteryTrajectory(user_id=user_id, p=p, steps=rows)
-            write_trajectory(ws.trajectory_path(tag, user_id), traj)
-            mastery_paths.append(traj.practiced_path(tag))
+    found, missing = find_students(table, cfg.probe.mastery_students)
+    for user_id in missing:
+        print(f"warning: mastery student {user_id} not found; skipped")
+    mastery = table.take(found)
+    matrices = llmprobe.probe_mastery(client, mastery, vocab, repr_quiz)
+    steps = np.column_stack((mastery.skill, mastery.quiz, mastery.label))
+    mastery_paths: List[Predictions] = []
+    ws.clear_outputs(tag)
+    # with no mastery student, zip stops at the empty matrix list
+    for user_id, p, rows in zip(mastery.user_ids, matrices, np.split(steps, mastery.offsets[1:-1])):
+        traj = MasteryTrajectory(user_id=user_id, p=p, steps=rows)
+        write_trajectory(ws.trajectory_path(tag, user_id), traj)
+        mastery_paths.append(traj.practiced_path(tag))
 
-        write_prediction_dump(ws.dump_path(tag), preds)
-        if mastery_paths:
-            write_prediction_dump(ws.dump_path(tag, "mastery"), Predictions.concat(mastery_paths))
+    write_prediction_dump(ws.dump_path(tag), preds)
+    if mastery_paths:
+        write_prediction_dump(ws.dump_path(tag, "mastery"), Predictions.concat(mastery_paths))
 
-        coverage = evaluation.coverage(preds)
-        payload = {
-            "tag": tag,
-            "model": cfg.probe.probe.model,
-            "coverage": coverage,
-            "errors": all_errors,
-            **client.telemetry(),
-        }
-        if stability:
-            payload["stability"] = stability
-        write_json(ws.root / f"probe_report_{tag}.json", payload)
+    coverage = evaluation.coverage(preds)
+    payload = {
+        "tag": tag,
+        "model": cfg.probe.probe.model,
+        "coverage": coverage,
+        "errors": all_errors,
+        **client.telemetry(),
+    }
+    if stability:
+        payload["stability"] = stability
+    write_json(ws.root / f"probe_report_{tag}.json", payload)
 
-        audit_path = ws.root / "probe_audit" / f"{tag}.jsonl"
-        with ingest.atomic_open(audit_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(f"{line}\n" for _, _, line in sorted(client.audit, key=itemgetter(0, 1)))
+    audit_path = ws.root / "probe_audit" / f"{tag}.jsonl"
+    with ingest.atomic_open(audit_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(f"{line}\n" for _, _, line in sorted(client.audit, key=itemgetter(0, 1)))
 
-        ws.commit_stage(f"probe:{tag}", cfg, vocab.content_hash())
-        print(
-            f"probed {len(test_users)} students -> {len(preds)} records "
-            f"({coverage['unresolved']} unresolved), {client.request_count} network requests"
-        )
-        if stability:
-            worst = max(s.max_delta for s in stability)
-            print(f"double-run stability: max probability delta {worst}")
+    ws.commit_stage(f"probe:{tag}", cfg, vocab.content_hash())
+    print(
+        f"probed {len(test_users)} students -> {len(preds)} records "
+        f"({coverage['unresolved']} unresolved), {client.request_count} network requests"
+    )
+    if stability:
+        worst = max(s.max_delta for s in stability)
+        print(f"double-run stability: max probability delta {worst}")
     return 0
 
 
@@ -501,49 +482,40 @@ def evaluate_tag(
     return result
 
 
-def cmd_evaluate(cfg: RunConfig) -> int:
-    ws = Workspace(cfg.workspace)
-    with ws.lock():
-        manifest = ws.read_manifest()
-        stages = manifest.get("stages", {})
-        hashes = {
-            name: entry.get("vocab_hash")
-            for name, entry in stages.items()
-            if entry.get("vocab_hash")
-        }
-        if len(set(hashes.values())) > 1:
-            raise RuntimeError(
-                f"workspace stages were built against different vocabularies: {hashes}"
+def cmd_evaluate(cfg: RunConfig, ws: Workspace) -> int:
+    stages = ws.read_manifest().get("stages", {})
+    hashes = {name: entry.get("vocab_hash") for name, entry in stages.items() if entry.get("vocab_hash")}
+    if len(set(hashes.values())) > 1:
+        raise RuntimeError(f"workspace stages were built against different vocabularies: {hashes}")
+
+    results = {}
+    missing = []
+    for tag in cfg.evaluate.tags:
+        outcome = evaluate_tag(ws, tag, cfg.evaluate)
+        if outcome is None:
+            missing.append(tag)
+            print(f"warning: no prediction dump for tag {tag!r}; skipped")
+        else:
+            results[tag] = outcome
+    if not results:
+        raise RuntimeError(f"no dumps found for any requested tag: {missing}")
+
+    write_json(ws.report_path("metrics.json"), results)
+    for tag, outcome in results.items():
+        line = f"{tag}: "
+        if "auc" in outcome:
+            line += f"AUC {outcome['auc']:.4f}, accuracy {outcome['confusion'].accuracy:.4f}"
+            line += f", t* {outcome['youden']['threshold']:.4f}"
+        else:
+            line += outcome.get("auc_error", "no metrics")
+        if "coherence" in outcome:
+            coh = outcome["coherence"]
+            line += (
+                f", volatility {coh.volatility:.4f}, "
+                f"inconsistency {coh.inconsistency:.4f}"
             )
-
-        results = {}
-        missing = []
-        for tag in cfg.evaluate.tags:
-            outcome = evaluate_tag(ws, tag, cfg.evaluate)
-            if outcome is None:
-                missing.append(tag)
-                print(f"warning: no prediction dump for tag {tag!r}; skipped")
-            else:
-                results[tag] = outcome
-        if not results:
-            raise RuntimeError(f"no dumps found for any requested tag: {missing}")
-
-        write_json(ws.report_path("metrics.json"), results)
-        for tag, outcome in results.items():
-            line = f"{tag}: "
-            if "auc" in outcome:
-                line += f"AUC {outcome['auc']:.4f}, accuracy {outcome['confusion'].accuracy:.4f}"
-                line += f", t* {outcome['youden']['threshold']:.4f}"
-            else:
-                line += outcome.get("auc_error", "no metrics")
-            if "coherence" in outcome:
-                coh = outcome["coherence"]
-                line += (
-                    f", volatility {coh.volatility:.4f}, "
-                    f"inconsistency {coh.inconsistency:.4f}"
-                )
-            print(line)
-        print(f"reports written to {ws.report_path('metrics.json').parent}")
+        print(line)
+    print(f"reports written to {ws.report_path('metrics.json').parent}")
     return 0
 
 
@@ -551,7 +523,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 # gradcheck
 
 
-def cmd_gradcheck(_cfg: Optional[RunConfig]) -> int:
+def cmd_gradcheck() -> int:
     rng = np.random.default_rng(0)
     k = 5
     net = nncore.init_net(2 * k, 3, 4, k, seed=12)
@@ -629,14 +601,26 @@ COMMANDS = {
     "synth": cmd_synth,
 }
 
+# the config section a command cannot run without
+REQUIRED_SECTION = {"prepare": "data", "synth": "synth", "probe": "probe"}
+
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command. A config-driven command's config and input file are
+    checked before its workspace is created; it then runs holding the
+    workspace's lock."""
     args = build_parser().parse_args(argv)
     try:
         if args.command == "gradcheck":
-            return cmd_gradcheck(None)
+            return cmd_gradcheck()
         cfg = load_config(args.config, overrides=args.override)
-        return COMMANDS[args.command](cfg)
+        section = REQUIRED_SECTION.get(args.command)
+        if section and getattr(cfg, section) is None:
+            raise ConfigError(f"{args.command} requires a config.{section} section")
+        if args.command == "prepare" and not Path(cfg.data.raw_path).exists():
+            raise ConfigError(f"input file not found: {Path(cfg.data.raw_path)}")
+        with Workspace(cfg.workspace).lock() as ws:
+            return COMMANDS[args.command](cfg, ws)
     except (ConfigError, ingest.ColumnMappingError) as exc:
         print(f"configuration error: {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -260,9 +260,9 @@ def parse_interactions(
 
     Rows that cannot yield a structurally valid record (missing user id or
     one holding a tab, CR or LF, non-integer order key, correctness outside
-    {0, 1}) land in the rejects list with their line numbers; they are never
-    silently dropped. Rows fully identical to an earlier row are deduplicated
-    and counted.
+    {0, 1}) land in the rejects list with the line their record starts on;
+    they are never silently dropped. Rows fully identical to an earlier row
+    are deduplicated and counted.
     """
     colmap = dict(DEFAULT_COLUMNS)
     if columns:
@@ -304,7 +304,10 @@ def parse_interactions(
     seen: set = set()
     duplicates = 0
 
-    for row_index, row in enumerate(reader, start=1):
+    last_line = reader.line_num  # the header's last line
+    for row in reader:
+        # a record starts on the line after the last one's end: a quoted cell can span lines
+        line, last_line = last_line + 1, reader.line_num
         joined = "\x1f".join(row)
         # "\x1f" is whitespace to str.strip, so this is "every cell is blank"
         if not joined.strip():
@@ -322,19 +325,19 @@ def parse_interactions(
         user_id = user_text(user_cell)
         if not user_id:
             reason = "missing user_id" if user_id == "" else "bad user_id"
-            rejects.append(RejectedRow(row_index + 1, reason, delimiter.join(row)))
+            rejects.append(RejectedRow(line, reason, delimiter.join(row)))
             continue
         try:
             order_id = _parse_order_id(order_cell.strip())
         except ValueError:
-            rejects.append(RejectedRow(row_index + 1, "bad order_id", delimiter.join(row)))
+            rejects.append(RejectedRow(line, "bad order_id", delimiter.join(row)))
             continue
         correct = _CORRECT_FAST.get(correct_cell)
         if correct is None:
             try:
                 correct = _parse_correct(correct_cell.strip())
             except ValueError:
-                rejects.append(RejectedRow(row_index + 1, "bad correct", delimiter.join(row)))
+                rejects.append(RejectedRow(line, "bad correct", delimiter.join(row)))
                 continue
 
         add_user(user_id)

@@ -194,13 +194,9 @@ def render_prompt(
 def prob_from_logits(pair: LogitPair) -> float:
     """P(correct) by two-way softmax over the answer-token logits, computed
     with max subtraction for stability."""
-    return _p_correct(pair.l0, pair.l1)
-
-
-def _p_correct(l0: float, l1: float) -> float:
-    m = max(l0, l1)
-    e0 = math.exp(l0 - m)
-    e1 = math.exp(l1 - m)
+    m = max(pair.l0, pair.l1)
+    e0 = math.exp(pair.l0 - m)
+    e1 = math.exp(pair.l1 - m)
     return e1 / (e0 + e1)
 
 
@@ -549,13 +545,10 @@ def _histories(table: StepTable, vocab: Vocab) -> List[History]:
 
 def _step_probability(top: Dict[str, float]) -> Tuple[float, Optional[str]]:
     """The step's probability, or NaN and the reason it is unresolved."""
-    if "0" in top and "1" in top:  # the pair resolve_logit_pair picks first
-        p = _p_correct(float(top["0"]), float(top["1"]))
-    else:
-        try:
-            p = prob_from_logits(resolve_logit_pair(top))
-        except UnresolvableLogitsError as exc:
-            return math.nan, str(exc)
+    try:
+        p = prob_from_logits(resolve_logit_pair(top))
+    except UnresolvableLogitsError as exc:
+        return math.nan, str(exc)
     # extreme logit gaps round to exactly 0/1 in float64; keep records open
     return min(max(p, PROB_FLOOR), 1.0 - PROB_FLOOR), None
 

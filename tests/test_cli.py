@@ -151,15 +151,17 @@ def test_write_json_failing_midway_keeps_previous_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["stats.json"]
 
 
-def test_prepare_missing_input_exits_2_without_artifacts(tmp_path):
+def test_prepare_missing_input_exits_2_without_artifacts(tmp_path, capsys):
     ws_dir = tmp_path / "ws"
     cfg_path = write_config(
         tmp_path / "c.json",
         {"workspace": str(ws_dir), "data": {"raw_path": str(tmp_path / "nope.csv")}},
     )
     assert main(["prepare", "--config", cfg_path]) == 2
-    assert not (ws_dir / "sequences.txt").exists()
-    assert not (ws_dir / "manifest.json").exists()
+    assert capsys.readouterr().err == (
+        f"configuration error: prepare: input file not found: {tmp_path / 'nope.csv'}\n"
+    )
+    assert not ws_dir.exists()
 
 
 def test_prepare_bad_column_mapping_exits_2(tmp_path):
@@ -257,9 +259,16 @@ def test_cli_imports_no_http_stack():
     assert done.stdout.decode().strip() == "[]"
 
 
-def test_prepare_requires_data_section(tmp_path):
-    cfg_path = write_config(tmp_path / "c.json", {"workspace": str(tmp_path / "ws")})
-    assert main(["prepare", "--config", cfg_path]) == 2
+@pytest.mark.parametrize("command, section", [("prepare", "data"), ("synth", "synth"), ("probe", "probe")])
+def test_prepare_requires_data_section(tmp_path, capsys, command, section):
+    """A command missing its config section fails before it creates the workspace."""
+    ws_dir = tmp_path / "ws"
+    cfg_path = write_config(tmp_path / "c.json", {"workspace": str(ws_dir)})
+    assert main([command, "--config", cfg_path]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: {command}: {command} requires a config.{section} section\n"
+    )
+    assert not ws_dir.exists()
 
 
 def test_workspace_lock_rejects_concurrent_use(tmp_path):
@@ -370,6 +379,22 @@ def test_train_writes_heatmap_trajectories(tmp_path):
     cfg_path = write_config(tmp_path / "c.json", payload)
     assert main(["train", "--config", cfg_path]) == 0
     assert ws.trajectory_path("dkt", student).exists()
+
+
+def test_train_warns_of_each_unknown_heatmap_student_in_config_order(tmp_path, capsys):
+    payload = synth_config(tmp_path)
+    assert main(["synth", "--config", write_config(tmp_path / "c.json", payload)]) == 0
+    ws = Workspace(tmp_path / "ws")
+    student = json.loads(ws.split_path.read_text())["test"][0]
+    payload["evaluate"] = {"heatmap_students": ["zz-ghost", student, "aa-ghost"]}
+    capsys.readouterr()
+    assert main(["train", "--config", write_config(tmp_path / "c.json", payload)]) == 0
+    warnings = [line for line in capsys.readouterr().out.splitlines() if line.startswith("warning:")]
+    assert warnings == [
+        "warning: heatmap student zz-ghost not found; skipped",
+        "warning: heatmap student aa-ghost not found; skipped",
+    ]
+    assert [path.name for path in (ws.root / "trajectories" / "dkt").iterdir()] == [f"{student}.csv"]
 
 
 # ---------------------------------------------------------------------------

@@ -81,12 +81,23 @@ def test_parse_rejects_missing_order_and_user():
 )
 def test_parse_rejects_a_user_id_holding_a_tab_cr_or_lf(cell):
     """Such an id would break its line of sequences.txt; one at either end of
-    the cell is stripped like any other whitespace."""
+    the cell is stripped like any other whitespace. An LF inside the quoted
+    cell moves the next record down a line."""
     result = parse(f"1,\tu0\t,p1,1,33,n\n2,{cell},p1,0,33,n\n3,{cell},p2,1,33,n\n")
     assert [(r.line_number, r.reason) for r in result.rejects] == [
-        (3, "bad user_id"), (4, "bad user_id")
+        (3, "bad user_id"), (4 + cell.count("\n"), "bad user_id")
     ]
     assert result.columns.user_id == ["u0"]
+
+
+@pytest.mark.parametrize("blank", ["", "\n"], ids=["adjacent", "blank-line"])
+def test_parse_numbers_a_reject_by_the_line_its_record_starts_on(blank):
+    """A quoted cell that spans lines, or a blank line, moves every later
+    record down a line."""
+    result = parse(f'1,"a\nb",p1,1,33,n\n{blank}2,u1,p1,7,33,n\n')
+    assert [(r.line_number, r.reason) for r in result.rejects] == [
+        (2, "bad user_id"), (4 + len(blank), "bad correct")
+    ]
 
 
 def test_parse_accepts_float_encoded_correct():
