@@ -606,8 +606,9 @@ REQUIRED_SECTION = {"prepare": "data", "synth": "synth", "probe": "probe"}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one command. A config-driven command's config and input file are
-    checked before its workspace is created; it then runs holding the
+    """Run one command. A config-driven command's config, its input file and,
+    for a command that reads a workspace, the workspace's existence are
+    checked before the lock creates anything; it then runs holding the
     workspace's lock."""
     args = build_parser().parse_args(argv)
     try:
@@ -619,6 +620,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigError(f"{args.command} requires a config.{section} section")
         if args.command == "prepare" and not Path(cfg.data.raw_path).exists():
             raise ConfigError(f"input file not found: {Path(cfg.data.raw_path)}")
+        if args.command not in ("prepare", "synth") and not Path(cfg.workspace).is_dir():
+            raise ConfigError(f"workspace not found: {Path(cfg.workspace)}")
         with Workspace(cfg.workspace).lock() as ws:
             return COMMANDS[args.command](cfg, ws)
     except (ConfigError, ingest.ColumnMappingError) as exc:

@@ -23,18 +23,29 @@ steps are never imputed.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from .ingest import atomic_open
 
 PRED_COLUMNS = ("user_id", "t", "skill_idx", "y_true", "p_pred", "model_tag")
+TRAJECTORY_COLUMNS = ("user_id", "t", "skill_idx", "quiz_idx", "y")  # then p_0 .. p_{K-1}
 NA = "NA"
 PROB_FLOOR = 1e-12  # a written p stays inside (0, 1), as read_prediction_dump requires
+
+# one parsed file row: text fields stay str objects, p until ``_probabilities``
+_DUMP_ROW = np.dtype(
+    [("user_id", "O"), ("t", "i8"), ("skill_idx", "i8"), ("y_true", "i8"), ("p", "O"), ("model_tag", "O")]
+)
+_TRAJECTORY_ROW = [(name, "O" if name == "user_id" else "i8") for name in TRAJECTORY_COLUMNS]
+_INT_CELL = re.compile(r"\s*([+-]?[0-9]+)\s*")  # with int64 range: what loadtxt reads as one
 
 _DTYPES = {
     "user": str, "step": np.int64, "skill": np.int64, "y": np.int64, "p": np.float64, "tag": str,
@@ -150,43 +161,105 @@ def write_prediction_dump(path: str | Path, preds: Predictions) -> None:
         )
 
 
-def _read_rows(path: str | Path) -> Tuple[List[str], List[List[str]]]:
-    """The header and rows of a CSV file. Every row must have the header's
-    cell count; the error names the first line that does not."""
+def _read_table(path: str | Path, row_dtype: Callable[[List[str]], np.dtype]) -> np.ndarray:
+    """The rows of a CSV file after its header, parsed by numpy's C reader
+    into one record of ``row_dtype(header)`` per row. A row the reader
+    refuses, or a blank line, is named by its line: see ``_name_bad_line``."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise ValueError(f"{path}: no header row")
+        dtype = row_dtype(header)
+        body = fh.read()
+    if _has_blank_line(body):
+        _name_bad_line(path, dtype)
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # numpy 1.24 reads "1.0" into an integer field, with only this warning
+            warnings.simplefilter("error", DeprecationWarning)
+            # newline="": lines end at CRLF, LF or a lone CR, as csv.reader reads them
+            lines = io.StringIO(body, newline="")
+            return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning) as exc:
+        _name_bad_line(path, dtype)
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _has_blank_line(text: str) -> bool:
+    """Whether ``text`` holds an empty line: a line end at its start, right
+    after LF, or CR right after CR. loadtxt skips such a line, where
+    csv.reader reads it as a row of 0 cells."""
+    char = np.frombuffer(text.encode(), np.uint8)
+    lf, cr = char == 10, char == 13
+    return text[:1] in ("\r", "\n") or bool((lf[:-1] & (lf[1:] | cr[1:]) | cr[:-1] & cr[1:]).any())
+
+
+def _name_bad_line(path: str | Path, dtype: np.dtype) -> None:
+    """Read a table file with ``csv.reader`` and raise the error that names
+    its first line with the wrong cell count, or with an integer cell (an
+    int64 field of ``dtype``) that is not a decimal integer within int64."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
         rows = list(reader)
     ragged = next((t for t, row in enumerate(rows) if len(row) != len(header)), None)
     if ragged is not None:
         raise ValueError(
             f"{path}: line {ragged + 2} has {len(rows[ragged])} cells, the header has {len(header)}"
         )
-    return header, rows
+    # a field's index is its column's: only the last field spans columns
+    ints = [i for i, name in enumerate(dtype.names) if dtype[name] == np.int64]
+    for line, row in enumerate(rows, start=2):
+        for i in ints:
+            digits = _INT_CELL.fullmatch(row[i])
+            if not (digits and -(2**63) <= int(digits[1]) < 2**63):
+                raise ValueError(
+                    f"{path}: line {line}: {header[i]} must be a 64-bit integer: {row[i]!r}"
+                )
+
+
+def _probabilities(path: str | Path, text: np.ndarray) -> np.ndarray:
+    """``float()`` of each probability cell, NaN for ``NA``; a cell that is
+    neither is named by its line."""
+    resolved = text != NA
+    p = np.full(text.shape, math.nan)
+    try:
+        p[resolved] = text[resolved].astype(np.float64)
+    except ValueError:
+        for line, cells in enumerate(text.reshape(len(text), -1), start=2):
+            try:
+                cells[cells != NA].astype(np.float64)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line}: {exc}") from None
+        raise
+    return p
 
 
 def read_prediction_dump(path: str | Path) -> Predictions:
-    """Load a dump, validating the header, 0/1 labels, probability range,
-    and the (user_id, t, model_tag) uniqueness invariant; a duplicate error
-    names the first repeated key in file order."""
-    header, rows = _read_rows(path)
-    if tuple(header) != PRED_COLUMNS:
-        raise ValueError(f"{path}: unexpected dump header {header}")
-    cells = np.array(rows, dtype=object).reshape(-1, len(PRED_COLUMNS))
-    p_text = cells[:, 4]
-    resolved = p_text != NA
-    p = np.full(len(p_text), math.nan)
-    p[resolved] = p_text[resolved].astype(np.float64)
-    out_of_range = np.flatnonzero(resolved & ~((p > 0.0) & (p < 1.0)))
+    """Load a dump, validating the header, integer cells, 0/1 labels,
+    probability range, and the (user_id, t, model_tag) uniqueness invariant;
+    a duplicate error names the first repeated key in file order."""
+
+    def row_dtype(header: List[str]) -> np.dtype:
+        if tuple(header) != PRED_COLUMNS:
+            raise ValueError(f"{path}: unexpected dump header {header}")
+        return _DUMP_ROW
+
+    rows = _read_table(path, row_dtype)
+    p_text = rows["p"]
+    p = _probabilities(path, p_text)
+    out_of_range = np.flatnonzero((p_text != NA) & ~((p > 0.0) & (p < 1.0)))
     if out_of_range.size:
-        raise ValueError(f"{path}: probability out of (0,1): {p_text[out_of_range[0]]}")
-    step, skill, y = cells[:, 1:4].astype(np.int64).T
+        i = out_of_range[0]
+        raise ValueError(f"{path}: line {i + 2}: probability out of (0,1): {p_text[i]}")
+    y = rows["y_true"]
     bad_label = np.flatnonzero((y != 0) & (y != 1))
     if bad_label.size:
         raise ValueError(f"{path}: line {bad_label[0] + 2}: y_true must be 0 or 1")
-    preds = Predictions(user=cells[:, 0], step=step, skill=skill, y=y, p=p, tag=cells[:, 5])
+    preds = Predictions(
+        user=rows["user_id"], step=rows["t"], skill=rows["skill_idx"], y=y, p=p, tag=rows["model_tag"]
+    )
     keys = (preds.user, preds.step, preds.tag)
     order = np.lexsort(keys[::-1])  # stable: equal keys keep file order
     repeat = np.logical_and.reduce([key[order[1:]] == key[order[:-1]] for key in keys])
@@ -201,8 +274,7 @@ def write_trajectory(path: str | Path, traj: MasteryTrajectory) -> None:
     """Trajectory matrix as delimited text: one row per step with aligned
     metadata, then one probability column per skill (``repr`` floats or
     ``NA``). The file is replaced only once it is fully written."""
-    k = traj.n_skills
-    header = ["user_id", "t", "skill_idx", "quiz_idx", "y"] + [f"p_{i}" for i in range(k)]
+    header = list(TRAJECTORY_COLUMNS) + [f"p_{i}" for i in range(traj.n_skills)]
     rows = (
         [traj.user_id, t, *step] + [NA if math.isnan(p) else repr(p) for p in probs]
         for t, (step, probs) in enumerate(zip(traj.steps.tolist(), traj.p.tolist(), strict=True))
@@ -214,13 +286,16 @@ def write_trajectory(path: str | Path, traj: MasteryTrajectory) -> None:
 
 
 def read_trajectory(path: str | Path) -> MasteryTrajectory:
-    """Load a trajectory file; every row must have the header's cell count."""
-    _, rows = _read_rows(path)
-    if not rows:
+    """Load a trajectory file; every row must have the header's cell count
+    and integer step cells."""
+
+    def row_dtype(header: List[str]) -> np.dtype:
+        if tuple(header[:5]) != TRAJECTORY_COLUMNS:
+            raise ValueError(f"{path}: unexpected trajectory header {header[:5]}")
+        return np.dtype(_TRAJECTORY_ROW + [("p", "O", (len(header) - 5,))])
+
+    rows = _read_table(path, row_dtype)
+    if not len(rows):
         raise ValueError(f"{path}: empty trajectory file")
-    cells = np.array(rows, dtype=object)
-    probs = cells[:, 5:]
-    resolved = probs != NA
-    p = np.full(probs.shape, np.nan)
-    p[resolved] = probs[resolved].astype(np.float64)
-    return MasteryTrajectory(user_id=rows[0][0], p=p, steps=cells[:, 2:5].astype(np.int64))
+    steps = np.column_stack([rows[name] for name in TRAJECTORY_COLUMNS[2:]])
+    return MasteryTrajectory(user_id=rows["user_id"][0], p=_probabilities(path, rows["p"]), steps=steps)

@@ -271,6 +271,17 @@ def test_prepare_requires_data_section(tmp_path, capsys, command, section):
     assert not ws_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "probe", "evaluate"])
+def test_a_command_on_a_missing_workspace_exits_2_and_creates_nothing(tmp_path, capsys, command):
+    ws_dir = tmp_path / "wsx"
+    cfg_path = write_config(
+        tmp_path / "c.json", {"workspace": str(ws_dir), "probe": {"endpoint": "http://127.0.0.1:9", "model": "m"}}
+    )
+    assert main([command, "--config", cfg_path]) == 2
+    assert capsys.readouterr().err == f"configuration error: {command}: workspace not found: {ws_dir}\n"
+    assert not ws_dir.exists()
+
+
 def test_workspace_lock_rejects_concurrent_use(tmp_path):
     ws = Workspace(tmp_path / "ws")
     with ws.lock():
@@ -348,6 +359,7 @@ def test_synth_commits_its_manifest_entry_after_its_oracle_files(tmp_path, monke
 
 def test_train_on_empty_workspace_names_the_command(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "c.json", synth_config(tmp_path))
+    (tmp_path / "ws").mkdir()  # a missing workspace is a configuration error, exit 2
     assert main(["train", "--config", cfg_path]) == 1
     assert capsys.readouterr().err.startswith("error: train: ")
 
