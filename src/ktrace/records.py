@@ -195,22 +195,39 @@ def _has_blank_line(text: str) -> bool:
     return text[:1] in ("\r", "\n") or bool((lf[:-1] & (lf[1:] | cr[1:]) | cr[:-1] & cr[1:]).any())
 
 
+def _read_rows(path: str | Path) -> Tuple[List[str], List[List[str]], List[int]]:
+    """The header and the rows of a table file as ``csv.reader`` reads them,
+    and the line each row starts on: the line after the last one's end, since
+    a quoted cell can span lines (``ingest.parse_interactions`` counts so)."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows, ends = [], [reader.line_num]
+        for row in reader:
+            rows.append(row)
+            ends.append(reader.line_num)
+    return header, rows, [end + 1 for end in ends[:-1]]
+
+
+def _line(path: str | Path, row: int) -> int:
+    """The line on which row ``row`` (0-based, after the header) of a table
+    file starts. Read again only to name an error."""
+    return _read_rows(path)[2][row]
+
+
 def _name_bad_line(path: str | Path, dtype: np.dtype) -> None:
     """Read a table file with ``csv.reader`` and raise the error that names
     its first line with the wrong cell count, or with an integer cell (an
     int64 field of ``dtype``) that is not a decimal integer within int64."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
+    header, rows, lines = _read_rows(path)
     ragged = next((t for t, row in enumerate(rows) if len(row) != len(header)), None)
     if ragged is not None:
         raise ValueError(
-            f"{path}: line {ragged + 2} has {len(rows[ragged])} cells, the header has {len(header)}"
+            f"{path}: line {lines[ragged]} has {len(rows[ragged])} cells, the header has {len(header)}"
         )
     # a field's index is its column's: only the last field spans columns
     ints = [i for i, name in enumerate(dtype.names) if dtype[name] == np.int64]
-    for line, row in enumerate(rows, start=2):
+    for line, row in zip(lines, rows):
         for i in ints:
             digits = _INT_CELL.fullmatch(row[i])
             if not (digits and -(2**63) <= int(digits[1]) < 2**63):
@@ -227,11 +244,11 @@ def _probabilities(path: str | Path, text: np.ndarray) -> np.ndarray:
     try:
         p[resolved] = text[resolved].astype(np.float64)
     except ValueError:
-        for line, cells in enumerate(text.reshape(len(text), -1), start=2):
+        for row, cells in enumerate(text.reshape(len(text), -1)):
             try:
                 cells[cells != NA].astype(np.float64)
             except ValueError as exc:
-                raise ValueError(f"{path}: line {line}: {exc}") from None
+                raise ValueError(f"{path}: line {_line(path, row)}: {exc}") from None
         raise
     return p
 
@@ -252,11 +269,11 @@ def read_prediction_dump(path: str | Path) -> Predictions:
     out_of_range = np.flatnonzero((p_text != NA) & ~((p > 0.0) & (p < 1.0)))
     if out_of_range.size:
         i = out_of_range[0]
-        raise ValueError(f"{path}: line {i + 2}: probability out of (0,1): {p_text[i]}")
+        raise ValueError(f"{path}: line {_line(path, i)}: probability out of (0,1): {p_text[i]}")
     y = rows["y_true"]
     bad_label = np.flatnonzero((y != 0) & (y != 1))
     if bad_label.size:
-        raise ValueError(f"{path}: line {bad_label[0] + 2}: y_true must be 0 or 1")
+        raise ValueError(f"{path}: line {_line(path, bad_label[0])}: y_true must be 0 or 1")
     preds = Predictions(
         user=rows["user_id"], step=rows["t"], skill=rows["skill_idx"], y=y, p=p, tag=rows["model_tag"]
     )
@@ -266,7 +283,7 @@ def read_prediction_dump(path: str | Path) -> Predictions:
     if repeat.any():
         i = int(order[1:][repeat].min())
         key = (str(preds.user[i]), int(preds.step[i]), str(preds.tag[i]))
-        raise ValueError(f"{path}: duplicate record for {key}")
+        raise ValueError(f"{path}: line {_line(path, i)}: duplicate record for {key}")
     return preds
 
 

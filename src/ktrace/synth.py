@@ -297,8 +297,16 @@ def oracle_auc(corpus: SynthCorpus, sequences: Iterable[StudentSequence]) -> flo
 
 
 def write_oracle_sidecar(path: str | Path, corpus: SynthCorpus) -> None:
-    """One student per line: user_id then the per-step oracle probabilities."""
+    """One student per line: user_id then the per-step oracle probabilities.
+    The ``repr`` of each distinct value is built once and shared by its
+    repeats: a forward filter reaches few beliefs."""
+    table = corpus.sequences
+    p = np.fromiter(chain.from_iterable(map(corpus.oracle.__getitem__, table.user_ids)), np.float64)
+    # distinct bit patterns, so that -0.0 and 0.0 keep their own text
+    bits, inverse = np.unique(p.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[inverse.reshape(-1)]
+    bounds = table.offsets.tolist()
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for user_id in corpus.sequences.user_ids:
-            fh.write("\t".join([user_id] + [repr(p) for p in corpus.oracle[user_id]]) + "\n")
+        for user_id, start, stop in zip(table.user_ids, bounds, bounds[1:]):
+            fh.write("\t".join([user_id, *text[start:stop].tolist()]) + "\n")
 

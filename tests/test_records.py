@@ -341,3 +341,57 @@ def test_trajectory_row_with_wrong_cell_count_names_file_and_row(tmp_path, bad_r
     )
     with pytest.raises(ValueError, match=r"t\.csv: line 3 has \d cells, the header has 7"):
         read_trajectory(path)
+
+
+# a user id holding line ends: the row after it starts on a later line than
+# its row index gives, and every error names the line its record starts on
+SPANNING_IDS = [("a\nb", 4), ("a\r\nb", 4), ("a\n\nb", 5)]
+SPANNING_ID_NAMES = ["lf", "crlf", "two-lf"]
+
+DUMP_ERRORS = [
+    ("u2,2,0,1,0.5", "line {} has 5 cells, the header has 6"),
+    ("u2,x,0,1,0.5,m", "line {}: t must be a 64-bit integer: 'x'"),
+    ("u2,2,0,1,abc,m", "line {}: could not convert string to float: 'abc'"),
+    ("u2,2,0,1,1.5,m", "line {}: probability out of (0,1): 1.5"),
+    ("u2,2,0,2,0.5,m", "line {}: y_true must be 0 or 1"),
+    ("{user},1,0,0,0.25,m", "line {}: duplicate record for {key}"),
+]
+
+
+@pytest.mark.parametrize("user, line", SPANNING_IDS, ids=SPANNING_ID_NAMES)
+@pytest.mark.parametrize(
+    "bad_row, error", DUMP_ERRORS, ids=["ragged", "t", "p-text", "p-range", "y_true", "duplicate"]
+)
+def test_dump_error_after_a_spanning_user_id_names_the_line_its_record_starts_on(
+    tmp_path, user, line, bad_row, error
+):
+    quoted = '"' + user + '"'
+    path = tmp_path / "d.csv"
+    path.write_bytes(
+        f"user_id,t,skill_idx,y_true,p_pred,model_tag\r\n{quoted},1,0,1,0.5,m\r\n"
+        f"{bad_row.format(user=quoted)}\r\nu3,3,0,1,0.5,m\r\n".encode()
+    )
+    message = f"{path}: " + error.format(line, key=(user, 1, "m"))
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        read_prediction_dump(path)
+
+
+@pytest.mark.parametrize("user, line", SPANNING_IDS, ids=SPANNING_ID_NAMES)
+@pytest.mark.parametrize(
+    "bad_row, error",
+    [
+        ("u9,1,0,3,1", "line {} has 5 cells, the header has 6"),
+        ("u9,1,0,x,1,0.5", "line {}: quiz_idx must be a 64-bit integer: 'x'"),
+        ("u9,1,0,3,1,abc", "line {}: could not convert string to float: 'abc'"),
+    ],
+    ids=["ragged", "int", "p"],
+)
+def test_trajectory_error_after_a_spanning_user_id_names_the_line_its_record_starts_on(
+    tmp_path, user, line, bad_row, error
+):
+    path = tmp_path / "t.csv"
+    path.write_bytes(
+        f'user_id,t,skill_idx,quiz_idx,y,p_0\n"{user}",0,0,3,1,NA\n{bad_row}\nu9,2,0,3,1,0.5\n'.encode()
+    )
+    with pytest.raises(ValueError, match=re.escape(f"{path}: " + error.format(line)) + "$"):
+        read_trajectory(path)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -377,3 +378,43 @@ def test_oracle_sidecar_round_trip(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     loaded = {user: [float(p) for p in probs] for user, *probs in (line.split("\t") for line in lines)}
     assert loaded == corpus.oracle
+
+
+SIDECAR_CORPORA = {
+    "reference": REFERENCE_SPEC,
+    "always-mastered": GenerativeSpec(k=2, p_init=1.0, p_learn=0.0, p_guess=0.0, p_slip=0.0,
+                                      n_students=10, mean_length=8, seed=1),
+    "never-learning-guesser": GenerativeSpec(k=2, p_init=0.0, p_learn=0.0, p_guess=0.2, p_slip=0.0,
+                                             n_students=10, mean_length=8, seed=2),
+    "k1": GenerativeSpec(k=1, n_students=40, mean_length=3, min_length=1, seed=5),
+    "one-student": GenerativeSpec(k=3, n_students=1, mean_length=9, seed=11),
+}
+
+
+def sidecar_text(corpus) -> str:
+    return "".join(
+        "\t".join([u] + [repr(p) for p in corpus.oracle[u]]) + "\n" for u in corpus.sequences.user_ids
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SIDECAR_CORPORA))
+def test_oracle_sidecar_bytes_are_each_probabilitys_repr(tmp_path, name):
+    corpus = generate(SIDECAR_CORPORA[name])
+    path = tmp_path / "oracle.tsv"
+    write_oracle_sidecar(path, corpus)
+    assert path.read_bytes() == sidecar_text(corpus).encode()
+
+
+def test_oracle_sidecar_keeps_signed_zeros_and_nan_apart(tmp_path):
+    from ktrace.ingest import StudentSequence
+    from ktrace.synth import SynthCorpus
+    from steptable import table_of
+
+    nan_payload = float(np.array([0x7FF8000000000001], np.int64).view(np.float64)[0])
+    oracle = {"a": [0.0, -0.0, 0.5, math.nan], "b": [], "c": [-0.0, nan_payload, 0.0, 0.5]}
+    table = table_of(StudentSequence(u, [(0, 0, 1)] * len(p)) for u, p in oracle.items())
+    corpus = SynthCorpus(spec=GenerativeSpec(k=1, n_students=3), sequences=table, oracle=oracle, mastery={})
+    path = tmp_path / "oracle.tsv"
+    write_oracle_sidecar(path, corpus)
+    assert path.read_text(encoding="utf-8") == "a\t0.0\t-0.0\t0.5\tnan\nb\nc\t-0.0\tnan\t0.0\t0.5\n"
+    assert path.read_text(encoding="utf-8") == sidecar_text(corpus)
