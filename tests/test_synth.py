@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from ktrace import synth
+from ktrace.ingest import StudentSequence
 from ktrace.synth import (
     GenerativeSpec,
+    SynthCorpus,
     _Streams,
     generate,
     oracle_auc,
@@ -19,6 +21,7 @@ from ktrace.synth import (
 )
 
 from predtable import rows_of
+from steptable import table_of
 
 REFERENCE_SPEC = GenerativeSpec(
     k=5,
@@ -406,10 +409,6 @@ def test_oracle_sidecar_bytes_are_each_probabilitys_repr(tmp_path, name):
 
 
 def test_oracle_sidecar_keeps_signed_zeros_and_nan_apart(tmp_path):
-    from ktrace.ingest import StudentSequence
-    from ktrace.synth import SynthCorpus
-    from steptable import table_of
-
     nan_payload = float(np.array([0x7FF8000000000001], np.int64).view(np.float64)[0])
     oracle = {"a": [0.0, -0.0, 0.5, math.nan], "b": [], "c": [-0.0, nan_payload, 0.0, 0.5]}
     table = table_of(StudentSequence(u, [(0, 0, 1)] * len(p)) for u, p in oracle.items())
