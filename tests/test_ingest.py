@@ -133,6 +133,38 @@ def test_parse_drops_fully_identical_duplicate_rows():
     assert result.duplicates_dropped == 1
 
 
+@pytest.mark.parametrize(
+    "row, reason",
+    [("3,,p1,1,33,n", "missing user_id"), ("x,u1,p1,1,33,n", "bad order_id"),
+     ("3,u1,p1,7,33,n", "bad correct")],
+    ids=["missing-user", "bad-order", "bad-correct"],
+)
+def test_parse_counts_a_repeated_rejected_row_once_as_a_reject_and_once_as_a_duplicate(row, reason):
+    result = parse(f"1,u1,p1,1,33,n\n{row}\n2,u1,p2,0,33,n\n{row}\n")
+    assert [(r.line_number, r.reason, r.raw) for r in result.rejects] == [(3, reason, row)]
+    assert result.duplicates_dropped == 1
+    assert result.columns.problem_id == ["p1", "p2"]
+
+
+def test_parse_drops_a_repeated_row_whose_quoted_cell_spans_lines():
+    """The repeat's dropped record still moves every later record down a
+    line, so later rejects keep the line their record starts on."""
+    row = '1,u1,"p\n1",1,33,n\n'
+    result = parse(f"{row}2,u1,p2,7,33,n\n{row}3,u1,p3,1,33,n\n4,,p4,1,33,n\n")
+    assert result.duplicates_dropped == 1
+    assert result.columns.problem_id == ["p\n1", "p3"]
+    assert [(r.line_number, r.reason) for r in result.rejects] == [
+        (4, "bad correct"), (8, "missing user_id")
+    ]
+
+
+def test_parse_drops_a_repeat_separated_by_blank_lines():
+    result = parse("1,u1,p1,1,33,n\n\n , , \n\n1,u1,p1,1,33,n\n2,u1,p2,0,33,n\n")
+    assert result.duplicates_dropped == 1
+    assert result.columns.problem_id == ["p1", "p2"]
+    assert result.rejects == []
+
+
 def test_parse_keeps_repeated_order_ids_with_differences():
     result = parse("1,u1,p1,1,33,n\n1,u1,p2,1,33,n\n")
     assert len(result.columns) == 2
