@@ -8,11 +8,11 @@ within-student order breaks order_id ties by (order_id, problem_id, file row
 index).
 
 No object is made per row or per step. ``parse_interactions`` fills one
-list per field (``InteractionColumns``). ``filter_and_order`` ranks the
-user, problem and skill cells and computes on those integer codes (stable
-sorts, a ``bincount``, first appearances) to build a ``StepTable``: user
-ids, offsets and flat skill/quiz/label arrays, which the split, the
-statistics and ``write_sequences`` read. ``read_sequences`` gives the same
+list or integer array per field (``InteractionColumns``).
+``filter_and_order`` ranks the user, problem and skill cells and computes
+on those integer codes (stable sorts, a ``bincount``, first appearances)
+to build a ``StepTable``: user ids, offsets and flat skill/quiz/label
+arrays, which the split, the statistics and ``write_sequences`` read. ``read_sequences`` gives the same
 table back from ``sequences.txt``; ``synth`` builds one directly. Training,
 inference, the LLM probe and the trajectory files read its arrays. Iterating
 a table yields one ``StudentSequence`` per student, for the oracle records
@@ -28,11 +28,13 @@ import json
 import os
 import re
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import compress
 from operator import itemgetter
 from pathlib import Path
 from typing import (
-    Callable, Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple,
+    Callable, Collection, Dict, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple,
 )
 
 import numpy as np
@@ -64,10 +66,11 @@ class RejectedRow:
 
 @dataclass(eq=False)
 class InteractionColumns:
-    """Parsed rows as parallel per-field lists, in file order: one row per
-    logged student attempt."""
+    """Parsed rows as parallel per-field columns, in file order: one row per
+    logged student attempt. ``order_id`` is an int64 array, or a list once
+    an id does not fit in int64."""
 
-    order_id: List[int] = field(default_factory=list)
+    order_id: Sequence[int] = field(default_factory=lambda: array("q"))
     user_id: List[str] = field(default_factory=list)
     problem_id: List[str] = field(default_factory=list)
     skill_raw: List[str] = field(default_factory=list)   # may be empty or comma-separated
@@ -232,12 +235,9 @@ _CORRECT_FAST = {"0": 0, "1": 1}
 
 
 def _parse_order_id(value: str) -> int:
-    """Integer order key; float-encoded values such as "12.0" are accepted.
-    Plain integers parse exactly, so ids above 2**53 keep their order."""
-    try:
-        return int(value)
-    except ValueError:
-        pass
+    """A float-encoded order key such as "12.0". The caller tries ``int``
+    first, so plain integers parse exactly and ids above 2**53 keep their
+    order."""
     try:
         return int(float(value))
     except OverflowError:  # "inf"
@@ -251,8 +251,13 @@ def _user_id(cell: str) -> Optional[str]:
     return user_id if {"\t", "\r", "\n"}.isdisjoint(user_id) else None
 
 
+# the hash ``parse_interactions`` keeps per row; a module-level name, so that
+# a test can force every row onto the exact comparison
+_row_hash = hash
+
+
 def parse_interactions(
-    source: TextIO | Iterable[str],
+    source: TextIO,
     columns: Mapping[str, str] | None = None,
     delimiter: str = ",",
 ) -> ParseResult:
@@ -261,8 +266,13 @@ def parse_interactions(
     Rows that cannot yield a structurally valid record (missing user id or
     one holding a tab, CR or LF, non-integer order key, correctness outside
     {0, 1}) land in the rejects list with the line their record starts on;
-    they are never silently dropped. Rows fully identical to an earlier row
-    are deduplicated and counted.
+    they are never silently dropped. A row whose cells all equal an earlier
+    non-blank row's, rejected rows included, is a duplicate: it is dropped
+    and counted.
+
+    The check holds one 64-bit hash per row (about 8 bytes). Only when two
+    rows' hashes match is ``source``, a seekable text stream, read a second
+    time from where parsing began, to compare those rows' cells exactly.
     """
     colmap = dict(DEFAULT_COLUMNS)
     if columns:
@@ -271,6 +281,7 @@ def parse_interactions(
             raise ColumnMappingError(f"unknown column-mapping keys: {sorted(unknown)}")
         colmap.update(columns)
 
+    start = source.tell()
     reader = csv.reader(source, delimiter=delimiter)
     try:
         header = next(reader)
@@ -293,16 +304,14 @@ def parse_interactions(
     add_correct, add_problem = cols.correct.append, cols.problem_id.append
     add_skill, add_name = cols.skill_raw.append, cols.skill_name.append
     rejects: List[RejectedRow] = []
-    # a digest instead of the raw row keeps memory flat on wide files; copying
-    # one configured hasher is cheaper than constructing one per row
-    hasher = hashlib.blake2b(digest_size=16)
+    # one hash per non-blank row, in file order
+    hashes = array("q")
+    add_hash, row_hash = hashes.append, _row_hash
     # raw id or name cell -> its stripped text, one string object per distinct
     # cell: the columns then hold pointers to a few thousand strings, not a
     # fresh string per cell
     text = _Memo(str.strip).__getitem__
     user_text = _Memo(_user_id).__getitem__
-    seen: set = set()
-    duplicates = 0
 
     last_line = reader.line_num  # the header's last line
     for row in reader:
@@ -312,13 +321,7 @@ def parse_interactions(
         # "\x1f" is whitespace to str.strip, so this is "every cell is blank"
         if not joined.strip():
             continue
-        digest = hasher.copy()
-        digest.update(joined.encode("utf-8"))
-        key = digest.digest()
-        if key in seen:
-            duplicates += 1
-            continue
-        seen.add(key)
+        add_hash(row_hash(joined))
 
         cells = row if len(row) >= width else row + [""] * (width - len(row))
         user_cell, order_cell, correct_cell, problem_cell, skill_cell, name_cell = cells_of(cells)
@@ -328,10 +331,13 @@ def parse_interactions(
             rejects.append(RejectedRow(line, reason, delimiter.join(row)))
             continue
         try:
-            order_id = _parse_order_id(order_cell.strip())
+            order_id = int(order_cell)  # int() ignores surrounding whitespace itself
         except ValueError:
-            rejects.append(RejectedRow(line, "bad order_id", delimiter.join(row)))
-            continue
+            try:
+                order_id = _parse_order_id(order_cell.strip())
+            except ValueError:
+                rejects.append(RejectedRow(line, "bad order_id", delimiter.join(row)))
+                continue
         correct = _CORRECT_FAST.get(correct_cell)
         if correct is None:
             try:
@@ -340,14 +346,78 @@ def parse_interactions(
                 rejects.append(RejectedRow(line, "bad correct", delimiter.join(row)))
                 continue
 
+        try:
+            add_order(order_id)
+        except OverflowError:  # past int64: a list from here on, which filter_and_order ranks
+            cols.order_id = list(cols.order_id)
+            add_order = cols.order_id.append
+            add_order(order_id)
         add_user(user_id)
-        add_order(order_id)
         add_correct(correct)
         add_problem(text(problem_cell))
         add_skill(text(skill_cell))
         add_name(text(name_cell))
 
-    return ParseResult(columns=cols, rejects=rejects, duplicates_dropped=duplicates)
+    hashed = np.frombuffer(hashes, np.int64)
+    ranked = np.sort(hashed)
+    shared = ranked[1:][ranked[1:] == ranked[:-1]]
+    if not shared.size:  # no two rows can be equal
+        return ParseResult(columns=cols, rejects=rejects)
+    source.seek(start)
+    repeats = _repeated_rows(source, delimiter, np.flatnonzero(np.isin(hashed, shared)))
+    return _drop_rows(cols, rejects, repeats)
+
+
+def _repeated_rows(source: TextIO, delimiter: str, candidates: np.ndarray) -> List[Tuple[int, int]]:
+    """Read the log again from its header and compare the cells of the
+    non-blank rows at the sorted positions ``candidates``: the rows whose
+    hash another row shares. Returns (position, start line) of each row
+    whose cells equal an earlier candidate's."""
+    reader = csv.reader(source, delimiter=delimiter)
+    next(reader)
+    wanted = iter(candidates.tolist())
+    target = next(wanted)
+    seen: set = set()
+    repeats = []
+    position = -1
+    last_line = reader.line_num
+    for row in reader:
+        line, last_line = last_line + 1, reader.line_num
+        if not "\x1f".join(row).strip():
+            continue
+        position += 1
+        if position != target:
+            continue
+        cells = tuple(row)
+        if cells in seen:
+            repeats.append((position, line))
+        else:
+            seen.add(cells)
+        target = next(wanted, None)
+        if target is None:
+            break
+    return repeats
+
+
+def _drop_rows(cols: InteractionColumns, rejects: List[RejectedRow],
+               repeats: List[Tuple[int, int]]) -> ParseResult:
+    """``cols`` and ``rejects`` without the repeated rows, given as (position
+    among non-blank rows, start line); a row is a reject when a reject starts
+    on its line, and a column row otherwise."""
+    reject_lines = [r.line_number for r in rejects]  # ascending, as the rows are
+    dropped_rejects = set()
+    keep = bytearray(b"\x01") * len(cols)
+    for position, line in repeats:
+        before = bisect_left(reject_lines, line)
+        if before < len(reject_lines) and reject_lines[before] == line:
+            dropped_rejects.add(line)
+        else:
+            keep[position - before] = 0
+    for name, column in vars(cols).items():
+        kept = compress(column, keep)
+        setattr(cols, name, array(column.typecode, kept) if isinstance(column, array) else list(kept))
+    rejects = [r for r in rejects if r.line_number not in dropped_rejects]
+    return ParseResult(columns=cols, rejects=rejects, duplicates_dropped=len(repeats))
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def test_parse_single_valid_row():
     assert len(result.columns) == 1
     assert result.rejects == []
     cols = result.columns
-    assert cols.order_id == [10]
+    assert list(cols.order_id) == [10]
     assert cols.user_id == ["u1"]
     assert cols.problem_id == ["p1"]
     assert cols.correct == [1]
@@ -162,6 +162,15 @@ def test_parse_drops_a_repeat_separated_by_blank_lines():
     result = parse("1,u1,p1,1,33,n\n\n , , \n\n1,u1,p1,1,33,n\n2,u1,p2,0,33,n\n")
     assert result.duplicates_dropped == 1
     assert result.columns.problem_id == ["p1", "p2"]
+    assert result.rejects == []
+
+
+def test_parse_keeps_rows_whose_cells_differ_but_join_to_the_same_text():
+    """Both rows join to one text with "\x1f" between their cells; only their
+    cells decide whether one repeats the other."""
+    result = parse("1,u1,p\x1f,1,33,n\n1,u1,p,\x1f1,33,n\n")
+    assert result.duplicates_dropped == 0
+    assert result.columns.problem_id == ["p", "p"]
     assert result.rejects == []
 
 
@@ -446,7 +455,7 @@ def test_parse_order_ids_above_2_pow_53_stay_exact():
     result = parse(
         "9007199254740993,u1,pA,1,3,n\n9007199254740992,u1,pB,1,3,n\n12.0,u1,pC,0,3,n\n"
     )
-    assert result.columns.order_id == [9007199254740993, 9007199254740992, 12]
+    assert list(result.columns.order_id) == [9007199254740993, 9007199254740992, 12]
     (_, steps), = raw_sequences(result.columns)
     assert [q for _, q, _ in steps] == ["pC", "pB", "pA"]
 

@@ -11,7 +11,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from ktrace import ingest
 from ktrace.cli import STAT_ROWS, main
@@ -70,6 +75,19 @@ BEYOND_INT64_LOG = "\n".join([
     f"{2**64},ann,pB,1,11,",
     "7,ann,pD,0,11,",
     *(f"{t},s{u},p{t},{(t + u) % 2},{10 + (t + u) % 3}," for u in range(6) for t in range(1, 5)),
+]) + "\n"
+
+
+# ADVERSARIAL_LOG with each reject reason repeated, and a repeat of a row
+# whose quoted cell spans lines, separated from it by a blank line
+REPEATS_LOG = ADVERSARIAL_LOG + "\n".join([
+    '10,ada,"p\nQ",1,10,',
+    "3,,pA,1,10,n",
+    "",
+    '10,ada,"p\nQ",1,10,',
+    "x,bob,pA,1,10,n",
+    "6,bob,pA,2,10,n",
+    "5,ada,pB,1,10,Fractions",
 ]) + "\n"
 
 
@@ -315,3 +333,58 @@ def test_prepare_orders_ids_beyond_int64_like_the_reference(tmp_path, capsys):
     ann = next(line for line in expected["sequences.txt"].splitlines() if line.startswith("ann"))
     quizzes = [vocab["quiz_ids"][int(cell.split(",")[1])] for cell in ann.split("\t")[1:]]
     assert quizzes == ["pD", "pB", "pC", "pA"]
+
+
+def parsed_fields(result: ingest.ParseResult):
+    return (
+        {name: list(column) for name, column in vars(result.columns).items()},
+        result.rejects,
+        result.duplicates_dropped,
+    )
+
+
+@pytest.mark.parametrize(
+    "log", [ADVERSARIAL_LOG, BEYOND_INT64_LOG, REPEATS_LOG],
+    ids=["adversarial", "beyond-int64", "repeats"],
+)
+def test_every_row_hash_colliding_changes_no_result(tmp_path, capsys, monkeypatch, log):
+    """Rows whose hashes match are compared cell by cell on a second read of
+    the log; one hash for every row sends every row through that path."""
+    seed = 4
+    plain = parse_interactions(io.StringIO(log))
+    monkeypatch.setattr(ingest, "_row_hash", lambda text: 0)
+    forced = parse_interactions(io.StringIO(log))
+    assert parsed_fields(forced) == parsed_fields(plain)
+    assert forced.duplicates_dropped == reference_parse(log)[2]
+
+    (tmp_path / "forced").mkdir()
+    ws_dir = run_prepare(tmp_path / "forced", log, seed)
+    printed = capsys.readouterr().out
+    expected, expected_stdout = reference_prepare(log, seed)
+    for name, text in expected.items():
+        assert (ws_dir / name).read_bytes() == text.encode("utf-8"), name
+    assert printed == expected_stdout + f"workspace ready: {ws_dir}\n"
+
+
+def test_prepare_bytes_do_not_depend_on_the_string_hash_seed(tmp_path):
+    """``hash`` of a row's text changes with PYTHONHASHSEED; which rows are
+    duplicates must not."""
+    (tmp_path / "log.csv").write_text(REPEATS_LOG, encoding="utf-8")
+    names = ["sequences.txt", "vocab.json", "split.json", "stats.json",
+             "filter_report.json", "rejects.csv"]
+    files = []
+    for hash_seed in ("0", "1"):
+        ws_dir = tmp_path / f"ws{hash_seed}"
+        config = tmp_path / f"c{hash_seed}.json"
+        config.write_text(json.dumps(
+            {"workspace": str(ws_dir), "seed": 4, "data": {"raw_path": str(tmp_path / "log.csv")}}
+        ))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONHASHSEED": hash_seed}
+        done = subprocess.run(
+            [sys.executable, "-m", "ktrace.cli", "prepare", "--config", str(config)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert ", 6 duplicates)" in done.stdout
+        files.append([(ws_dir / name).read_bytes() for name in names])
+    assert files[0] == files[1]
