@@ -9,9 +9,10 @@ out.
 
 Training, validation and inference share one window rule: a sequence is cut
 into consecutive ``max_t`` windows and the hidden state restarts at zero at
-each window. Training and validation drop trailing 1-step windows (they hold
-no target); inference keeps them, and predicts a window's first step from
-the previous window's last row. All of them take a ``StepTable`` and
+each window. Each of them predicts a window's first step from the previous
+window's last row, so every step after a student's first is a target once.
+Training and validation drop trailing 1-step windows (they hold no target);
+inference keeps them. All of them take a ``StepTable`` and
 gather their (B, T) batches from its flat step arrays (``_encode_windows``,
 ``_window_cells``), with each step's next skill and label from
 ``_next_step``; a padded cell holds its row's first step, and no loss,
@@ -111,7 +112,9 @@ def build_batch(table: StepTable, k: int, max_t: int) -> Batch:
     """Encode the students of a step table into one padded batch.
 
     Sequences longer than ``max_t`` are split into consecutive windows; the
-    hidden state is not carried across windows.
+    hidden state is not carried across windows. Every live cell but a
+    student's last step has a target, so a window's last cell predicts the
+    next window's first step, and each student has T - 1 targets.
     """
     if not table:
         raise ValueError("build_batch: empty input")
@@ -123,12 +126,14 @@ def build_batch(table: StepTable, k: int, max_t: int) -> Batch:
     skills, tokens, starts, lengths = _encode_windows(table, k, max_t)
     keep = lengths >= 2  # a trailing window of length 1 holds no next-step target
     starts, lengths = starts[keep], lengths[keep]
-    cells, _ = _window_cells(starts, lengths)
+    cells, live = _window_cells(starts, lengths)
+    last = np.zeros(len(skills), dtype=bool)
+    last[table.offsets[1:] - 1] = True
     return Batch(
         x=tokens[cells],
         s_next=_next_step(skills, table.offsets)[cells],
         y_next=_next_step(tokens // k, table.offsets)[cells],
-        w=(np.arange(cells.shape[1]) < lengths[:, None] - 1).astype(np.float64),
+        w=(live & ~last[cells]).astype(np.float64),
         lengths=lengths,
     )
 

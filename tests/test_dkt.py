@@ -127,10 +127,58 @@ def test_build_batch_windowing_splits_and_drops_singletons():
     k = 3
     steps = [(i % k, i % 2) for i in range(7)]
     batch = build_batch(table([seq("u1", steps)]), k, max_t=3)
-    # 7 steps -> windows of 3, 3, 1; the singleton is dropped
+    # 7 steps -> windows of 3, 3, 1; the singleton is dropped, and the second
+    # window's last cell predicts it
     assert batch.x.shape[0] == 2
     assert batch.lengths.tolist() == [3, 3]
-    assert batch.w.sum() == 4.0
+    assert batch.w.sum() == 6.0
+
+
+def _window_targets(sequences, max_t: int):
+    """(user, step) of the step each cell of ``build_batch``'s rows targets,
+    row by row: students in order, each one's windows in order, trailing
+    1-step windows dropped."""
+    rows = []
+    for student in sequences:
+        for start in range(0, len(student), max_t):
+            length = min(max_t, len(student) - start)
+            if length >= 2:
+                rows.append([(student.user_id, t + 1) for t in range(start, start + length)])
+    return rows
+
+
+def test_build_batch_targets_every_next_step_once_across_windows():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        k = int(rng.integers(2, 8))
+        max_t = int(rng.integers(2, 7))
+        sequences = random_sequences(rng, int(rng.integers(1, 7)), k, max_len=30)
+        batch = build_batch(table(sequences), k, max_t=max_t)
+        assert batch.w.sum() == sum(len(s) - 1 for s in sequences)
+        steps = {s.user_id: s.steps for s in sequences}
+        targets = []
+        for row, cells in enumerate(_window_targets(sequences, max_t)):
+            for col, (user_id, t) in enumerate(cells):
+                if batch.w[row, col]:
+                    skill, _, y = steps[user_id][t]
+                    assert (batch.s_next[row, col], batch.y_next[row, col]) == (skill, y)
+                    targets.append((user_id, t))
+        assert sorted(targets) == sorted((s.user_id, t) for s in sequences for t in range(1, len(s)))
+
+
+def test_predict_records_rows_are_each_a_training_target_once():
+    k, max_t = 4, 3
+    model = DktModel.init(k, TrainConfig(embedding_dim=4, hidden_dim=5, max_t=max_t, seed=2))
+    rng = np.random.default_rng(13)
+    sequences = random_sequences(rng, 6, k, max_len=14)
+    preds = rows_of(predict_records(model, table(sequences), tag="dkt")[0])
+    batch = build_batch(table(sequences), k, max_t=max_t)
+    targets = [
+        cell for row, cells in enumerate(_window_targets(sequences, max_t))
+        for col, cell in enumerate(cells) if batch.w[row, col]
+    ]
+    assert len(set(targets)) == len(targets)
+    assert sorted(targets) == sorted((r.user_id, r.step) for r in preds)
 
 
 def test_build_batch_padded_cells_hold_in_range_inputs():
