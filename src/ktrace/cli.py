@@ -133,10 +133,18 @@ class Workspace:
             yield self
 
 
+def _fields(obj: object) -> dict:
+    """A dataclass instance as ``{field: value}``. The values stay as they
+    are: the encoder meets any nested dataclass in turn, with no deep copy."""
+    if not dataclasses.is_dataclass(obj) or isinstance(obj, type):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 def write_json(path: Path, payload: object) -> None:
     """Sorted, indented JSON; a dataclass is written as its fields."""
     with ingest.atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=dataclasses.asdict)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_fields)
         fh.write("\n")
 
 

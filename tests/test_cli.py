@@ -151,6 +151,63 @@ def test_write_json_failing_midway_keeps_previous_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["stats.json"]
 
 
+def _json_payloads():
+    """One payload of each shape the commands write: the ``prepare`` files,
+    the training log, the generative spec, a probe report with stability
+    reports and ``metrics.json``'s blocks."""
+    from ktrace import evaluation, ingest
+    from ktrace.dkt import EpochStats, TrainConfig
+    from ktrace.llmprobe import StabilityReport
+    from ktrace.synth import GenerativeSpec
+
+    rng = np.random.default_rng(5)
+    rows = [
+        (f"u{u}", t, int(rng.integers(0, 3)), int(rng.integers(0, 2)),
+         None if (u, t) == (1, 2) else float(rng.uniform(0.01, 0.99)), "dkt")
+        for u in range(5) for t in range(9)
+    ]
+    preds = predictions_of(rows)
+    analysis = roc_auc(preds)
+    stats = ingest.DatasetStats.of(45, 5, 9, 3, 20)
+    return [
+        ingest.Vocab(("10", "11"), ("pA", "pB", "pC"), ("Fractions", "")),
+        {"original": stats, "preprocessed": ingest.DatasetStats(), "train": stats},
+        ingest.FilterReport(1, 2, 3, 1, 40, 5),
+        {"epochs": [EpochStats(1, 0.69, 0.68, 0.25), EpochStats(2, 0.6, 0.61, 0.5)],
+         "best_val_loss": 0.61, "config": TrainConfig()},
+        GenerativeSpec(k=3, n_students=10, p_learn=(0.1, 0.2, 0.3), seed=7),
+        {"tag": "llm", "coverage": evaluation.coverage(preds),
+         "stability": [StabilityReport("u0", 9, 0.0, 0, 0), StabilityReport("u1", 9, 0.25, 3, 1)]},
+        {"dkt": {
+            "tag": "dkt", "coverage": evaluation.coverage(preds), "auc": analysis.auc,
+            "youden": {"threshold": analysis.youden_threshold, "j": analysis.j_stat},
+            "confusion": evaluation.confusion_metrics(preds, 0.5),
+            "stage_errors": evaluation.stage_errors(preds, analysis.youden_threshold),
+            "coherence": evaluation.coherence_report(preds),
+            "heatmaps": {"u0": {"annotated_cells": 4, "svg": "heatmap_dkt_u0.svg"}},
+        }},
+    ]
+
+
+@pytest.mark.parametrize("index", range(7), ids=[
+    "vocab", "stats", "filter-report", "training-log", "generative-spec", "probe-report", "metrics",
+])
+def test_write_json_writes_a_dataclass_as_asdict_would(tmp_path, index):
+    import dataclasses
+
+    payload = _json_payloads()[index]
+    write_json(tmp_path / "out.json", payload)
+    expected = json.dumps(payload, indent=2, sort_keys=True, default=dataclasses.asdict) + "\n"
+    assert (tmp_path / "out.json").read_bytes() == expected.encode("utf-8")
+
+
+def test_write_json_refuses_a_dataclass_type(tmp_path):
+    from ktrace.ingest import Vocab
+
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "out.json", {"vocab": Vocab})
+
+
 def test_prepare_missing_input_exits_2_without_artifacts(tmp_path, capsys):
     ws_dir = tmp_path / "ws"
     cfg_path = write_config(
