@@ -60,9 +60,9 @@ def encode_step(s: int, y: int, k: int) -> int:
 
 class Batch(NamedTuple):
     """Model inputs for a group of sequence windows: interaction tokens, the
-    next step's skill and label at each cell, the validity mask (1 where a
-    next-step target exists within the row) and the true window lengths.
-    Padded cells hold the row's first step, with w = 0."""
+    next step's skill and label at each cell, the validity mask (1 where
+    the student has a next step, in this window or the next) and the true
+    window lengths. Padded cells hold the row's first step, with w = 0."""
 
     x: Array         # (B, T) int
     s_next: Array    # (B, T) int

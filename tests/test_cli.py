@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import importlib.util
 import itertools
@@ -17,11 +18,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ktrace import evaluation, ingest
 from ktrace.cli import Workspace, WorkspaceLocked, main, representative_quizzes, write_json
 from ktrace.config import ConfigError, load_config
+from ktrace.dkt import EpochStats, TrainConfig
 from ktrace.ingest import StudentSequence
 from ktrace.evaluation import roc_auc
-from ktrace.llmprobe import FETCH_WINDOW
+from ktrace.llmprobe import FETCH_WINDOW, StabilityReport
 from ktrace.records import (
     MasteryTrajectory,
     read_prediction_dump,
@@ -29,6 +32,7 @@ from ktrace.records import (
     write_prediction_dump,
     write_trajectory,
 )
+from ktrace.synth import GenerativeSpec
 
 from mockllm import MockLLMServer, logits_from_prompt
 from predtable import Row, predictions_of, rows_of
@@ -155,11 +159,6 @@ def _json_payloads():
     """One payload of each shape the commands write: the ``prepare`` files,
     the training log, the generative spec, a probe report with stability
     reports and ``metrics.json``'s blocks."""
-    from ktrace import evaluation, ingest
-    from ktrace.dkt import EpochStats, TrainConfig
-    from ktrace.llmprobe import StabilityReport
-    from ktrace.synth import GenerativeSpec
-
     rng = np.random.default_rng(5)
     rows = [
         (f"u{u}", t, int(rng.integers(0, 3)), int(rng.integers(0, 2)),
@@ -193,8 +192,6 @@ def _json_payloads():
     "vocab", "stats", "filter-report", "training-log", "generative-spec", "probe-report", "metrics",
 ])
 def test_write_json_writes_a_dataclass_as_asdict_would(tmp_path, index):
-    import dataclasses
-
     payload = _json_payloads()[index]
     write_json(tmp_path / "out.json", payload)
     expected = json.dumps(payload, indent=2, sort_keys=True, default=dataclasses.asdict) + "\n"
@@ -202,10 +199,8 @@ def test_write_json_writes_a_dataclass_as_asdict_would(tmp_path, index):
 
 
 def test_write_json_refuses_a_dataclass_type(tmp_path):
-    from ktrace.ingest import Vocab
-
     with pytest.raises(TypeError):
-        write_json(tmp_path / "out.json", {"vocab": Vocab})
+        write_json(tmp_path / "out.json", {"vocab": ingest.Vocab})
 
 
 def test_prepare_missing_input_exits_2_without_artifacts(tmp_path, capsys):

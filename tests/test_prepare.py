@@ -357,8 +357,7 @@ def test_every_row_hash_colliding_changes_no_result(tmp_path, capsys, monkeypatc
     assert parsed_fields(forced) == parsed_fields(plain)
     assert forced.duplicates_dropped == reference_parse(log)[2]
 
-    (tmp_path / "forced").mkdir()
-    ws_dir = run_prepare(tmp_path / "forced", log, seed)
+    ws_dir = run_prepare(tmp_path, log, seed)
     printed = capsys.readouterr().out
     expected, expected_stdout = reference_prepare(log, seed)
     for name, text in expected.items():
